@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import NotInteriorError, ShapeError
 from .quaternion import (
-    LORENTZ,
+    CONJ,
+    UNIT,
     Quaternion,
-    QVector,
-    ZERO,
-    herm_definite,
-    qvector,
+    components,
+    hamilton,
+    qarray_inverse,
+    quaternions,
     right_mult_matrix,
-    signature_class,
 )
 
 BALL = "ball"
@@ -62,116 +62,162 @@ class BoundaryPoint:
     beta: Quaternion = field(default_factory=Quaternion)
 
 
-INFINITY = BoundaryPoint(infinity=True)
+# ---------------------------------------------------------------------------
+# points as (n, 4) arrays: one quaternion per row; a horo point's last row
+# is (alpha, beta_1, beta_2, beta_3)
 
 
-def _as_quat(q) -> Quaternion:
-    if isinstance(q, Quaternion):
-        return q
-    return Quaternion(float(q))
+def _norm2(rows: np.ndarray) -> float:
+    return float(np.vdot(rows, rows))
+
+
+def _rows(p: ChartPoint) -> np.ndarray:
+    if p.chart == HORO:
+        rows = components(p.omega + (p.beta,))
+        rows[-1, 0] = p.alpha
+        return rows
+    return components(p.coords)
+
+
+def _point(chart: str, rows: np.ndarray) -> ChartPoint:
+    """Validate interior rows of a chart and wrap them as a ChartPoint."""
+    if chart == BALL:
+        if _norm2(rows) >= 1.0 - INTERIOR_MARGIN:
+            raise NotInteriorError("ball point must satisfy |x| < 1")
+    elif chart == SIEGEL:
+        if _norm2(rows[:-1]) - 2.0 * rows[-1, 0] >= -INTERIOR_MARGIN:
+            raise NotInteriorError("siegel point must satisfy |zeta'|^2 < 2 Re(zeta_n)")
+    elif chart == HORO:
+        alpha, b1, b2, b3 = rows[-1].tolist()
+        if alpha <= INTERIOR_MARGIN:
+            raise NotInteriorError("horospherical point must have alpha > 0")
+        return ChartPoint(HORO, omega=quaternions(rows[:-1]), alpha=alpha,
+                          beta=Quaternion(0.0, b1, b2, b3))
+    else:
+        raise ShapeError(f"unknown chart {chart!r}")
+    return ChartPoint(chart, coords=quaternions(rows))
 
 
 def ball_point(coords) -> ChartPoint:
-    coords = tuple(_as_quat(c) for c in coords)
-    x = qvector(coords)
-    if herm_definite(x, x).re() >= 1.0 - INTERIOR_MARGIN:
-        raise NotInteriorError("ball point must satisfy |x| < 1")
-    return ChartPoint(BALL, coords=coords)
+    return _point(BALL, components(coords))
 
 
 def siegel_point(coords) -> ChartPoint:
-    coords = tuple(_as_quat(c) for c in coords)
-    prime2 = sum(c.norm2() for c in coords[:-1])
-    if prime2 - 2.0 * coords[-1].re() >= -INTERIOR_MARGIN:
-        raise NotInteriorError("siegel point must satisfy |zeta'|^2 < 2 Re(zeta_n)")
-    return ChartPoint(SIEGEL, coords=coords)
+    return _point(SIEGEL, components(coords))
 
 
 def horo_point(omega, alpha: float, beta) -> ChartPoint:
-    omega = tuple(_as_quat(w) for w in omega)
-    beta = _as_quat(beta)
+    beta = beta if isinstance(beta, Quaternion) else Quaternion(float(beta))
     if abs(beta.re()) > INTERIOR_MARGIN:
         raise NotInteriorError("beta must be purely imaginary")
-    beta = beta.im()
-    if alpha <= INTERIOR_MARGIN:
-        raise NotInteriorError("horospherical point must have alpha > 0")
-    return ChartPoint(HORO, omega=omega, alpha=float(alpha), beta=beta)
+    return _point(HORO, components(tuple(omega) + (
+        Quaternion(float(alpha), beta.q1, beta.q2, beta.q3),)))
+
+
+# ---------------------------------------------------------------------------
+# chart maps on rows; every conversion passes through the Siegel chart
+
+
+def _cayley(x: np.ndarray) -> np.ndarray:
+    """Ball -> Siegel: zeta' = x' (1 - x_n)^{-1},
+    zeta_n = (1 + x_n) (1 - x_n)^{-1} / 2."""
+    y = x.copy()
+    y[-1] = 0.5 * (UNIT + x[-1])
+    return hamilton(y, qarray_inverse(UNIT - x[-1]))
+
+
+def _cayley_inv(z: np.ndarray) -> np.ndarray:
+    """Siegel -> Ball: x_n = (2 zeta_n + 1)^{-1} (2 zeta_n - 1),
+    x' = zeta' (1 - x_n)."""
+    two_zn = 2.0 * z[-1]
+    xn = hamilton(qarray_inverse(two_zn + UNIT), two_zn - UNIT)
+    x = hamilton(z, UNIT - xn)
+    x[-1] = xn
+    return x
+
+
+def _horo_from_siegel(z: np.ndarray) -> np.ndarray:
+    """omega = zeta', alpha = 2 Re(zeta_n) - |zeta'|^2, beta = 2 Im(zeta_n)."""
+    h = z.copy()
+    h[-1] = 2.0 * z[-1]
+    h[-1, 0] -= _norm2(z[:-1])
+    return h
+
+
+def _siegel_from_horo(h: np.ndarray) -> np.ndarray:
+    """zeta' = omega, zeta_n = (alpha + |omega|^2 + beta) / 2."""
+    z = h.copy()
+    z[-1] = 0.5 * h[-1]
+    z[-1, 0] = 0.5 * (h[-1, 0] + _norm2(h[:-1]))
+    return z
+
+
+_TO_SIEGEL = {BALL: _cayley, HORO: _siegel_from_horo}
+_FROM_SIEGEL = {BALL: _cayley_inv, HORO: _horo_from_siegel}
+
+
+def _convert_rows(rows: np.ndarray, src: str, dst: str) -> np.ndarray:
+    if src == dst:
+        return rows
+    if src != SIEGEL:
+        rows = _TO_SIEGEL[src](rows)
+    return rows if dst == SIEGEL else _FROM_SIEGEL[dst](rows)
+
+
+def _ball_rows(p: ChartPoint) -> np.ndarray:
+    return _convert_rows(_rows(p), p.chart, BALL)
+
+
+def _map(p: ChartPoint, src: str, dst: str, name: str) -> ChartPoint:
+    if p.chart != src:
+        raise ShapeError(f"{name} expects a {src}-chart point")
+    return _point(dst, _convert_rows(_rows(p), src, dst))
+
+
+def cayley(p: ChartPoint) -> ChartPoint:
+    """Ball -> Siegel."""
+    return _map(p, BALL, SIEGEL, "cayley")
+
+
+def cayley_inv(p: ChartPoint) -> ChartPoint:
+    """Siegel -> Ball."""
+    return _map(p, SIEGEL, BALL, "cayley_inv")
+
+
+def horo_from_siegel(p: ChartPoint) -> ChartPoint:
+    return _map(p, SIEGEL, HORO, "horo_from_siegel")
+
+
+def siegel_from_horo(p: ChartPoint) -> ChartPoint:
+    return _map(p, HORO, SIEGEL, "siegel_from_horo")
+
+
+def convert(p: ChartPoint, chart: str) -> ChartPoint:
+    if chart == p.chart:
+        return p
+    for c in (p.chart, chart):
+        if c not in (BALL, SIEGEL, HORO):
+            raise ShapeError(f"unknown chart {c!r}")
+    return _map(p, p.chart, chart, "convert")
 
 
 # ---------------------------------------------------------------------------
 # lifts and projectivization
 
 
-def lift(p: ChartPoint) -> QVector:
-    """Lorentz lift of an interior point, last coordinate 1 (ball chart)."""
-    x = convert(p, BALL)
-    return qvector(list(x.coords) + [1.0], LORENTZ)
+def lift(p: ChartPoint) -> np.ndarray:
+    """Lorentz lift of an interior point as (n+1, 4) rows, last one 1 (ball chart)."""
+    return np.vstack([_ball_rows(p), UNIT])
 
 
-def ball_from_lift(X: QVector) -> ChartPoint:
-    """Re-project a negative Lorentz vector, x_l = X_l X_{n+1}^{-1}."""
-    if signature_class(X) != "negative":
+def ball_from_lift(X: np.ndarray) -> ChartPoint:
+    """Re-project a negative Lorentz vector of (n+1, 4) rows, x_l = X_l X_{n+1}^{-1}."""
+    X = np.asarray(X, dtype=float)
+    head, last = _norm2(X[:-1]), _norm2(X[-1])
+    # the negativity test of quaternion.signature_class
+    if not head - last < -1e-10 * (1.0 + head + last):
         raise NotInteriorError("lift is not a negative vector")
-    inv = X[-1].inverse()
-    return ball_point(tuple(X[l] * inv for l in range(len(X) - 1)))
-
-
-# ---------------------------------------------------------------------------
-# chart conversions
-
-
-def cayley(p: ChartPoint) -> ChartPoint:
-    """Ball -> Siegel."""
-    if p.chart != BALL:
-        raise ShapeError("cayley expects a ball-chart point")
-    xp, xn = p.coords[:-1], p.coords[-1]
-    inv = (Quaternion(1.0) - xn).inverse()
-    zp = tuple(c * inv for c in xp)
-    zn = 0.5 * ((Quaternion(1.0) + xn) * inv)
-    return siegel_point(zp + (zn,))
-
-
-def cayley_inv(p: ChartPoint) -> ChartPoint:
-    """Siegel -> Ball."""
-    if p.chart != SIEGEL:
-        raise ShapeError("cayley_inv expects a siegel-chart point")
-    zp, zn = p.coords[:-1], p.coords[-1]
-    two_zn = 2.0 * zn
-    xn = (two_zn + Quaternion(1.0)).inverse() * (two_zn - Quaternion(1.0))
-    xp = tuple(c * (Quaternion(1.0) - xn) for c in zp)
-    return ball_point(xp + (xn,))
-
-
-def horo_from_siegel(p: ChartPoint) -> ChartPoint:
-    if p.chart != SIEGEL:
-        raise ShapeError("horo_from_siegel expects a siegel-chart point")
-    zp, zn = p.coords[:-1], p.coords[-1]
-    prime2 = sum(c.norm2() for c in zp)
-    alpha = 2.0 * zn.re() - prime2
-    beta = 2.0 * zn.im()
-    return horo_point(zp, alpha, beta)
-
-
-def siegel_from_horo(p: ChartPoint) -> ChartPoint:
-    if p.chart != HORO:
-        raise ShapeError("siegel_from_horo expects a horo-chart point")
-    w2 = sum(w.norm2() for w in p.omega)
-    zn = 0.5 * (Quaternion(p.alpha + w2) + p.beta)
-    return siegel_point(p.omega + (zn,))
-
-
-def convert(p: ChartPoint, chart: str) -> ChartPoint:
-    if chart == p.chart:
-        return p
-    if p.chart == BALL:
-        s = cayley(p)
-        return s if chart == SIEGEL else horo_from_siegel(s)
-    if p.chart == SIEGEL:
-        return cayley_inv(p) if chart == BALL else horo_from_siegel(p)
-    if p.chart == HORO:
-        s = siegel_from_horo(p)
-        return s if chart == SIEGEL else cayley_inv(s)
-    raise ShapeError(f"unknown chart {chart!r}")
+    return _point(BALL, hamilton(X[:-1], qarray_inverse(X[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +225,14 @@ def convert(p: ChartPoint, chart: str) -> ChartPoint:
 
 
 def coords_array(p: ChartPoint) -> np.ndarray:
-    if p.chart in (BALL, SIEGEL):
-        return np.concatenate([c.as_array() for c in p.coords])
-    parts = [w.as_array() for w in p.omega]
-    parts.append(np.array([p.alpha, p.beta.q1, p.beta.q2, p.beta.q3]))
-    return np.concatenate(parts)
+    return _rows(p).ravel()
 
 
 def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (4 * n,):
         raise ShapeError(f"expected {4 * n} reals, got shape {arr.shape}")
-    if chart in (BALL, SIEGEL):
-        coords = tuple(Quaternion.from_array(arr[4 * l:4 * l + 4]) for l in range(n))
-        return ball_point(coords) if chart == BALL else siegel_point(coords)
-    omega = tuple(Quaternion.from_array(arr[4 * l:4 * l + 4]) for l in range(n - 1))
-    tail = arr[4 * (n - 1):]
-    return horo_point(omega, tail[0], Quaternion(0.0, tail[1], tail[2], tail[3]))
+    return _point(chart, arr.reshape(n, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +241,10 @@ def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
 
 def dist(p: ChartPoint, q: ChartPoint) -> float:
     """d = 2 arccosh(|1 - (x,y)| / sqrt((1-|x|^2)(1-|y|^2))), ball chart."""
-    x = qvector(convert(p, BALL).coords)
-    y = qvector(convert(q, BALL).coords)
-    num = abs(Quaternion(1.0) - herm_definite(x, y))
-    den = np.sqrt((1.0 - herm_definite(x, x).re()) * (1.0 - herm_definite(y, y).re()))
+    x, y = _ball_rows(p), _ball_rows(q)
+    xy = np.sum(hamilton(x * CONJ, y), axis=0)    # (x, y) = sum conj(x_l) y_l
+    num = float(np.sqrt(_norm2(UNIT - xy)))
+    den = np.sqrt((1.0 - _norm2(x)) * (1.0 - _norm2(y)))
     return 2.0 * float(np.arccosh(max(num / den, 1.0)))
 
 
@@ -245,22 +282,20 @@ def metric_matrix(p: ChartPoint) -> np.ndarray:
     return J.T @ gh @ J
 
 
-CONJ4 = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
 def ball_metric_matrix(x: np.ndarray, n: int) -> np.ndarray:
-    """ds^2 = 4[(1-|x|^2)|dx|^2 + |(dx,x)|^2] / (1-|x|^2)^2."""
+    """ds^2 = 4[(1-|x|^2)|dx|^2 + |(dx,x)|^2] / (1-|x|^2)^2.
+
+    x of shape (..., 4n) gives a stack of (4n)x(4n) matrices.
+    """
     x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 >= 1.0:
+    r2 = np.sum(x * x, axis=-1)
+    if np.any(r2 >= 1.0):
         raise NotInteriorError("ball metric needs |x| < 1")
     # (dx, x) = sum_l conj(dx_l) x_l  is M @ dx with 4x4 blocks R(x_l) C
-    M = np.zeros((4, 4 * n))
-    for l in range(n):
-        xl = Quaternion.from_array(x[4 * l:4 * l + 4])
-        M[:, 4 * l:4 * l + 4] = right_mult_matrix(xl) @ CONJ4
-    s = 1.0 - r2
-    return 4.0 * (s * np.eye(4 * n) + M.T @ M) / s ** 2
+    blocks = right_mult_matrix(x.reshape(x.shape[:-1] + (n, 4))) * CONJ
+    M = np.swapaxes(blocks, -3, -2).reshape(x.shape[:-1] + (4, 4 * n))
+    s = (1.0 - r2)[..., None, None]
+    return 4.0 * (s * np.eye(4 * n) + np.swapaxes(M, -1, -2) @ M) / s ** 2
 
 
 def horo_metric_matrix(c: np.ndarray, n: int) -> np.ndarray:
@@ -272,15 +307,11 @@ def horo_metric_matrix(c: np.ndarray, n: int) -> np.ndarray:
     # note Im((omega, u)) = -Im((u, omega)) for the quaternionic pairing
     B = np.zeros((3, 4 * n))
     B[:, m + 1:] = np.eye(3)
-    for l in range(n - 1):
-        wl = Quaternion.from_array(c[4 * l:4 * l + 4])
-        blk = right_mult_matrix(wl) @ CONJ4   # u_l -> conj(u_l) w_l
-        B[:, 4 * l:4 * l + 4] += 2.0 * blk[1:, :]
+    blocks = right_mult_matrix(c[:m].reshape(n - 1, 4)) * CONJ   # u_l -> conj(u_l) w_l
+    B[:, :m] = 2.0 * np.swapaxes(blocks[:, 1:, :], 0, 1).reshape(3, m)
     g = B.T @ B
     g[m, m] += 1.0
-    for l in range(n - 1):
-        sl = slice(4 * l, 4 * l + 4)
-        g[sl, sl] += 4.0 * alpha * np.eye(4)
+    g[np.arange(m), np.arange(m)] += 4.0 * alpha
     return g / alpha ** 2
 
 
@@ -289,10 +320,8 @@ def _siegel_to_horo_jacobian(p: ChartPoint) -> np.ndarray:
     J = np.zeros((4 * n, 4 * n))
     m = 4 * (n - 1)
     J[:m, :m] = np.eye(m)                      # domega = dzeta'
-    z = coords_array(p)
-    for l in range(n - 1):
-        # dalpha = 2 d Re(zeta_n) - 2 Re((dzeta', zeta'))
-        J[m, 4 * l:4 * l + 4] = -2.0 * z[4 * l:4 * l + 4]
+    # dalpha = 2 d Re(zeta_n) - 2 Re((dzeta', zeta'))
+    J[m, :m] = -2.0 * coords_array(p)[:m]
     J[m, m] = 2.0                              # from 2 Re(dzeta_n)
     J[m + 1:, m + 1:] = 2.0 * np.eye(3)        # dbeta = 2 Im(dzeta_n)
     return J

@@ -23,7 +23,7 @@ from .charts import (
     metric_matrix,
     point_from_array,
 )
-from .errors import CertificateFailure
+from .errors import CertificateFailure, DomainError
 from .integrator import elliptic_integral_R, generate_family, integrate_profile, limit_endpoint
 from .isometries import (
     Isometry,
@@ -77,11 +77,8 @@ def _write_curve_csv(curve, path: Path) -> None:
 
 
 def _case(args) -> ReducedCase:
-    m = getattr(args, "m", None)
-    if args.case in (SPECIAL_LOXODROMIC, SPECIAL_PARABOLIC):
-        return ReducedCase(args.case, args.n)
-    if m is None:
-        raise SystemExit(2)
+    """The --case/--n/--m flags as a ReducedCase; the special cases ignore --m."""
+    m = None if args.case in (SPECIAL_LOXODROMIC, SPECIAL_PARABOLIC) else args.m
     return ReducedCase(args.case, args.n, m)
 
 
@@ -202,19 +199,17 @@ SUITES = {"charts": _suite_charts, "isometries": _suite_isometries,
 
 
 def _cmd_curve(args) -> int:
-    case = _case(args)
-    curve = integrate_profile(case, args.a, s_max=args.smax, tol=args.tol,
+    curve = integrate_profile(args.case, args.a, s_max=args.smax, tol=args.tol,
                               h=args.h, n_samples=args.samples)
     _write_curve_csv(curve, Path(args.out))
     return 0
 
 
 def _cmd_family(args) -> int:
-    case = _case(args)
     grid = [float(x) for x in args.a_grid.split(",")]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fam = generate_family(case, grid, h=args.h, s_max=args.smax,
+    fam = generate_family(args.case, grid, h=args.h, s_max=args.smax,
                           tol=args.tol, n_samples=args.samples)
     for a, curve in zip(grid, fam):
         _write_curve_csv(curve, out / f"curve_a{_fmt(a)}.csv")
@@ -264,7 +259,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    case = _case(args)
+    case = args.case
     curve = integrate_profile(case, args.a, s_max=args.smax, tol=args.tol)
     try:
         lim = limit_endpoint(curve)
@@ -375,7 +370,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "case", None) is not None:
+        # only argument validation becomes a usage error; errors raised
+        # while integrating propagate
+        try:
+            args.case = _case(args)
+        except DomainError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except CertificateFailure:

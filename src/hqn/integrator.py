@@ -101,7 +101,9 @@ def _make_events(case: ReducedCase, c1_floor: Optional[float]):
         events.append(rho0)
         names.append("domain_exit")
     if c1_floor is not None:
-        fl = lambda s, y, f=c1_floor: y[0] - f
+        # special parabolic curves integrate ln(alpha) in place of alpha
+        f = np.log(c1_floor) if case.kind == SPECIAL_PARABOLIC else c1_floor
+        fl = lambda s, y, f=f: y[0] - f
         fl.terminal = True
         events.append(fl)
         names.append("c1_floor")
@@ -135,10 +137,13 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         c1_floor = 1e-8
 
     s0 = TAYLOR_STEP
-    if case.kind == SPECIAL_PARABOLIC:
+    # Special parabolic curves run in (ln alpha, rho, sigma): alpha decays
+    # toward the boundary, and no Runge-Kutta stage can then step to alpha <= 0.
+    log_alpha = case.kind == SPECIAL_PARABOLIC
+    if log_alpha:
         if a_run <= 0.0:
             raise DomainError("special parabolic start needs alpha > 0")
-        y0 = np.array([a_run, 0.0, 0.5 * np.pi])
+        y0 = np.array([np.log(a_run), 0.0, 0.5 * np.pi])
         s_start = 0.0
     elif case.kind == SPECIAL_LOXODROMIC and a_run == 0.0:
         y0 = np.array([0.5 * s0, 0.5 * np.pi, 0.0])
@@ -150,7 +155,13 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         s_start = s0
 
     events, names = _make_events(case, c1_floor)
-    rhs = lambda s, y: ode_rhs(case, PhaseState(*y), h)
+    if log_alpha:
+        def rhs(s, y):
+            alpha = np.exp(y[0])
+            dc1, dc2, dsig = ode_rhs(case, PhaseState(alpha, y[1], y[2]), h)
+            return dc1 / alpha, dc2, dsig
+    else:
+        rhs = lambda s, y: ode_rhs(case, PhaseState(*y), h)
     sol = solve_ivp(rhs, (s_start, s_max), y0, method="DOP853",
                     rtol=tol, atol=tol, dense_output=True, events=events)
     if sol.status == -1:
@@ -167,6 +178,9 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     s_nodes = sol.t
     states = sol.y.T
 
+    if log_alpha:
+        states[:, 0] = np.exp(states[:, 0])
+        uniform_states[:, 0] = np.exp(uniform_states[:, 0])
     if mirror:
         states = _mirror(states)
         uniform_states = _mirror(uniform_states)

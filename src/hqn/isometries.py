@@ -13,14 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .charts import BALL, ChartPoint, ball_from_lift, convert, horo_point, lift
-from .errors import NotInteriorError, NotPolarError, NotSymplecticError, ShapeError
+from .charts import ChartPoint, ball_from_lift, convert, horo_point, lift
+from .errors import NotPolarError, NotSymplecticError, ShapeError
 from .quaternion import (
+    CONJ,
     LORENTZ,
+    UNIT,
     Quaternion,
     QVector,
+    components,
+    hamilton,
     herm_lorentz,
     left_mult_matrix,
+    quaternions,
     qvector,
     signature_class,
 )
@@ -32,15 +37,6 @@ SP_TOL = 1e-10
 # quaternion matrix helpers
 
 
-def qmat(rows) -> np.ndarray:
-    """Build an (m, k, 4) array from nested lists of Quaternion/float."""
-    def comp(entry):
-        if isinstance(entry, Quaternion):
-            return entry.as_array()
-        return np.array([float(entry), 0.0, 0.0, 0.0])
-    return np.array([[comp(e) for e in row] for row in rows])
-
-
 def qmat_identity(m: int) -> np.ndarray:
     A = np.zeros((m, m, 4))
     A[np.arange(m), np.arange(m), 0] = 1.0
@@ -49,49 +45,37 @@ def qmat_identity(m: int) -> np.ndarray:
 
 def qmat_to_real(A: np.ndarray) -> np.ndarray:
     m, k = A.shape[0], A.shape[1]
-    R = np.zeros((4 * m, 4 * k))
-    for r in range(m):
-        for c in range(k):
-            R[4 * r:4 * r + 4, 4 * c:4 * c + 4] = left_mult_matrix(
-                Quaternion.from_array(A[r, c]))
-    return R
+    return left_mult_matrix(A).transpose(0, 2, 1, 3).reshape(4 * m, 4 * k)
 
 
 def qmat_from_real(R: np.ndarray) -> np.ndarray:
     m, k = R.shape[0] // 4, R.shape[1] // 4
-    A = np.zeros((m, k, 4))
-    for r in range(m):
-        for c in range(k):
-            A[r, c] = R[4 * r:4 * r + 4, 4 * c]   # first column of L(q) is q
-    return A
+    # the first column of L(q) is q
+    return np.ascontiguousarray(R.reshape(m, 4, k, 4)[:, :, :, 0].transpose(0, 2, 1))
 
 
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return qmat_from_real(qmat_to_real(A) @ qmat_to_real(B))
+    k, c = B.shape[0], B.shape[1]
+    # only the first columns of B's real blocks are needed: they are B itself
+    C = qmat_to_real(A) @ B.transpose(0, 2, 1).reshape(4 * k, c)
+    return np.ascontiguousarray(C.reshape(-1, 4, c).transpose(0, 2, 1))
 
 
 def qmat_conj_T(A: np.ndarray) -> np.ndarray:
-    out = np.transpose(A, (1, 0, 2)).copy()
-    out[..., 1:] *= -1.0
-    return out
+    return np.transpose(A, (1, 0, 2)) * CONJ
 
 
 def qmat_expm(G: np.ndarray) -> np.ndarray:
     return qmat_from_real(expm(qmat_to_real(G)))
 
 
-def qmat_vec(A: np.ndarray, X: QVector) -> QVector:
-    """Apply a quaternion matrix to a column vector (entries act on the left)."""
-    m, k = A.shape[0], A.shape[1]
-    if k != len(X):
+def qmat_vec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Apply a quaternion matrix to a column vector given as (k, 4) rows
+    (entries act on the left)."""
+    X = np.asarray(X, dtype=float)
+    if A.shape[1] != len(X):
         raise ShapeError("matrix/vector size mismatch")
-    out = []
-    for r in range(m):
-        acc = Quaternion()
-        for c in range(k):
-            acc = acc + Quaternion.from_array(A[r, c]) * X[c]
-        out.append(acc)
-    return qvector(out, X.form)
+    return (qmat_to_real(A) @ X.ravel()).reshape(-1, 4)
 
 
 def lorentz_signature(m: int) -> np.ndarray:
@@ -102,8 +86,10 @@ def lorentz_signature(m: int) -> np.ndarray:
 
 def sp_defect(A: np.ndarray) -> float:
     """max-norm of A* I_{n,1} A - I_{n,1}."""
-    J = lorentz_signature(A.shape[0])
-    return float(np.max(np.abs(qmat_mul(qmat_mul(qmat_conj_T(A), J), A) - J)))
+    JA = A.copy()
+    JA[-1] *= -1.0
+    return float(np.max(np.abs(qmat_mul(qmat_conj_T(A), JA)
+                               - lorentz_signature(A.shape[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -160,25 +146,28 @@ def heis_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
 
 
 def heisenberg_matrix(n: int, xi, nu) -> Isometry:
-    """Heisenberg translation h(xi, nu) as an Sp(n,1) matrix."""
-    xi = tuple(x if isinstance(x, Quaternion) else Quaternion(float(x)) for x in xi)
-    nu = nu if isinstance(nu, Quaternion) else Quaternion(float(nu))
+    """Heisenberg translation h(xi, nu) as an Sp(n,1) matrix.
+
+    xi is a sequence of Quaternions/reals or an (n-1, 4) array; nu a
+    Quaternion, real or (4,) array.
+    """
+    xi = xi if isinstance(xi, np.ndarray) else components(xi)
+    nu = nu if isinstance(nu, np.ndarray) else components([nu])[0]
     if len(xi) != n - 1:
         raise ShapeError(f"xi must have length {n - 1}")
-    if abs(nu.re()) > 0.0:
+    if abs(nu[0]) > 0.0:
         raise NotSymplecticError("nu must be purely imaginary")
-    xi2 = sum(x.norm2() for x in xi)
-    half = 0.5 * (Quaternion(xi2) + nu)
+    half = 0.5 * nu
+    half[0] += 0.5 * float(np.sum(xi * xi))
     A = qmat_identity(n + 1)
-    for l in range(n - 1):
-        A[l, n - 1] = (-xi[l]).as_array()
-        A[l, n] = xi[l].as_array()
-        A[n - 1, l] = xi[l].conj().as_array()
-        A[n, l] = xi[l].conj().as_array()
-    A[n - 1, n - 1] = (Quaternion(1.0) - half).as_array()
-    A[n - 1, n] = half.as_array()
-    A[n, n - 1] = (-half).as_array()
-    A[n, n] = (Quaternion(1.0) + half).as_array()
+    A[:n - 1, n - 1] = -xi
+    A[:n - 1, n] = xi
+    A[n - 1, :n - 1] = xi * CONJ
+    A[n, :n - 1] = xi * CONJ
+    A[n - 1, n - 1] = UNIT - half
+    A[n - 1, n] = half
+    A[n, n - 1] = -half
+    A[n, n] = UNIT + half
     return Isometry(A)
 
 
@@ -206,21 +195,9 @@ def rotation_matrix(n: int, B: np.ndarray, lam: Quaternion) -> Isometry:
     return Isometry(A)
 
 
-def make_isometry(kind: str, n: int, **params) -> Isometry:
-    if kind == "heisenberg":
-        return heisenberg_matrix(n, params["xi"], params["nu"])
-    if kind == "transvection":
-        return transvection_matrix(n, params["t"])
-    if kind == "rotation":
-        return rotation_matrix(n, params["B"], params["lam"])
-    raise ValueError(f"unknown isometry kind {kind!r}")
-
-
 def act(g: Isometry, p: ChartPoint) -> ChartPoint:
     """Apply an isometry: lift, multiply, re-project; keeps p's chart."""
-    X = lift(p)
-    Y = qmat_vec(g.A, X)
-    return convert(ball_from_lift(Y), p.chart)
+    return convert(ball_from_lift(qmat_vec(g.A, lift(p))), p.chart)
 
 
 def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
@@ -253,9 +230,8 @@ def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
         if B.shape[:2] != (q.n - 1, q.n - 1):
             raise ShapeError("rotation block must act on Q^{n-1}")
         lam_inv = lam.inverse()
-        w = qmat_vec(B, qvector(q.omega))
-        return horo_point(tuple(wl * lam_inv for wl in w.entries),
-                          q.alpha, lam * q.beta * lam_inv)
+        w = hamilton(qmat_vec(B, components(q.omega)), lam_inv.as_array())
+        return horo_point(quaternions(w), q.alpha, lam * q.beta * lam_inv)
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
@@ -317,19 +293,12 @@ def random_lorentz_sp(m: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_sp(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random element of Sp(n) by Gram-Schmidt over the quaternions."""
-    cols = []
-    for _ in range(n):
-        v = [Quaternion.from_array(rng.standard_normal(4)) for _ in range(n)]
-        for u in cols:
-            # subtract u * (u, v)
-            proj = Quaternion()
-            for ul, vl in zip(u, v):
-                proj = proj + ul.conj() * vl
-            v = [vl - ul * proj for ul, vl in zip(u, v)]
-        norm = float(np.sqrt(sum(vl.norm2() for vl in v)))
-        cols.append([vl * (1.0 / norm) for vl in v])
     A = np.zeros((n, n, 4))
-    for c, col in enumerate(cols):
-        for r, entry in enumerate(col):
-            A[r, c] = entry.as_array()
+    for c in range(n):
+        v = rng.standard_normal((n, 4))
+        for u in A[:, :c].transpose(1, 0, 2):
+            # subtract u * (u, v)
+            proj = np.sum(hamilton(u * CONJ, v), axis=0)
+            v = v - hamilton(u, proj)
+        A[:, c] = v * (1.0 / float(np.sqrt(np.sum(v * v))))
     return A

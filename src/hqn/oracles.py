@@ -37,7 +37,7 @@ from .isometries import (
     qmat_expm,
     transvection_matrix,
 )
-from .quaternion import Quaternion
+from .quaternion import CONJ
 from .reduction import (
     ELLIPTIC,
     LOXODROMIC,
@@ -55,48 +55,32 @@ from .reduction import (
 
 FD_STEP = 1e-5
 
-IM_UNITS = (Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))
-UNITS = (Quaternion(1),) + IM_UNITS
+UNITS = np.eye(4)          # 1, i, j, k as component rows
+IM_UNITS = UNITS[1:]
 
 
 # ---------------------------------------------------------------------------
 # Lie algebra generator bases
 
 
-def _sp_block_generators(size: int, offset: int, total: int):
-    """Skew-Hermitian basis of sp(size) embedded at diagonal offset."""
-    gens = []
-    for l in range(size):
-        for q in IM_UNITS:
-            G = np.zeros((total, total, 4))
-            G[offset + l, offset + l] = q.as_array()
-            gens.append(G)
-    for a in range(size):
-        for b in range(a + 1, size):
-            for q in UNITS:
-                G = np.zeros((total, total, 4))
-                G[offset + a, offset + b] = q.as_array()
-                G[offset + b, offset + a] = (-q.conj()).as_array()
-                gens.append(G)
-    return gens
-
-
-def _sp_lorentz_generators(size: int, offset: int, total: int):
-    """Basis of the algebra preserving diag(I_{size-1}, -1), embedded."""
+def _sp_generators(size: int, offset: int, total: int, lorentz: bool = False):
+    """Basis of the algebra preserving diag(I_size), or diag(I_{size-1}, -1)
+    when lorentz, embedded at diagonal offset."""
     s = np.ones(size)
-    s[-1] = -1.0
+    if lorentz:
+        s[-1] = -1.0
     gens = []
     for l in range(size):
         for q in IM_UNITS:
             G = np.zeros((total, total, 4))
-            G[offset + l, offset + l] = q.as_array()
+            G[offset + l, offset + l] = q
             gens.append(G)
     for a in range(size):
         for b in range(a + 1, size):
             for q in UNITS:
                 G = np.zeros((total, total, 4))
-                G[offset + a, offset + b] = q.as_array()
-                G[offset + b, offset + a] = (-s[a] * s[b] * q.conj()).as_array()
+                G[offset + a, offset + b] = q
+                G[offset + b, offset + a] = -s[a] * s[b] * q * CONJ
                 gens.append(G)
     return gens
 
@@ -106,15 +90,13 @@ def _matrix_gen(G):
 
 
 def _heis_gen(n, slot, q):
-    def mk(t):
-        xi = [Quaternion()] * (n - 1)
-        xi[slot] = t * q
-        return heisenberg_matrix(n, xi, Quaternion())
-    return mk
+    xi = np.zeros((n - 1, 4))
+    xi[slot] = q
+    return lambda t: heisenberg_matrix(n, t * xi, np.zeros(4))
 
 
 def _nu_gen(n, q):
-    return lambda t: heisenberg_matrix(n, (Quaternion(),) * (n - 1), t * q)
+    return lambda t: heisenberg_matrix(n, np.zeros((n - 1, 4)), t * q)
 
 
 @dataclass(frozen=True)
@@ -125,73 +107,55 @@ class GeneratorBasis:
     generators: tuple
 
 
+_BASES: dict = {}
+
+
 def generator_basis(case: ReducedCase) -> GeneratorBasis:
+    """The case's samplers, built once per (kind, n, m)."""
+    key = (case.kind, case.n, case.m)
+    if key not in _BASES:
+        _BASES[key] = GeneratorBasis(case, tuple(_generators(case)))
+    return _BASES[key]
+
+
+def _generators(case: ReducedCase) -> list:
     n, m = case.n, case.m
     total = n + 1
-    gens = []
     if case.kind == ELLIPTIC:
-        for G in _sp_block_generators(m, 0, total):
-            gens.append(_matrix_gen(G))
-        for G in _sp_block_generators(n - m, m, total):
-            gens.append(_matrix_gen(G))
-    elif case.kind == LOXODROMIC:
-        for G in _sp_block_generators(n - m, 0, total):
-            gens.append(_matrix_gen(G))
-        for G in _sp_lorentz_generators(m, n - m + 1, total):
-            gens.append(_matrix_gen(G))
-    elif case.kind == SPECIAL_LOXODROMIC:
-        gens.append(_nu_gen(n, IM_UNITS[0]))
-        gens.append(_nu_gen(n, IM_UNITS[1]))
-        gens.append(lambda t: transvection_matrix(n, t))
-        for G in _sp_block_generators(n - 1, 0, total):
-            gens.append(_matrix_gen(G))
-    elif case.kind == PARABOLIC:
-        for slot in range(n - m, n - 1):
-            for q in UNITS:
-                gens.append(_heis_gen(n, slot, q))
-        for q in IM_UNITS:
-            gens.append(_nu_gen(n, q))
-        for G in _sp_block_generators(n - m, 0, total):
-            gens.append(_matrix_gen(G))
-    else:
-        for slot in range(n - 2):
-            for q in UNITS:
-                gens.append(_heis_gen(n, slot, q))
-        for q in IM_UNITS:
-            gens.append(_heis_gen(n, n - 2, q))
-        for q in IM_UNITS:
-            gens.append(_nu_gen(n, q))
-    return GeneratorBasis(case, tuple(gens))
+        return [_matrix_gen(G) for G in _sp_generators(m, 0, total)
+                + _sp_generators(n - m, m, total)]
+    if case.kind == LOXODROMIC:
+        return [_matrix_gen(G) for G in _sp_generators(n - m, 0, total)
+                + _sp_generators(m, n - m + 1, total, lorentz=True)]
+    if case.kind == SPECIAL_LOXODROMIC:
+        return ([_nu_gen(n, IM_UNITS[0]), _nu_gen(n, IM_UNITS[1]),
+                 lambda t: transvection_matrix(n, t)]
+                + [_matrix_gen(G) for G in _sp_generators(n - 1, 0, total)])
+    if case.kind == PARABOLIC:
+        return ([_heis_gen(n, slot, q) for slot in range(n - m, n - 1) for q in UNITS]
+                + [_nu_gen(n, q) for q in IM_UNITS]
+                + [_matrix_gen(G) for G in _sp_generators(n - m, 0, total)])
+    return ([_heis_gen(n, slot, q) for slot in range(n - 2) for q in UNITS]
+            + [_heis_gen(n, n - 2, q) for q in IM_UNITS]
+            + [_nu_gen(n, q) for q in IM_UNITS])
 
 
 def section_point(case: ReducedCase, c1: float, c2: float) -> ChartPoint:
     """The point of the case's plane section over orbit coordinates."""
     n, m = case.n, case.m
+    rows = np.zeros((n, 4))
+    chart = BALL
     if case.kind == ELLIPTIC:
-        coords = [Quaternion()] * n
-        coords[m - 1] = Quaternion(c1)
-        coords[n - 1] = Quaternion(c2)
-        return point_from_array(BALL, np.concatenate(
-            [c.as_array() for c in coords]), n)
-    if case.kind == LOXODROMIC:
-        coords = [Quaternion()] * n
-        coords[n - m - 1] = Quaternion(c2)
-        coords[n - m] = Quaternion(c1)
-        return point_from_array(BALL, np.concatenate(
-            [c.as_array() for c in coords]), n)
-    if case.kind == SPECIAL_LOXODROMIC:
-        coords = [Quaternion()] * n
-        coords[n - 2] = Quaternion(0, 0, 0, c2)
-        coords[n - 1] = Quaternion(0, 0, 0, c1)
-        return point_from_array(BALL, np.concatenate(
-            [c.as_array() for c in coords]), n)
-    arr = np.zeros(4 * n)
-    if case.kind == PARABOLIC:
-        arr[4 * (n - m - 1)] = c2
+        rows[m - 1, 0], rows[n - 1, 0] = c1, c2
+    elif case.kind == LOXODROMIC:
+        rows[n - m - 1, 0], rows[n - m, 0] = c2, c1
+    elif case.kind == SPECIAL_LOXODROMIC:
+        rows[n - 2, 3], rows[n - 1, 3] = c2, c1
     else:
-        arr[4 * (n - 2)] = c2
-    arr[4 * (n - 1)] = c1
-    return point_from_array(HORO, arr, n)
+        chart = HORO
+        rows[n - m - 1 if case.kind == PARABOLIC else n - 2, 0] = c2
+        rows[n - 1, 0] = c1           # alpha
+    return point_from_array(chart, rows.ravel(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +247,11 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
 
 
 def _christoffel(x: np.ndarray, n: int, step: float = 1e-5) -> np.ndarray:
-    dim = 4 * n
-    dg = np.empty((dim, dim, dim))
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = step
-        dg[a] = (ball_metric_matrix(x + e, n) - ball_metric_matrix(x - e, n)) \
-            / (2.0 * step)
+    E = step * np.eye(4 * n)
+    dg = (ball_metric_matrix(x + E, n) - ball_metric_matrix(x - E, n)) / (2.0 * step)
     ginv = np.linalg.inv(ball_metric_matrix(x, n))
-    gamma = np.empty((dim, dim, dim))
-    for c in range(dim):
-        gamma[c] = 0.5 * np.einsum(
-            "d,abd->ab", ginv[c],
-            dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-    return gamma
+    return 0.5 * np.einsum("cd,abd->cab", ginv,
+                           dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
 
 def _richardson_grad_hess(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -304,26 +259,20 @@ def _richardson_grad_hess(f: Callable[[np.ndarray], float], x: np.ndarray,
     dim = len(x)
 
     def grad(h):
-        g = np.empty(dim)
-        for a in range(dim):
-            e = np.zeros(dim)
-            e[a] = h
-            g[a] = (f(x + e) - f(x - e)) / (2.0 * h)
-        return g
+        return np.array([(f(x + e) - f(x - e)) / (2.0 * h)
+                         for e in h * np.eye(dim)])
 
     def hess(h):
+        E = h * np.eye(dim)
         H = np.empty((dim, dim))
         f0 = f(x)
         for a in range(dim):
-            ea = np.zeros(dim)
-            ea[a] = h
+            ea = E[a]
             H[a, a] = (f(x + ea) - 2.0 * f0 + f(x - ea)) / h ** 2
             for b in range(a + 1, dim):
-                eb = np.zeros(dim)
-                eb[b] = h
-                H[a, b] = (f(x + ea + eb) - f(x + ea - eb)
-                           - f(x - ea + eb) + f(x - ea - eb)) / (4.0 * h ** 2)
-                H[b, a] = H[a, b]
+                eb = E[b]
+                H[a, b] = H[b, a] = (f(x + ea + eb) - f(x + ea - eb)
+                                     - f(x - ea + eb) + f(x - ea - eb)) / (4.0 * h ** 2)
         return H
 
     g = (4.0 * grad(step / 2.0) - grad(step)) / 3.0

@@ -1,4 +1,9 @@
-"""Quaternion scalar/vector arithmetic and the two Hermitian forms.
+"""Quaternion arithmetic and the two Hermitian forms.
+
+Arithmetic on points and matrices runs on float arrays of shape (..., 4)
+(components q0..q3 on the last axis) through one Hamilton product table.
+``Quaternion`` is the scalar type at API edges; its own product is the
+scalar formula that the array core is tested against.
 
 Scalars multiply vectors on the right throughout (right-module convention).
 All components are 64-bit floats.
@@ -101,34 +106,62 @@ QJ = Quaternion(0.0, 0.0, 1.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return _coerce(p) * _coerce(q)
+# ---------------------------------------------------------------------------
+# array core: quaternions as float arrays of shape (..., 4)
+
+# The Hamilton product as one index/sign table: the real matrix of x -> q*x
+# has entry (r, c) equal to _LSIGN[r, c] * q[_IDX[r, c]]. Scattered into the
+# structure tensor _T[i, r, c], (p*q)_r = sum_{i,c} p_i q_c _T[i, r, c], so
+# that x -> q*x is sum_i q_i _T[i] and x -> x*q is sum_i q_i _T[:, :, i].T.
+_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LSIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
+                   [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
+_T = np.zeros((4, 4, 4))
+_T[_IDX, np.arange(4)[:, None], np.arange(4)] = _LSIGN
+_LEFT = _T.reshape(4, 16)
+_RIGHT = _T.transpose(2, 1, 0).reshape(4, 16)
+CONJ = np.array([1.0, -1.0, -1.0, -1.0])   # multiply components to conjugate
+UNIT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def qinv(q: Quaternion) -> Quaternion:
-    return _coerce(q).inverse()
+def _as_array(q) -> np.ndarray:
+    return q.as_array() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
 
 
-def left_mult_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix of x -> q*x on component vectors."""
-    a, b, c, d = q.q0, q.q1, q.q2, q.q3
-    return np.array([
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ])
+def left_mult_matrix(q) -> np.ndarray:
+    """(..., 4, 4) real matrices of x -> q*x, for q a Quaternion or (..., 4)."""
+    q = _as_array(q)
+    return (q @ _LEFT).reshape(q.shape[:-1] + (4, 4))
 
 
-def right_mult_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix of x -> x*q on component vectors."""
-    a, b, c, d = q.q0, q.q1, q.q2, q.q3
-    return np.array([
-        [a, -b, -c, -d],
-        [b, a, d, -c],
-        [c, -d, a, b],
-        [d, c, -b, a],
-    ])
+def right_mult_matrix(q) -> np.ndarray:
+    """(..., 4, 4) real matrices of x -> x*q, for q a Quaternion or (..., 4)."""
+    q = _as_array(q)
+    return (q @ _RIGHT).reshape(q.shape[:-1] + (4, 4))
+
+
+def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product p*q of broadcastable (..., 4) component arrays."""
+    return np.matmul(left_mult_matrix(p), np.asarray(q, dtype=float)[..., None])[..., 0]
+
+
+def qarray_inverse(q: np.ndarray) -> np.ndarray:
+    """Inverse of one quaternion given as a (4,) component array."""
+    n2 = float(q @ q)
+    if n2 == 0.0:
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return q * CONJ / n2
+
+
+def components(entries) -> np.ndarray:
+    """(k, 4) component array of a sequence of Quaternions and reals."""
+    return np.array([(q.q0, q.q1, q.q2, q.q3) for q in map(_coerce, entries)],
+                    dtype=float).reshape(-1, 4)
+
+
+def quaternions(rows: np.ndarray) -> tuple[Quaternion, ...]:
+    """The rows of a (k, 4) component array as Quaternions."""
+    return tuple(Quaternion(*row) for row in rows.tolist())
 
 
 DEFINITE = "definite"
@@ -169,28 +202,26 @@ def qvector(entries: Sequence, form: str = DEFINITE) -> QVector:
     return QVector(tuple(_coerce(e) for e in entries), form)
 
 
-def herm_lorentz(X: QVector, Y: QVector) -> Quaternion:
-    """Indefinite Hermitian form: sum conj(X_l) Y_l over l <= n, minus the last."""
-    if X.form != LORENTZ or Y.form != LORENTZ:
-        raise ShapeError("herm_lorentz needs two lorentz vectors")
+def _herm(X: QVector, Y: QVector, form: str) -> Quaternion:
+    """sum conj(X_l) Y_l, with the last term negated for the lorentz form."""
+    if X.form != form or Y.form != form:
+        raise ShapeError(f"herm_{form} needs two {form} vectors")
     if len(X) != len(Y):
         raise ShapeError(f"length mismatch: {len(X)} vs {len(Y)}")
-    acc = ZERO
-    for l in range(len(X) - 1):
-        acc = acc + X[l].conj() * Y[l]
-    return acc - X[-1].conj() * Y[-1]
+    terms = hamilton(components(X.entries) * CONJ, components(Y.entries))
+    if form == LORENTZ:
+        terms[-1] *= -1.0
+    return Quaternion(*terms.sum(axis=0).tolist())
+
+
+def herm_lorentz(X: QVector, Y: QVector) -> Quaternion:
+    """Indefinite Hermitian form: sum conj(X_l) Y_l over l <= n, minus the last."""
+    return _herm(X, Y, LORENTZ)
 
 
 def herm_definite(x: QVector, y: QVector) -> Quaternion:
     """Definite Hermitian form (x, y) = sum conj(x_l) y_l."""
-    if x.form != DEFINITE or y.form != DEFINITE:
-        raise ShapeError("herm_definite needs two definite vectors")
-    if len(x) != len(y):
-        raise ShapeError(f"length mismatch: {len(x)} vs {len(y)}")
-    acc = ZERO
-    for l in range(len(x)):
-        acc = acc + x[l].conj() * y[l]
-    return acc
+    return _herm(x, y, DEFINITE)
 
 
 POSITIVE = "positive"

@@ -56,14 +56,13 @@ class ReducedCase:
             raise ShapeError(f"unknown case kind {self.kind!r}")
         if self.n < 2:
             raise DomainError("need n >= 2")
-        if self.kind == ELLIPTIC and not (1 <= self.m <= self.n - 1):
-            raise DomainError("elliptic case needs 1 <= m <= n-1")
-        if self.kind == LOXODROMIC and not (2 <= self.m <= self.n - 1):
-            raise DomainError("loxodromic case needs 2 <= m <= n-1")
-        if self.kind == PARABOLIC and not (1 <= self.m <= self.n - 1):
-            raise DomainError("parabolic case needs 1 <= m <= n-1")
-        if self.kind in (SPECIAL_LOXODROMIC, SPECIAL_PARABOLIC) and self.m is not None:
-            raise DomainError("special cases take no m")
+        if self.kind in (SPECIAL_LOXODROMIC, SPECIAL_PARABOLIC):
+            if self.m is not None:
+                raise DomainError("special cases take no m")
+            return
+        lo = 2 if self.kind == LOXODROMIC else 1
+        if self.m is None or not (lo <= self.m <= self.n - 1):
+            raise DomainError(f"{self.kind} case needs an m with {lo} <= m <= n-1")
 
     @property
     def exponents(self) -> tuple[int, int, int, int]:

@@ -25,7 +25,7 @@ from hqn.charts import (
     siegel_point,
 )
 from hqn.errors import NotInteriorError, ShapeError
-from hqn.quaternion import LORENTZ, QJ, QK, Quaternion, qvector
+from hqn.quaternion import QJ, QK, Quaternion, components, hamilton
 
 
 def random_ball_point(rng, n=2, rmax=0.8):
@@ -36,18 +36,18 @@ def random_ball_point(rng, n=2, rmax=0.8):
 
 def test_ball_from_lift():
     q = Quaternion(0.2, 0.3, 0.0, 0.1)
-    X = qvector([0, q, 1], LORENTZ)
+    X = components([0, q, 1])
     p = ball_from_lift(X)
     assert p.coords[0].isclose(Quaternion())
     assert p.coords[1].isclose(q)
 
     # projective invariance under right scaling
-    p2 = ball_from_lift(X.scale_right(QJ))
+    p2 = ball_from_lift(hamilton(X, QJ.as_array()))
     for a, b in zip(p.coords, p2.coords):
         assert a.isclose(b, 1e-14)
 
     with pytest.raises(NotInteriorError):
-        ball_from_lift(qvector([0, 1, 1], LORENTZ))
+        ball_from_lift(components([0, 1, 1]))
 
 
 def test_dist_examples():

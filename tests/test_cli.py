@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hqn.cli import main
+from hqn.errors import DomainError
 
 
 def run(capsys, *argv):
@@ -89,3 +90,29 @@ def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--case", "elliptic", "--n", "2", "--m", "5", "--a", "1",
+     "--out", "c.csv"],
+    ["curve", "--case", "elliptic", "--n", "2", "--a", "1", "--out", "c.csv"],
+    ["family", "--case", "loxodromic", "--n", "3", "--m", "1", "--a-grid", "1",
+     "--out-dir", "fam"],
+    ["boundary", "--case", "special-parabolic", "--n", "1", "--a", "1"],
+])
+def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("hqn: error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_integration_error_is_not_usage_error(tmp_path):
+    # only the case flags are validated up front; a bad start propagates
+    with pytest.raises(DomainError):
+        main(["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "-1",
+              "--out", str(tmp_path / "c.csv")])

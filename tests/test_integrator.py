@@ -84,6 +84,30 @@ def test_special_parabolic_conservation():
     assert np.max(np.abs(c.I1 - 1.0)) < 1e-8
 
 
+# a values whose tol-1e-11 curves once failed with an RK stage at alpha < 0
+STAGE_FAILURE_A = [1.0874414337171368, 1.0897434186292159, 1.202390859257005,
+                   1.1126284926983443, 1.6011720417059925]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tol", [1e-6, 1e-11, 1e-13])
+def test_special_parabolic_small_alpha(n, tol):
+    case = ReducedCase(SPECIAL_PARABOLIC, n)
+    for a in STAGE_FAILURE_A:
+        c = integrate_profile(case, a, s_max=50.0, tol=tol)
+        assert c.termination == "smax"
+        assert np.all(c.uniform_states[:, 0] > 0.0)
+        assert np.all(np.isfinite(c.uniform_states))
+        assert c.uniform_states[-1, 0] < 1e-6 * a      # alpha has decayed
+
+
+def test_special_parabolic_floor_event():
+    case = ReducedCase(SPECIAL_PARABOLIC, 2)
+    c = integrate_profile(case, 1.0, s_max=50.0, tol=1e-12, c1_floor=0.3)
+    assert c.termination == "c1_floor"
+    assert c.final_state().c1 == pytest.approx(0.3, abs=1e-12)
+
+
 def test_parabolic_dilation_family():
     # curves for a and e^2 a are related by (alpha, rho) -> (e^2 alpha, e rho)
     case = ReducedCase(PARABOLIC, 2, 1)

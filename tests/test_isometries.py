@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hqn.charts import (
     BALL,
@@ -23,11 +25,12 @@ from hqn.isometries import (
     heisenberg_matrix,
     inversion_at_hyperplane,
     inversion_horo,
-    make_isometry,
     qmat_conj_T,
     qmat_expm,
+    qmat_from_real,
     qmat_identity,
     qmat_mul,
+    qmat_to_real,
     qmat_vec,
     random_sp,
     random_unit_quaternion,
@@ -35,7 +38,16 @@ from hqn.isometries import (
     sp_defect,
     transvection_matrix,
 )
-from hqn.quaternion import LORENTZ, QI, QK, Quaternion, herm_lorentz, qvector
+from hqn.quaternion import (
+    LORENTZ,
+    QI,
+    QK,
+    Quaternion,
+    hamilton,
+    herm_lorentz,
+    quaternions,
+    qvector,
+)
 
 
 def random_ball_point(rng, n=2, rmax=0.8):
@@ -83,8 +95,10 @@ def test_matrix_vs_closed_form():
         if kind == "heisenberg":
             xi, nu = random_heis(rng, n)
             params = {"xi": xi, "nu": nu}
+            g = heisenberg_matrix(n, xi, nu)
         elif kind == "transvection":
             params = {"t": float(rng.uniform(-1.5, 1.5))}
+            g = transvection_matrix(n, params["t"])
         else:
             lam = random_unit_quaternion(rng)
             B = random_sp(n - 1, rng)
@@ -94,8 +108,6 @@ def test_matrix_vs_closed_form():
             big[:n - 1, :n - 1] = B
             big[n - 1, n - 1] = lam.as_array()
             g = rotation_matrix(n, big, lam)
-        if kind != "rotation":
-            g = make_isometry(kind, n, **params)
         q1 = act(g, p)
         q2 = act_horo_closed(kind, p, **params)
         np.testing.assert_allclose(coords_array(q1), coords_array(q2), atol=1e-10)
@@ -173,7 +185,7 @@ def test_inversion_at_hyperplane():
     lam = qvector([1, 0, 0], LORENTZ)
     for _ in range(20):
         p = random_ball_point(rng, n)
-        X = lift(p)
+        X = qvector(quaternions(lift(p)), LORENTZ)
         Y = inversion_at_hyperplane(lam, X)
         # involution
         Z = inversion_at_hyperplane(lam, Y)
@@ -210,9 +222,52 @@ def test_qmat_vec_right_module():
     # matrix action commutes with right scalar multiplication of the vector
     rng = np.random.default_rng(8)
     A = random_sp(3, rng)
-    X = qvector([Quaternion.from_array(rng.standard_normal(4)) for _ in range(3)])
-    lam = random_unit_quaternion(rng)
-    lhs = qmat_vec(A, X.scale_right(lam))
-    rhs = qmat_vec(A, X).scale_right(lam)
-    for a, b in zip(lhs.entries, rhs.entries):
-        assert a.isclose(b, 1e-13)
+    X = rng.standard_normal((3, 4))
+    lam = random_unit_quaternion(rng).as_array()
+    lhs = qmat_vec(A, hamilton(X, lam))
+    rhs = hamilton(qmat_vec(A, X), lam)
+    for a, b in zip(lhs, rhs):
+        assert Quaternion.from_array(a).isclose(Quaternion.from_array(b), 1e-13)
+
+
+finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
+small = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
+
+
+@given(st.data())
+def test_real_representation_is_homomorphism(data):
+    m, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    A = data.draw(arrays(float, (m, k, 4), elements=finite))
+    B = data.draw(arrays(float, (k, c, 4), elements=finite))
+    np.testing.assert_array_equal(qmat_from_real(qmat_to_real(A)), A)
+    np.testing.assert_array_equal(qmat_to_real(qmat_conj_T(A)), qmat_to_real(A).T)
+    AB = qmat_mul(A, B)
+    scale = 1e-14 * (1.0 + k * 9.0)
+    assert np.max(np.abs(qmat_to_real(AB) - qmat_to_real(A) @ qmat_to_real(B))) <= scale
+    # entrywise against the scalar Quaternion product
+    for r in range(m):
+        for col in range(c):
+            want = sum((Quaternion(*A[r, l]) * Quaternion(*B[l, col])
+                        for l in range(k)), Quaternion())
+            assert np.max(np.abs(AB[r, col] - want.as_array())) <= scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3),
+       st.lists(st.sampled_from(["heisenberg", "transvection", "rotation"]),
+                min_size=1, max_size=4),
+       st.lists(small, min_size=8, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_subgroup_products_stay_symplectic(n, kinds, params, seed):
+    rng = np.random.default_rng(seed)
+    xi = [Quaternion(*params[:4])] + [Quaternion()] * (n - 2)
+    nu = Quaternion(0.0, *params[4:7])
+    g = Isometry(qmat_identity(n + 1))
+    for kind in kinds:
+        if kind == "heisenberg":
+            f = heisenberg_matrix(n, xi, nu)
+        elif kind == "transvection":
+            f = transvection_matrix(n, params[7])
+        else:
+            f = rotation_matrix(n, random_sp(n, rng), random_unit_quaternion(rng))
+        g = g.compose(f)
+        assert sp_defect(g.A) <= 1e-12

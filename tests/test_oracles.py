@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from hqn.charts import HORO, convert, horo_point
+from hqn.cli import main
 from hqn.errors import CertificateFailure, SingularPointError
 from hqn.integrator import generate_family, integrate_profile
 from hqn.loci import canonical_bisector_residual, fan_at_origin_residual
@@ -133,3 +136,41 @@ def test_foliation_certificate_failure():
     short = integrate_profile(case, 1.0, s_max=0.5, tol=1e-10)
     with pytest.raises(CertificateFailure):
         foliation_certificate(case, [short], [0.1])
+
+
+# killing_ratio_spread(case, 20, seed=5) and `hqn oracle --oracle curvature
+# --n 2` as computed by the scalar Quaternion implementation the array core
+# replaced; the port must reproduce them.
+PINNED_SPREADS = [
+    (ReducedCase(ELLIPTIC, 2, 1), 1.200900490432845e-10),
+    (ReducedCase(SPECIAL_LOXODROMIC, 2), 2.862995397342678e-10),
+    (ReducedCase(PARABOLIC, 2, 1), 3.4961356044201945e-10),
+    (ReducedCase(SPECIAL_PARABOLIC, 2), 8.659739592076218e-15),
+    (ReducedCase(ELLIPTIC, 3, 1), 2.0015178411093813e-10),
+    (ReducedCase(ELLIPTIC, 3, 2), 2.0015156206633307e-10),
+    (ReducedCase(LOXODROMIC, 3, 2), 2.802099664890386e-10),
+    (ReducedCase(SPECIAL_LOXODROMIC, 3), 3.6635905439160617e-10),
+    (ReducedCase(PARABOLIC, 3, 1), 8.157683424075917e-10),
+    (ReducedCase(PARABOLIC, 3, 2), 3.4961422657583443e-10),
+    (ReducedCase(SPECIAL_PARABOLIC, 3), 1.2212453270876717e-14),
+]
+PINNED_CURVATURE = {
+    "bisector mean curvature": 4.0781024521713395e-11,
+    "fan mean curvature": 3.06491791830047e-11,
+    "horosphere mean curvature error": 2.9293616421455226e-09,
+}
+
+
+@pytest.mark.parametrize("case,spread", PINNED_SPREADS,
+                         ids=[f"{c.kind}-n{c.n}-m{c.m}" for c, _ in PINNED_SPREADS])
+def test_killing_spread_pinned(case, spread):
+    assert killing_ratio_spread(case, 20, seed=5) == pytest.approx(spread, abs=1e-10)
+
+
+def test_curvature_oracle_pinned(capsys):
+    assert main(["oracle", "--oracle", "curvature", "--n", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    got = {c["name"]: c["value"] for c in report["checks"]}
+    assert set(got) == set(PINNED_CURVATURE)
+    for name, value in PINNED_CURVATURE.items():
+        assert got[name] == pytest.approx(value, abs=1e-8)

@@ -10,11 +10,11 @@ from hqn.quaternion import (
     QJ,
     QK,
     Quaternion,
+    components,
+    hamilton,
     herm_definite,
     herm_lorentz,
     left_mult_matrix,
-    qinv,
-    qmul,
     qvector,
     right_mult_matrix,
     signature_class,
@@ -25,17 +25,17 @@ quats = st.builds(Quaternion, finite, finite, finite, finite)
 
 
 def test_defining_relations():
-    assert qmul(QI, QJ).isclose(QK)
-    assert qmul(QJ, QI).isclose(-QK)
+    assert (QI * QJ).isclose(QK)
+    assert (QJ * QI).isclose(-QK)
     s = Quaternion(1 / np.sqrt(2), 1 / np.sqrt(2))
-    assert qmul(s, s).isclose(QI)
+    assert (s * s).isclose(QI)
 
 
 def test_qinv():
-    assert qinv(ONE).isclose(ONE)
-    assert qinv(QK).isclose(-QK)
+    assert ONE.inverse().isclose(ONE)
+    assert QK.inverse().isclose(-QK)
     with pytest.raises(ZeroDivisionError):
-        qinv(Quaternion())
+        Quaternion().inverse()
 
 
 @given(quats, quats, quats)
@@ -48,13 +48,39 @@ def test_associativity(p, q, r):
 
 @given(quats, quats)
 def test_normed_algebra(p, q):
-    assert abs(qmul(p, q)) == pytest.approx(abs(p) * abs(q), abs=1e-12, rel=1e-12)
+    assert abs(p * q) == pytest.approx(abs(p) * abs(q), abs=1e-12, rel=1e-12)
 
 
 @given(quats)
 def test_conj_involution(q):
     assert q.conj().conj() == q
     assert q.im().re() == 0.0
+
+
+@given(quats, quats)
+def test_hamilton_matches_scalar_product(p, q):
+    got = hamilton(p.as_array(), q.as_array())
+    want = (p * q).as_array()
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + abs(p) * abs(q))
+
+
+@given(st.lists(quats, min_size=1, max_size=4), quats)
+def test_hamilton_broadcasts_rows(ps, q):
+    # rows times one quaternion, and one quaternion times rows
+    right = hamilton(components(ps), q.as_array())
+    left = hamilton(q.as_array(), components(ps))
+    for p, r, l in zip(ps, right, left):
+        scale = 1e-14 * (1.0 + abs(p) * abs(q))
+        assert np.max(np.abs(r - (p * q).as_array())) <= scale
+        assert np.max(np.abs(l - (q * p).as_array())) <= scale
+
+
+@given(quats, quats)
+def test_mult_matrices_match_scalar_product(p, q):
+    want = (p * q).as_array()
+    scale = 1e-14 * (1.0 + abs(p) * abs(q))
+    assert np.max(np.abs(left_mult_matrix(p) @ q.as_array() - want)) <= scale
+    assert np.max(np.abs(right_mult_matrix(q) @ p.as_array() - want)) <= scale
 
 
 def test_mult_matrices():

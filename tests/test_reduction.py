@@ -68,6 +68,9 @@ def test_case_validation():
         ReducedCase(LOXODROMIC, 2, 1)
     with pytest.raises(DomainError):
         ReducedCase(SPECIAL_PARABOLIC, 2, 1)
+    for kind in (ELLIPTIC, LOXODROMIC, PARABOLIC):
+        with pytest.raises(DomainError):
+            ReducedCase(kind, 3)
     assert len(ALL_KINDS) == 5
 
 
