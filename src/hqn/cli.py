@@ -23,8 +23,14 @@ from .charts import (
     metric_matrix,
     point_from_array,
 )
-from .errors import CertificateFailure, DomainError
-from .integrator import elliptic_integral_R, generate_family, integrate_profile, limit_endpoint
+from .errors import CertificateFailure, DomainError, NotInteriorError, ShapeError
+from .integrator import (
+    check_start,
+    elliptic_integral_R,
+    generate_family,
+    integrate_profile,
+    limit_endpoint,
+)
 from .isometries import (
     Isometry,
     act,
@@ -61,6 +67,7 @@ from .reduction import (
 
 FMT = "%.17g"
 CSV_HEADER = "s,c1,c2,sigma,V,I1,I2,residual"
+CHARTS = {"ball": BALL, "siegel": SIEGEL, "horo": HORO}
 
 
 def _fmt(x: float) -> str:
@@ -68,12 +75,17 @@ def _fmt(x: float) -> str:
 
 
 def _write_curve_csv(curve, path: Path) -> None:
-    lines = [CSV_HEADER]
-    for i, s in enumerate(curve.uniform_s):
-        row = [s, *curve.uniform_states[i], curve.V[i], curve.I1[i],
-               curve.I2[i], curve.residual[i]]
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack([curve.uniform_s, curve.uniform_states, curve.V,
+                             curve.I1, curve.I2, curve.residual])
+    row = "\n" + ",".join([FMT] * table.shape[1])
+    path.write_text((CSV_HEADER + row * len(table) + "\n") % tuple(table.ravel().tolist()))
+
+
+def _floats(flag: str, text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 def _case(args) -> ReducedCase:
@@ -206,12 +218,11 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    grid = [float(x) for x in args.a_grid.split(",")]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fam = generate_family(args.case, grid, h=args.h, s_max=args.smax,
+    fam = generate_family(args.case, args.a_grid, h=args.h, s_max=args.smax,
                           tol=args.tol, n_samples=args.samples)
-    for a, curve in zip(grid, fam):
+    for a, curve in zip(args.a_grid, fam):
         _write_curve_csv(curve, out / f"curve_a{_fmt(a)}.csv")
     return 0
 
@@ -232,8 +243,6 @@ def _cmd_oracle(args) -> int:
                 f"killing ratio spread {case.kind} m={case.m}",
                 killing_ratio_spread(case, n_points=args.points), 1e-5))
     if args.oracle in ("curvature", "all"):
-        if args.n != 2:
-            raise SystemExit(2)
         from .charts import horo_point
         rng = np.random.default_rng(404)
         worst_b = worst_f = worst_h = 0.0
@@ -288,15 +297,10 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    charts = {"ball": BALL, "siegel": SIEGEL, "horo": HORO}
-    coords = np.array([float(x) for x in args.coords.split(",")])
-    if len(coords) % 4:
-        raise SystemExit(2)
-    n = len(coords) // 4
-    p = point_from_array(charts[args.frm], coords, n)
+    p = args.point
     if args.transvection is not None:
-        p = act(transvection_matrix(n, args.transvection), p)
-    q = convert(p, charts[args.to])
+        p = act(transvection_matrix(p.n, args.transvection), p)
+    q = convert(p, CHARTS[args.to])
     print(",".join(_fmt(v) for v in coords_array(q)))
     return 0
 
@@ -356,9 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=_cmd_boundary)
 
     px = sub.add_parser("convert")
-    px.add_argument("--from", dest="frm", required=True,
-                    choices=["ball", "siegel", "horo"])
-    px.add_argument("--to", required=True, choices=["ball", "siegel", "horo"])
+    px.add_argument("--from", dest="frm", required=True, choices=sorted(CHARTS))
+    px.add_argument("--to", required=True, choices=sorted(CHARTS))
     px.add_argument("--coords", required=True)
     px.add_argument("--transvection", type=float, default=None)
     px.set_defaults(func=_cmd_convert)
@@ -369,16 +372,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_flags(args) -> None:
+    """Raise DomainError, ShapeError or NotInteriorError for flag values no
+    verb can run with. Only these become usage errors: errors raised
+    later, while computing, propagate."""
+    if getattr(args, "case", None) is not None:
+        args.case = _case(args)
+        if args.command == "family":
+            args.a_grid = _floats("--a-grid", args.a_grid)
+        for a in (args.a_grid if args.command == "family" else [args.a]):
+            check_start(args.case, a, s_max=args.smax, tol=args.tol, h=args.h)
+    if args.command == "oracle" and args.oracle != "volume" and args.n != 2:
+        raise DomainError("the curvature oracle needs --n 2")
+    if args.command == "convert":
+        coords = _floats("--coords", args.coords)
+        if len(coords) % 4:
+            raise ShapeError("--coords needs 4n values, four per quaternion coordinate")
+        args.point = point_from_array(CHARTS[args.frm], np.array(coords), len(coords) // 4)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "case", None) is not None:
-        # only argument validation becomes a usage error; errors raised
-        # while integrating propagate
-        try:
-            args.case = _case(args)
-        except DomainError as exc:
-            parser.error(str(exc))
+    try:
+        _check_flags(args)
+    except (DomainError, NotInteriorError, ShapeError) as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except CertificateFailure:

@@ -2,20 +2,22 @@
 
 The systems are singular on the orbit-space boundary strata, so curves
 that start there take one second-order Taylor step (sized s0) before the
-adaptive integrator takes over. Events (domain exit, sigma reaching pi,
-a floor on c1) are located by the integrator's root finding.
+adaptive integrator takes over. The integrator is a DOP853 loop on
+Python floats for the three-component state, with SciPy's step control
+and event semantics; events (domain exit, sigma reaching pi, a floor on
+c1) are located on the step's interpolant.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+import sys
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
+from .dop853 import A, B, D, E3, E5, N_STAGES
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -32,12 +34,35 @@ from .reduction import (
     PhaseState,
     ReducedCase,
     boundary_sigma_rate,
+    case_rhs,
     first_integral_values,
-    ode_rhs,
     volume_functional,
 )
 
 TAYLOR_STEP = 1e-4
+
+EPS = sys.float_info.epsilon
+# step control of scipy.integrate.solve_ivp's DOP853 (Hairer, Norsett &
+# Wanner, Solving ODEs I, Sec. II.4)
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 8.0        # the error estimator has order 7
+ROOT_TOL = 4.0 * EPS               # event roots, absolute and relative
+
+_STAGES = A[1:N_STAGES]
+_EXTRA_STAGES = A[N_STAGES + 1:]
+# B, E5 and E3 share their nonzero columns
+_WEIGHTS = tuple((j, b, e5, e3) for (j, b), (_, e5), (_, e3) in zip(B, E5, E3))
+
+
+def __getattr__(name):
+    # scipy's solver stays reachable under its old name (bench/spans.py
+    # traces it) without importing scipy.integrate with the package
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -56,12 +81,266 @@ class ProfileCurve:
     I2: np.ndarray
     residual: np.ndarray
     termination: str
+    nfev: int                     # right-hand side evaluations
+    accepted: int                 # steps, len(s) - 1
+    rejected: int
 
     def state(self, i: int) -> PhaseState:
         return PhaseState(*self.uniform_states[i])
 
     def final_state(self) -> PhaseState:
         return PhaseState(*self.states[-1])
+
+
+# ---------------------------------------------------------------------------
+# DOP853 kernel
+
+State = tuple[float, float, float]
+
+
+@dataclass(frozen=True)
+class _Event:
+    """A terminal event at sign * (y[index] - level) = 0."""
+
+    name: str
+    index: int
+    level: float
+    sign: float = 1.0
+
+
+@dataclass
+class _Run:
+    """Nodes, step interpolants and counts of one kernel integration.
+    Step k starts at node t[k] and has length h[k] (its end is t[k + 1],
+    except when an event root cut the last step short); coef[k] holds its
+    y_old and dense output coefficients F0..F6, as 8 consecutive
+    (c1, c2, sigma) triples."""
+
+    t: list
+    y: list
+    h: list
+    coef: list
+    nfev: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    event: Optional[str] = None
+
+
+def _rms(x: State, scale: State) -> float:
+    a, b, c = x[0] / scale[0], x[1] / scale[1], x[2] / scale[2]
+    return math.sqrt(a * a + b * b + c * c) / math.sqrt(3.0)
+
+
+def _initial_step(f, y, fy, interval, rtol, atol) -> float:
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, Sec. II.4)."""
+    scale = tuple(atol + abs(v) * rtol for v in y)
+    d0, d1 = _rms(y, scale), _rms(fy, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = f(*(v + h0 * dv for v, dv in zip(y, fy)))
+    # h0 underflows to 0 only when d1 overflows; numpy would divide to inf
+    d2 = _rms(tuple(p - q for p, q in zip(f1, fy)), scale) / h0 if h0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (-ERROR_EXPONENT)
+    return min(100.0 * h0, h1, interval)
+
+
+def _interpolate(coef, i: int, x: float) -> float:
+    """Component i of a step's dense output at the fraction x of the step,
+    in the operation order of scipy's Dop853DenseOutput."""
+    y = 0.0
+    for k in range(7, 0, -1):
+        y += coef[3 * k + i]
+        y *= x if k % 2 else 1.0 - x
+    return y + coef[i]
+
+
+def _brentq(g: Callable[[float], float], xa: float, xb: float) -> float:
+    """Root of g in [xa, xb] to ROOT_TOL, by scipy's brentq (Brent's
+    method: inverse quadratic interpolation, secant or bisection)."""
+    xpre, xcur = xa, xb
+    fpre, fcur = g(xpre), g(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        # the interpolant misses the sign change g showed at the step's
+        # end by rounding: the event is at the end
+        return xb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_TOL + ROOT_TOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = g(xcur)
+    return xcur
+
+
+def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
+            t_bound: float, rtol: float, atol: float,
+            events: list[_Event]) -> _Run:
+    """Integrate the autonomous system y' = f(y) from (t0, y0) towards
+    t_bound with scipy's DOP853: its initial step, error norm, step
+    factors and step-size underflow, and its event rule (a sign change
+    of g between step ends, g <= 0 <= g_new or g >= 0 >= g_new). Every
+    event is terminal: the run ends at the earliest root, located on the
+    step's interpolant, with y there from the interpolant.
+    """
+    run = _Run([t0], [y0], [], [])
+    t, y = t0, y0
+    fy = f(*y)
+    h_abs = _initial_step(f, y, fy, t_bound - t0, rtol, atol)
+    run.nfev = 2
+    g = [ev.sign * (y[ev.index] - ev.level) for ev in events]
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        y0_, y1_, y2_ = y
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepSizeUnderflow(
+                    f"required step size is less than spacing between numbers at s = {t!r}")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K = [fy]
+            for row in _STAGES:
+                d0 = d1 = d2 = 0.0
+                for j, a in row:
+                    k = K[j]
+                    d0 += a * k[0]
+                    d1 += a * k[1]
+                    d2 += a * k[2]
+                K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+            b0 = b1 = b2 = p0 = p1 = p2 = q0 = q1 = q2 = 0.0
+            for j, b, e5, e3 in _WEIGHTS:
+                k0, k1, k2 = K[j]
+                b0 += b * k0
+                b1 += b * k1
+                b2 += b * k2
+                p0 += e5 * k0
+                p1 += e5 * k1
+                p2 += e5 * k2
+                q0 += e3 * k0
+                q1 += e3 * k1
+                q2 += e3 * k2
+            y_new = (y0_ + h * b0, y1_ + h * b1, y2_ + h * b2)
+            f_new = f(*y_new)
+            run.nfev += N_STAGES
+            s0 = atol + max(abs(y0_), abs(y_new[0])) * rtol
+            s1 = atol + max(abs(y1_), abs(y_new[1])) * rtol
+            s2 = atol + max(abs(y2_), abs(y_new[2])) * rtol
+            p0, p1, p2, q0, q1, q2 = p0 / s0, p1 / s1, p2 / s2, q0 / s0, q1 / s1, q2 / s2
+            err5 = p0 * p0 + p1 * p1 + p2 * p2
+            err3 = q0 * q0 + q1 * q1 + q2 * q2
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 3.0)
+            if error_norm < 1.0:
+                factor = (MAX_FACTOR if error_norm == 0.0 else
+                          min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+            run.rejected += 1
+        run.accepted += 1
+
+        # dense output: three more stages, then F0..F6
+        K.append(f_new)
+        for row in _EXTRA_STAGES:
+            d0 = d1 = d2 = 0.0
+            for j, a in row:
+                k = K[j]
+                d0 += a * k[0]
+                d1 += a * k[1]
+                d2 += a * k[2]
+            K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+        run.nfev += 3
+        coef = [y0_, y1_, y2_]
+        for i in range(3):
+            coef.append(y_new[i] - y[i])
+        for i in range(3):
+            coef.append(h * fy[i] - coef[3 + i])
+        for i in range(3):
+            coef.append(2.0 * coef[3 + i] - h * (f_new[i] + fy[i]))
+        for row in D:
+            d0 = d1 = d2 = 0.0
+            for j, dd in row:
+                k = K[j]
+                d0 += dd * k[0]
+                d1 += dd * k[1]
+                d2 += dd * k[2]
+            coef += (h * d0, h * d1, h * d2)
+        run.h.append(h)
+        run.coef.append(coef)
+
+        g_new = [ev.sign * (y_new[ev.index] - ev.level) for ev in events]
+        hit = None
+        for ev, g_old, g_end in zip(events, g, g_new):
+            if g_old <= 0.0 <= g_end or g_old >= 0.0 >= g_end:
+                root = _brentq(lambda s, ev=ev, t=t, h=h: ev.sign * (
+                    _interpolate(coef, ev.index, (s - t) / h) - ev.level), t, t_new)
+                if hit is None or root < hit[0]:
+                    hit = (root, ev.name)
+        if hit is not None:
+            root, run.event = hit
+            x = (root - t) / h
+            run.t.append(root)
+            run.y.append(tuple(_interpolate(coef, i, x) for i in range(3)))
+            return run
+        run.t.append(t_new)
+        run.y.append(y_new)
+        if t_new >= t_bound:
+            return run
+        t, y, fy, g = t_new, y_new, f_new, g_new
+
+
+def _dense(run: _Run, s: np.ndarray) -> np.ndarray:
+    """The run's dense output at the points s, as (len(s), 3) rows; a
+    point on a node takes the earlier step's interpolant."""
+    t = np.array(run.t)
+    seg = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(run.coef) - 1)
+    coef = np.array(run.coef).reshape(-1, 8, 3)[seg]
+    x = ((s - t[seg]) / np.array(run.h)[seg])[:, None]
+    y = np.zeros((len(s), 3))
+    for k in range(7, 0, -1):
+        y += coef[:, k]
+        y *= x if k % 2 else 1.0 - x
+    return y + coef[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# profile curves
 
 
 def _taylor_start(case: ReducedCase, a: float, s0: float) -> np.ndarray:
@@ -76,44 +355,76 @@ def _taylor_start(case: ReducedCase, a: float, s0: float) -> np.ndarray:
                      0.5 * np.pi + rate * s0])
 
 
-def _make_events(case: ReducedCase, c1_floor: Optional[float]):
+def _events(case: ReducedCase, c1_floor: Optional[float]) -> list[_Event]:
     events = []
-    names = []
-    if case.kind in (ELLIPTIC, LOXODROMIC):
-        top = 0.5 * np.pi
-    elif case.kind == SPECIAL_LOXODROMIC:
-        top = np.pi
-    else:
-        top = None
-    if top is not None:
-        lo = lambda s, y: y[1] - 1e-12
-        hi = lambda s, y, t=top: t - 1e-12 - y[1]
-        lo.terminal = hi.terminal = True
-        events += [lo, hi]
-        names += ["domain_exit", "domain_exit"]
+    if case.kind in (ELLIPTIC, LOXODROMIC, SPECIAL_LOXODROMIC):
+        top = np.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * np.pi
+        events += [_Event("domain_exit", 1, 1e-12),
+                   _Event("domain_exit", 1, top - 1e-12, -1.0)]
     if case.kind == PARABOLIC:
-        sig = lambda s, y: np.pi - y[2]
-        sig.terminal = True
-        events.append(sig)
-        names.append("sigma_event")
-        rho0 = lambda s, y: y[1] - 1e-14
-        rho0.terminal = True
-        events.append(rho0)
-        names.append("domain_exit")
+        events += [_Event("sigma_event", 2, np.pi, -1.0),
+                   _Event("domain_exit", 1, 1e-14)]
     if c1_floor is not None:
         # special parabolic curves integrate ln(alpha) in place of alpha
         f = np.log(c1_floor) if case.kind == SPECIAL_PARABOLIC else c1_floor
-        fl = lambda s, y, f=f: y[0] - f
-        fl.terminal = True
-        events.append(fl)
-        names.append("c1_floor")
-    return events, names
+        events.append(_Event("c1_floor", 0, float(f)))
+    return events
 
 
 def _mirror(states: np.ndarray) -> np.ndarray:
     out = states.copy()
     out[:, 1] = np.pi - out[:, 1]
     out[:, 2] = -out[:, 2]
+    return out
+
+
+def check_start(case: ReducedCase, a: float, s_max: float = 20.0,
+                tol: float = 1e-10, h: float = 0.0) -> float:
+    """The arc length at which the curve for a starts; DomainError when a,
+    s_max, tol or h leave nothing to integrate.
+
+    a must be finite, and positive except in the special loxodromic
+    case (a = 0 is the invariant line, a < 0 its mirror image); tol must
+    be positive and h finite; s_max must be finite and beyond the start.
+    """
+    if not math.isfinite(a):
+        raise DomainError("start parameter a must be finite")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError("tol must be positive and finite")
+    if not math.isfinite(h):
+        raise DomainError("mean curvature h must be finite")
+    if case.kind == SPECIAL_PARABOLIC:
+        if a <= 0.0:
+            raise DomainError("special parabolic start needs alpha > 0")
+        s_start = 0.0
+    elif case.kind != SPECIAL_LOXODROMIC and a <= 0.0:
+        raise DomainError("start parameter a must be positive")
+    else:
+        s_start = TAYLOR_STEP
+    if not (s_start < s_max < math.inf):
+        raise DomainError(f"s_max must be finite and above the start s = {s_start!r}")
+    return s_start
+
+
+def residual_column(case: ReducedCase, h: float, s: np.ndarray,
+                    states: np.ndarray) -> np.ndarray:
+    """Central-difference residual of states sampled on the uniform grid s:
+    at each interior sample, max over components of
+    |(y[i+1] - y[i-1]) / (2 ds) - f(y[i])|. It is 0 at the two ends and
+    where the right-hand side is undefined."""
+    out = np.zeros(len(s))
+    if len(s) < 3:
+        return out
+    rhs = case_rhs(case, h)
+    df = (states[2:] - states[:-2]) / (2.0 * (s[1] - s[0]))
+    f = np.zeros_like(df)
+    defined = np.ones(len(df), dtype=bool)
+    for i, y in enumerate(states[1:-1].tolist()):
+        try:
+            f[i] = rhs(*y)
+        except (DomainError, SingularBoundaryError):
+            defined[i] = False
+    out[1:-1] = np.where(defined, np.max(np.abs(df - f), axis=1), 0.0)
     return out
 
 
@@ -126,58 +437,41 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     Starts: elliptic/loxodromic/parabolic at the stratum point with
     parameter a > 0 and sigma = pi/2; special loxodromic additionally
     accepts a = 0 (the invariant line) and a < 0 (mirror image); special
-    parabolic starts at the interior state (a, 0, pi/2).
+    parabolic starts at the interior state (a, 0, pi/2). The tolerance
+    is atol = tol and rtol = max(tol, 100 eps).
     """
-    mirror = False
-    if case.kind == SPECIAL_LOXODROMIC and a < 0.0:
-        mirror, a_run = True, -a
-    else:
-        a_run = a
+    s_start = check_start(case, a, s_max, tol, h)
+    mirror = case.kind == SPECIAL_LOXODROMIC and a < 0.0
+    a_run = -a if mirror else a
     if case.kind == PARABOLIC and c1_floor is None:
         c1_floor = 1e-8
 
-    s0 = TAYLOR_STEP
+    rhs = case_rhs(case, h)
     # Special parabolic curves run in (ln alpha, rho, sigma): alpha decays
     # toward the boundary, and no Runge-Kutta stage can then step to alpha <= 0.
     log_alpha = case.kind == SPECIAL_PARABOLIC
     if log_alpha:
-        if a_run <= 0.0:
-            raise DomainError("special parabolic start needs alpha > 0")
-        y0 = np.array([np.log(a_run), 0.0, 0.5 * np.pi])
-        s_start = 0.0
-    elif case.kind == SPECIAL_LOXODROMIC and a_run == 0.0:
-        y0 = np.array([0.5 * s0, 0.5 * np.pi, 0.0])
-        s_start = s0
-    else:
-        if a_run <= 0.0:
-            raise DomainError("start parameter a must be positive")
-        y0 = _taylor_start(case, a_run, s0)
-        s_start = s0
+        y0 = (math.log(a_run), 0.0, 0.5 * math.pi)
+        exp = math.exp
 
-    events, names = _make_events(case, c1_floor)
-    if log_alpha:
-        def rhs(s, y):
-            alpha = np.exp(y[0])
-            dc1, dc2, dsig = ode_rhs(case, PhaseState(alpha, y[1], y[2]), h)
+        def f(log_a, rho, sigma):
+            alpha = exp(log_a)
+            dc1, dc2, dsig = rhs(alpha, rho, sigma)
             return dc1 / alpha, dc2, dsig
     else:
-        rhs = lambda s, y: ode_rhs(case, PhaseState(*y), h)
-    sol = solve_ivp(rhs, (s_start, s_max), y0, method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True, events=events)
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-    if sol.status == 1:
-        hit = [i for i, t in enumerate(sol.t_events) if len(t)]
-        termination = names[hit[0]] if hit else "event"
-    else:
-        termination = "smax"
+        f = rhs
+        if case.kind == SPECIAL_LOXODROMIC and a_run == 0.0:
+            y0 = (0.5 * TAYLOR_STEP, 0.5 * math.pi, 0.0)
+        else:
+            y0 = tuple(_taylor_start(case, a_run, TAYLOR_STEP).tolist())
 
-    s_end = sol.t[-1]
-    uniform_s = np.linspace(s_start, s_end, n_samples)
-    uniform_states = sol.sol(uniform_s).T
-    s_nodes = sol.t
-    states = sol.y.T
+    run = _dop853(f, s_start, y0, s_max, rtol=max(tol, 100.0 * EPS), atol=tol,
+                  events=_events(case, c1_floor))
 
+    s_nodes = np.array(run.t)
+    states = np.array(run.y)
+    uniform_s = np.linspace(s_start, s_nodes[-1], n_samples)
+    uniform_states = _dense(run, uniform_s)
     if log_alpha:
         states[:, 0] = np.exp(states[:, 0])
         uniform_states[:, 0] = np.exp(uniform_states[:, 0])
@@ -185,45 +479,21 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         states = _mirror(states)
         uniform_states = _mirror(uniform_states)
 
-    V = np.empty(n_samples)
-    I1 = np.empty(n_samples)
-    I2 = np.full(n_samples, np.nan)
-    for i in range(n_samples):
-        st = PhaseState(*uniform_states[i])
-        V[i] = volume_functional(case, (st.c1, st.c2),
-                                 polar=case.kind in POLAR_KINDS)
-        vals = first_integral_values(case, st)
-        I1[i] = vals["I1"]
-        if "I2" in vals:
-            I2[i] = vals["I2"]
-
-    residual = np.zeros(n_samples)
-    ds = uniform_s[1] - uniform_s[0] if n_samples > 1 else 1.0
-    for i in range(1, n_samples - 1):
-        st = PhaseState(*uniform_states[i])
-        try:
-            f = np.array(ode_rhs(case, st, h))
-        except (DomainError, SingularBoundaryError):
-            continue
-        df = (uniform_states[i + 1] - uniform_states[i - 1]) / (2.0 * ds)
-        residual[i] = float(np.max(np.abs(df - f)))
-
+    c1, c2, sigma = uniform_states.T
+    V = volume_functional(case, (c1, c2), polar=case.kind in POLAR_KINDS)
+    vals = first_integral_values(case, PhaseState(c1, c2, sigma))
     return ProfileCurve(case=case, a=a, h=h, s=s_nodes, states=states,
                         uniform_s=uniform_s, uniform_states=uniform_states,
-                        V=V, I1=I1, I2=I2, residual=residual,
-                        termination=termination)
+                        V=V, I1=vals["I1"],
+                        I2=vals.get("I2", np.full(n_samples, np.nan)),
+                        residual=residual_column(case, h, uniform_s, uniform_states),
+                        termination=run.event or "smax", nfev=run.nfev,
+                        accepted=run.accepted, rejected=run.rejected)
 
 
 def generate_family(case: ReducedCase, a_grid, h: float = 0.0,
                     **kwargs) -> list[ProfileCurve]:
     """Integrate one curve per grid value; results in grid order."""
-    a_grid = list(a_grid)
-    workers = int(os.environ.get("HQN_THREADS", "1"))
-    if workers > 1 and len(a_grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(integrate_profile, case, a, h=h, **kwargs)
-                       for a in a_grid]
-            return [f.result() for f in futures]
     return [integrate_profile(case, a, h=h, **kwargs) for a in a_grid]
 
 
@@ -245,6 +515,8 @@ def elliptic_integral_R(n: int) -> float:
         num = (1.0 - x * x) ** (p - 1)
         den = -np.expm1(p * np.log1p(-x * x))
         return x * np.sqrt(num / den)
+
+    from scipy.integrate import quad
 
     val, err = quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
     return float(val)
@@ -287,6 +559,8 @@ def limit_endpoint(curve: ProfileCurve) -> EndpointLimit:
 
     def slope(t):
         return 0.5 * I * t ** (2 * n + 0.5) / np.sqrt(1.0 - (I * t ** (2 * n + 1)) ** 2)
+
+    from scipy.integrate import quad
 
     tail, err = quad(slope, 0.0, fin.c1, epsabs=1e-13, epsrel=1e-13)
     if not np.isfinite(tail):

@@ -8,10 +8,10 @@ algebra homomorphism.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .charts import ChartPoint, ball_from_lift, convert, horo_point, lift
 from .errors import NotPolarError, NotSymplecticError, ShapeError
@@ -65,8 +65,16 @@ def qmat_conj_T(A: np.ndarray) -> np.ndarray:
     return np.transpose(A, (1, 0, 2)) * CONJ
 
 
+@functools.cache
+def _expm():
+    # imported on first use, which keeps scipy off `import hqn.cli`
+    from scipy.linalg import expm
+
+    return expm
+
+
 def qmat_expm(G: np.ndarray) -> np.ndarray:
-    return qmat_from_real(expm(qmat_to_real(G)))
+    return qmat_from_real(_expm()(qmat_to_real(G)))
 
 
 def qmat_vec(A: np.ndarray, X: np.ndarray) -> np.ndarray:

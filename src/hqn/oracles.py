@@ -30,6 +30,7 @@ from .errors import (
     ShapeError,
     SingularPointError,
 )
+from .integrator import residual_column
 from .isometries import (
     Isometry,
     act,
@@ -48,7 +49,6 @@ from .reduction import (
     PhaseState,
     ReducedCase,
     first_integral_values,
-    ode_rhs,
     orbit_project,
     volume_functional,
 )
@@ -318,17 +318,10 @@ def first_integrals(case: ReducedCase, state: PhaseState) -> dict:
 def ode_residual(curve) -> float:
     """Independent discretization check: max over interior uniform
     samples of |central difference - right-hand side|."""
-    states = curve.uniform_s, curve.uniform_states
-    s, y = states
-    if len(s) < 5:
+    if len(curve.uniform_s) < 5:
         raise ShapeError("need at least 5 uniform samples")
-    worst = 0.0
-    ds = s[1] - s[0]
-    for i in range(1, len(s) - 1):
-        df = (y[i + 1] - y[i - 1]) / (2.0 * ds)
-        f = np.array(ode_rhs(curve.case, PhaseState(*y[i]), curve.h))
-        worst = max(worst, float(np.max(np.abs(df - f))))
-    return worst
+    return float(np.max(residual_column(curve.case, curve.h, curve.uniform_s,
+                                        curve.uniform_states)))
 
 
 def foliation_certificate(case: ReducedCase, curves: Sequence,

@@ -9,6 +9,7 @@ and two parabolic actions in horospherical coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -193,42 +194,80 @@ def orbital_metric(case: ReducedCase, point, u, v, polar: bool = False) -> float
 # volume functionals
 
 
+def _float_or_array(x):
+    # scalars stay on the float path, where they are cheapest
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
+
+
 def volume_functional(case: ReducedCase, point, polar: bool = False,
-                      bracket_exponent: int = 3) -> float:
+                      bracket_exponent: int = 3):
     """Volume of the orbit over the given orbit-space point.
 
     Normalized per case (global constants drop out of the ODEs). The
     polar and (u, v) forms of a single case may differ by one constant;
-    the special loxodromic forms agree exactly.
+    the special loxodromic forms agree exactly. The two coordinates may
+    be equal-shape arrays; scalar coordinates give a float.
     """
     n, m = case.n, case.m
-    c1, c2 = float(point[0]), float(point[1])
+    c1, c2 = _float_or_array(point[0]), _float_or_array(point[1])
     if case.kind == PARABOLIC:
-        return float(c1 ** (-(4 * n + 1) / 2.0) * c2 ** (4 * n - 4 * m - 1))
+        return _float_or_array(c1 ** (-(4 * n + 1) / 2.0) * c2 ** (4 * n - 4 * m - 1))
     if case.kind == SPECIAL_PARABOLIC:
-        return float(c1 ** (-(4 * n + 1) / 2.0))
+        return _float_or_array(c1 ** (-(4 * n + 1) / 2.0))
     if polar:
         r, theta = c1, c2
         if case.kind == SPECIAL_LOXODROMIC:
             bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
-            return float(bracket ** bracket_exponent
-                         * np.sinh(r) ** (4 * n - 5)
-                         * np.sin(theta) ** (4 * n - 5))
+            return _float_or_array(bracket ** bracket_exponent
+                                    * np.sinh(r) ** (4 * n - 5)
+                                    * np.sin(theta) ** (4 * n - 5))
         A, B, C, D = case.exponents
         # combined form 2^D sin^{C+D} cos^D avoids 0^negative when C <= 0
-        return float(np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
-                     * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
+        return _float_or_array(np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
+                                * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
     u, v = c1, c2
     s = 1.0 - u * u - v * v
-    if s <= 0.0:
+    # np.any would cost microseconds on the scalar path the oracles take
+    if (s <= 0.0).any() if isinstance(s, np.ndarray) else s <= 0.0:
         raise DomainError("(u, v) outside the orbit space")
     if case.kind == ELLIPTIC:
-        return float(u ** (4 * m - 1) * v ** (4 * n - 4 * m - 1)
-                     / s ** ((4 * n + 1) / 2.0))
+        return _float_or_array(u ** (4 * m - 1) * v ** (4 * n - 4 * m - 1)
+                                / s ** ((4 * n + 1) / 2.0))
     if case.kind == LOXODROMIC:
-        return float(u ** 3 * v ** (4 * n - 4 * m - 1) / s ** ((4 * n + 1) / 2.0))
-    return float((1.0 + u * u) ** bracket_exponent * v ** (4 * n - 5)
-                 / s ** ((4 * n + 1) / 2.0))
+        return _float_or_array(u ** 3 * v ** (4 * n - 4 * m - 1)
+                                / s ** ((4 * n + 1) / 2.0))
+    return _float_or_array((1.0 + u * u) ** bracket_exponent * v ** (4 * n - 5)
+                            / s ** ((4 * n + 1) / 2.0))
+
+
+def _polar_slopes(case: ReducedCase) -> Callable[[float, float], tuple[float, float]]:
+    """The (P, Q) of log_volume_slope as a float function of (c1, c2),
+    with the case's constants bound once."""
+    cos, sin, sinh, tan, tanh = math.cos, math.sin, math.sinh, math.tan, math.tanh
+    if case.kind in (ELLIPTIC, LOXODROMIC):
+        A, B, C, D = case.exponents
+        half_c, half_a1 = 0.5 * C, 0.5 * (A + 1)
+
+        def slopes(c1, c2):
+            return (half_c / tan(c2) + D / tan(2.0 * c2),
+                    half_a1 / tanh(c1) + B / tanh(2.0 * c1))
+
+        return slopes
+    if case.kind == SPECIAL_LOXODROMIC:
+        kp, kq = 4 * case.n - 5, 4 * case.n - 4
+        cosh = math.cosh
+
+        def slopes(c1, c2):
+            sh, ch, ct = sinh(c1), cosh(c1), cos(c2)
+            sc = sh * ct
+            bracket = ch * ch + sc * sc
+            return (0.5 * (kp / tan(c2) - 3.0 * (sh * sh) * sin(2.0 * c2) / bracket),
+                    0.5 * (kq / tanh(c1)
+                           + 3.0 * sinh(2.0 * c1) * (1.0 + ct * ct) / bracket))
+
+        return slopes
+    raise ShapeError("log_volume_slope applies to the polar cases")
 
 
 def log_volume_slope(case: ReducedCase, point) -> tuple[float, float]:
@@ -237,55 +276,66 @@ def log_volume_slope(case: ReducedCase, point) -> tuple[float, float]:
     P = (1/2) d(ln V)/d c2 evaluated in the case's ODE coordinates;
     Q = (1/2)(d(ln V)/d c1 + connection term).
     """
-    c1, c2 = float(point[0]), float(point[1])
-    n = case.n
-    if case.kind in (ELLIPTIC, LOXODROMIC):
-        A, B, C, D = case.exponents
-        P = 0.5 * C / np.tan(c2) + D / np.tan(2.0 * c2)
-        Q = 0.5 * (A + 1) / np.tanh(c1) + B / np.tanh(2.0 * c1)
-        return float(P), float(Q)
-    if case.kind == SPECIAL_LOXODROMIC:
-        bracket = np.cosh(c1) ** 2 + (np.sinh(c1) * np.cos(c2)) ** 2
-        P = 0.5 * ((4 * n - 5) / np.tan(c2)
-                   - 3.0 * np.sinh(c1) ** 2 * np.sin(2.0 * c2) / bracket)
-        Q = 0.5 * ((4 * n - 4) / np.tanh(c1)
-                   + 3.0 * np.sinh(2.0 * c1) * (1.0 + np.cos(c2) ** 2) / bracket)
-        return float(P), float(Q)
-    raise ShapeError("log_volume_slope applies to the polar cases")
+    return _polar_slopes(case)(float(point[0]), float(point[1]))
 
 
 # ---------------------------------------------------------------------------
 # reduced ODE right-hand sides
 
 
-def ode_rhs(case: ReducedCase, state: PhaseState, h: float = 0.0) -> tuple[float, float, float]:
+def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float],
+                                                             tuple[float, float, float]]:
+    """The reduced right-hand side of the case at mean curvature h, as a
+    float function (c1, c2, sigma) -> (dc1, dc2, dsigma).
+
+    The case's constants are bound once, which makes it the form the
+    integrator calls; it raises DomainError outside the orbit space and
+    SingularBoundaryError on a singular stratum, as ode_rhs does.
+    """
     n, m = case.n, case.m
-    c1, c2, sigma = state.c1, state.c2, state.sigma
+    cos, sin, sinh, sqrt = math.cos, math.sin, math.sinh, math.sqrt
     if case.kind in POLAR_KINDS:
-        if c1 <= 0.0:
-            raise DomainError("polar radius must be positive")
-        top = np.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * np.pi
-        if not (0.0 < c2 < top):
-            raise SingularBoundaryError(
-                "state on a singular stratum; use boundary_sigma_rate")
-        P, Q = log_volume_slope(case, (c1, c2))
-        dc1 = 0.5 * np.cos(sigma)
-        dc2 = 0.5 * np.sin(sigma) / np.sinh(c1)
-        dsig = P * np.cos(sigma) / np.sinh(c1) - Q * np.sin(sigma) + h
-        return float(dc1), float(dc2), float(dsig)
-    if c1 <= 0.0:
-        raise DomainError("alpha must be positive")
-    dc1 = c1 * np.cos(sigma)
-    dc2 = 0.5 * np.sqrt(c1) * np.sin(sigma)
+        top = math.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * math.pi
+        slopes = _polar_slopes(case)
+
+        def rhs(c1, c2, sigma):
+            if c1 <= 0.0:
+                raise DomainError("polar radius must be positive")
+            if not (0.0 < c2 < top):
+                raise SingularBoundaryError(
+                    "state on a singular stratum; use boundary_sigma_rate")
+            P, Q = slopes(c1, c2)
+            cs, sn, sh = cos(sigma), sin(sigma), sinh(c1)
+            return 0.5 * cs, 0.5 * sn / sh, P * cs / sh - Q * sn + h
+
+        return rhs
+    k_sin = 2 * n + 1
     if case.kind == PARABOLIC:
-        if c2 <= 0.0:
-            raise SingularBoundaryError(
-                "rho = 0 is singular; use boundary_sigma_rate")
-        dsig = ((2 * n - 2 * m - 0.5) * np.sqrt(c1) / c2 * np.cos(sigma)
-                + (2 * n + 1) * np.sin(sigma) + h)
-    else:
-        dsig = (2 * n + 1) * np.sin(sigma) + h
-    return float(dc1), float(dc2), float(dsig)
+        k_rho = 2 * n - 2 * m - 0.5
+
+        def rhs(c1, c2, sigma):
+            if c1 <= 0.0:
+                raise DomainError("alpha must be positive")
+            if c2 <= 0.0:
+                raise SingularBoundaryError(
+                    "rho = 0 is singular; use boundary_sigma_rate")
+            root, cs, sn = sqrt(c1), cos(sigma), sin(sigma)
+            return c1 * cs, 0.5 * root * sn, k_rho * root / c2 * cs + k_sin * sn + h
+
+        return rhs
+
+    def rhs(c1, c2, sigma):
+        if c1 <= 0.0:
+            raise DomainError("alpha must be positive")
+        sn = sin(sigma)
+        return c1 * cos(sigma), 0.5 * sqrt(c1) * sn, k_sin * sn + h
+
+    return rhs
+
+
+def ode_rhs(case: ReducedCase, state: PhaseState, h: float = 0.0) -> tuple[float, float, float]:
+    """The reduced right-hand side at one state (see case_rhs)."""
+    return case_rhs(case, h)(float(state.c1), float(state.c2), float(state.sigma))
 
 
 def boundary_sigma_rate(case: ReducedCase, a: float) -> float:
@@ -317,15 +367,16 @@ def first_integral_values(case: ReducedCase, state: PhaseState) -> dict:
     Keys: I1 always present; I2 only for the parabolic case. The polar
     cases carry the growth quantity I1 = V cos(sigma); the parabolic
     case carries the sign pair (I, J); the special parabolic case
-    carries the exactly conserved I1 = alpha^{-2n-1} sin(sigma).
+    carries the exactly conserved I1 = alpha^{-2n-1} sin(sigma). The
+    state's fields may be equal-shape arrays; scalar fields give floats.
     """
     n, m = case.n, case.m
-    c1, c2, sigma = state.c1, state.c2, state.sigma
+    c1, c2, sigma = map(_float_or_array, (state.c1, state.c2, state.sigma))
     if case.kind in POLAR_KINDS:
         V = volume_functional(case, (c1, c2), polar=True)
-        return {"I1": float(V * np.cos(sigma))}
+        return {"I1": _float_or_array(V * np.cos(sigma))}
     if case.kind == SPECIAL_PARABOLIC:
-        return {"I1": float(c1 ** (-2 * n - 1) * np.sin(sigma))}
+        return {"I1": _float_or_array(c1 ** (-2 * n - 1) * np.sin(sigma))}
     alpha, rho = c1, c2
     e_i = ((4 * n + 2) * (4 * n - 4 * m - 2) + 1) / (4 * n + 1)
     I = (alpha ** (-2 * n - 1) * rho ** e_i
@@ -335,7 +386,7 @@ def first_integral_values(case: ReducedCase, state: PhaseState) -> dict:
     J = (alpha ** e_j * rho ** (4 * n - 4 * m - 1)
          * (np.sqrt(alpha) * np.cos(sigma)
             + (4 * n + 2) / (4 * n - 4 * m) * rho * np.sin(sigma)))
-    return {"I1": float(I), "I2": float(J)}
+    return {"I1": _float_or_array(I), "I2": _float_or_array(J)}
 
 
 # ---------------------------------------------------------------------------

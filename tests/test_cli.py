@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hqn.cli import main
-from hqn.errors import DomainError
+from hqn.errors import StepSizeUnderflow
 
 
 def run(capsys, *argv):
@@ -99,6 +102,29 @@ def test_usage_error():
     ["family", "--case", "loxodromic", "--n", "3", "--m", "1", "--a-grid", "1",
      "--out-dir", "fam"],
     ["boundary", "--case", "special-parabolic", "--n", "1", "--a", "1"],
+    # start values the integrator cannot take
+    ["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "-1",
+     "--out", "c.csv"],
+    ["curve", "--case", "special-parabolic", "--n", "2", "--a", "nan",
+     "--out", "c.csv"],
+    ["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
+     "--tol", "0", "--out", "c.csv"],
+    ["curve", "--case", "parabolic", "--n", "2", "--m", "1", "--a", "1",
+     "--tol", "inf", "--out", "c.csv"],
+    ["curve", "--case", "special-loxodromic", "--n", "2", "--a", "0",
+     "--smax", "0", "--out", "c.csv"],
+    ["family", "--case", "elliptic", "--n", "2", "--m", "1", "--a-grid", "1,x",
+     "--out-dir", "fam"],
+    ["family", "--case", "elliptic", "--n", "2", "--m", "1", "--a-grid", "1,-1",
+     "--out-dir", "fam"],
+    ["boundary", "--case", "parabolic", "--n", "2", "--m", "1", "--a", "-1"],
+    # checked before any Killing spread is computed
+    ["oracle", "--oracle", "all", "--n", "3"],
+    ["oracle", "--oracle", "curvature", "--n", "3"],
+    ["convert", "--from", "ball", "--to", "horo", "--coords", "0.1,0.2,0.3"],
+    ["convert", "--from", "ball", "--to", "horo", "--coords", "0.1,x,0,0"],
+    ["convert", "--from", "ball", "--to", "horo",
+     "--coords", "0.9,0.9,0,0,0,0,0,0"],
 ])
 def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -112,7 +138,18 @@ def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_integration_error_is_not_usage_error(tmp_path):
-    # only the case flags are validated up front; a bad start propagates
-    with pytest.raises(DomainError):
-        main(["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "-1",
-              "--out", str(tmp_path / "c.csv")])
+    # only the flags are validated up front; an error raised while
+    # integrating propagates (at h = 1e300 the step size underflows)
+    with pytest.raises(StepSizeUnderflow):
+        main(["curve", "--case", "special-parabolic", "--n", "2", "--a", "1",
+              "--h", "1e300", "--out", str(tmp_path / "c.csv")])
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is imported lazily, by the verbs and functions that use it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hqn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

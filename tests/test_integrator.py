@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
@@ -19,7 +17,9 @@ from hqn.reduction import (
     PARABOLIC,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
+    PhaseState,
     ReducedCase,
+    ode_rhs,
 )
 
 
@@ -135,19 +135,13 @@ def test_elliptic_family_disjoint():
 
 
 def test_family_grid_order_and_threads():
+    # families run serially, in grid order, and repeat exactly
     case = ReducedCase(ELLIPTIC, 2, 1)
     grid = [0.4, 0.9, 1.3]
-    serial = generate_family(case, grid, s_max=3.0, tol=1e-9)
-    old = os.environ.get("HQN_THREADS")
-    os.environ["HQN_THREADS"] = "3"
-    try:
-        parallel = generate_family(case, grid, s_max=3.0, tol=1e-9)
-    finally:
-        if old is None:
-            del os.environ["HQN_THREADS"]
-        else:
-            os.environ["HQN_THREADS"] = old
-    for cs, cp in zip(serial, parallel):
+    first = generate_family(case, grid, s_max=3.0, tol=1e-9)
+    second = generate_family(case, grid, s_max=3.0, tol=1e-9)
+    assert [c.a for c in first] == grid
+    for cs, cp in zip(first, second):
         assert cs.a == cp.a
         np.testing.assert_array_equal(cs.uniform_states, cp.uniform_states)
 
@@ -202,6 +196,18 @@ def test_invalid_start():
         integrate_profile(ReducedCase(ELLIPTIC, 2, 1), -1.0)
     with pytest.raises(DomainError):
         integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 2), 0.0)
+    # rejected before integrating: tol, s_max, a and h
+    ell, sl = ReducedCase(ELLIPTIC, 2, 1), ReducedCase(SPECIAL_LOXODROMIC, 2)
+    for kwargs in (dict(tol=0.0), dict(tol=-1e-10), dict(tol=np.nan),
+                   dict(tol=np.inf), dict(s_max=1e-4), dict(s_max=-1.0),
+                   dict(s_max=np.inf), dict(s_max=np.nan), dict(h=np.nan)):
+        with pytest.raises(DomainError):
+            integrate_profile(ell, 1.0, **kwargs)
+    for a in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            integrate_profile(sl, a)
+    with pytest.raises(DomainError):
+        integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 2), 1.0, s_max=0.0)
 
 
 def test_residual_diagnostics():
@@ -209,3 +215,109 @@ def test_residual_diagnostics():
     c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10, n_samples=2001)
     assert np.nanmax(c.residual) < 1e-4
     assert c.residual[0] == 0.0 and c.residual[-1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 kernel against scipy's solve_ivp
+
+# The curve cases of the benchmark: (case, s_max, a range).
+BENCH_CASES = [
+    (ReducedCase(ELLIPTIC, 2, 1), 20.0, (0.2, 2.0)),
+    (ReducedCase(LOXODROMIC, 3, 2), 20.0, (0.2, 2.0)),
+    (ReducedCase(SPECIAL_LOXODROMIC, 2), 20.0, (-1.0, 1.0)),
+    (ReducedCase(PARABOLIC, 2, 1), 60.0, (0.2, 2.0)),
+    (ReducedCase(SPECIAL_PARABOLIC, 2), 50.0, (0.2, 2.0)),
+]
+BENCH_IDS = [case.kind for case, _, _ in BENCH_CASES]
+
+
+def test_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from hqn import dop853
+
+    def dense(rows, shape):
+        out = np.zeros(shape)
+        for i, row in enumerate(rows):
+            for j, v in row:
+                out[i, j] = v
+        return out
+
+    assert dop853.N_STAGES == ref.N_STAGES
+    np.testing.assert_array_equal(dense(dop853.A, ref.A.shape), ref.A)
+    np.testing.assert_array_equal(dense([dop853.B], (1, len(ref.B)))[0], ref.B)
+    np.testing.assert_array_equal(dense([dop853.E3], (1, len(ref.E3)))[0], ref.E3)
+    np.testing.assert_array_equal(dense([dop853.E5], (1, len(ref.E5)))[0], ref.E5)
+    np.testing.assert_array_equal(dense(dop853.D, ref.D.shape), ref.D)
+    # the kernel forms B, E5 and E3 sums in one pass over shared columns
+    assert ([j for j, _ in dop853.B] == [j for j, _ in dop853.E5]
+            == [j for j, _ in dop853.E3])
+
+
+def _scipy_states(curve, tol):
+    """solve_ivp(DOP853) on ode_rhs from the curve's first node to its last,
+    in the coordinates integrate_profile integrates (ln alpha for special
+    parabolic curves, the mirror image for special loxodromic a < 0),
+    sampled at the curve's uniform grid."""
+    from scipy.integrate import solve_ivp
+
+    case = curve.case
+    log_alpha = case.kind == SPECIAL_PARABOLIC
+    mirror = case.kind == SPECIAL_LOXODROMIC and curve.a < 0
+    flip = lambda y: y * [1.0, -1.0, -1.0] + [0.0, np.pi, 0.0]
+    y0 = flip(curve.states[0]) if mirror else curve.states[0].copy()
+
+    def f(s, y):
+        if log_alpha:
+            alpha = np.exp(y[0])
+            d1, d2, d3 = ode_rhs(case, PhaseState(alpha, y[1], y[2]))
+            return d1 / alpha, d2, d3
+        return ode_rhs(case, PhaseState(*y))
+
+    if log_alpha:
+        y0[0] = np.log(y0[0])
+    sol = solve_ivp(f, (curve.s[0], curve.s[-1]), y0, method="DOP853",
+                    rtol=max(tol, 100 * np.finfo(float).eps), atol=tol,
+                    dense_output=True)
+    assert sol.status == 0
+    out = sol.sol(curve.uniform_s).T
+    if log_alpha:
+        out[:, 0] = np.exp(out[:, 0])
+    return flip(out) if mirror else out
+
+
+@pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
+def test_kernel_accuracy_against_scipy(case, s_max, a_range):
+    # the kernel's error against a tol-1e-13 scipy run is at most about
+    # scipy's own at the same tol
+    for a in np.linspace(*a_range, 5)[1:-1]:
+        curve = integrate_profile(case, float(a), s_max=s_max, tol=1e-11,
+                                  n_samples=201)
+        ref = _scipy_states(curve, 1e-13)
+        own = np.max(np.abs(_scipy_states(curve, 1e-11) - ref))
+        dev = np.max(np.abs(curve.uniform_states - ref))
+        assert dev <= 2.0 * own + 1e-12, (a, dev, own)
+
+
+@pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
+def test_kernel_sweep_raises_nothing(case, s_max, a_range):
+    lo, hi = a_range
+    u = (np.arange(20) + np.random.default_rng(7).random(20)) / 20
+    for a in lo + (hi - lo) * u:
+        for tol in (1e-11, 1e-13):
+            curve = integrate_profile(case, float(a), s_max=s_max, tol=tol,
+                                      n_samples=5)
+            assert np.all(np.isfinite(curve.uniform_states))
+
+
+@pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
+def test_kernel_counts(case, s_max, a_range):
+    a = float(np.mean(a_range)) + 0.1
+    c1, c2 = (integrate_profile(case, a, s_max=s_max, tol=1e-11, n_samples=5)
+              for _ in range(2))
+    assert (c1.nfev, c1.accepted, c1.rejected) == (c2.nfev, c2.accepted, c2.rejected)
+    np.testing.assert_array_equal(c1.states, c2.states)
+    assert c1.accepted == len(c1.s) - 1
+    # f(y0) and the initial-step probe, 12 stages per attempt, 3 more per
+    # accepted step for the dense output
+    assert c1.nfev == 2 + 12 * (c1.accepted + c1.rejected) + 3 * c1.accepted
