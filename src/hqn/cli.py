@@ -1,6 +1,6 @@
 """Command-line surface for curves, families, verification and oracles.
 
-Exit codes: 0 success, 1 failed verification/certificate, 2 usage error.
+Exit codes: 0 success, 1 failed check, 2 usage error.
 Output files are byte-deterministic for identical configurations.
 """
 
@@ -23,7 +23,7 @@ from .charts import (
     metric_matrix,
     point_from_array,
 )
-from .errors import CertificateFailure, DomainError, NotInteriorError, ShapeError
+from .errors import DomainError, ExtrapolationError, NotInteriorError, ShapeError
 from .integrator import (
     check_start,
     elliptic_integral_R,
@@ -43,25 +43,16 @@ from .isometries import (
     transvection_matrix,
 )
 from .loci import canonical_bisector_residual, fan_at_origin_residual
-from .oracles import (
-    ambient_mean_curvature,
-    killing_ratio_spread,
-    orbit_project,
-    section_point,
-    volume_functional,
-)
+from .oracles import ambient_mean_curvature, killing_ratio_spread
 from .quaternion import Quaternion
 from .reduction import (
     ALL_KINDS,
-    ELLIPTIC,
     LOXODROMIC,
     PARABOLIC,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
-    PhaseState,
     ReducedCase,
     explicit_solutions,
-    first_integral_values,
     ode_rhs,
 )
 
@@ -272,11 +263,9 @@ def _cmd_boundary(args) -> int:
     curve = integrate_profile(case, args.a, s_max=args.smax, tol=args.tol)
     try:
         lim = limit_endpoint(curve)
-    except Exception as exc:
-        print(json.dumps({"checks": [{"name": "limit endpoint",
-                                      "value": str(exc), "bound": None,
-                                      "pass": False}], "pass": False}, indent=2))
-        return 1
+    except ExtrapolationError as exc:
+        return _emit_report(_report([{"name": "limit endpoint", "value": str(exc),
+                                      "bound": None, "pass": False}]), args.out)
     checks = []
     if case.kind == PARABOLIC:
         n, m = case.n, case.m
@@ -381,7 +370,8 @@ def _check_flags(args) -> None:
         if args.command == "family":
             args.a_grid = _floats("--a-grid", args.a_grid)
         for a in (args.a_grid if args.command == "family" else [args.a]):
-            check_start(args.case, a, s_max=args.smax, tol=args.tol, h=args.h)
+            check_start(args.case, a, s_max=args.smax, tol=args.tol, h=args.h,
+                        n_samples=args.samples)
     if args.command == "oracle" and args.oracle != "volume" and args.n != 2:
         raise DomainError("the curvature oracle needs --n 2")
     if args.command == "convert":
@@ -398,10 +388,7 @@ def main(argv=None) -> int:
         _check_flags(args)
     except (DomainError, NotInteriorError, ShapeError) as exc:
         parser.error(str(exc))
-    try:
-        return args.func(args)
-    except CertificateFailure:
-        return 1
+    return args.func(args)
 
 
 if __name__ == "__main__":

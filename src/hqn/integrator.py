@@ -379,14 +379,17 @@ def _mirror(states: np.ndarray) -> np.ndarray:
 
 
 def check_start(case: ReducedCase, a: float, s_max: float = 20.0,
-                tol: float = 1e-10, h: float = 0.0) -> float:
+                tol: float = 1e-10, h: float = 0.0, n_samples: int = 801) -> float:
     """The arc length at which the curve for a starts; DomainError when a,
-    s_max, tol or h leave nothing to integrate.
+    s_max, tol, h or n_samples leave nothing to integrate.
 
     a must be finite, and positive except in the special loxodromic
     case (a = 0 is the invariant line, a < 0 its mirror image); tol must
-    be positive and h finite; s_max must be finite and beyond the start.
+    be positive and h finite; s_max must be finite and beyond the start;
+    n_samples must not be negative.
     """
+    if n_samples < 0:
+        raise DomainError("the number of samples must not be negative")
     if not math.isfinite(a):
         raise DomainError("start parameter a must be finite")
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -440,7 +443,7 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     parabolic starts at the interior state (a, 0, pi/2). The tolerance
     is atol = tol and rtol = max(tol, 100 eps).
     """
-    s_start = check_start(case, a, s_max, tol, h)
+    s_start = check_start(case, a, s_max, tol, h, n_samples)
     mirror = case.kind == SPECIAL_LOXODROMIC and a < 0.0
     a_run = -a if mirror else a
     if case.kind == PARABOLIC and c1_floor is None:

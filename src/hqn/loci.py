@@ -7,7 +7,7 @@ the verification oracles need; no parametrizations are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -9,7 +9,7 @@ discretization of the reduced systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .charts import (
     ball_metric_matrix,
     convert,
     coords_array,
-    metric_matrix,
+    lift,
     point_from_array,
 )
 from .errors import (
@@ -31,36 +31,24 @@ from .errors import (
     SingularPointError,
 )
 from .integrator import residual_column
-from .isometries import (
-    Isometry,
-    act,
-    heisenberg_matrix,
-    qmat_expm,
-    transvection_matrix,
-)
-from .quaternion import CONJ
+from .quaternion import CONJ, hamilton
 from .reduction import (
     ELLIPTIC,
     LOXODROMIC,
     PARABOLIC,
     POLAR_KINDS,
     SPECIAL_LOXODROMIC,
-    SPECIAL_PARABOLIC,
-    PhaseState,
     ReducedCase,
-    first_integral_values,
     orbit_project,
     volume_functional,
 )
-
-FD_STEP = 1e-5
 
 UNITS = np.eye(4)          # 1, i, j, k as component rows
 IM_UNITS = UNITS[1:]
 
 
 # ---------------------------------------------------------------------------
-# Lie algebra generator bases
+# Lie algebra generator bases: elements G of sp(n,1), G* I_{n,1} + I_{n,1} G = 0
 
 
 def _sp_generators(size: int, offset: int, total: int, lorentz: bool = False):
@@ -85,59 +73,56 @@ def _sp_generators(size: int, offset: int, total: int, lorentz: bool = False):
     return gens
 
 
-def _matrix_gen(G):
-    return lambda t, G=G: Isometry(qmat_expm(t * G))
+def _heis_generator(n: int, slot: int, q: np.ndarray) -> np.ndarray:
+    """Generator of t -> heisenberg_matrix(n, t q e_slot, 0)."""
+    G = np.zeros((n + 1, n + 1, 4))
+    G[slot, n - 1] = -q
+    G[slot, n] = q
+    G[n - 1, slot] = G[n, slot] = q * CONJ
+    return G
 
 
-def _heis_gen(n, slot, q):
-    xi = np.zeros((n - 1, 4))
-    xi[slot] = q
-    return lambda t: heisenberg_matrix(n, t * xi, np.zeros(4))
+def _nu_generator(n: int, q: np.ndarray) -> np.ndarray:
+    """Generator of t -> heisenberg_matrix(n, 0, t q), q purely imaginary."""
+    G = np.zeros((n + 1, n + 1, 4))
+    G[n - 1, n - 1] = G[n, n - 1] = -0.5 * q
+    G[n - 1, n] = G[n, n] = 0.5 * q
+    return G
 
 
-def _nu_gen(n, q):
-    return lambda t: heisenberg_matrix(n, np.zeros((n - 1, 4)), t * q)
+def _transvection_generator(n: int) -> np.ndarray:
+    """Generator of t -> transvection_matrix(n, t)."""
+    G = np.zeros((n + 1, n + 1, 4))
+    G[n - 1, n, 0] = G[n, n - 1, 0] = 1.0
+    return G
 
 
-@dataclass(frozen=True)
-class GeneratorBasis:
-    """One-parameter subgroup samplers spanning the orbit directions."""
-
-    case: ReducedCase
-    generators: tuple
-
-
-_BASES: dict = {}
-
-
-def generator_basis(case: ReducedCase) -> GeneratorBasis:
-    """The case's samplers, built once per (kind, n, m)."""
-    key = (case.kind, case.n, case.m)
-    if key not in _BASES:
-        _BASES[key] = GeneratorBasis(case, tuple(_generators(case)))
-    return _BASES[key]
-
-
-def _generators(case: ReducedCase) -> list:
+@functools.cache
+def generator_basis(case: ReducedCase) -> np.ndarray:
+    """The algebra elements spanning the case's orbit directions, as one
+    read-only (k, n+1, n+1, 4) array."""
     n, m = case.n, case.m
     total = n + 1
     if case.kind == ELLIPTIC:
-        return [_matrix_gen(G) for G in _sp_generators(m, 0, total)
-                + _sp_generators(n - m, m, total)]
-    if case.kind == LOXODROMIC:
-        return [_matrix_gen(G) for G in _sp_generators(n - m, 0, total)
-                + _sp_generators(m, n - m + 1, total, lorentz=True)]
-    if case.kind == SPECIAL_LOXODROMIC:
-        return ([_nu_gen(n, IM_UNITS[0]), _nu_gen(n, IM_UNITS[1]),
-                 lambda t: transvection_matrix(n, t)]
-                + [_matrix_gen(G) for G in _sp_generators(n - 1, 0, total)])
-    if case.kind == PARABOLIC:
-        return ([_heis_gen(n, slot, q) for slot in range(n - m, n - 1) for q in UNITS]
-                + [_nu_gen(n, q) for q in IM_UNITS]
-                + [_matrix_gen(G) for G in _sp_generators(n - m, 0, total)])
-    return ([_heis_gen(n, slot, q) for slot in range(n - 2) for q in UNITS]
-            + [_heis_gen(n, n - 2, q) for q in IM_UNITS]
-            + [_nu_gen(n, q) for q in IM_UNITS])
+        gens = _sp_generators(m, 0, total) + _sp_generators(n - m, m, total)
+    elif case.kind == LOXODROMIC:
+        gens = (_sp_generators(n - m, 0, total)
+                + _sp_generators(m, n - m + 1, total, lorentz=True))
+    elif case.kind == SPECIAL_LOXODROMIC:
+        gens = ([_nu_generator(n, IM_UNITS[0]), _nu_generator(n, IM_UNITS[1]),
+                 _transvection_generator(n)]
+                + _sp_generators(n - 1, 0, total))
+    elif case.kind == PARABOLIC:
+        gens = ([_heis_generator(n, slot, q) for slot in range(n - m, n - 1) for q in UNITS]
+                + [_nu_generator(n, q) for q in IM_UNITS]
+                + _sp_generators(n - m, 0, total))
+    else:
+        gens = ([_heis_generator(n, slot, q) for slot in range(n - 2) for q in UNITS]
+                + [_heis_generator(n, n - 2, q) for q in IM_UNITS]
+                + [_nu_generator(n, q) for q in IM_UNITS])
+    basis = np.array(gens)
+    basis.flags.writeable = False
+    return basis
 
 
 def section_point(case: ReducedCase, c1: float, c2: float) -> ChartPoint:
@@ -162,41 +147,28 @@ def section_point(case: ReducedCase, c1: float, c2: float) -> ChartPoint:
 # Killing-field volume oracle
 
 
-def _killing_vectors(basis: GeneratorBasis, p: ChartPoint) -> np.ndarray:
-    c = coords_array(p)
-    delta = FD_STEP * (1.0 + float(np.linalg.norm(c)))
-    rows = []
-    for mk in basis.generators:
-        fwd = coords_array(act(mk(delta), p))
-        bwd = coords_array(act(mk(-delta), p))
-        rows.append((fwd - bwd) / (2.0 * delta))
-    return np.array(rows)
+def _killing_vectors(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Ball-chart Killing fields of the algebra elements basis at the point
+    with lift X = (x, 1), as (k, 4n) rows: x_l = Y_l Y_{n+1}^{-1} along
+    Y = exp(tG) X gives v_l = (GX)_l - x_l (GX)_{n+1}."""
+    GX = hamilton(basis, X).sum(axis=-2)
+    return (GX[:, :-1] - hamilton(X[:-1], GX[:, -1:])).reshape(len(basis), -1)
 
 
-@dataclass
-class _KillingComplement:
-    weights: np.ndarray   # (orbit_dim, n_generators)
-
-
-_COMPLEMENTS: dict = {}
-
-
-def _complement(case: ReducedCase, basis: GeneratorBasis) -> _KillingComplement:
-    key = (case.kind, case.n, case.m)
-    if key in _COMPLEMENTS:
-        return _COMPLEMENTS[key]
-    ref = section_point(case, *_reference_coords(case))
-    K = _killing_vectors(basis, ref)
-    g = metric_matrix(ref)
-    L = np.linalg.cholesky(g)
-    M = K @ L
+@functools.cache
+def _complement(case: ReducedCase) -> np.ndarray:
+    """(orbit_dim, k) orthonormal weights: the fixed combinations of the
+    case's Killing fields that span the orbit at the reference point."""
+    X = lift(section_point(case, *_reference_coords(case)))
+    K = _killing_vectors(generator_basis(case), X)
+    M = K @ np.linalg.cholesky(ball_metric_matrix(X[:-1].ravel(), case.n))
     U, S, _ = np.linalg.svd(M, full_matrices=False)
     dim = 4 * case.n - 2
     if S[dim - 1] / S[0] < 1e-6:
         raise DegenerateOrbitError("generator basis is rank deficient")
-    comp = _KillingComplement(U[:, :dim].T)
-    _COMPLEMENTS[key] = comp
-    return comp
+    weights = U[:, :dim].T
+    weights.flags.writeable = False
+    return weights
 
 
 def _reference_coords(case: ReducedCase) -> tuple[float, float]:
@@ -208,12 +180,12 @@ def _reference_coords(case: ReducedCase) -> tuple[float, float]:
 def killing_volume(case: ReducedCase, p: ChartPoint) -> float:
     """Orbit volume through p, up to one case constant: the Gram
     determinant of a fixed linear combination of induced Killing fields.
+
+    The determinant is the same in every chart, so it is taken in the ball.
     """
-    basis = generator_basis(case)
-    comp = _complement(case, basis)
-    K = _killing_vectors(basis, p)
-    rows = comp.weights @ K
-    gram = rows @ metric_matrix(p) @ rows.T
+    X = lift(p)
+    rows = _complement(case) @ _killing_vectors(generator_basis(case), X)
+    gram = rows @ ball_metric_matrix(X[:-1].ravel(), case.n) @ rows.T
     det = float(np.linalg.det(gram))
     if det <= 0.0:
         raise DegenerateOrbitError("orbit through p is degenerate")
@@ -308,11 +280,6 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
 
 # ---------------------------------------------------------------------------
 # reduced-system checks
-
-
-def first_integrals(case: ReducedCase, state: PhaseState) -> dict:
-    """All semi/first integrals applicable to the case at the state."""
-    return first_integral_values(case, state)
 
 
 def ode_residual(curve) -> float:

@@ -86,6 +86,18 @@ def test_boundary_parabolic(capsys):
     assert lo < report["checks"][0]["value"] < hi
 
 
+def test_boundary_failure_honours_out(tmp_path, capsys):
+    # a tail too short to extrapolate fails the check, into the --out file
+    out = tmp_path / "r.json"
+    code, stdout = run(capsys, "boundary", "--case", "parabolic", "--n", "2",
+                       "--m", "1", "--a", "1", "--smax", "1", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    assert report["checks"][0]["name"] == "limit endpoint"
+
+
 def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["curve", "--case", "nonsense", "--n", "2"])
@@ -125,6 +137,8 @@ def test_usage_error():
     ["convert", "--from", "ball", "--to", "horo", "--coords", "0.1,x,0,0"],
     ["convert", "--from", "ball", "--to", "horo",
      "--coords", "0.9,0.9,0,0,0,0,0,0"],
+    ["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
+     "--samples", "-1", "--out", "c.csv"],
 ])
 def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -196,11 +196,12 @@ def test_invalid_start():
         integrate_profile(ReducedCase(ELLIPTIC, 2, 1), -1.0)
     with pytest.raises(DomainError):
         integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 2), 0.0)
-    # rejected before integrating: tol, s_max, a and h
+    # rejected before integrating: tol, s_max, a, h and n_samples
     ell, sl = ReducedCase(ELLIPTIC, 2, 1), ReducedCase(SPECIAL_LOXODROMIC, 2)
     for kwargs in (dict(tol=0.0), dict(tol=-1e-10), dict(tol=np.nan),
                    dict(tol=np.inf), dict(s_max=1e-4), dict(s_max=-1.0),
-                   dict(s_max=np.inf), dict(s_max=np.nan), dict(h=np.nan)):
+                   dict(s_max=np.inf), dict(s_max=np.nan), dict(h=np.nan),
+                   dict(n_samples=-1)):
         with pytest.raises(DomainError):
             integrate_profile(ell, 1.0, **kwargs)
     for a in (np.nan, np.inf, -np.inf):

@@ -3,14 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from hqn.charts import HORO, convert, horo_point
+from hqn.charts import BALL, HORO, convert, coords_array, horo_point, lift
 from hqn.cli import main
 from hqn.errors import CertificateFailure, SingularPointError
 from hqn.integrator import generate_family, integrate_profile
+from hqn.isometries import (
+    Isometry,
+    act,
+    lorentz_signature,
+    qmat_conj_T,
+    qmat_expm,
+    qmat_mul,
+)
 from hqn.loci import canonical_bisector_residual, fan_at_origin_residual
 from hqn.oracles import (
+    _killing_vectors,
+    _reference_coords,
     ambient_mean_curvature,
-    first_integrals,
     foliation_certificate,
     generator_basis,
     killing_ratio_spread,
@@ -27,9 +36,7 @@ from hqn.reduction import (
     PARABOLIC,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
-    PhaseState,
     ReducedCase,
-    first_integral_values,
 )
 
 ALL_CASES = [
@@ -76,11 +83,11 @@ def test_killing_volume_vanishes_at_stratum():
 
 
 def test_generator_counts():
-    assert len(generator_basis(ReducedCase(SPECIAL_LOXODROMIC, 2)).generators) == 6
-    assert len(generator_basis(ReducedCase(PARABOLIC, 2, 1)).generators) == 6
-    assert len(generator_basis(ReducedCase(SPECIAL_PARABOLIC, 2)).generators) == 6
-    assert len(generator_basis(ReducedCase(ELLIPTIC, 2, 1)).generators) == 6
-    assert len(generator_basis(ReducedCase(LOXODROMIC, 3, 2)).generators) == 13
+    assert len(generator_basis(ReducedCase(SPECIAL_LOXODROMIC, 2))) == 6
+    assert len(generator_basis(ReducedCase(PARABOLIC, 2, 1))) == 6
+    assert len(generator_basis(ReducedCase(SPECIAL_PARABOLIC, 2))) == 6
+    assert len(generator_basis(ReducedCase(ELLIPTIC, 2, 1))) == 6
+    assert len(generator_basis(ReducedCase(LOXODROMIC, 3, 2))) == 13
 
 
 def test_mean_curvature_horosphere():
@@ -104,12 +111,6 @@ def test_mean_curvature_degenerate_gradient():
     p = horo_point((Quaternion(0.3),), 0.7, Quaternion())
     with pytest.raises(SingularPointError):
         ambient_mean_curvature(lambda q: 0.0, p)
-
-
-def test_first_integrals_delegate():
-    case = ReducedCase(PARABOLIC, 2, 1)
-    st = PhaseState(0.5, 0.3, 1.2)
-    assert first_integrals(case, st) == first_integral_values(case, st)
 
 
 def test_ode_residual_and_sensitivity():
@@ -138,22 +139,23 @@ def test_foliation_certificate_failure():
         foliation_certificate(case, [short], [0.1])
 
 
-# killing_ratio_spread(case, 20, seed=5) and `hqn oracle --oracle curvature
-# --n 2` as computed by the scalar Quaternion implementation the array core
-# replaced; the port must reproduce them.
-PINNED_SPREADS = [
-    (ReducedCase(ELLIPTIC, 2, 1), 1.200900490432845e-10),
-    (ReducedCase(SPECIAL_LOXODROMIC, 2), 2.862995397342678e-10),
-    (ReducedCase(PARABOLIC, 2, 1), 3.4961356044201945e-10),
-    (ReducedCase(SPECIAL_PARABOLIC, 2), 8.659739592076218e-15),
-    (ReducedCase(ELLIPTIC, 3, 1), 2.0015178411093813e-10),
-    (ReducedCase(ELLIPTIC, 3, 2), 2.0015156206633307e-10),
-    (ReducedCase(LOXODROMIC, 3, 2), 2.802099664890386e-10),
-    (ReducedCase(SPECIAL_LOXODROMIC, 3), 3.6635905439160617e-10),
-    (ReducedCase(PARABOLIC, 3, 1), 8.157683424075917e-10),
-    (ReducedCase(PARABOLIC, 3, 2), 3.4961422657583443e-10),
-    (ReducedCase(SPECIAL_PARABOLIC, 3), 1.2212453270876717e-14),
+# The eleven cases of `hqn oracle --n 2` and `--n 3`.
+BENCH_CASES = [
+    ReducedCase(ELLIPTIC, 2, 1),
+    ReducedCase(SPECIAL_LOXODROMIC, 2),
+    ReducedCase(PARABOLIC, 2, 1),
+    ReducedCase(SPECIAL_PARABOLIC, 2),
+    ReducedCase(ELLIPTIC, 3, 1),
+    ReducedCase(ELLIPTIC, 3, 2),
+    ReducedCase(LOXODROMIC, 3, 2),
+    ReducedCase(SPECIAL_LOXODROMIC, 3),
+    ReducedCase(PARABOLIC, 3, 1),
+    ReducedCase(PARABOLIC, 3, 2),
+    ReducedCase(SPECIAL_PARABOLIC, 3),
 ]
+BENCH_IDS = [f"{c.kind}-n{c.n}-m{c.m}" for c in BENCH_CASES]
+# `hqn oracle --oracle curvature --n 2` as computed by the scalar
+# Quaternion implementation the array core replaced.
 PINNED_CURVATURE = {
     "bisector mean curvature": 4.0781024521713395e-11,
     "fan mean curvature": 3.06491791830047e-11,
@@ -161,10 +163,26 @@ PINNED_CURVATURE = {
 }
 
 
-@pytest.mark.parametrize("case,spread", PINNED_SPREADS,
-                         ids=[f"{c.kind}-n{c.n}-m{c.m}" for c, _ in PINNED_SPREADS])
-def test_killing_spread_pinned(case, spread):
-    assert killing_ratio_spread(case, 20, seed=5) == pytest.approx(spread, abs=1e-10)
+@pytest.mark.parametrize("case", BENCH_CASES, ids=BENCH_IDS)
+def test_killing_spread_pinned(case):
+    # exact Killing fields leave only rounding in the ratio
+    assert killing_ratio_spread(case, 20, seed=5) <= 1e-12
+
+
+@pytest.mark.parametrize("case", BENCH_CASES, ids=BENCH_IDS)
+def test_exact_killing_fields(case):
+    # every generator lies in sp(n,1), and its exact field matches the
+    # central difference of the group action exp(+-dG) at the reference point
+    basis = generator_basis(case)
+    J = lorentz_signature(case.n + 1)
+    for G in basis:
+        assert np.max(np.abs(qmat_mul(qmat_conj_T(G), J) + qmat_mul(J, G))) == 0.0
+    p = convert(section_point(case, *_reference_coords(case)), BALL)
+    d = 1e-5
+    fd = np.array([(coords_array(act(Isometry(qmat_expm(d * G)), p))
+                    - coords_array(act(Isometry(qmat_expm(-d * G)), p))) / (2.0 * d)
+                   for G in basis])
+    assert np.max(np.abs(_killing_vectors(basis, lift(p)) - fd)) <= 1e-8
 
 
 def test_curvature_oracle_pinned(capsys):
