@@ -299,20 +299,24 @@ def ball_metric_matrix(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def horo_metric_matrix(c: np.ndarray, n: int) -> np.ndarray:
-    """ds^2 = [dalpha^2 + |dbeta - 2 Im(omega, domega)|^2 + 4 alpha |domega|^2] / alpha^2."""
+    """ds^2 = [dalpha^2 + |dbeta - 2 Im(omega, domega)|^2 + 4 alpha |domega|^2] / alpha^2.
+
+    c of shape (..., 4n) gives a stack of (4n)x(4n) matrices.
+    """
     c = np.asarray(c, dtype=float)
+    lead = c.shape[:-1]
     m = 4 * (n - 1)
-    alpha = c[m]
+    alpha = c[..., m, None]
     # B(u) = u_beta + 2 Im((u_omega, omega)) as a linear map to R^3;
     # note Im((omega, u)) = -Im((u, omega)) for the quaternionic pairing
-    B = np.zeros((3, 4 * n))
-    B[:, m + 1:] = np.eye(3)
-    blocks = right_mult_matrix(c[:m].reshape(n - 1, 4)) * CONJ   # u_l -> conj(u_l) w_l
-    B[:, :m] = 2.0 * np.swapaxes(blocks[:, 1:, :], 0, 1).reshape(3, m)
-    g = B.T @ B
-    g[m, m] += 1.0
-    g[np.arange(m), np.arange(m)] += 4.0 * alpha
-    return g / alpha ** 2
+    B = np.zeros(lead + (3, 4 * n))
+    B[..., m + 1:] = np.eye(3)
+    blocks = right_mult_matrix(c[..., :m].reshape(lead + (n - 1, 4))) * CONJ   # u_l -> conj(u_l) w_l
+    B[..., :m] = 2.0 * np.swapaxes(blocks[..., 1:, :], -3, -2).reshape(lead + (3, m))
+    g = np.swapaxes(B, -1, -2) @ B
+    g[..., m, m] += 1.0
+    g[..., np.arange(m), np.arange(m)] += 4.0 * alpha
+    return g / (alpha * alpha)[..., None]
 
 
 def _siegel_to_horo_jacobian(p: ChartPoint) -> np.ndarray:

@@ -306,35 +306,42 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hqn")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def verb(name):
+        # flags are spelled in full: "--h" is not "--help", "--a" not "--a-grid"
+        return sub.add_parser(name, allow_abbrev=False)
+
     def add_case_flags(p):
         p.add_argument("--case", required=True, choices=sorted(ALL_KINDS))
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--smax", type=float, default=20.0)
         p.add_argument("--tol", type=float, default=1e-10)
+
+    def add_curve_flags(p):
+        add_case_flags(p)
         p.add_argument("--h", type=float, default=0.0)
         p.add_argument("--samples", type=int, default=801)
 
-    pc = sub.add_parser("curve")
-    add_case_flags(pc)
+    pc = verb("curve")
+    add_curve_flags(pc)
     pc.add_argument("--a", type=float, required=True)
     pc.add_argument("--out", required=True)
     pc.set_defaults(func=_cmd_curve)
 
-    pf = sub.add_parser("family")
-    add_case_flags(pf)
+    pf = verb("family")
+    add_curve_flags(pf)
     pf.add_argument("--a-grid", required=True)
     pf.add_argument("--out-dir", required=True)
     pf.set_defaults(func=_cmd_family)
 
-    pv = sub.add_parser("verify")
+    pv = verb("verify")
     pv.add_argument("--suite", default="all",
                     choices=["all"] + sorted(SUITES))
     pv.add_argument("--n", type=int, default=2)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify)
 
-    po = sub.add_parser("oracle")
+    po = verb("oracle")
     po.add_argument("--oracle", default="all",
                     choices=["all", "volume", "curvature"])
     po.add_argument("--n", type=int, default=2)
@@ -342,20 +349,20 @@ def _build_parser() -> argparse.ArgumentParser:
     po.add_argument("--out", default=None)
     po.set_defaults(func=_cmd_oracle)
 
-    pb = sub.add_parser("boundary")
+    pb = verb("boundary")
     add_case_flags(pb)
     pb.add_argument("--a", type=float, required=True)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=_cmd_boundary)
 
-    px = sub.add_parser("convert")
+    px = verb("convert")
     px.add_argument("--from", dest="frm", required=True, choices=sorted(CHARTS))
     px.add_argument("--to", required=True, choices=sorted(CHARTS))
     px.add_argument("--coords", required=True)
     px.add_argument("--transvection", type=float, default=None)
     px.set_defaults(func=_cmd_convert)
 
-    pi = sub.add_parser("integral")
+    pi = verb("integral")
     pi.add_argument("--n", type=int, required=True)
     pi.set_defaults(func=_cmd_integral)
     return ap
@@ -367,11 +374,18 @@ def _check_flags(args) -> None:
     later, while computing, propagate."""
     if getattr(args, "case", None) is not None:
         args.case = _case(args)
+        # hqn boundary checks the limits of minimal curves: h = 0 and the
+        # default samples, which it has no flags for
+        curve = ({} if args.command == "boundary"
+                 else {"h": args.h, "n_samples": args.samples})
         if args.command == "family":
             args.a_grid = _floats("--a-grid", args.a_grid)
         for a in (args.a_grid if args.command == "family" else [args.a]):
-            check_start(args.case, a, s_max=args.smax, tol=args.tol, h=args.h,
-                        n_samples=args.samples)
+            check_start(args.case, a, s_max=args.smax, tol=args.tol, **curve)
+    if args.command in ("verify", "oracle") and args.n < 2:
+        raise DomainError(f"--n must be at least 2, got {args.n}")
+    if args.command == "oracle" and args.points < 1:
+        raise DomainError(f"--points must be at least 1, got {args.points}")
     if args.command == "oracle" and args.oracle != "volume" and args.n != 2:
         raise DomainError("the curvature oracle needs --n 2")
     if args.command == "convert":

@@ -3,8 +3,9 @@
 Nothing here reuses the closed-form volume functionals or ODE
 right-hand sides being checked: orbit volumes are rebuilt from Killing
 fields of the group action, mean curvature from finite differences of
-the ambient metric, and curve quality from an independent
-discretization of the reduced systems.
+the residual and the ambient metric in the chart the point is given in
+(ball or horospherical; a Siegel point is moved to the ball), and curve
+quality from an independent discretization of the reduced systems.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .charts import (
     ball_metric_matrix,
     convert,
     coords_array,
+    horo_metric_matrix,
     lift,
     point_from_array,
 )
@@ -218,60 +220,73 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
 # ambient mean curvature oracle
 
 
-def _christoffel(x: np.ndarray, n: int, step: float = 1e-5) -> np.ndarray:
-    E = step * np.eye(4 * n)
-    dg = (ball_metric_matrix(x + E, n) - ball_metric_matrix(x - E, n)) / (2.0 * step)
-    ginv = np.linalg.inv(ball_metric_matrix(x, n))
+def _christoffel(x: np.ndarray, n: int,
+                 metric: Callable[[np.ndarray, int], np.ndarray],
+                 step: float = 1e-5) -> np.ndarray:
+    """Christoffel symbols of metric at x. The metric's derivatives are
+    Richardson-extrapolated central differences at step and step / 2,
+    from one stacked metric call at the 4 * 4n points x +- h e_a."""
+    d = 4 * n
+    E = step * np.eye(d)
+    g = metric(np.concatenate([x + E, x - E, x + E / 2.0, x - E / 2.0]), n)
+    g = g.reshape(4, d, d, d)
+    dg = (4.0 * (g[2] - g[3]) / step - (g[0] - g[1]) / (2.0 * step)) / 3.0
+    ginv = np.linalg.inv(metric(x, n))
     return 0.5 * np.einsum("cd,abd->cab", ginv,
                            dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
 
 def _richardson_grad_hess(f: Callable[[np.ndarray], float], x: np.ndarray,
                           step: float):
+    """Richardson-extrapolated central differences at steps step and
+    step / 2. The gradient reuses the Hessian diagonal's values f(x +- h e_a),
+    and f(x) is shared by both steps: 1 + 2 (2d + 2d(d-1)) calls of f."""
     dim = len(x)
+    f0 = f(x)
 
-    def grad(h):
-        return np.array([(f(x + e) - f(x - e)) / (2.0 * h)
-                         for e in h * np.eye(dim)])
-
-    def hess(h):
+    def grad_hess(h):
         E = h * np.eye(dim)
+        g = np.empty(dim)
         H = np.empty((dim, dim))
-        f0 = f(x)
         for a in range(dim):
             ea = E[a]
-            H[a, a] = (f(x + ea) - 2.0 * f0 + f(x - ea)) / h ** 2
+            fp, fm = f(x + ea), f(x - ea)
+            g[a] = (fp - fm) / (2.0 * h)
+            H[a, a] = (fp - 2.0 * f0 + fm) / h ** 2
             for b in range(a + 1, dim):
                 eb = E[b]
                 H[a, b] = H[b, a] = (f(x + ea + eb) - f(x + ea - eb)
                                      - f(x - ea + eb) + f(x - ea - eb)) / (4.0 * h ** 2)
-        return H
+        return g, H
 
-    g = (4.0 * grad(step / 2.0) - grad(step)) / 3.0
-    H = (4.0 * hess(step / 2.0) - hess(step)) / 3.0
-    return g, H
+    g_half, H_half = grad_hess(step / 2.0)
+    g_full, H_full = grad_hess(step)
+    return (4.0 * g_half - g_full) / 3.0, (4.0 * H_half - H_full) / 3.0
 
 
 def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
                            p: ChartPoint, step: float = 1e-3) -> float:
     """Trace of the shape operator of the level set {surface = 0} at p.
 
-    The convention gives +(2n+1) for the horosphere residual alpha - a
-    with the normal pointing toward growing alpha.
+    The derivatives are taken in the chart p is given in, so a residual
+    native to that chart converts nothing; a Siegel point is moved to the
+    ball. The convention gives +(2n+1) for the horosphere residual
+    alpha - a with the normal pointing toward growing alpha.
     """
     n = p.n
-    x0 = coords_array(convert(p, BALL))
+    chart = HORO if p.chart == HORO else BALL
+    metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
+    x0 = coords_array(convert(p, chart))
 
     def f(arr):
-        return float(surface(point_from_array(BALL, arr, n)))
+        return float(surface(point_from_array(chart, arr, n)))
 
     grad, hess = _richardson_grad_hess(f, x0, step)
-    g = ball_metric_matrix(x0, n)
-    ginv = np.linalg.inv(g)
+    ginv = np.linalg.inv(metric(x0, n))
     norm2 = float(grad @ ginv @ grad)
     if norm2 < 1e-16:
         raise SingularPointError("degenerate surface gradient")
-    gamma = _christoffel(x0, n)
+    gamma = _christoffel(x0, n, metric)
     hess_cov = hess - np.einsum("cab,c->ab", gamma, grad)
     Nup = ginv @ grad / np.sqrt(norm2)
     proj = ginv - np.outer(Nup, Nup)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hqn.cli import main
 from hqn.errors import StepSizeUnderflow
@@ -139,6 +142,19 @@ def test_usage_error():
      "--coords", "0.9,0.9,0,0,0,0,0,0"],
     ["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
      "--samples", "-1", "--out", "c.csv"],
+    # boundary checks minimal curves only and has no --h flag
+    ["boundary", "--case", "parabolic", "--n", "2", "--m", "1", "--a", "1",
+     "--smax", "100", "--h", "0.5"],
+    ["verify", "--n", "1"],
+    ["verify", "--suite", "charts", "--n", "-1"],
+    ["oracle", "--oracle", "volume", "--n", "1"],
+    ["oracle", "--oracle", "volume", "--points", "0"],
+    ["oracle", "--oracle", "curvature", "--points", "-1"],
+    ["boundary", "--case", "parabolic", "--n", "2", "--m", "1", "--a", "1",
+     "--smax", "100", "--samples", "5"],
+    # flags are not abbreviated: --a is not --a-grid
+    ["family", "--case", "parabolic", "--n", "2", "--m", "1", "--a-grid", "1",
+     "--a", "2", "--out-dir", "d"],
 ])
 def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -149,6 +165,25 @@ def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("hqn: error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(-2, 4), points=st.integers(-3, 3))
+def test_oracle_flags_never_traceback(n, points):
+    # any --n/--points gives a report (exit 0 or 1) or a one-line usage
+    # error (exit 2); an exception escaping main() fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["oracle", "--oracle", "volume", "--n", str(n),
+                         "--points", str(points)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == (n < 2 or points < 1)
+    if code != 2:
+        assert json.loads(out.getvalue())["checks"]
 
 
 def test_integration_error_is_not_usage_error(tmp_path):

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from hqn.charts import BALL, HORO, convert, coords_array, horo_point, lift
+from hqn.charts import (
+    BALL,
+    HORO,
+    convert,
+    coords_array,
+    dist,
+    horo_metric_matrix,
+    horo_point,
+    lift,
+    point_from_array,
+)
 from hqn.cli import main
 from hqn.errors import CertificateFailure, SingularPointError
 from hqn.integrator import generate_family, integrate_profile
@@ -105,6 +115,70 @@ def test_mean_curvature_minimal_loci():
     pf = horo_point((Quaternion(0.3),), 0.7, Quaternion(0, 0.1, -0.05, 0))
     assert fan_at_origin_residual(pf) == 0.0
     assert abs(ambient_mean_curvature(fan_at_origin_residual, pf)) < 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_mean_curvature_geodesic_sphere(n, r):
+    # principal curvatures coth(r/2)/2 (multiplicity 4n-4) and coth r
+    # (multiplicity 3), Berndt, J. reine angew. Math. 419 (1991); the
+    # outward normal gives the negative sign
+    o = point_from_array(BALL, np.zeros(4 * n), n)
+    u = np.random.default_rng(n).normal(size=4 * n)
+    p = point_from_array(BALL, np.tanh(r / 2.0) * u / np.linalg.norm(u), n)
+    want = -((2 * n - 2) / np.tanh(r / 2.0) + 3.0 / np.tanh(r))
+    for q in (p, convert(p, HORO)):
+        got = ambient_mean_curvature(lambda x: dist(x, o) - r, q)
+        assert got == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("surface, p, want", [
+    (canonical_bisector_residual,
+     horo_point((Quaternion(0.15, 0.1, 0.0, 0.0),), 0.8, Quaternion(0, 0.05, 0.02, 0)),
+     0.0),
+    (fan_at_origin_residual,
+     horo_point((Quaternion(0.3),), 0.7, Quaternion(0, 0.1, -0.05, 0)), 0.0),
+    (lambda q: convert(q, HORO).alpha - 1.0,
+     horo_point((Quaternion(0.2, -0.1, 0.3, 0.1),), 1.0, Quaternion(0, 0.1, 0, -0.2)),
+     5.0),
+    (lambda q: convert(q, HORO).alpha - 0.02,
+     horo_point((Quaternion(0.2, 0.1, 0.0, 0.0),), 0.02, Quaternion(0, 0.1, 0, 0)),
+     5.0),
+], ids=["bisector", "fan", "horosphere", "horosphere-small-alpha"])
+def test_mean_curvature_chart_invariant(surface, p, want):
+    # the same surface at the same point, differentiated in either chart
+    in_horo = ambient_mean_curvature(surface, p)
+    in_ball = ambient_mean_curvature(surface, convert(p, BALL))
+    assert in_horo == pytest.approx(in_ball, abs=1e-7)
+    assert in_horo == pytest.approx(want, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_horo_metric_stack(n):
+    rng = np.random.default_rng(n)
+    c = rng.normal(0.0, 0.5, (2, 5, 4 * n))
+    c[..., 4 * n - 4] = rng.uniform(0.1, 2.0, (2, 5))
+    stack = horo_metric_matrix(c, n)
+    assert stack.shape == (2, 5, 4 * n, 4 * n)
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(stack[idx], horo_metric_matrix(c[idx], n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mean_curvature_call_count(n):
+    # f(x) once, then per step the 2d axis points (shared by the gradient
+    # and the Hessian diagonal) and the 2d(d-1) off-diagonal points
+    calls = []
+
+    def res(q):
+        calls.append(q)
+        return convert(q, HORO).alpha - 1.0
+
+    ambient_mean_curvature(res, horo_point((Quaternion(0.2),) * (n - 1), 1.0,
+                                           Quaternion(0, 0.1, 0, 0)))
+    d = 4 * n
+    assert len(calls) == 1 + 2 * (2 * d + 2 * d * (d - 1))    # 257 at n = 2
+    assert all(q.chart == HORO for q in calls)
 
 
 def test_mean_curvature_degenerate_gradient():
