@@ -13,20 +13,22 @@ differences of the conversion maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotInteriorError, ShapeError
 from .quaternion import (
     CONJ,
+    NEGATIVE,
     UNIT,
-    Quaternion,
     components,
     hamilton,
+    herm_definite,
+    norm2,
     qarray_inverse,
-    quaternions,
     right_mult_matrix,
+    signature_class,
 )
 
 BALL = "ball"
@@ -36,66 +38,50 @@ HORO = "horo"
 INTERIOR_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartPoint:
-    """Interior point of H_Q^n tagged by its chart."""
+    """Interior point of H_Q^n in one chart, as read-only (n, 4) rows: one
+    quaternion per row. A horo point's rows are omega_1..omega_{n-1}, then
+    (alpha, beta_1, beta_2, beta_3)."""
 
     chart: str
-    coords: tuple[Quaternion, ...] = ()      # ball / siegel
-    omega: tuple[Quaternion, ...] = ()       # horo
-    alpha: float = 0.0                       # horo
-    beta: Quaternion = field(default_factory=Quaternion)  # horo, purely imaginary
+    rows: np.ndarray
 
     @property
     def n(self) -> int:
-        if self.chart == HORO:
-            return len(self.omega) + 1
-        return len(self.coords)
+        return len(self.rows)
 
+    @property
+    def omega(self) -> np.ndarray:
+        """Horo: the (n-1, 4) rows of omega."""
+        return self.rows[:-1]
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Finite horospherical boundary datum (omega, 0, beta), or infinity."""
+    @property
+    def alpha(self) -> float:
+        """Horo: the height alpha > 0."""
+        return float(self.rows[-1, 0])
 
-    infinity: bool = False
-    omega: tuple[Quaternion, ...] = ()
-    beta: Quaternion = field(default_factory=Quaternion)
-
-
-# ---------------------------------------------------------------------------
-# points as (n, 4) arrays: one quaternion per row; a horo point's last row
-# is (alpha, beta_1, beta_2, beta_3)
-
-
-def _norm2(rows: np.ndarray) -> float:
-    return float(np.vdot(rows, rows))
-
-
-def _rows(p: ChartPoint) -> np.ndarray:
-    if p.chart == HORO:
-        rows = components(p.omega + (p.beta,))
-        rows[-1, 0] = p.alpha
-        return rows
-    return components(p.coords)
+    @property
+    def beta(self) -> np.ndarray:
+        """Horo: the three imaginary components of beta."""
+        return self.rows[-1, 1:]
 
 
 def _point(chart: str, rows: np.ndarray) -> ChartPoint:
-    """Validate interior rows of a chart and wrap them as a ChartPoint."""
+    """Validate interior rows of a chart and freeze them into a ChartPoint."""
     if chart == BALL:
-        if _norm2(rows) >= 1.0 - INTERIOR_MARGIN:
+        if norm2(rows) >= 1.0 - INTERIOR_MARGIN:
             raise NotInteriorError("ball point must satisfy |x| < 1")
     elif chart == SIEGEL:
-        if _norm2(rows[:-1]) - 2.0 * rows[-1, 0] >= -INTERIOR_MARGIN:
+        if norm2(rows[:-1]) - 2.0 * rows[-1, 0] >= -INTERIOR_MARGIN:
             raise NotInteriorError("siegel point must satisfy |zeta'|^2 < 2 Re(zeta_n)")
     elif chart == HORO:
-        alpha, b1, b2, b3 = rows[-1].tolist()
-        if alpha <= INTERIOR_MARGIN:
+        if rows[-1, 0] <= INTERIOR_MARGIN:
             raise NotInteriorError("horospherical point must have alpha > 0")
-        return ChartPoint(HORO, omega=quaternions(rows[:-1]), alpha=alpha,
-                          beta=Quaternion(0.0, b1, b2, b3))
     else:
         raise ShapeError(f"unknown chart {chart!r}")
-    return ChartPoint(chart, coords=quaternions(rows))
+    rows.flags.writeable = False
+    return ChartPoint(chart, rows)
 
 
 def ball_point(coords) -> ChartPoint:
@@ -107,11 +93,12 @@ def siegel_point(coords) -> ChartPoint:
 
 
 def horo_point(omega, alpha: float, beta) -> ChartPoint:
-    beta = beta if isinstance(beta, Quaternion) else Quaternion(float(beta))
-    if abs(beta.re()) > INTERIOR_MARGIN:
+    """(omega, alpha, beta) from quaternions and reals; beta purely imaginary."""
+    rows = components(tuple(omega) + (beta,))
+    if abs(rows[-1, 0]) > INTERIOR_MARGIN:
         raise NotInteriorError("beta must be purely imaginary")
-    return _point(HORO, components(tuple(omega) + (
-        Quaternion(float(alpha), beta.q1, beta.q2, beta.q3),)))
+    rows[-1, 0] = float(alpha)
+    return _point(HORO, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +127,7 @@ def _horo_from_siegel(z: np.ndarray) -> np.ndarray:
     """omega = zeta', alpha = 2 Re(zeta_n) - |zeta'|^2, beta = 2 Im(zeta_n)."""
     h = z.copy()
     h[-1] = 2.0 * z[-1]
-    h[-1, 0] -= _norm2(z[:-1])
+    h[-1, 0] -= norm2(z[:-1])
     return h
 
 
@@ -148,7 +135,7 @@ def _siegel_from_horo(h: np.ndarray) -> np.ndarray:
     """zeta' = omega, zeta_n = (alpha + |omega|^2 + beta) / 2."""
     z = h.copy()
     z[-1] = 0.5 * h[-1]
-    z[-1, 0] = 0.5 * (h[-1, 0] + _norm2(h[:-1]))
+    z[-1, 0] = 0.5 * (h[-1, 0] + norm2(h[:-1]))
     return z
 
 
@@ -165,13 +152,13 @@ def _convert_rows(rows: np.ndarray, src: str, dst: str) -> np.ndarray:
 
 
 def _ball_rows(p: ChartPoint) -> np.ndarray:
-    return _convert_rows(_rows(p), p.chart, BALL)
+    return _convert_rows(p.rows, p.chart, BALL)
 
 
 def _map(p: ChartPoint, src: str, dst: str, name: str) -> ChartPoint:
     if p.chart != src:
         raise ShapeError(f"{name} expects a {src}-chart point")
-    return _point(dst, _convert_rows(_rows(p), src, dst))
+    return _point(dst, _convert_rows(p.rows, src, dst))
 
 
 def cayley(p: ChartPoint) -> ChartPoint:
@@ -213,9 +200,7 @@ def lift(p: ChartPoint) -> np.ndarray:
 def ball_from_lift(X: np.ndarray) -> ChartPoint:
     """Re-project a negative Lorentz vector of (n+1, 4) rows, x_l = X_l X_{n+1}^{-1}."""
     X = np.asarray(X, dtype=float)
-    head, last = _norm2(X[:-1]), _norm2(X[-1])
-    # the negativity test of quaternion.signature_class
-    if not head - last < -1e-10 * (1.0 + head + last):
+    if signature_class(X) != NEGATIVE:
         raise NotInteriorError("lift is not a negative vector")
     return _point(BALL, hamilton(X[:-1], qarray_inverse(X[-1])))
 
@@ -225,14 +210,14 @@ def ball_from_lift(X: np.ndarray) -> ChartPoint:
 
 
 def coords_array(p: ChartPoint) -> np.ndarray:
-    return _rows(p).ravel()
+    return p.rows.ravel()
 
 
 def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (4 * n,):
         raise ShapeError(f"expected {4 * n} reals, got shape {arr.shape}")
-    return _point(chart, arr.reshape(n, 4))
+    return _point(chart, arr.reshape(n, 4).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +227,8 @@ def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
 def dist(p: ChartPoint, q: ChartPoint) -> float:
     """d = 2 arccosh(|1 - (x,y)| / sqrt((1-|x|^2)(1-|y|^2))), ball chart."""
     x, y = _ball_rows(p), _ball_rows(q)
-    xy = np.sum(hamilton(x * CONJ, y), axis=0)    # (x, y) = sum conj(x_l) y_l
-    num = float(np.sqrt(_norm2(UNIT - xy)))
-    den = np.sqrt((1.0 - _norm2(x)) * (1.0 - _norm2(y)))
+    num = float(np.sqrt(norm2(UNIT - herm_definite(x, y))))
+    den = np.sqrt((1.0 - norm2(x)) * (1.0 - norm2(y)))
     return 2.0 * float(np.arccosh(max(num / den, 1.0)))
 
 

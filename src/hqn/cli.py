@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -44,7 +45,6 @@ from .isometries import (
 )
 from .loci import canonical_bisector_residual, fan_at_origin_residual
 from .oracles import ambient_mean_curvature, killing_ratio_spread
-from .quaternion import Quaternion
 from .reduction import (
     ALL_KINDS,
     LOXODROMIC,
@@ -135,15 +135,14 @@ def _suite_isometries(n: int):
     worst_defect = 0.0
     worst_closed = 0.0
     for _ in range(50):
-        xi = tuple(Quaternion(*rng.normal(0, 0.4, 4)) for _ in range(n - 1))
-        nu = Quaternion(0, *rng.normal(0, 0.4, 3))
+        xi = rng.normal(0, 0.4, (n - 1, 4))
+        nu = np.concatenate([[0.0], rng.normal(0, 0.4, 3)])
         t = float(rng.normal(0, 0.5))
         B = random_sp(n - 1, rng)
         lam = random_unit_quaternion(rng)
         big = qmat_identity(n + 1)
         big[:n - 1, :n - 1] = B
-        big[n - 1, n - 1] = lam.as_array()
-        big[n, n] = lam.as_array()
+        big[n - 1, n - 1] = big[n, n] = lam
         gens = [("heisenberg", heisenberg_matrix(n, xi, nu),
                  dict(xi=xi, nu=nu)),
                 ("transvection", transvection_matrix(n, t), dict(t=t)),
@@ -234,22 +233,21 @@ def _cmd_oracle(args) -> int:
                 f"killing ratio spread {case.kind} m={case.m}",
                 killing_ratio_spread(case, n_points=args.points), 1e-5))
     if args.oracle in ("curvature", "all"):
-        from .charts import horo_point
         rng = np.random.default_rng(404)
         worst_b = worst_f = worst_h = 0.0
         for _ in range(args.points):
-            om = Quaternion(*rng.normal(0, 0.25, 4))
+            om = rng.normal(0, 0.25, 4)
             be = rng.normal(0, 0.2, 3)
             al = float(rng.uniform(0.4, 1.5))
-            pb = horo_point((Quaternion(om.q0, om.q1, om.q2, 0.0),), al,
-                            Quaternion(0, be[0], be[1], 0.0))
+            # horo rows (omega, (alpha, beta)) of one n = 2 point per surface
+            pb = point_from_array(HORO, np.array([*om[:3], 0.0, al, *be[:2], 0.0]), 2)
             worst_b = max(worst_b, abs(ambient_mean_curvature(
                 canonical_bisector_residual, pb)))
-            pf = horo_point((Quaternion(om.q0),), al,
-                            Quaternion(0, be[0], be[1], 0.0))
+            pf = point_from_array(HORO, np.array([om[0], 0.0, 0.0, 0.0,
+                                                  al, *be[:2], 0.0]), 2)
             worst_f = max(worst_f, abs(ambient_mean_curvature(
                 fan_at_origin_residual, pf)))
-            ph = horo_point((om,), 1.0, Quaternion(0, *be))
+            ph = point_from_array(HORO, np.array([*om, 1.0, *be]), 2)
             worst_h = max(worst_h, abs(ambient_mean_curvature(
                 lambda q: convert(q, HORO).alpha - 1.0, ph) - 5.0))
         checks.append(_check("bisector mean curvature", worst_b, 1e-3))
@@ -308,7 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def verb(name):
         # flags are spelled in full: "--h" is not "--help", "--a" not "--a-grid"
-        return sub.add_parser(name, allow_abbrev=False)
+        p = sub.add_parser(name, allow_abbrev=False)
+        # any "-<digit>" or "-.<digit>" word is a value, so "--a -3.5e-05"
+        # parses; Python 3.11's argparse takes only "-3" and "-.5" forms
+        p._negative_number_matcher = re.compile(r"-\.?\d")
+        return p
 
     def add_case_flags(p):
         p.add_argument("--case", required=True, choices=sorted(ALL_KINDS))
@@ -382,7 +384,7 @@ def _check_flags(args) -> None:
             args.a_grid = _floats("--a-grid", args.a_grid)
         for a in (args.a_grid if args.command == "family" else [args.a]):
             check_start(args.case, a, s_max=args.smax, tol=args.tol, **curve)
-    if args.command in ("verify", "oracle") and args.n < 2:
+    if args.command in ("verify", "oracle", "integral") and args.n < 2:
         raise DomainError(f"--n must be at least 2, got {args.n}")
     if args.command == "oracle" and args.points < 1:
         raise DomainError(f"--points must be at least 1, got {args.points}")

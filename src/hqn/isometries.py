@@ -13,20 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartPoint, ball_from_lift, convert, horo_point, lift
+from .charts import HORO, ChartPoint, ball_from_lift, convert, lift, point_from_array
 from .errors import NotPolarError, NotSymplecticError, ShapeError
 from .quaternion import (
     CONJ,
-    LORENTZ,
+    IMAG,
+    POSITIVE,
     UNIT,
-    Quaternion,
-    QVector,
-    components,
     hamilton,
+    herm_definite,
     herm_lorentz,
     left_mult_matrix,
-    quaternions,
-    qvector,
+    norm2,
+    qarray_inverse,
     signature_class,
 )
 
@@ -127,44 +126,27 @@ class Isometry:
         return Isometry(qmat_mul(qmat_mul(J, qmat_conj_T(self.A)), J))
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """Heisenberg group element (xi, nu), xi in Q^{n-1}, nu purely imaginary."""
-
-    xi: tuple[Quaternion, ...]
-    nu: Quaternion
-
-    def __post_init__(self):
-        if self.nu.re() != 0.0:
-            raise ValueError("nu must be purely imaginary")
-
-    def inverse(self) -> "HeisenbergElement":
-        return HeisenbergElement(tuple(-x for x in self.xi), -self.nu)
+def _heisenberg_pair(n: int, xi, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Heisenberg element (xi, nu): (n-1, 4) rows and a purely imaginary (4,) row."""
+    xi, nu = np.asarray(xi, dtype=float), np.asarray(nu, dtype=float)
+    if xi.shape != (n - 1, 4) or nu.shape != (4,):
+        raise ShapeError(f"xi must be {n - 1} rows and nu one row of 4")
+    if nu[0] != 0.0:
+        raise NotSymplecticError("nu must be purely imaginary")
+    return xi, nu
 
 
-def heis_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
-    """(xi1, nu1)(xi2, nu2) = (xi1 + xi2, nu1 + nu2 + 2 Im(xi1* xi2))."""
-    if len(a.xi) != len(b.xi):
-        raise ShapeError("Heisenberg elements of different rank")
-    cross = Quaternion()
-    for x1, x2 in zip(a.xi, b.xi):
-        cross = cross + x1.conj() * x2
-    return HeisenbergElement(tuple(x1 + x2 for x1, x2 in zip(a.xi, b.xi)),
-                             a.nu + b.nu + 2.0 * cross.im())
+def heis_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(xi1, nu1)(xi2, nu2) = (xi1 + xi2, nu1 + nu2 + 2 Im(xi1, xi2)) on
+    (xi, nu) pairs of (n-1, 4) and (4,) rows."""
+    (xi1, nu1), (xi2, nu2) = a, b
+    return xi1 + xi2, nu1 + nu2 + 2.0 * herm_definite(xi1, xi2) * IMAG
 
 
 def heisenberg_matrix(n: int, xi, nu) -> Isometry:
-    """Heisenberg translation h(xi, nu) as an Sp(n,1) matrix.
-
-    xi is a sequence of Quaternions/reals or an (n-1, 4) array; nu a
-    Quaternion, real or (4,) array.
-    """
-    xi = xi if isinstance(xi, np.ndarray) else components(xi)
-    nu = nu if isinstance(nu, np.ndarray) else components([nu])[0]
-    if len(xi) != n - 1:
-        raise ShapeError(f"xi must have length {n - 1}")
-    if abs(nu[0]) > 0.0:
-        raise NotSymplecticError("nu must be purely imaginary")
+    """Heisenberg translation h(xi, nu) as an Sp(n,1) matrix, for xi of
+    (n-1, 4) rows and nu a purely imaginary (4,) row."""
+    xi, nu = _heisenberg_pair(n, xi, nu)
     half = 0.5 * nu
     half[0] += 0.5 * float(np.sum(xi * xi))
     A = qmat_identity(n + 1)
@@ -189,17 +171,17 @@ def transvection_matrix(n: int, t: float) -> Isometry:
     return Isometry(A)
 
 
-def rotation_matrix(n: int, B: np.ndarray, lam: Quaternion) -> Isometry:
-    """diag(B, lam) with B in Sp(n), lam a unit quaternion."""
+def rotation_matrix(n: int, B: np.ndarray, lam: np.ndarray) -> Isometry:
+    """diag(B, lam) with B in Sp(n), lam a unit quaternion (4,) row."""
     if B.shape[:2] != (n, n):
         raise ShapeError(f"rotation block must be {n}x{n}")
     if float(np.max(np.abs(qmat_mul(qmat_conj_T(B), B) - qmat_identity(n)))) > 1e-12:
         raise NotSymplecticError("rotation block is not in Sp(n)")
-    if abs(abs(lam) - 1.0) > 1e-12:
+    if abs(float(np.linalg.norm(lam)) - 1.0) > 1e-12:
         raise NotSymplecticError("lambda must be a unit quaternion")
     A = qmat_identity(n + 1)
     A[:n, :n] = B
-    A[n, n] = lam.as_array()
+    A[n, n] = lam
     return Isometry(A)
 
 
@@ -209,38 +191,33 @@ def act(g: Isometry, p: ChartPoint) -> ChartPoint:
 
 
 def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
-    """Closed-form horospherical action of the three Iwasawa subgroup kinds.
+    """Closed-form horospherical action of the three Iwasawa subgroup kinds,
+    with parameters given as rows.
 
-    heisenberg: (xi+omega, alpha, nu+beta+2Im(xi* omega))
+    heisenberg: (xi+omega, alpha, nu+beta+2Im(xi, omega))
     transvection: (e^t omega, e^{2t} alpha, e^{2t} beta)
     rotation (B in Sp(n-1), lam in Sp(1)): (B omega lam^{-1}, alpha, lam beta lam^{-1})
     """
-    q = convert(p, "horo")
+    q = convert(p, HORO)
+    rows = q.rows.copy()
     if kind == "heisenberg":
-        xi = tuple(x if isinstance(x, Quaternion) else Quaternion(float(x))
-                   for x in params["xi"])
-        nu = params["nu"]
-        nu = nu if isinstance(nu, Quaternion) else Quaternion(float(nu))
-        if len(xi) != q.n - 1:
-            raise ShapeError("xi length mismatch")
-        cross = Quaternion()
-        for x, w in zip(xi, q.omega):
-            cross = cross + x.conj() * w
-        return horo_point(tuple(x + w for x, w in zip(xi, q.omega)),
-                          q.alpha, nu + q.beta + 2.0 * cross.im())
-    if kind == "transvection":
-        t = float(params["t"])
-        e = float(np.exp(t))
-        return horo_point(tuple(w * e for w in q.omega),
-                          e * e * q.alpha, (e * e) * q.beta)
-    if kind == "rotation":
-        B, lam = params["B"], params["lam"]
+        xi, nu = _heisenberg_pair(q.n, params["xi"], params["nu"])
+        rows[:-1] += xi
+        rows[-1] = nu + rows[-1] + 2.0 * herm_definite(xi, q.omega) * IMAG
+    elif kind == "transvection":
+        e = float(np.exp(float(params["t"])))
+        rows[:-1] *= e
+        rows[-1] *= e * e
+    elif kind == "rotation":
+        B, lam = params["B"], np.asarray(params["lam"], dtype=float)
         if B.shape[:2] != (q.n - 1, q.n - 1):
             raise ShapeError("rotation block must act on Q^{n-1}")
-        lam_inv = lam.inverse()
-        w = hamilton(qmat_vec(B, components(q.omega)), lam_inv.as_array())
-        return horo_point(quaternions(w), q.alpha, lam * q.beta * lam_inv)
-    raise ValueError(f"unknown closed-form kind {kind!r}")
+        lam_inv = qarray_inverse(lam)
+        rows[:-1] = hamilton(qmat_vec(B, q.omega), lam_inv)
+        rows[-1, 1:] = hamilton(hamilton(lam, q.rows[-1] * IMAG), lam_inv)[1:]
+    else:
+        raise ValueError(f"unknown closed-form kind {kind!r}")
+    return point_from_array(HORO, rows.ravel(), q.n)
 
 
 # ---------------------------------------------------------------------------
@@ -249,33 +226,30 @@ def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
 
 def inversion_horo(p: ChartPoint) -> ChartPoint:
     """The involutive inversion fixing {|omega|^2 + alpha = 1, beta = 0}."""
-    q = convert(p, "horo")
-    w2 = sum(w.norm2() for w in q.omega)
-    denom = Quaternion(q.alpha + w2) + q.beta
-    d2 = denom.norm2()
-    inv = denom.inverse()
-    return convert(horo_point(tuple(w * inv for w in q.omega),
-                              q.alpha / d2, (-1.0 / d2) * q.beta), p.chart)
+    q = convert(p, HORO)
+    denom = q.rows[-1].copy()              # alpha + |omega|^2 + beta
+    denom[0] += norm2(q.omega)
+    rows = np.vstack([hamilton(q.omega, qarray_inverse(denom)),
+                      q.rows[-1] * CONJ / norm2(denom)])
+    return convert(point_from_array(HORO, rows.ravel(), q.n), p.chart)
 
 
-def inversion_at_hyperplane(lam: QVector, X: QVector) -> QVector:
-    """X -> X - 2 lam <lam, X> / <lam, lam> for a positive vector lam."""
-    if signature_class(lam) != "positive":
+def inversion_at_hyperplane(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X -> X - 2 lam <lam, X> / <lam, lam> on (n+1, 4) rows, for a positive
+    vector lam."""
+    if signature_class(lam) != POSITIVE:
         raise NotPolarError("hyperplane vector must be positive")
-    if lam.form != LORENTZ or X.form != LORENTZ or len(lam) != len(X):
-        raise ShapeError("inversion needs lorentz vectors of equal length")
-    factor = (2.0 / herm_lorentz(lam, lam).re()) * herm_lorentz(lam, X)
-    return qvector(tuple(x - l * factor for l, x in zip(lam.entries, X.entries)),
-                   LORENTZ)
+    factor = (2.0 / herm_lorentz(lam, lam)[0]) * herm_lorentz(lam, X)
+    return X - hamilton(lam, factor)
 
 
 # ---------------------------------------------------------------------------
 # test/oracle helpers
 
 
-def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
+def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(4)
-    return Quaternion.from_array(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def random_skew_hermitian(m: int, rng: np.random.Generator,
@@ -287,7 +261,7 @@ def random_skew_hermitian(m: int, rng: np.random.Generator,
         for c in range(r + 1, m):
             q = scale * rng.standard_normal(4)
             S[r, c] = q
-            S[c, r] = -q * np.array([1.0, -1.0, -1.0, -1.0])
+            S[c, r] = -q * CONJ
     return S
 
 
@@ -305,8 +279,6 @@ def random_sp(n: int, rng: np.random.Generator) -> np.ndarray:
     for c in range(n):
         v = rng.standard_normal((n, 4))
         for u in A[:, :c].transpose(1, 0, 2):
-            # subtract u * (u, v)
-            proj = np.sum(hamilton(u * CONJ, v), axis=0)
-            v = v - hamilton(u, proj)
+            v = v - hamilton(u, herm_definite(u, v))      # subtract u (u, v)
         A[:, c] = v * (1.0 / float(np.sqrt(np.sum(v * v))))
     return A

@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import HORO, BoundaryPoint, ChartPoint, convert, dist, horo_point
+from .charts import HORO, ChartPoint, convert, dist, point_from_array
 from .errors import DegenerateLocusError, ShapeError
-from .quaternion import Quaternion
+from .quaternion import norm2
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,16 @@ def bisector_residual(p: ChartPoint, p1: ChartPoint, p2: ChartPoint) -> float:
 
 def canonical_bisector_residual(p: ChartPoint) -> float:
     """Re(k beta) in horospherical coordinates, i.e. -beta_3."""
-    q = convert(p, HORO)
-    return -q.beta.q3
+    return -float(convert(p, HORO).beta[2])
 
 
 def spine_projection(p: ChartPoint) -> ChartPoint:
     """Orthogonal projection to the spine: (omega, alpha, beta) -> (0, alpha + |omega|^2, beta)."""
     q = convert(p, HORO)
-    w2 = sum(w.norm2() for w in q.omega)
-    return horo_point((Quaternion(),) * (q.n - 1), q.alpha + w2, q.beta)
-
-
-def _omega_reals(q: ChartPoint) -> np.ndarray:
-    return np.concatenate([w.as_array() for w in q.omega])
+    rows = np.zeros_like(q.rows)
+    rows[-1] = q.rows[-1]
+    rows[-1, 0] += norm2(q.omega)
+    return point_from_array(HORO, rows.ravel(), q.n)
 
 
 def fan_residual(p: ChartPoint, spec: LocusSpec) -> float:
@@ -80,7 +77,7 @@ def fan_residual(p: ChartPoint, spec: LocusSpec) -> float:
     if spec.kind != "fan":
         raise ShapeError("fan_residual expects a fan spec")
     normal = np.asarray(spec.normal, dtype=float)
-    w = _omega_reals(q)
+    w = q.omega.ravel()
     if normal.shape != w.shape:
         raise ShapeError("fan normal does not match Q^{n-1}")
     return float(normal @ w) - spec.offset
@@ -101,31 +98,22 @@ def fan_normal(n: int, component: int, last_slot: bool = True) -> np.ndarray:
 def bisector_family_residual(p: ChartPoint, t: float) -> float:
     """Re(k (beta - 2 t omega_{n-1})); t = 0 is the canonical bisector."""
     q = convert(p, HORO)
-    return -q.beta.q3 + 2.0 * t * q.omega[-1].q3
+    return float(-q.beta[2] + 2.0 * t * q.omega[-1, 3])
 
 
-def fan_at_origin_residual(p) -> float:
+def fan_at_origin_residual(p: ChartPoint) -> float:
     """Residual of the fan with vertex at the Heisenberg origin.
 
     omega_{n-1,3} (alpha + sum |omega_l|^2) + omega_{n-1,2} beta_1
     - omega_{n-1,1} beta_2 - omega_{n-1,0} beta_3.
-
-    Accepts interior points or finite boundary points (alpha = 0).
     """
-    if isinstance(p, BoundaryPoint):
-        if p.infinity:
-            raise ShapeError("fan_at_origin_residual needs a finite point")
-        omega, alpha, beta = p.omega, 0.0, p.beta
-    else:
-        q = convert(p, HORO)
-        omega, alpha, beta = q.omega, q.alpha, q.beta
-    w = omega[-1]
-    w2 = sum(wl.norm2() for wl in omega)
-    return (w.q3 * (alpha + w2)
-            + w.q2 * beta.q1 - w.q1 * beta.q2 - w.q0 * beta.q3)
+    q = convert(p, HORO)
+    w0, w1, w2, w3 = q.omega[-1].tolist()
+    b1, b2, b3 = q.beta.tolist()
+    return w3 * (q.alpha + norm2(q.omega)) + w2 * b1 - w1 * b2 - w0 * b3
 
 
-def locus_residual(p, spec: LocusSpec) -> float:
+def locus_residual(p: ChartPoint, spec: LocusSpec) -> float:
     if spec.kind == "bisector":
         return bisector_residual(p, spec.p1, spec.p2)
     if spec.kind == "canonical-bisector":

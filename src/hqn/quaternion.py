@@ -1,9 +1,10 @@
 """Quaternion arithmetic and the two Hermitian forms.
 
-Arithmetic on points and matrices runs on float arrays of shape (..., 4)
-(components q0..q3 on the last axis) through one Hamilton product table.
-``Quaternion`` is the scalar type at API edges; its own product is the
-scalar formula that the array core is tested against.
+Every quaternion value is a float array of shape (..., 4), components
+q0..q3 on the last axis: a vector over the quaternions is (k, 4) rows, and
+all products go through one Hamilton product table. ``Quaternion`` is the
+scalar reference the array core is tested against, and an accepted input
+where points are built (see ``components``).
 
 Scalars multiply vectors on the right throughout (right-module convention).
 All components are 64-bit floats.
@@ -12,7 +13,7 @@ All components are 64-bit floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -121,22 +122,19 @@ _T[_IDX, np.arange(4)[:, None], np.arange(4)] = _LSIGN
 _LEFT = _T.reshape(4, 16)
 _RIGHT = _T.transpose(2, 1, 0).reshape(4, 16)
 CONJ = np.array([1.0, -1.0, -1.0, -1.0])   # multiply components to conjugate
+IMAG = np.array([0.0, 1.0, 1.0, 1.0])    # multiply components to take Im(q)
 UNIT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _as_array(q) -> np.ndarray:
-    return q.as_array() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)
-
-
 def left_mult_matrix(q) -> np.ndarray:
-    """(..., 4, 4) real matrices of x -> q*x, for q a Quaternion or (..., 4)."""
-    q = _as_array(q)
+    """(..., 4, 4) real matrices of x -> q*x, for q of shape (..., 4)."""
+    q = np.asarray(q, dtype=float)
     return (q @ _LEFT).reshape(q.shape[:-1] + (4, 4))
 
 
 def right_mult_matrix(q) -> np.ndarray:
-    """(..., 4, 4) real matrices of x -> x*q, for q a Quaternion or (..., 4)."""
-    q = _as_array(q)
+    """(..., 4, 4) real matrices of x -> x*q, for q of shape (..., 4)."""
+    q = np.asarray(q, dtype=float)
     return (q @ _RIGHT).reshape(q.shape[:-1] + (4, 4))
 
 
@@ -159,69 +157,31 @@ def components(entries) -> np.ndarray:
                     dtype=float).reshape(-1, 4)
 
 
-def quaternions(rows: np.ndarray) -> tuple[Quaternion, ...]:
-    """The rows of a (k, 4) component array as Quaternions."""
-    return tuple(Quaternion(*row) for row in rows.tolist())
+def norm2(rows: np.ndarray) -> float:
+    """Sum of the squared components of any array of quaternions."""
+    return float(np.vdot(rows, rows))
 
 
-DEFINITE = "definite"
-LORENTZ = "lorentz"
-
-
-@dataclass(frozen=True)
-class QVector:
-    """Column vector over the quaternions, tagged with a form kind.
-
-    ``lorentz`` vectors live in Q^{n+1} and carry the indefinite form with
-    one negative (last) slot; ``definite`` vectors live in Q^n.
-    """
-
-    entries: tuple[Quaternion, ...]
-    form: str = DEFINITE
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(_coerce(e) for e in self.entries))
-        if self.form not in (DEFINITE, LORENTZ):
-            raise ValueError(f"unknown form kind {self.form!r}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-    def scale_right(self, lam: Quaternion) -> "QVector":
-        lam = _coerce(lam)
-        return QVector(tuple(e * lam for e in self.entries), self.form)
-
-    def norm2(self) -> float:
-        return sum(e.norm2() for e in self.entries)
-
-
-def qvector(entries: Sequence, form: str = DEFINITE) -> QVector:
-    return QVector(tuple(_coerce(e) for e in entries), form)
-
-
-def _herm(X: QVector, Y: QVector, form: str) -> Quaternion:
-    """sum conj(X_l) Y_l, with the last term negated for the lorentz form."""
-    if X.form != form or Y.form != form:
-        raise ShapeError(f"herm_{form} needs two {form} vectors")
-    if len(X) != len(Y):
+def _herm_terms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The terms conj(X_l) Y_l of two (k, 4) row vectors, as (k, 4) rows."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if X.shape != Y.shape:
         raise ShapeError(f"length mismatch: {len(X)} vs {len(Y)}")
-    terms = hamilton(components(X.entries) * CONJ, components(Y.entries))
-    if form == LORENTZ:
-        terms[-1] *= -1.0
-    return Quaternion(*terms.sum(axis=0).tolist())
+    return hamilton(X * CONJ, Y)
 
 
-def herm_lorentz(X: QVector, Y: QVector) -> Quaternion:
-    """Indefinite Hermitian form: sum conj(X_l) Y_l over l <= n, minus the last."""
-    return _herm(X, Y, LORENTZ)
+def herm_lorentz(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Indefinite Hermitian form of Q^{n,1} on (n+1, 4) rows, as a (4,) row:
+    sum conj(X_l) Y_l over l <= n, minus the last term."""
+    terms = _herm_terms(X, Y)
+    terms[-1] *= -1.0
+    return terms.sum(axis=0)
 
 
-def herm_definite(x: QVector, y: QVector) -> Quaternion:
-    """Definite Hermitian form (x, y) = sum conj(x_l) y_l."""
-    return _herm(x, y, DEFINITE)
+def herm_definite(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Definite Hermitian form (x, y) = sum conj(x_l) y_l on (k, 4) rows,
+    as a (4,) row."""
+    return _herm_terms(x, y).sum(axis=0)
 
 
 POSITIVE = "positive"
@@ -229,10 +189,10 @@ NULL = "null"
 NEGATIVE = "negative"
 
 
-def signature_class(X: QVector, eps_scale: float = 1e-10) -> str:
-    """Sign of <X,X> under a tolerance relative to the vector's size."""
-    val = herm_lorentz(X, X).re()
-    eps = eps_scale * (1.0 + X.norm2())
+def signature_class(X: np.ndarray, eps_scale: float = 1e-10) -> str:
+    """Sign of <X,X> for (n+1, 4) rows, under a tolerance relative to X's size."""
+    val = float(herm_lorentz(X, X)[0])
+    eps = eps_scale * (1.0 + norm2(X))
     if val > eps:
         return POSITIVE
     if val < -eps:

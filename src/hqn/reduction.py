@@ -25,7 +25,7 @@ from .isometries import (
     rotation_matrix,
     transvection_matrix,
 )
-from .quaternion import Quaternion
+from .quaternion import UNIT, norm2
 from .errors import (
     DomainError,
     NoSingularStratumError,
@@ -116,29 +116,26 @@ def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple[float, float]:
     if case.kind in PARABOLIC_KINDS:
         q = convert(p, HORO)
         if case.kind == PARABOLIC:
-            rho = np.sqrt(sum(q.omega[l].norm2() for l in range(n - m)))
+            rho = np.sqrt(norm2(q.omega[:n - m]))
         else:
-            rho = q.omega[-1].q0
+            rho = q.omega[-1, 0]
         return q.alpha, float(rho)
-    x = convert(p, BALL).coords
+    x = convert(p, BALL).rows
+    sq = np.sum(x * x, axis=1)            # |x_l|^2
     if case.kind == ELLIPTIC:
-        u = np.sqrt(sum(x[l].norm2() for l in range(m)))
-        v = np.sqrt(sum(x[l].norm2() for l in range(m, n)))
-        return float(u), float(v)
+        return float(np.sqrt(np.sum(sq[:m]))), float(np.sqrt(np.sum(sq[m:])))
     if case.kind == LOXODROMIC:
-        tail = sum(x[l].norm2() for l in range(n - m + 1, n))
-        den = np.sqrt(1.0 - tail)
-        u = abs(x[n - m]) / den
-        v = np.sqrt(sum(x[l].norm2() for l in range(n - m))) / den
+        den = np.sqrt(1.0 - np.sum(sq[n - m + 1:]))
+        u = np.sqrt(sq[n - m]) / den
+        v = np.sqrt(np.sum(sq[:n - m])) / den
         return float(u), float(v)
     # special loxodromic
-    xn = x[-1]
-    disc = ((1.0 - 2.0 * xn.q0 + xn.norm2()) * (1.0 + 2.0 * xn.q0 + xn.norm2())
-            - 4.0 * xn.q1 ** 2 - 4.0 * xn.q2 ** 2)
-    den = 1.0 - xn.norm2() + np.sqrt(max(disc, 0.0))
-    u = 2.0 * xn.q3 / den
-    prime = np.sqrt(sum(x[l].norm2() for l in range(n - 1)))
-    v = np.sqrt(2.0) * prime / np.sqrt(den)
+    (x0, x1, x2, x3), r2 = x[-1], sq[-1]
+    disc = ((1.0 - 2.0 * x0 + r2) * (1.0 + 2.0 * x0 + r2)
+            - 4.0 * x1 ** 2 - 4.0 * x2 ** 2)
+    den = 1.0 - r2 + np.sqrt(max(disc, 0.0))
+    u = 2.0 * x3 / den
+    v = np.sqrt(2.0) * np.sqrt(np.sum(sq[:n - 1])) / np.sqrt(den)
     return float(u), float(v)
 
 
@@ -400,7 +397,7 @@ def random_symmetry(case: ReducedCase, rng: np.random.Generator) -> Isometry:
         big = qmat_identity(n)
         big[:m, :m] = random_sp(m, rng)
         big[m:, m:] = random_sp(n - m, rng)
-        return rotation_matrix(n, big, Quaternion(1.0))
+        return rotation_matrix(n, big, UNIT)
     if case.kind == LOXODROMIC:
         A = np.zeros((n + 1, n + 1, 4))
         A[:n - m, :n - m] = random_sp(n - m, rng)
@@ -408,24 +405,24 @@ def random_symmetry(case: ReducedCase, rng: np.random.Generator) -> Isometry:
         A[n - m + 1:, n - m + 1:] = random_lorentz_sp(m, rng)
         return Isometry(A)
     if case.kind == SPECIAL_LOXODROMIC:
-        nu = Quaternion(0.0, rng.standard_normal(), rng.standard_normal(), 0.0)
-        g = heisenberg_matrix(n, (Quaternion(),) * (n - 1), nu)
+        nu = np.array([0.0, rng.standard_normal(), rng.standard_normal(), 0.0])
+        g = heisenberg_matrix(n, np.zeros((n - 1, 4)), nu)
         g = g.compose(transvection_matrix(n, float(rng.uniform(-1, 1))))
         big = qmat_identity(n)
         big[:n - 1, :n - 1] = random_sp(n - 1, rng)
-        return g.compose(rotation_matrix(n, big, Quaternion(1.0)))
+        return g.compose(rotation_matrix(n, big, UNIT))
+    xi, nu = np.zeros((n - 1, 4)), np.zeros(4)
     if case.kind == PARABOLIC:
-        xi = [Quaternion()] * (n - m) + [
-            Quaternion.from_array(rng.standard_normal(4)) for _ in range(m - 1)]
-        nu = Quaternion(0.0, *rng.standard_normal(3))
+        xi[n - m:] = rng.standard_normal((m - 1, 4))
+        nu[1:] = rng.standard_normal(3)
         g = heisenberg_matrix(n, xi, nu)
         big = qmat_identity(n)
         big[:n - m, :n - m] = random_sp(n - m, rng)
-        return g.compose(rotation_matrix(n, big, Quaternion(1.0)))
+        return g.compose(rotation_matrix(n, big, UNIT))
     # special parabolic: Heisenberg translations with Re(xi_{n-1}) = 0
-    xi = [Quaternion.from_array(rng.standard_normal(4)) for _ in range(n - 2)]
-    xi.append(Quaternion(0.0, *rng.standard_normal(3)))
-    nu = Quaternion(0.0, *rng.standard_normal(3))
+    xi[:n - 2] = rng.standard_normal((n - 2, 4))
+    xi[-1, 1:] = rng.standard_normal(3)
+    nu[1:] = rng.standard_normal(3)
     return heisenberg_matrix(n, xi, nu)
 
 

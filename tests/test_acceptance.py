@@ -89,15 +89,14 @@ def test_criterion_1_group_and_charts():
     worst_defect = worst_closed = worst_rt = 0.0
     for n in (2, 3):
         for _ in range(50):
-            xi = tuple(Quaternion(*rng.normal(0, 0.4, 4)) for _ in range(n - 1))
-            nu = Quaternion(0, *rng.normal(0, 0.4, 3))
+            xi = rng.normal(0, 0.4, (n - 1, 4))
+            nu = np.array([0.0, *rng.normal(0, 0.4, 3)])
             t = float(rng.normal(0, 0.5))
             B = random_sp(n - 1, rng)
             lam = random_unit_quaternion(rng)
             big = qmat_identity(n + 1)
             big[:n - 1, :n - 1] = B
-            big[n - 1, n - 1] = lam.as_array()
-            big[n, n] = lam.as_array()
+            big[n - 1, n - 1] = big[n, n] = lam
             trio = [("heisenberg", heisenberg_matrix(n, xi, nu),
                      dict(xi=xi, nu=nu)),
                     ("transvection", transvection_matrix(n, t), dict(t=t)),

@@ -28,6 +28,11 @@ from hqn.errors import NotInteriorError, ShapeError
 from hqn.quaternion import QJ, QK, Quaternion, components, hamilton
 
 
+def isclose(a, b, tol=1e-12) -> bool:
+    # Quaternion.isclose on rows: a Euclidean-norm test
+    return float(np.linalg.norm(np.subtract(a, b))) <= tol
+
+
 def random_ball_point(rng, n=2, rmax=0.8):
     v = rng.standard_normal(4 * n)
     v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
@@ -38,13 +43,13 @@ def test_ball_from_lift():
     q = Quaternion(0.2, 0.3, 0.0, 0.1)
     X = components([0, q, 1])
     p = ball_from_lift(X)
-    assert p.coords[0].isclose(Quaternion())
-    assert p.coords[1].isclose(q)
+    assert isclose(p.rows[0], Quaternion().as_array())
+    assert isclose(p.rows[1], q.as_array())
 
     # projective invariance under right scaling
     p2 = ball_from_lift(hamilton(X, QJ.as_array()))
-    for a, b in zip(p.coords, p2.coords):
-        assert a.isclose(b, 1e-14)
+    for a, b in zip(p.rows, p2.rows):
+        assert isclose(a, b, 1e-14)
 
     with pytest.raises(NotInteriorError):
         ball_from_lift(components([0, 1, 1]))
@@ -79,14 +84,14 @@ def test_dist_additive_along_geodesic():
 
 def test_cayley_examples():
     p = cayley(ball_point([0, 0]))
-    assert p.coords[1].isclose(Quaternion(0.5))
+    assert isclose(p.rows[1], Quaternion(0.5).as_array())
     s = 0.8
     p = cayley(ball_point([0, np.tanh(s)]))
-    assert p.coords[1].isclose(Quaternion(0.5 * np.exp(2 * s)), 1e-12)
+    assert isclose(p.rows[1], Quaternion(0.5 * np.exp(2 * s)).as_array(), 1e-12)
 
-    assert cayley_inv(siegel_point([0, 0.5])).coords[1].isclose(Quaternion())
-    assert cayley_inv(siegel_point([0, 0.5 * np.e ** 2])).coords[1].isclose(
-        Quaternion(np.tanh(1.0)), 1e-12)
+    assert isclose(cayley_inv(siegel_point([0, 0.5])).rows[1], Quaternion().as_array())
+    assert isclose(cayley_inv(siegel_point([0, 0.5 * np.e ** 2])).rows[1],
+                   Quaternion(np.tanh(1.0)).as_array(), 1e-12)
 
 
 def test_round_trips():
@@ -100,7 +105,7 @@ def test_round_trips():
 def test_horo_from_siegel_examples():
     h = horo_from_siegel(siegel_point([0, 0.5]))
     assert h.alpha == pytest.approx(1.0)
-    assert abs(h.beta) == 0.0 and abs(h.omega[0]) == 0.0
+    assert np.linalg.norm(h.beta) == 0.0 and np.linalg.norm(h.omega[0]) == 0.0
     t = 0.6
     h = horo_from_siegel(siegel_point([0, 0.5 * np.exp(2 * t)]))
     assert h.alpha == pytest.approx(np.exp(2 * t), rel=1e-14)
@@ -196,3 +201,23 @@ def test_interior_validation():
         siegel_point([1.0, 0.5])
     with pytest.raises(NotInteriorError):
         horo_point([0], 0.0, 0)
+
+
+def test_rows_are_read_only():
+    # a ChartPoint's (n, 4) rows are frozen, and no constructor aliases its input
+    arr = np.zeros(8)
+    points = [ball_point([0, 0.5]), point_from_array(BALL, arr, 2),
+              horo_point([Quaternion(0.1, 0.2)], 0.7, QK)]
+    points += [convert(points[0], c) for c in (SIEGEL, HORO)]
+    for p in points:
+        assert p.rows.shape == (2, 4)
+        assert not p.rows.flags.writeable
+        with pytest.raises(ValueError):
+            p.rows[0, 0] = 0.25
+        assert not p.omega.flags.writeable and not p.beta.flags.writeable
+    arr[0] = 0.25
+    assert points[1].rows[0, 0] == 0.0
+    h = points[2]
+    assert h.alpha == 0.7 and isinstance(h.alpha, float)
+    assert np.array_equal(h.omega, [[0.1, 0.2, 0.0, 0.0]])
+    assert np.array_equal(h.beta, [0.0, 0.0, 1.0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hqn.cli import main
+from hqn.cli import _build_parser, main
 from hqn.errors import StepSizeUnderflow
 
 
@@ -155,6 +155,10 @@ def test_usage_error():
     # flags are not abbreviated: --a is not --a-grid
     ["family", "--case", "parabolic", "--n", "2", "--m", "1", "--a-grid", "1",
      "--a", "2", "--out-dir", "d"],
+    # the integral is defined for the paper's n >= 2
+    ["integral", "--n", "0"],
+    ["integral", "--n", "-1"],
+    ["integral", "--n", "1"],
 ])
 def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -184,6 +188,51 @@ def test_oracle_flags_never_traceback(n, points):
     assert (code == 2) == (n < 2 or points < 1)
     if code != 2:
         assert json.loads(out.getvalue())["checks"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_float_flags_parse_back(x):
+    # repr of any finite float, negative and scientific forms included, is
+    # read as the flag's value, never as an unknown option
+    parse = _build_parser().parse_args
+    v = repr(x)
+    curve = parse(["curve", "--case", "elliptic", "--n", "2", "--a", v,
+                   "--h", v, "--out", "c.csv"])
+    boundary = parse(["boundary", "--case", "parabolic", "--n", "2", "--a", v])
+    convert = parse(["convert", "--from", "ball", "--to", "horo",
+                     "--coords", "0,0,0,0", "--transvection", v])
+    for got in (curve.a, curve.h, boundary.a, convert.transvection):
+        assert repr(got) == v
+
+
+def test_negative_scientific_a_matches_equals_form(tmp_path):
+    # the special-loxodromic a range reaches negative values that repr
+    # writes in scientific notation
+    flags = ["curve", "--case", "special-loxodromic", "--n", "2",
+             "--samples", "101"]
+    assert main(flags + ["--a", "-3.5e-05", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(flags + ["--a=-3.5e-05", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(-2, 4))
+def test_integral_flags_never_traceback(n):
+    # exit 0 with one number, or a one-line usage error exactly when n < 2
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["integral", "--n", str(n)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == (n < 2)
+    if code == 0:
+        assert float(out.getvalue()) > 0.0
+    else:
+        assert err.getvalue().splitlines()[-1].startswith("hqn: error: ")
 
 
 def test_integration_error_is_not_usage_error(tmp_path):

@@ -17,7 +17,6 @@ from hqn.charts import (
 )
 from hqn.errors import NotSymplecticError, ShapeError
 from hqn.isometries import (
-    HeisenbergElement,
     Isometry,
     act,
     act_horo_closed,
@@ -39,14 +38,13 @@ from hqn.isometries import (
     transvection_matrix,
 )
 from hqn.quaternion import (
-    LORENTZ,
     QI,
     QK,
+    UNIT,
     Quaternion,
+    components,
     hamilton,
     herm_lorentz,
-    quaternions,
-    qvector,
 )
 
 
@@ -57,8 +55,8 @@ def random_ball_point(rng, n=2, rmax=0.8):
 
 
 def random_heis(rng, n=2):
-    xi = tuple(Quaternion.from_array(rng.standard_normal(4)) for _ in range(n - 1))
-    nu = Quaternion(0.0, *rng.standard_normal(3))
+    xi = rng.standard_normal((n - 1, 4))
+    nu = np.concatenate([[0.0], rng.standard_normal(3)])
     return xi, nu
 
 
@@ -106,7 +104,7 @@ def test_matrix_vs_closed_form():
             # the horospherical rotation (B, lam) is the matrix diag(B, lam, lam)
             big = qmat_identity(n)
             big[:n - 1, :n - 1] = B
-            big[n - 1, n - 1] = lam.as_array()
+            big[n - 1, n - 1] = lam
             g = rotation_matrix(n, big, lam)
         q1 = act(g, p)
         q2 = act_horo_closed(kind, p, **params)
@@ -117,15 +115,15 @@ def test_heisenberg_group_law():
     rng = np.random.default_rng(3)
     n = 3
     for _ in range(20):
-        a = HeisenbergElement(*random_heis(rng, n))
-        b = HeisenbergElement(*random_heis(rng, n))
+        a = random_heis(rng, n)
+        b = random_heis(rng, n)
         ab = heis_mul(a, b)
-        m1 = heisenberg_matrix(n, a.xi, a.nu).compose(heisenberg_matrix(n, b.xi, b.nu))
-        m2 = heisenberg_matrix(n, ab.xi, ab.nu)
+        m1 = heisenberg_matrix(n, *a).compose(heisenberg_matrix(n, *b))
+        m2 = heisenberg_matrix(n, *ab)
         np.testing.assert_allclose(m1.A, m2.A, atol=1e-13)
-        # inverse: a a^{-1} = identity
-        e = heis_mul(a, a.inverse())
-        assert all(abs(x) < 1e-14 for x in e.xi) and abs(e.nu) < 1e-14
+        # inverse: a a^{-1} = identity, with a^{-1} = (-xi, -nu)
+        xi, nu = heis_mul(a, (-a[0], -a[1]))
+        assert all(np.linalg.norm(x) < 1e-14 for x in xi) and np.linalg.norm(nu) < 1e-14
 
 
 def test_transvection_one_parameter():
@@ -182,29 +180,31 @@ def test_inversion_horo():
 def test_inversion_at_hyperplane():
     rng = np.random.default_rng(7)
     n = 2
-    lam = qvector([1, 0, 0], LORENTZ)
+    lam = components([1, 0, 0])
     for _ in range(20):
         p = random_ball_point(rng, n)
-        X = qvector(quaternions(lift(p)), LORENTZ)
+        X = lift(p)
         Y = inversion_at_hyperplane(lam, X)
         # involution
         Z = inversion_at_hyperplane(lam, Y)
-        for a, b in zip(Z.entries, X.entries):
-            assert a.isclose(b, 1e-13)
+        for a, b in zip(Z, X):
+            assert np.linalg.norm(a - b) <= 1e-13
         # preserves the form
-        assert herm_lorentz(Y, Y).re() == pytest.approx(
-            herm_lorentz(X, X).re(), abs=1e-12)
+        assert herm_lorentz(Y, Y)[0] == pytest.approx(
+            herm_lorentz(X, X)[0], abs=1e-12)
         # fixes the orthogonal complement of lam
-        assert abs(herm_lorentz(lam, Y) + herm_lorentz(lam, X)) < 1e-12
+        assert np.linalg.norm(herm_lorentz(lam, Y) + herm_lorentz(lam, X)) < 1e-12
 
 
 def test_rotation_validation():
     with pytest.raises(NotSymplecticError):
-        rotation_matrix(2, 2.0 * qmat_identity(2), Quaternion(1.0))
+        rotation_matrix(2, 2.0 * qmat_identity(2), UNIT)
     with pytest.raises(NotSymplecticError):
-        rotation_matrix(2, qmat_identity(2), Quaternion(2.0))
+        rotation_matrix(2, qmat_identity(2), 2.0 * UNIT)
     with pytest.raises(ShapeError):
-        heisenberg_matrix(2, [QI, QK], QI)
+        heisenberg_matrix(2, components([QI, QK]), QI.as_array())
+    with pytest.raises(NotSymplecticError):
+        heisenberg_matrix(2, components([QI]), UNIT)
 
 
 def test_expm_route():
@@ -223,11 +223,11 @@ def test_qmat_vec_right_module():
     rng = np.random.default_rng(8)
     A = random_sp(3, rng)
     X = rng.standard_normal((3, 4))
-    lam = random_unit_quaternion(rng).as_array()
+    lam = random_unit_quaternion(rng)
     lhs = qmat_vec(A, hamilton(X, lam))
     rhs = hamilton(qmat_vec(A, X), lam)
     for a, b in zip(lhs, rhs):
-        assert Quaternion.from_array(a).isclose(Quaternion.from_array(b), 1e-13)
+        assert np.linalg.norm(a - b) <= 1e-13
 
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
@@ -259,8 +259,9 @@ def test_real_representation_is_homomorphism(data):
        st.lists(small, min_size=8, max_size=8), st.integers(0, 2 ** 32 - 1))
 def test_subgroup_products_stay_symplectic(n, kinds, params, seed):
     rng = np.random.default_rng(seed)
-    xi = [Quaternion(*params[:4])] + [Quaternion()] * (n - 2)
-    nu = Quaternion(0.0, *params[4:7])
+    xi = np.zeros((n - 1, 4))
+    xi[0] = params[:4]
+    nu = np.array([0.0, *params[4:7]])
     g = Isometry(qmat_identity(n + 1))
     for kind in kinds:
         if kind == "heisenberg":
@@ -271,3 +272,26 @@ def test_subgroup_products_stay_symplectic(n, kinds, params, seed):
             f = rotation_matrix(n, random_sp(n, rng), random_unit_quaternion(rng))
         g = g.compose(f)
         assert sp_defect(g.A) <= 1e-12
+
+
+@given(st.integers(2, 4), st.data())
+def test_heisenberg_action_matches_scalar_sums(n, data):
+    # the closed-form Heisenberg action against the same sums in scalar
+    # Quaternion arithmetic: (xi + omega, alpha, nu + beta + 2 Im(xi, omega))
+    xi = data.draw(arrays(float, (n - 1, 4), elements=finite))
+    nu = np.array([0.0, *data.draw(st.lists(finite, min_size=3, max_size=3))])
+    omega = data.draw(arrays(float, (n - 1, 4), elements=finite))
+    last = np.array([data.draw(st.floats(0.1, 3.0)),
+                     *data.draw(st.lists(finite, min_size=3, max_size=3))])
+    p = point_from_array(HORO, np.vstack([omega, last]).ravel(), n)
+    q = act_horo_closed("heisenberg", p, xi=xi, nu=nu)
+    cross = sum((Quaternion(*x).conj() * Quaternion(*w) for x, w in zip(xi, omega)),
+                Quaternion())
+    beta = Quaternion(*nu) + Quaternion(0.0, *last[1:]) + 2.0 * cross.im()
+    # relative to the size of the terms; the floor covers underflow
+    scale = 1e-14 * (np.linalg.norm(nu) + np.linalg.norm(last[1:])
+                     + 2.0 * float(np.sum(np.linalg.norm(xi, axis=1)
+                                          * np.linalg.norm(omega, axis=1)))) + 1e-300
+    assert np.array_equal(q.omega, xi + omega)
+    assert q.alpha == last[0]
+    assert np.linalg.norm(q.beta - beta.as_array()[1:]) <= scale

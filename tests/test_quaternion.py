@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from hqn.errors import ShapeError
 from hqn.quaternion import (
-    LORENTZ,
     ONE,
     QI,
     QJ,
@@ -15,13 +14,17 @@ from hqn.quaternion import (
     herm_definite,
     herm_lorentz,
     left_mult_matrix,
-    qvector,
     right_mult_matrix,
     signature_class,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
+
+
+def isclose(a, b, tol=1e-12) -> bool:
+    # Quaternion.isclose on rows: a Euclidean-norm test
+    return float(np.linalg.norm(np.subtract(a, b))) <= tol
 
 
 def test_defining_relations():
@@ -79,8 +82,8 @@ def test_hamilton_broadcasts_rows(ps, q):
 def test_mult_matrices_match_scalar_product(p, q):
     want = (p * q).as_array()
     scale = 1e-14 * (1.0 + abs(p) * abs(q))
-    assert np.max(np.abs(left_mult_matrix(p) @ q.as_array() - want)) <= scale
-    assert np.max(np.abs(right_mult_matrix(q) @ p.as_array() - want)) <= scale
+    assert np.max(np.abs(left_mult_matrix(p.as_array()) @ q.as_array() - want)) <= scale
+    assert np.max(np.abs(right_mult_matrix(q.as_array()) @ p.as_array() - want)) <= scale
 
 
 def test_mult_matrices():
@@ -88,38 +91,40 @@ def test_mult_matrices():
     for _ in range(20):
         p = Quaternion.from_array(rng.standard_normal(4))
         q = Quaternion.from_array(rng.standard_normal(4))
-        np.testing.assert_allclose(left_mult_matrix(p) @ q.as_array(),
+        np.testing.assert_allclose(left_mult_matrix(p.as_array()) @ q.as_array(),
                                    (p * q).as_array(), atol=1e-14)
-        np.testing.assert_allclose(right_mult_matrix(p) @ q.as_array(),
+        np.testing.assert_allclose(right_mult_matrix(p.as_array()) @ q.as_array(),
                                    (q * p).as_array(), atol=1e-14)
 
 
 def test_herm_lorentz_examples():
     n = 3
-    e_last = qvector([0] * n + [1], LORENTZ)
-    assert herm_lorentz(e_last, e_last).isclose(Quaternion(-1.0))
-    x_inf = qvector([0] * (n - 1) + [1, 1], LORENTZ)
-    assert herm_lorentz(x_inf, x_inf).isclose(Quaternion())
-    e1 = qvector([1] + [0] * n, LORENTZ)
-    assert herm_lorentz(e1, e1).isclose(ONE)
+    e_last = components([0] * n + [1])
+    assert isclose(herm_lorentz(e_last, e_last), Quaternion(-1.0).as_array())
+    x_inf = components([0] * (n - 1) + [1, 1])
+    assert isclose(herm_lorentz(x_inf, x_inf), Quaternion().as_array())
+    e1 = components([1] + [0] * n)
+    assert isclose(herm_lorentz(e1, e1), ONE.as_array())
     with pytest.raises(ShapeError):
-        herm_lorentz(e1, qvector([0, 1], LORENTZ))
+        herm_lorentz(e1, components([0, 1]))
 
 
 def test_herm_definite_examples():
-    e1 = qvector([1, 0])
-    e2 = qvector([0, 1])
-    assert herm_definite(e1, e1).isclose(ONE)
-    assert herm_definite(e1, e2).isclose(Quaternion())
-    x = qvector([QI, QJ])
-    assert herm_definite(x, x).isclose(Quaternion(2.0))
+    e1 = components([1, 0])
+    e2 = components([0, 1])
+    assert isclose(herm_definite(e1, e1), ONE.as_array())
+    assert isclose(herm_definite(e1, e2), Quaternion().as_array())
+    x = components([QI, QJ])
+    assert isclose(herm_definite(x, x), Quaternion(2.0).as_array())
+    with pytest.raises(ShapeError):
+        herm_definite(e1, components([0, 1, 0]))
 
 
 def test_signature_class():
     n = 3
-    assert signature_class(qvector([0] * n + [1], LORENTZ)) == "negative"
-    assert signature_class(qvector([0] * (n - 1) + [1, 1], LORENTZ)) == "null"
-    assert signature_class(qvector([1] + [0] * n, LORENTZ)) == "positive"
+    assert signature_class(components([0] * n + [1])) == "negative"
+    assert signature_class(components([0] * (n - 1) + [1, 1])) == "null"
+    assert signature_class(components([1] + [0] * n)) == "positive"
 
 
 @given(st.lists(quats, min_size=2, max_size=4), quats)
@@ -129,16 +134,29 @@ def test_right_module_equivariance(entries, lam):
         lam = ONE
     lam = lam * (1.0 / abs(lam))
     rng = np.random.default_rng(7)
-    X = qvector(entries, LORENTZ)
-    Y = qvector([Quaternion.from_array(rng.standard_normal(4))
-                 for _ in entries], LORENTZ)
-    lhs = herm_lorentz(X.scale_right(lam), Y.scale_right(lam))
-    rhs = lam.conj() * herm_lorentz(X, Y) * lam
-    assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(rhs))
+    X = components(entries)
+    Y = rng.standard_normal(X.shape)
+    lhs = herm_lorentz(hamilton(X, lam.as_array()), hamilton(Y, lam.as_array()))
+    rhs = lam.conj() * Quaternion(*herm_lorentz(X, Y)) * lam
+    assert np.linalg.norm(lhs - rhs.as_array()) <= 1e-13 * (1.0 + abs(rhs))
 
 
 @given(st.lists(quats, min_size=2, max_size=4))
 def test_form_is_real_on_diagonal(entries):
-    X = qvector(entries, LORENTZ)
-    val = herm_lorentz(X, X)
+    X = components(entries)
+    val = Quaternion(*herm_lorentz(X, X))
     assert abs(val.im()) <= 1e-14 * (1.0 + abs(val))
+
+
+@given(st.lists(st.tuples(quats, quats), min_size=1, max_size=4))
+def test_forms_match_scalar_sums(pairs):
+    # the row forms against the same sums in scalar Quaternion arithmetic
+    X = components([x for x, _ in pairs])
+    Y = components([y for _, y in pairs])
+    terms = [x.conj() * y for x, y in pairs]
+    definite = sum(terms, Quaternion())
+    lorentz = sum(terms[:-1], Quaternion()) - terms[-1]
+    # relative to the size of the terms; the floor covers underflow
+    scale = 1e-14 * sum(abs(x) * abs(y) for x, y in pairs) + 1e-300
+    assert np.linalg.norm(herm_definite(X, Y) - definite.as_array()) <= scale
+    assert np.linalg.norm(herm_lorentz(X, Y) - lorentz.as_array()) <= scale
