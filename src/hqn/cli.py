@@ -284,11 +284,7 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    p = args.point
-    if args.transvection is not None:
-        p = act(transvection_matrix(p.n, args.transvection), p)
-    q = convert(p, CHARTS[args.to])
-    print(",".join(_fmt(v) for v in coords_array(q)))
+    print(",".join(_fmt(v) for v in coords_array(args.point)))
     return 0
 
 
@@ -307,9 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def verb(name):
         # flags are spelled in full: "--h" is not "--help", "--a" not "--a-grid"
         p = sub.add_parser(name, allow_abbrev=False)
-        # any "-<digit>" or "-.<digit>" word is a value, so "--a -3.5e-05"
-        # parses; Python 3.11's argparse takes only "-3" and "-.5" forms
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # "-3.5e-05", "-inf" and "-nan" are values too; Python 3.11's
+        # argparse takes only the "-3" and "-.5" forms
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         return p
 
     def add_case_flags(p):
@@ -394,7 +390,18 @@ def _check_flags(args) -> None:
         coords = _floats("--coords", args.coords)
         if len(coords) % 4:
             raise ShapeError("--coords needs 4n values, four per quaternion coordinate")
-        args.point = point_from_array(CHARTS[args.frm], np.array(coords), len(coords) // 4)
+        if not np.all(np.isfinite(coords)):
+            raise DomainError(f"--coords needs finite numbers, got {args.coords!r}")
+        p = point_from_array(CHARTS[args.frm], np.array(coords), len(coords) // 4)
+        if args.transvection is not None:
+            try:
+                # a lift pushed past the float range is not negative
+                with np.errstate(over="ignore", invalid="ignore"):
+                    p = act(transvection_matrix(p.n, args.transvection), p)
+            except NotInteriorError:
+                raise NotInteriorError(f"--transvection {args.transvection!r} moves "
+                                       "the point out of its chart") from None
+        args.point = convert(p, CHARTS[args.to])
 
 
 def main(argv=None) -> int:

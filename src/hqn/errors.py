@@ -47,7 +47,3 @@ class DegenerateOrbitError(RuntimeError):
 
 class SingularPointError(RuntimeError):
     """Level-set gradient (numerically) vanishes at the evaluation point."""
-
-
-class CertificateFailure(RuntimeError):
-    """A foliation certificate check did not hold."""

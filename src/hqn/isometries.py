@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import HORO, ChartPoint, ball_from_lift, convert, lift, point_from_array
-from .errors import NotPolarError, NotSymplecticError, ShapeError
+from .errors import DomainError, NotPolarError, NotSymplecticError, ShapeError
 from .quaternion import (
     CONJ,
     IMAG,
@@ -105,12 +105,14 @@ def sp_defect(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Isometry:
-    """(n+1)x(n+1) quaternionic matrix satisfying A* I_{n,1} A = I_{n,1}."""
+    """(n+1)x(n+1) quaternionic matrix satisfying A* I_{n,1} A = I_{n,1},
+    checked for a matrix from outside; exact members come through _member."""
 
     A: np.ndarray
 
     def __post_init__(self):
-        if sp_defect(self.A) > SP_TOL:
+        # a NaN defect fails too
+        if not sp_defect(self.A) <= SP_TOL:
             raise NotSymplecticError("matrix violates the Sp(n,1) identity")
 
     @property
@@ -118,12 +120,20 @@ class Isometry:
         return self.A.shape[0] - 1
 
     def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(qmat_mul(self.A, other.A))
+        return _member(qmat_mul(self.A, other.A))
 
     def inverse(self) -> "Isometry":
         # A^{-1} = I_{n,1} A* I_{n,1} for members of Sp(n,1)
         J = lorentz_signature(self.A.shape[0])
-        return Isometry(qmat_mul(qmat_mul(J, qmat_conj_T(self.A)), J))
+        return _member(qmat_mul(qmat_mul(J, qmat_conj_T(self.A)), J))
+
+
+def _member(A: np.ndarray) -> Isometry:
+    """Isometry of a matrix exact in Sp(n,1), unchecked: the defect bound is
+    absolute, while a transvection's rounding grows like cosh(t)^2 eps."""
+    g = object.__new__(Isometry)
+    object.__setattr__(g, "A", A)
+    return g
 
 
 def _heisenberg_pair(n: int, xi, nu) -> tuple[np.ndarray, np.ndarray]:
@@ -158,31 +168,36 @@ def heisenberg_matrix(n: int, xi, nu) -> Isometry:
     A[n - 1, n] = half
     A[n, n - 1] = -half
     A[n, n] = UNIT + half
-    return Isometry(A)
+    return _member(A)
 
 
 def transvection_matrix(n: int, t: float) -> Isometry:
+    """Transvection by t along the geodesic through 0 and infinity."""
+    with np.errstate(over="ignore"):
+        ch, sh = float(np.cosh(t)), float(np.sinh(t))
+    if not np.isfinite(ch):
+        raise DomainError(f"transvection needs a finite t with finite cosh(t), got {t!r}")
     A = qmat_identity(n + 1)
-    ch, sh = float(np.cosh(t)), float(np.sinh(t))
     A[n - 1, n - 1, 0] = ch
     A[n - 1, n, 0] = sh
     A[n, n - 1, 0] = sh
     A[n, n, 0] = ch
-    return Isometry(A)
+    return _member(A)
 
 
 def rotation_matrix(n: int, B: np.ndarray, lam: np.ndarray) -> Isometry:
     """diag(B, lam) with B in Sp(n), lam a unit quaternion (4,) row."""
     if B.shape[:2] != (n, n):
         raise ShapeError(f"rotation block must be {n}x{n}")
-    if float(np.max(np.abs(qmat_mul(qmat_conj_T(B), B) - qmat_identity(n)))) > 1e-12:
+    # B* B = I and |lam| = 1 to 1e-12 imply the Sp(n,1) identity to SP_TOL
+    if not float(np.max(np.abs(qmat_mul(qmat_conj_T(B), B) - qmat_identity(n)))) <= 1e-12:
         raise NotSymplecticError("rotation block is not in Sp(n)")
-    if abs(float(np.linalg.norm(lam)) - 1.0) > 1e-12:
+    if not abs(float(np.linalg.norm(lam)) - 1.0) <= 1e-12:
         raise NotSymplecticError("lambda must be a unit quaternion")
     A = qmat_identity(n + 1)
     A[:n, :n] = B
     A[n, n] = lam
-    return Isometry(A)
+    return _member(A)
 
 
 def act(g: Isometry, p: ChartPoint) -> ChartPoint:
@@ -252,14 +267,13 @@ def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_skew_hermitian(m: int, rng: np.random.Generator,
-                          scale: float = 0.5) -> np.ndarray:
-    """Random S with S* = -S (diagonal purely imaginary)."""
+def random_skew_hermitian(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Random S with S* = -S (diagonal purely imaginary), entries of scale 0.5."""
     S = np.zeros((m, m, 4))
     for r in range(m):
-        S[r, r] = scale * np.concatenate([[0.0], rng.standard_normal(3)])
+        S[r, r] = 0.5 * np.concatenate([[0.0], rng.standard_normal(3)])
         for c in range(r + 1, m):
-            q = scale * rng.standard_normal(4)
+            q = 0.5 * rng.standard_normal(4)
             S[r, c] = q
             S[c, r] = -q * CONJ
     return S

@@ -83,15 +83,14 @@ def fan_residual(p: ChartPoint, spec: LocusSpec) -> float:
     return float(normal @ w) - spec.offset
 
 
-def fan_normal(n: int, component: int, last_slot: bool = True) -> np.ndarray:
+def fan_normal(n: int, component: int) -> np.ndarray:
     """Functional selecting one real component of omega_{n-1}.
 
     component 0 gives Re(omega_{n-1}); component 3 with a sign flip
     gives Re(k omega_{n-1}).
     """
     v = np.zeros(4 * (n - 1))
-    base = 4 * (n - 2) if last_slot else 0
-    v[base + component] = 1.0
+    v[4 * (n - 2) + component] = 1.0
     return v
 
 

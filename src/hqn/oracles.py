@@ -2,10 +2,9 @@
 
 Nothing here reuses the closed-form volume functionals or ODE
 right-hand sides being checked: orbit volumes are rebuilt from Killing
-fields of the group action, mean curvature from finite differences of
-the residual and the ambient metric in the chart the point is given in
-(ball or horospherical; a Siegel point is moved to the ball), and curve
-quality from an independent discretization of the reduced systems.
+fields of the group action, and mean curvature from finite differences
+of the residual and the ambient metric in the chart the point is given
+in (ball or horospherical; a Siegel point is moved to the ball).
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from .charts import (
     lift,
     point_from_array,
 )
-from .errors import (
-    CertificateFailure,
-    DegenerateOrbitError,
-    ShapeError,
-    SingularPointError,
-)
-from .integrator import residual_column
+from .errors import DegenerateOrbitError, ShapeError, SingularPointError
 from .quaternion import CONJ, hamilton
 from .reduction import (
     ELLIPTIC,
@@ -47,6 +40,9 @@ from .reduction import (
 
 UNITS = np.eye(4)          # 1, i, j, k as component rows
 IM_UNITS = UNITS[1:]
+
+CURVATURE_STEP = 1e-3      # Richardson steps of the residual's derivatives
+CHRISTOFFEL_STEP = 1e-5    # Richardson steps of the metric's derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +217,12 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
 
 
 def _christoffel(x: np.ndarray, n: int,
-                 metric: Callable[[np.ndarray, int], np.ndarray],
-                 step: float = 1e-5) -> np.ndarray:
+                 metric: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
     """Christoffel symbols of metric at x. The metric's derivatives are
-    Richardson-extrapolated central differences at step and step / 2,
-    from one stacked metric call at the 4 * 4n points x +- h e_a."""
+    Richardson-extrapolated central differences at CHRISTOFFEL_STEP and
+    half of it, from one stacked metric call at the 4 * 4n points x +- h e_a."""
     d = 4 * n
+    step = CHRISTOFFEL_STEP
     E = step * np.eye(d)
     g = metric(np.concatenate([x + E, x - E, x + E / 2.0, x - E / 2.0]), n)
     g = g.reshape(4, d, d, d)
@@ -265,7 +261,7 @@ def _richardson_grad_hess(f: Callable[[np.ndarray], float], x: np.ndarray,
 
 
 def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
-                           p: ChartPoint, step: float = 1e-3) -> float:
+                           p: ChartPoint) -> float:
     """Trace of the shape operator of the level set {surface = 0} at p.
 
     The derivatives are taken in the chart p is given in, so a residual
@@ -281,7 +277,7 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
     def f(arr):
         return float(surface(point_from_array(chart, arr, n)))
 
-    grad, hess = _richardson_grad_hess(f, x0, step)
+    grad, hess = _richardson_grad_hess(f, x0, CURVATURE_STEP)
     ginv = np.linalg.inv(metric(x0, n))
     norm2 = float(grad @ ginv @ grad)
     if norm2 < 1e-16:
@@ -297,21 +293,13 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
 # reduced-system checks
 
 
-def ode_residual(curve) -> float:
-    """Independent discretization check: max over interior uniform
-    samples of |central difference - right-hand side|."""
-    if len(curve.uniform_s) < 5:
-        raise ShapeError("need at least 5 uniform samples")
-    return float(np.max(residual_column(curve.case, curve.h, curve.uniform_s,
-                                        curve.uniform_states)))
-
-
 def foliation_certificate(case: ReducedCase, curves: Sequence,
                           q_grid: Sequence[float], tol: float = 1e-4) -> dict:
     """Certify the parabolic family foliates the orbit space.
 
     Each curve must cross each parabola alpha = q^2 rho^2 exactly once,
-    and any two curves must be dilation images of one another.
+    and any two curves must be dilation images of one another. The report
+    lists every check, failing ones included.
     """
     if case.kind != PARABOLIC:
         raise ShapeError("foliation certificate applies to the parabolic case")
@@ -321,12 +309,8 @@ def foliation_certificate(case: ReducedCase, curves: Sequence,
         for q in q_grid:
             vals = al - q * q * rho * rho
             crossings = int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
-            ok = crossings == 1
             checks.append({"name": f"crossings a={curve.a} q={q}",
-                           "value": crossings, "bound": 1, "pass": ok})
-            if not ok:
-                raise CertificateFailure(
-                    f"curve a={curve.a} crosses q={q} parabola {crossings} times")
+                           "value": crossings, "bound": 1, "pass": crossings == 1})
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
             ca, cb = curves[i], curves[j]
@@ -341,10 +325,6 @@ def foliation_certificate(case: ReducedCase, curves: Sequence,
                 va = np.interp(s_common, ca.uniform_s, ca.uniform_states[:, col])
                 vb = np.interp(s_common, cb.uniform_s, cb.uniform_states[:, col])
                 dev = max(dev, float(np.max(np.abs(vb - scale * va))))
-            ok = dev < tol
             checks.append({"name": f"dilation a={ca.a} vs a={cb.a}",
-                           "value": dev, "bound": tol, "pass": ok})
-            if not ok:
-                raise CertificateFailure(
-                    f"curves a={ca.a}, a={cb.a} are not dilation images")
+                           "value": dev, "bound": tol, "pass": dev < tol})
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

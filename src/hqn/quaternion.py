@@ -188,11 +188,13 @@ POSITIVE = "positive"
 NULL = "null"
 NEGATIVE = "negative"
 
+SIGNATURE_EPS = 1e-10
 
-def signature_class(X: np.ndarray, eps_scale: float = 1e-10) -> str:
+
+def signature_class(X: np.ndarray) -> str:
     """Sign of <X,X> for (n+1, 4) rows, under a tolerance relative to X's size."""
     val = float(herm_lorentz(X, X)[0])
-    eps = eps_scale * (1.0 + norm2(X))
+    eps = SIGNATURE_EPS * (1.0 + norm2(X))
     if val > eps:
         return POSITIVE
     if val < -eps:

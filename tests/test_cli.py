@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,11 @@ def test_usage_error():
     ["convert", "--from", "ball", "--to", "horo", "--coords", "0.1,x,0,0"],
     ["convert", "--from", "ball", "--to", "horo",
      "--coords", "0.9,0.9,0,0,0,0,0,0"],
+    ["convert", "--from", "ball", "--to", "horo",
+     "--coords", "nan,0,0,0,0,0,0,0"],
+    # inside the ball, but alpha = 2.5e-13 is below the horospherical margin
+    ["convert", "--from", "ball", "--to", "horo",
+     "--coords", "0,0,0,0,-0.9999999999995,0,0,0"],
     ["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
      "--samples", "-1", "--out", "c.csv"],
     # boundary checks minimal curves only and has no --h flag
@@ -233,6 +239,56 @@ def test_integral_flags_never_traceback(n):
         assert float(out.getvalue()) > 0.0
     else:
         assert err.getvalue().splitlines()[-1].startswith("hqn: error: ")
+
+
+CONVERT_COORDS = [
+    ("ball", "0,0,0,0,0.1,0,0,0"),
+    ("ball", "0.3,-0.1,0,0.2,-0.5,0.1,0.2,0"),
+    ("horo", "0.2,0,0,0,0.5,0.1,0,0"),
+    ("siegel", "0.1,0,0,0,1,0,0.3,0"),
+    ("ball", "0.9,0.9,0,0,0,0,0,0"),       # outside the ball
+    ("horo", "0,0,0,0,-1,0,0,0"),          # alpha < 0
+    ("ball", "0.1,0.2,0.3"),               # not 4n values
+    ("ball", "0.1,x,0,0"),                 # not a number
+    ("ball", "nan,0,0,0,0,0,0,0"),         # not finite
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(), point=st.sampled_from(CONVERT_COORDS),
+       to=st.sampled_from(["ball", "horo", "siegel"]))
+def test_convert_flags_never_traceback(t, point, to):
+    # any --transvection, finite or not, prints a point (exit 0) or gives a
+    # one-line usage error (exit 2), without a numpy warning
+    frm, coords = point
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(["convert", "--from", frm, "--to", to, "--coords", coords,
+                         "--transvection", repr(t)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert np.isfinite(t)
+        assert np.all(np.isfinite([float(v) for v in out.getvalue().split(",")]))
+    else:
+        lines = err.getvalue().splitlines()
+        assert lines[-1].startswith("hqn: error: ")
+        assert not any(ln.startswith("hqn: error: ") for ln in lines[:-1])
+
+
+def test_large_transvection_prints_point(capsys):
+    # the ball point x_2 = 0.1 has alpha = 1.1 / 0.9, and the transvection
+    # by t scales alpha by e^{2t}
+    code, out = run(capsys, "convert", "--from", "ball", "--to", "horo",
+                    "--coords", "0,0,0,0,0.1,0,0,0", "--transvection", "10")
+    assert code == 0
+    alpha = float(out.split(",")[4])
+    assert alpha == pytest.approx(np.exp(20.0) * 1.1 / 0.9, rel=1e-6)
 
 
 def test_integration_error_is_not_usage_error(tmp_path):

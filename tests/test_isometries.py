@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,8 @@ from hqn.charts import (
     lift,
     point_from_array,
 )
-from hqn.errors import NotSymplecticError, ShapeError
+import hqn.isometries
+from hqn.errors import DomainError, NotSymplecticError, ShapeError
 from hqn.isometries import (
     Isometry,
     act,
@@ -81,6 +84,51 @@ def test_compose_and_inverse():
     assert float(np.max(np.abs(prod.A - qmat_identity(n + 1)))) < 1e-12
     with pytest.raises(NotSymplecticError):
         Isometry(2.0 * qmat_identity(n + 1))
+
+
+def test_nan_matrix_is_not_symplectic():
+    # a NaN defect fails the membership check
+    with pytest.raises(NotSymplecticError):
+        Isometry(np.full((3, 3, 4), np.nan))
+    with pytest.raises(NotSymplecticError):
+        rotation_matrix(2, np.full((2, 2, 4), np.nan), UNIT)
+
+
+@pytest.mark.parametrize("t", [8.0, -8.0, 10.0, -10.0])
+def test_large_transvection_matches_closed_form(t):
+    # the matrix's rounding grows like cosh(t)^2 eps, past any absolute
+    # defect bound, yet its action stays accurate
+    p = point_from_array(HORO, np.array([0.3, -0.1, 0.2, 0.05, 0.7, 0.1, -0.2, 0.3]), 2)
+    got = coords_array(act(transvection_matrix(2, t), p))
+    want = coords_array(act_horo_closed("transvection", p, t=t))
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 711.0, -1e3])
+def test_transvection_needs_finite_cosh(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            transvection_matrix(2, t)
+
+
+def test_membership_checked_only_at_raw_matrices(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(1)
+        return sp_defect(A)
+
+    monkeypatch.setattr(hqn.isometries, "sp_defect", counted)
+    rng = np.random.default_rng(3)
+    n = 2
+    xi, nu = random_heis(rng, n)
+    g = heisenberg_matrix(n, xi, nu).compose(transvection_matrix(n, 0.4))
+    g = g.compose(rotation_matrix(n, random_sp(n, rng), random_unit_quaternion(rng)))
+    g.inverse().compose(g)
+    assert len(calls) == 0
+    Isometry(g.A)
+    assert len(calls) == 1
 
 
 def test_matrix_vs_closed_form():

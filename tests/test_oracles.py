@@ -15,8 +15,8 @@ from hqn.charts import (
     point_from_array,
 )
 from hqn.cli import main
-from hqn.errors import CertificateFailure, SingularPointError
-from hqn.integrator import generate_family, integrate_profile
+from hqn.errors import SingularPointError
+from hqn.integrator import generate_family, integrate_profile, residual_column
 from hqn.isometries import (
     Isometry,
     act,
@@ -34,7 +34,6 @@ from hqn.oracles import (
     generator_basis,
     killing_ratio_spread,
     killing_volume,
-    ode_residual,
     orbit_project,
     section_point,
     volume_functional,
@@ -190,10 +189,13 @@ def test_mean_curvature_degenerate_gradient():
 def test_ode_residual_and_sensitivity():
     case = ReducedCase(ELLIPTIC, 2, 1)
     c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10, n_samples=2001)
-    base = ode_residual(c)
-    assert base < 1e-4
+
+    def worst():
+        return float(np.max(residual_column(case, c.h, c.uniform_s, c.uniform_states)))
+
+    assert worst() < 1e-4
     c.uniform_states[500] += 1e-3
-    assert ode_residual(c) > 1e-2
+    assert worst() > 1e-2
 
 
 def test_foliation_certificate():
@@ -209,8 +211,12 @@ def test_foliation_certificate():
 def test_foliation_certificate_failure():
     case = ReducedCase(PARABOLIC, 2, 1)
     short = integrate_profile(case, 1.0, s_max=0.5, tol=1e-10)
-    with pytest.raises(CertificateFailure):
-        foliation_certificate(case, [short], [0.1])
+    rep = foliation_certificate(case, [short], [0.1])
+    assert rep["pass"] is False
+    [check] = rep["checks"]
+    assert check["name"] == "crossings a=1.0 q=0.1"
+    assert check["pass"] is False
+    assert check["value"] == 0
 
 
 # The eleven cases of `hqn oracle --n 2` and `--n 3`.
