@@ -67,20 +67,46 @@ class ChartPoint:
         return self.rows[-1, 1:]
 
 
+_OUTSIDE = {
+    BALL: "ball point must be finite with |x| < 1",
+    SIEGEL: "siegel point must be finite with |zeta'|^2 < 2 Re(zeta_n)",
+    HORO: "horospherical point must be finite with alpha > 0",
+}
+
+
+def _stack_norm2(rows: np.ndarray) -> np.ndarray:
+    """Sum of the squared components of each point of a (k, n, 4) stack."""
+    return np.einsum("...ij,...ij->...", rows, rows)
+
+
+def _inside(chart: str, rows: np.ndarray):
+    """The interior test of one point's (n, 4) rows (a bool) or of a
+    (k, n, 4) stack (a bool per point).
+
+    Each test is one strict comparison, which NaN fails. Adding s - s to
+    alpha (or Re zeta_n) makes non-finite rows fail it too: that is 0 for
+    finite rows and NaN when their sum of squares s is not finite (a NaN or
+    infinite component, or a square that overflows). On a stack, inf - inf
+    warns, so the caller silences numpy's "invalid" flag there.
+    """
+    if chart not in _OUTSIDE:
+        raise ShapeError(f"unknown chart {chart!r}")
+    one = rows.ndim == 2
+    sumsq = norm2 if one else _stack_norm2
+    s = sumsq(rows)
+    if chart == BALL:
+        return s < 1.0 - INTERIOR_MARGIN
+    lead = (rows[-1, 0] if one else rows[:, -1, 0]) + (s - s)
+    if chart == SIEGEL:
+        return 0.5 * sumsq(rows[..., :-1, :]) < lead - 0.5 * INTERIOR_MARGIN
+    return lead > INTERIOR_MARGIN
+
+
 def _point(chart: str, rows: np.ndarray) -> ChartPoint:
     """Validate interior rows of a chart and freeze them into a ChartPoint."""
-    if chart == BALL:
-        if norm2(rows) >= 1.0 - INTERIOR_MARGIN:
-            raise NotInteriorError("ball point must satisfy |x| < 1")
-    elif chart == SIEGEL:
-        if norm2(rows[:-1]) - 2.0 * rows[-1, 0] >= -INTERIOR_MARGIN:
-            raise NotInteriorError("siegel point must satisfy |zeta'|^2 < 2 Re(zeta_n)")
-    elif chart == HORO:
-        if rows[-1, 0] <= INTERIOR_MARGIN:
-            raise NotInteriorError("horospherical point must have alpha > 0")
-    else:
-        raise ShapeError(f"unknown chart {chart!r}")
-    rows.flags.writeable = False
+    if not _inside(chart, rows):
+        raise NotInteriorError(_OUTSIDE[chart])
+    rows.setflags(write=False)
     return ChartPoint(chart, rows)
 
 
@@ -218,6 +244,22 @@ def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
     if arr.shape != (4 * n,):
         raise ShapeError(f"expected {4 * n} reals, got shape {arr.shape}")
     return _point(chart, arr.reshape(n, 4).copy())
+
+
+def points_from_stack(chart: str, arr: np.ndarray, n: int) -> list[ChartPoint]:
+    """k points from a (k, 4n) array, checked by the interior test of
+    point_from_array in one pass. Their rows are read-only views of one
+    frozen (k, n, 4) copy."""
+    arr = np.array(arr, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 4 * n:
+        raise ShapeError(f"expected rows of {4 * n} reals, got shape {arr.shape}")
+    rows = arr.reshape(-1, n, 4)
+    with np.errstate(invalid="ignore"):
+        inside = _inside(chart, rows)
+    if not np.all(inside):
+        raise NotInteriorError(_OUTSIDE[chart])
+    rows.setflags(write=False)
+    return [ChartPoint(chart, r) for r in rows]
 
 
 # ---------------------------------------------------------------------------

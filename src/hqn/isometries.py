@@ -141,6 +141,8 @@ def _heisenberg_pair(n: int, xi, nu) -> tuple[np.ndarray, np.ndarray]:
     xi, nu = np.asarray(xi, dtype=float), np.asarray(nu, dtype=float)
     if xi.shape != (n - 1, 4) or nu.shape != (4,):
         raise ShapeError(f"xi must be {n - 1} rows and nu one row of 4")
+    if not np.isfinite(norm2(xi) + norm2(nu)):
+        raise DomainError("xi and nu must be finite, with a finite sum of squares")
     if nu[0] != 0.0:
         raise NotSymplecticError("nu must be purely imaginary")
     return xi, nu

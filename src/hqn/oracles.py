@@ -24,6 +24,7 @@ from .charts import (
     horo_metric_matrix,
     lift,
     point_from_array,
+    points_from_stack,
 )
 from .errors import DegenerateOrbitError, ShapeError, SingularPointError
 from .quaternion import CONJ, hamilton
@@ -217,46 +218,53 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
 
 
 def _christoffel(x: np.ndarray, n: int,
-                 metric: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
-    """Christoffel symbols of metric at x. The metric's derivatives are
-    Richardson-extrapolated central differences at CHRISTOFFEL_STEP and
-    half of it, from one stacked metric call at the 4 * 4n points x +- h e_a."""
+                 metric: Callable[[np.ndarray, int], np.ndarray],
+                 ginv: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of metric at x, given the inverse metric there.
+    The metric's derivatives are Richardson-extrapolated central differences
+    at CHRISTOFFEL_STEP and half of it, from one stacked metric call at the
+    4 * 4n points x +- h e_a."""
     d = 4 * n
     step = CHRISTOFFEL_STEP
     E = step * np.eye(d)
     g = metric(np.concatenate([x + E, x - E, x + E / 2.0, x - E / 2.0]), n)
     g = g.reshape(4, d, d, d)
     dg = (4.0 * (g[2] - g[3]) / step - (g[0] - g[1]) / (2.0 * step)) / 3.0
-    ginv = np.linalg.inv(metric(x, n))
     return 0.5 * np.einsum("cd,abd->cab", ginv,
                            dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
 
-def _richardson_grad_hess(f: Callable[[np.ndarray], float], x: np.ndarray,
-                          step: float):
+def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
+                          x: np.ndarray, step: float):
     """Richardson-extrapolated central differences at steps step and
-    step / 2. The gradient reuses the Hessian diagonal's values f(x +- h e_a),
-    and f(x) is shared by both steps: 1 + 2 (2d + 2d(d-1)) calls of f."""
-    dim = len(x)
-    f0 = f(x)
+    step / 2, from one call of values on a (k, d) stack of points.
 
-    def grad_hess(h):
+    The stack is x, then per step the 2d axis points x +- h e_a (shared by
+    the gradient and the Hessian diagonal) and the 2d(d-1) points
+    (x +- h e_a) +- h e_b, a < b: 1 + 2 (2d + 2d(d-1)) points.
+    """
+    dim = len(x)
+    a, b = np.triu_indices(dim, 1)
+    stencil = [x[None]]
+    for h in (step / 2.0, step):
         E = h * np.eye(dim)
-        g = np.empty(dim)
+        P, M = x + E, x - E
+        stencil += [P, M, P[a] + E[b], P[a] - E[b], M[a] + E[b], M[a] - E[b]]
+    f = values(np.concatenate(stencil))
+    f0 = f[0]
+
+    def grad_hess(h, fh):
+        fp, fm = fh[:2 * dim].reshape(2, dim)
+        fpp, fpm, fmp, fmm = fh[2 * dim:].reshape(4, len(a))
+        g = (fp - fm) / (2.0 * h)
         H = np.empty((dim, dim))
-        for a in range(dim):
-            ea = E[a]
-            fp, fm = f(x + ea), f(x - ea)
-            g[a] = (fp - fm) / (2.0 * h)
-            H[a, a] = (fp - 2.0 * f0 + fm) / h ** 2
-            for b in range(a + 1, dim):
-                eb = E[b]
-                H[a, b] = H[b, a] = (f(x + ea + eb) - f(x + ea - eb)
-                                     - f(x - ea + eb) + f(x - ea - eb)) / (4.0 * h ** 2)
+        H[a, b] = H[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
+        H[np.diag_indices(dim)] = (fp - 2.0 * f0 + fm) / h ** 2
         return g, H
 
-    g_half, H_half = grad_hess(step / 2.0)
-    g_full, H_full = grad_hess(step)
+    f_half, f_full = f[1:].reshape(2, -1)
+    g_half, H_half = grad_hess(step / 2.0, f_half)
+    g_full, H_full = grad_hess(step, f_full)
     return (4.0 * g_half - g_full) / 3.0, (4.0 * H_half - H_full) / 3.0
 
 
@@ -266,23 +274,25 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
 
     The derivatives are taken in the chart p is given in, so a residual
     native to that chart converts nothing; a Siegel point is moved to the
-    ball. The convention gives +(2n+1) for the horosphere residual
-    alpha - a with the normal pointing toward growing alpha.
+    ball. The stencil is built and checked as one stack, and surface is
+    called once per stencil point. The convention gives +(2n+1) for the
+    horosphere residual alpha - a with the normal pointing toward growing
+    alpha.
     """
     n = p.n
     chart = HORO if p.chart == HORO else BALL
     metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
     x0 = coords_array(convert(p, chart))
 
-    def f(arr):
-        return float(surface(point_from_array(chart, arr, n)))
+    def values(stack):
+        return np.array([float(surface(q)) for q in points_from_stack(chart, stack, n)])
 
-    grad, hess = _richardson_grad_hess(f, x0, CURVATURE_STEP)
+    grad, hess = _richardson_grad_hess(values, x0, CURVATURE_STEP)
     ginv = np.linalg.inv(metric(x0, n))
     norm2 = float(grad @ ginv @ grad)
     if norm2 < 1e-16:
         raise SingularPointError("degenerate surface gradient")
-    gamma = _christoffel(x0, n, metric)
+    gamma = _christoffel(x0, n, metric, ginv)
     hess_cov = hess - np.einsum("cab,c->ab", gamma, grad)
     Nup = ginv @ grad / np.sqrt(norm2)
     proj = ginv - np.outer(Nup, Nup)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from hqn.charts import (
     metric_eval,
     metric_matrix,
     point_from_array,
+    points_from_stack,
     push_tangent,
     siegel_from_horo,
     siegel_point,
@@ -201,6 +204,59 @@ def test_interior_validation():
         siegel_point([1.0, 0.5])
     with pytest.raises(NotInteriorError):
         horo_point([0], 0.0, 0)
+
+
+INSIDE = [0.1, 0.2, 0.0, 0.0, 0.3, 0.0, 0.1, 0.0]   # interior in all three charts
+
+
+@pytest.mark.parametrize("chart", [BALL, SIEGEL, HORO])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("slot", [0, 4, 5])
+def test_non_finite_rows_are_not_interior(chart, bad, slot):
+    # one NaN, infinite or square-overflowing component in any slot
+    # (omega, alpha or Re zeta_n, beta) fails the interior test, for a
+    # single point and for one row of a stack, without a numpy warning
+    arr = np.array(INSIDE)
+    point_from_array(chart, arr, 2)
+    arr[slot] = bad
+    stack = np.array([INSIDE] * 3)
+    stack[1, slot] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotInteriorError):
+            point_from_array(chart, arr, 2)
+        with pytest.raises(NotInteriorError):
+            points_from_stack(chart, stack, 2)
+
+
+@pytest.mark.parametrize("chart", [BALL, SIEGEL, HORO])
+def test_stack_points_match_single_points(chart):
+    # a stack's points are read-only views of one frozen copy, equal to
+    # point_from_array of the same row, and pass or fail with it
+    rng = np.random.default_rng(5)
+    arr = np.array(INSIDE) + rng.uniform(-0.05, 0.05, (6, 8))
+    points = points_from_stack(chart, arr, 2)
+    assert len(points) == 6
+    for row, p in zip(arr, points):
+        q = point_from_array(chart, row, 2)
+        assert p.chart == q.chart == chart
+        assert np.array_equal(p.rows, q.rows)
+        assert not p.rows.flags.writeable and not p.rows.flags.owndata
+        with pytest.raises(ValueError):
+            p.rows[0, 0] = 0.25
+    assert points[0].rows.base is points[-1].rows.base
+    arr[0, 0] = 0.5
+    assert points[0].rows[0, 0] != 0.5
+    outside = {BALL: [0.9, 0.9, 0, 0, 0, 0, 0, 0], SIEGEL: [1.0, 0, 0, 0, 0.2, 0, 0, 0],
+               HORO: [0.1, 0, 0, 0, 0.0, 0, 0, 0]}[chart]
+    with pytest.raises(NotInteriorError):
+        point_from_array(chart, np.array(outside), 2)
+    with pytest.raises(NotInteriorError):
+        points_from_stack(chart, np.vstack([arr, outside]), 2)
+    with pytest.raises(ShapeError):
+        points_from_stack(chart, arr[:, :4], 2)
+    with pytest.raises(ShapeError):
+        points_from_stack(chart, arr.ravel(), 2)
 
 
 def test_rows_are_read_only():

@@ -112,6 +112,20 @@ def test_transvection_needs_finite_cosh(t):
             transvection_matrix(2, t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+@pytest.mark.parametrize("where", ["xi", "nu"])
+def test_heisenberg_pair_needs_finite_entries(bad, where):
+    xi, nu = np.zeros((1, 4)), np.zeros(4)
+    (xi[0] if where == "xi" else nu)[1] = bad
+    p = point_from_array(HORO, np.array([0.3, -0.1, 0.2, 0.05, 0.7, 0.1, -0.2, 0.3]), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            heisenberg_matrix(2, xi, nu)
+        with pytest.raises(DomainError):
+            act_horo_closed("heisenberg", p, xi=xi, nu=nu)
+
+
 def test_membership_checked_only_at_raw_matrices(monkeypatch):
     calls = []
 

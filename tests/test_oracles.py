@@ -13,9 +13,10 @@ from hqn.charts import (
     horo_point,
     lift,
     point_from_array,
+    points_from_stack,
 )
 from hqn.cli import main
-from hqn.errors import SingularPointError
+from hqn.errors import NotInteriorError, SingularPointError
 from hqn.integrator import generate_family, integrate_profile, residual_column
 from hqn.isometries import (
     Isometry,
@@ -27,6 +28,8 @@ from hqn.isometries import (
 )
 from hqn.loci import canonical_bisector_residual, fan_at_origin_residual
 from hqn.oracles import (
+    CURVATURE_STEP,
+    _richardson_grad_hess,
     _killing_vectors,
     _reference_coords,
     ambient_mean_curvature,
@@ -178,6 +181,74 @@ def test_mean_curvature_call_count(n):
     d = 4 * n
     assert len(calls) == 1 + 2 * (2 * d + 2 * d * (d - 1))    # 257 at n = 2
     assert all(q.chart == HORO for q in calls)
+
+
+def _loop_grad_hess(f, x, step):
+    # the per-point reference: one f call per stencil point, in a double
+    # loop, with the same differences in the same order
+    dim = len(x)
+    f0 = f(x)
+
+    def grad_hess(h):
+        E = h * np.eye(dim)
+        g = np.empty(dim)
+        H = np.empty((dim, dim))
+        for a in range(dim):
+            ea = E[a]
+            fp, fm = f(x + ea), f(x - ea)
+            g[a] = (fp - fm) / (2.0 * h)
+            H[a, a] = (fp - 2.0 * f0 + fm) / h ** 2
+            for b in range(a + 1, dim):
+                eb = E[b]
+                H[a, b] = H[b, a] = (f(x + ea + eb) - f(x + ea - eb)
+                                     - f(x - ea + eb) + f(x - ea - eb)) / (4.0 * h ** 2)
+        return g, H
+
+    g_half, H_half = grad_hess(step / 2.0)
+    g_full, H_full = grad_hess(step)
+    return (4.0 * g_half - g_full) / 3.0, (4.0 * H_half - H_full) / 3.0
+
+
+def _horo_surface_point(n, kind, rng):
+    # omega in Q^{n-1}, alpha, beta; the fan point's last omega is real with
+    # beta_3 = 0, and the horosphere passes through the point
+    omega = rng.uniform(-0.3, 0.3, (n - 1, 4))
+    beta = rng.uniform(-0.2, 0.2, 3)
+    if kind == "fan":
+        omega[-1, 1:] = 0.0
+        beta[2] = 0.0
+    alpha = rng.uniform(0.5, 1.5)
+    p = point_from_array(HORO, np.concatenate([omega.ravel(), [alpha], beta]), n)
+    surface = {"bisector": canonical_bisector_residual,
+               "fan": fan_at_origin_residual,
+               "horosphere": lambda q, a=alpha: convert(q, HORO).alpha - a}[kind]
+    return surface, p
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("chart", [HORO, BALL])
+@pytest.mark.parametrize("kind", ["bisector", "fan", "horosphere"])
+def test_stacked_stencil_matches_loop(n, chart, kind):
+    # the stacked stencil gives bit-identical (g, H) to the per-point loop
+    rng = np.random.default_rng([n, [HORO, BALL].index(chart), len(kind)])
+    for _ in range(2):
+        surface, p = _horo_surface_point(n, kind, rng)
+        x = coords_array(convert(p, chart))
+        want = _loop_grad_hess(
+            lambda arr: float(surface(point_from_array(chart, arr, n))), x, CURVATURE_STEP)
+        got = _richardson_grad_hess(
+            lambda stack: np.array([float(surface(q))
+                                    for q in points_from_stack(chart, stack, n)]),
+            x, CURVATURE_STEP)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_mean_curvature_stencil_leaves_chart():
+    # at alpha = 5e-4 the step-1e-3 stencil point alpha - h is outside the chart
+    assert CURVATURE_STEP == 1e-3
+    p = horo_point((Quaternion(0.2),), 5e-4, Quaternion(0, 0.1, 0, 0))
+    with pytest.raises(NotInteriorError):
+        ambient_mean_curvature(canonical_bisector_residual, p)
 
 
 def test_mean_curvature_degenerate_gradient():
