@@ -6,6 +6,10 @@ Three charts are supported:
 * ``siegel`` -- zeta in Q^n with |zeta'|^2 - 2 Re(zeta_n) < 0
 * ``horo``  -- (omega, alpha, beta) in Q^{n-1} x R_+ x Im(Q)
 
+A ChartPoint holds one point as (n, 4) rows or a stack of k points as
+(k, n, 4) rows; the chart maps, ``dist`` and ``lift`` take either, and a
+stack gives per point exactly what each point gives alone.
+
 Tangent vectors are raw coordinate increments in the real coordinates of
 each chart (length 4n); chart changes of tangents use central finite
 differences of the conversion maps.
@@ -23,10 +27,12 @@ from .quaternion import (
     NEGATIVE,
     UNIT,
     components,
+    float_or_array,
     hamilton,
     herm_definite,
     norm2,
     qarray_inverse,
+    qnorm2,
     right_mult_matrix,
     signature_class,
 )
@@ -41,7 +47,8 @@ INTERIOR_MARGIN = 1e-12
 @dataclass(frozen=True, eq=False)
 class ChartPoint:
     """Interior point of H_Q^n in one chart, as read-only (n, 4) rows: one
-    quaternion per row. A horo point's rows are omega_1..omega_{n-1}, then
+    quaternion per row; or a stack of k such points, as (k, n, 4) rows. A
+    horo point's rows are omega_1..omega_{n-1}, then
     (alpha, beta_1, beta_2, beta_3)."""
 
     chart: str
@@ -49,22 +56,22 @@ class ChartPoint:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[-2]
 
     @property
     def omega(self) -> np.ndarray:
-        """Horo: the (n-1, 4) rows of omega."""
-        return self.rows[:-1]
+        """Horo: the (..., n-1, 4) rows of omega."""
+        return self.rows[..., :-1, :]
 
     @property
-    def alpha(self) -> float:
-        """Horo: the height alpha > 0."""
-        return float(self.rows[-1, 0])
+    def alpha(self):
+        """Horo: the height alpha > 0; a float for one point."""
+        return float_or_array(_re_last(self.rows))
 
     @property
     def beta(self) -> np.ndarray:
-        """Horo: the three imaginary components of beta."""
-        return self.rows[-1, 1:]
+        """Horo: the (..., 3) imaginary components of beta."""
+        return self.rows[..., -1, 1:]
 
 
 _OUTSIDE = {
@@ -74,9 +81,10 @@ _OUTSIDE = {
 }
 
 
-def _stack_norm2(rows: np.ndarray) -> np.ndarray:
-    """Sum of the squared components of each point of a (k, n, 4) stack."""
-    return np.einsum("...ij,...ij->...", rows, rows)
+def _re_last(rows: np.ndarray):
+    """Re of the last row: a numpy scalar for one point's (n, 4) rows (not a
+    0-d array, whose arithmetic is slow), an array over a stack."""
+    return rows[..., -1, 0][()]
 
 
 def _inside(chart: str, rows: np.ndarray):
@@ -87,24 +95,28 @@ def _inside(chart: str, rows: np.ndarray):
     alpha (or Re zeta_n) makes non-finite rows fail it too: that is 0 for
     finite rows and NaN when their sum of squares s is not finite (a NaN or
     infinite component, or a square that overflows). On a stack, inf - inf
-    warns, so the caller silences numpy's "invalid" flag there.
+    warns, so _point silences numpy's "invalid" flag there.
     """
     if chart not in _OUTSIDE:
         raise ShapeError(f"unknown chart {chart!r}")
-    one = rows.ndim == 2
-    sumsq = norm2 if one else _stack_norm2
-    s = sumsq(rows)
+    s = norm2(rows)
     if chart == BALL:
         return s < 1.0 - INTERIOR_MARGIN
-    lead = (rows[-1, 0] if one else rows[:, -1, 0]) + (s - s)
+    lead = _re_last(rows) + (s - s)
     if chart == SIEGEL:
-        return 0.5 * sumsq(rows[..., :-1, :]) < lead - 0.5 * INTERIOR_MARGIN
+        return 0.5 * norm2(rows[..., :-1, :]) < lead - 0.5 * INTERIOR_MARGIN
     return lead > INTERIOR_MARGIN
 
 
 def _point(chart: str, rows: np.ndarray) -> ChartPoint:
-    """Validate interior rows of a chart and freeze them into a ChartPoint."""
-    if not _inside(chart, rows):
+    """Validate the interior (n, 4) or (k, n, 4) rows of a chart and freeze
+    them into a ChartPoint."""
+    if rows.ndim == 2:
+        inside = _inside(chart, rows)
+    else:
+        with np.errstate(invalid="ignore"):
+            inside = _inside(chart, rows).all()
+    if not inside:
         raise NotInteriorError(_OUTSIDE[chart])
     rows.setflags(write=False)
     return ChartPoint(chart, rows)
@@ -128,40 +140,41 @@ def horo_point(omega, alpha: float, beta) -> ChartPoint:
 
 
 # ---------------------------------------------------------------------------
-# chart maps on rows; every conversion passes through the Siegel chart
+# chart maps on (..., n, 4) rows; every conversion passes through the Siegel
+# chart
 
 
 def _cayley(x: np.ndarray) -> np.ndarray:
     """Ball -> Siegel: zeta' = x' (1 - x_n)^{-1},
     zeta_n = (1 + x_n) (1 - x_n)^{-1} / 2."""
     y = x.copy()
-    y[-1] = 0.5 * (UNIT + x[-1])
-    return hamilton(y, qarray_inverse(UNIT - x[-1]))
+    y[..., -1, :] = 0.5 * (UNIT + x[..., -1, :])
+    return hamilton(y, qarray_inverse(UNIT - x[..., -1, :])[..., None, :])
 
 
 def _cayley_inv(z: np.ndarray) -> np.ndarray:
     """Siegel -> Ball: x_n = (2 zeta_n + 1)^{-1} (2 zeta_n - 1),
     x' = zeta' (1 - x_n)."""
-    two_zn = 2.0 * z[-1]
+    two_zn = 2.0 * z[..., -1, :]
     xn = hamilton(qarray_inverse(two_zn + UNIT), two_zn - UNIT)
-    x = hamilton(z, UNIT - xn)
-    x[-1] = xn
+    x = hamilton(z, (UNIT - xn)[..., None, :])
+    x[..., -1, :] = xn
     return x
 
 
 def _horo_from_siegel(z: np.ndarray) -> np.ndarray:
     """omega = zeta', alpha = 2 Re(zeta_n) - |zeta'|^2, beta = 2 Im(zeta_n)."""
     h = z.copy()
-    h[-1] = 2.0 * z[-1]
-    h[-1, 0] -= norm2(z[:-1])
+    h[..., -1, :] = 2.0 * z[..., -1, :]
+    h[..., -1, 0] = 2.0 * _re_last(z) - norm2(z[..., :-1, :])
     return h
 
 
 def _siegel_from_horo(h: np.ndarray) -> np.ndarray:
     """zeta' = omega, zeta_n = (alpha + |omega|^2 + beta) / 2."""
     z = h.copy()
-    z[-1] = 0.5 * h[-1]
-    z[-1, 0] = 0.5 * (h[-1, 0] + norm2(h[:-1]))
+    z[..., -1, :] = 0.5 * h[..., -1, :]
+    z[..., -1, 0] = 0.5 * (_re_last(h) + norm2(h[..., :-1, :]))
     return z
 
 
@@ -219,8 +232,13 @@ def convert(p: ChartPoint, chart: str) -> ChartPoint:
 
 
 def lift(p: ChartPoint) -> np.ndarray:
-    """Lorentz lift of an interior point as (n+1, 4) rows, last one 1 (ball chart)."""
-    return np.vstack([_ball_rows(p), UNIT])
+    """Lorentz lift of an interior point as (n+1, 4) rows, last one 1 (ball
+    chart); of a stack, as (k, n+1, 4) rows."""
+    x = _ball_rows(p)
+    X = np.empty(x.shape[:-2] + (x.shape[-2] + 1, 4))
+    X[..., :-1, :] = x
+    X[..., -1, :] = UNIT
+    return X
 
 
 def ball_from_lift(X: np.ndarray) -> ChartPoint:
@@ -236,7 +254,8 @@ def ball_from_lift(X: np.ndarray) -> ChartPoint:
 
 
 def coords_array(p: ChartPoint) -> np.ndarray:
-    return p.rows.ravel()
+    """The 4n reals of a point; (k, 4n) for a stack."""
+    return p.rows.reshape(p.rows.shape[:-2] + (-1,))
 
 
 def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
@@ -246,37 +265,32 @@ def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
     return _point(chart, arr.reshape(n, 4).copy())
 
 
-def points_from_stack(chart: str, arr: np.ndarray, n: int) -> list[ChartPoint]:
-    """k points from a (k, 4n) array, checked by the interior test of
-    point_from_array in one pass. Their rows are read-only views of one
+def points_from_stack(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
+    """One ChartPoint holding the k points of a (k, 4n) array, checked by
+    the interior test of point_from_array in one pass. Its rows are one
     frozen (k, n, 4) copy."""
     arr = np.array(arr, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4 * n:
         raise ShapeError(f"expected rows of {4 * n} reals, got shape {arr.shape}")
-    rows = arr.reshape(-1, n, 4)
-    with np.errstate(invalid="ignore"):
-        inside = _inside(chart, rows)
-    if not np.all(inside):
-        raise NotInteriorError(_OUTSIDE[chart])
-    rows.setflags(write=False)
-    return [ChartPoint(chart, r) for r in rows]
+    return _point(chart, arr.reshape(-1, n, 4))
 
 
 # ---------------------------------------------------------------------------
 # distance and Busemann function
 
 
-def dist(p: ChartPoint, q: ChartPoint) -> float:
-    """d = 2 arccosh(|1 - (x,y)| / sqrt((1-|x|^2)(1-|y|^2))), ball chart."""
+def dist(p: ChartPoint, q: ChartPoint):
+    """d = 2 arccosh(|1 - (x,y)| / sqrt((1-|x|^2)(1-|y|^2))), ball chart; a
+    float for two points, an array when either is a stack."""
     x, y = _ball_rows(p), _ball_rows(q)
-    num = float(np.sqrt(norm2(UNIT - herm_definite(x, y))))
+    num = np.sqrt(qnorm2(UNIT - herm_definite(x, y)))
     den = np.sqrt((1.0 - norm2(x)) * (1.0 - norm2(y)))
-    return 2.0 * float(np.arccosh(max(num / den, 1.0)))
+    return float_or_array(2.0 * np.arccosh(np.maximum(num / den, 1.0)))
 
 
-def busemann(p: ChartPoint) -> float:
+def busemann(p: ChartPoint):
     """Busemann function of the axis through 0 and infinity: -ln(alpha)."""
-    return -float(np.log(convert(p, HORO).alpha))
+    return float_or_array(-np.log(convert(p, HORO).alpha))
 
 
 # ---------------------------------------------------------------------------

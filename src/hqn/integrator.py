@@ -49,6 +49,10 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0        # the error estimator has order 7
 ROOT_TOL = 4.0 * EPS               # event roots, absolute and relative
+# Accepted plus rejected steps per run. The longest bench or test curve
+# takes 484 (loxodromic n=3 m=2 at tol 1e-13); a run at a huge h, whose
+# steps are all accepted at 10 spacing(s), stops here in seconds.
+MAX_STEPS = 100_000
 
 _STAGES = A[1:N_STAGES]
 _EXTRA_STAGES = A[N_STAGES + 1:]
@@ -209,7 +213,8 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
     factors and step-size underflow, and its event rule (a sign change
     of g between step ends, g <= 0 <= g_new or g >= 0 >= g_new). Every
     event is terminal: the run ends at the earliest root, located on the
-    step's interpolant, with y there from the interpolant.
+    step's interpolant, with y there from the interpolant. A run that
+    tries more than MAX_STEPS steps raises StepSizeUnderflow.
     """
     run = _Run([t0], [y0], [], [])
     t, y = t0, y0
@@ -226,6 +231,9 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
             if not h_abs >= min_step:
                 raise StepSizeUnderflow(
                     f"required step size is less than spacing between numbers at s = {t!r}")
+            if run.accepted + run.rejected >= MAX_STEPS:
+                raise StepSizeUnderflow(
+                    f"step budget of {MAX_STEPS} steps spent at s = {t!r}")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)

@@ -2,7 +2,9 @@
 
 Every hypersurface here is represented by a real residual function whose
 zero level set is the locus. Residuals are cheap to sample, which is what
-the verification oracles need; no parametrizations are kept.
+the verification oracles need; no parametrizations are kept. Each residual
+gives a float at one point and an array over a stacked ChartPoint, equal
+bit for bit to its values at the points alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .charts import HORO, ChartPoint, convert, dist, point_from_array
 from .errors import DegenerateLocusError, ShapeError
-from .quaternion import norm2
+from .quaternion import float_or_array, norm2
 
 
 @dataclass(frozen=True)
@@ -46,16 +48,16 @@ class LocusSpec:
                 raise DegenerateLocusError("fan needs a nonzero normal")
 
 
-def bisector_residual(p: ChartPoint, p1: ChartPoint, p2: ChartPoint) -> float:
+def bisector_residual(p: ChartPoint, p1: ChartPoint, p2: ChartPoint):
     """d(p, p1) - d(p, p2); zero exactly on the bisector of p1 and p2."""
     if dist(p1, p2) == 0.0:
         raise DegenerateLocusError("bisector of equal points is undefined")
     return dist(p, p1) - dist(p, p2)
 
 
-def canonical_bisector_residual(p: ChartPoint) -> float:
+def canonical_bisector_residual(p: ChartPoint):
     """Re(k beta) in horospherical coordinates, i.e. -beta_3."""
-    return -float(convert(p, HORO).beta[2])
+    return float_or_array(-convert(p, HORO).beta[..., 2])
 
 
 def spine_projection(p: ChartPoint) -> ChartPoint:
@@ -67,7 +69,7 @@ def spine_projection(p: ChartPoint) -> ChartPoint:
     return point_from_array(HORO, rows.ravel(), q.n)
 
 
-def fan_residual(p: ChartPoint, spec: LocusSpec) -> float:
+def fan_residual(p: ChartPoint, spec: LocusSpec):
     """Affine functional of omega alone; independent of alpha and beta.
 
     The default vertical fan has residual Re(omega_{n-1}); the rotated
@@ -77,10 +79,10 @@ def fan_residual(p: ChartPoint, spec: LocusSpec) -> float:
     if spec.kind != "fan":
         raise ShapeError("fan_residual expects a fan spec")
     normal = np.asarray(spec.normal, dtype=float)
-    w = q.omega.ravel()
-    if normal.shape != w.shape:
+    w = q.omega.reshape(q.omega.shape[:-2] + (-1,))
+    if normal.shape != w.shape[-1:]:
         raise ShapeError("fan normal does not match Q^{n-1}")
-    return float(normal @ w) - spec.offset
+    return float_or_array(np.vecdot(w, normal) - spec.offset)
 
 
 def fan_normal(n: int, component: int) -> np.ndarray:
@@ -94,25 +96,25 @@ def fan_normal(n: int, component: int) -> np.ndarray:
     return v
 
 
-def bisector_family_residual(p: ChartPoint, t: float) -> float:
+def bisector_family_residual(p: ChartPoint, t: float):
     """Re(k (beta - 2 t omega_{n-1})); t = 0 is the canonical bisector."""
     q = convert(p, HORO)
-    return float(-q.beta[2] + 2.0 * t * q.omega[-1, 3])
+    return float_or_array(-q.beta[..., 2] + 2.0 * t * q.omega[..., -1, 3])
 
 
-def fan_at_origin_residual(p: ChartPoint) -> float:
+def fan_at_origin_residual(p: ChartPoint):
     """Residual of the fan with vertex at the Heisenberg origin.
 
     omega_{n-1,3} (alpha + sum |omega_l|^2) + omega_{n-1,2} beta_1
     - omega_{n-1,1} beta_2 - omega_{n-1,0} beta_3.
     """
     q = convert(p, HORO)
-    w0, w1, w2, w3 = q.omega[-1].tolist()
-    b1, b2, b3 = q.beta.tolist()
-    return w3 * (q.alpha + norm2(q.omega)) + w2 * b1 - w1 * b2 - w0 * b3
+    w, b = q.omega[..., -1, :], q.beta
+    return float_or_array(w[..., 3] * (q.alpha + norm2(q.omega)) + w[..., 2] * b[..., 0]
+                          - w[..., 1] * b[..., 1] - w[..., 0] * b[..., 2])
 
 
-def locus_residual(p: ChartPoint, spec: LocusSpec) -> float:
+def locus_residual(p: ChartPoint, spec: LocusSpec):
     if spec.kind == "bisector":
         return bisector_residual(p, spec.p1, spec.p2)
     if spec.kind == "canonical-bisector":

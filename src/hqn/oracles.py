@@ -27,7 +27,7 @@ from .charts import (
     points_from_stack,
 )
 from .errors import DegenerateOrbitError, ShapeError, SingularPointError
-from .quaternion import CONJ, hamilton
+from .quaternion import CONJ, float_or_array, hamilton
 from .reduction import (
     ELLIPTIC,
     LOXODROMIC,
@@ -124,22 +124,24 @@ def generator_basis(case: ReducedCase) -> np.ndarray:
     return basis
 
 
-def section_point(case: ReducedCase, c1: float, c2: float) -> ChartPoint:
-    """The point of the case's plane section over orbit coordinates."""
+def section_point(case: ReducedCase, c1, c2) -> ChartPoint:
+    """The point of the case's plane section over orbit coordinates; over
+    equal-shape (k,) arrays of them, the stack of k points."""
     n, m = case.n, case.m
-    rows = np.zeros((n, 4))
+    rows = np.zeros(np.shape(c1) + (n, 4))
     chart = BALL
     if case.kind == ELLIPTIC:
-        rows[m - 1, 0], rows[n - 1, 0] = c1, c2
+        rows[..., m - 1, 0], rows[..., n - 1, 0] = c1, c2
     elif case.kind == LOXODROMIC:
-        rows[n - m - 1, 0], rows[n - m, 0] = c2, c1
+        rows[..., n - m - 1, 0], rows[..., n - m, 0] = c2, c1
     elif case.kind == SPECIAL_LOXODROMIC:
-        rows[n - 2, 3], rows[n - 1, 3] = c2, c1
+        rows[..., n - 2, 3], rows[..., n - 1, 3] = c2, c1
     else:
         chart = HORO
-        rows[n - m - 1 if case.kind == PARABOLIC else n - 2, 0] = c2
-        rows[n - 1, 0] = c1           # alpha
-    return point_from_array(chart, rows.ravel(), n)
+        rows[..., n - m - 1 if case.kind == PARABOLIC else n - 2, 0] = c2
+        rows[..., n - 1, 0] = c1           # alpha
+    coords = rows.reshape(rows.shape[:-2] + (-1,))
+    return (points_from_stack if coords.ndim == 2 else point_from_array)(chart, coords, n)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +149,13 @@ def section_point(case: ReducedCase, c1: float, c2: float) -> ChartPoint:
 
 
 def _killing_vectors(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Ball-chart Killing fields of the algebra elements basis at the point
-    with lift X = (x, 1), as (k, 4n) rows: x_l = Y_l Y_{n+1}^{-1} along
+    """Ball-chart Killing fields of the k algebra elements basis at the
+    point with lift X = (x, 1), as (k, 4n) rows, or at each lift of a
+    (P, n+1, 4) stack, as (P, k, 4n): x_l = Y_l Y_{n+1}^{-1} along
     Y = exp(tG) X gives v_l = (GX)_l - x_l (GX)_{n+1}."""
-    GX = hamilton(basis, X).sum(axis=-2)
-    return (GX[:, :-1] - hamilton(X[:-1], GX[:, -1:])).reshape(len(basis), -1)
+    GX = hamilton(basis, X[..., None, None, :, :]).sum(axis=-2)
+    v = GX[..., :-1, :] - hamilton(X[..., None, :-1, :], GX[..., -1:, :])
+    return v.reshape(v.shape[:-2] + (-1,))
 
 
 @functools.cache
@@ -176,40 +180,39 @@ def _reference_coords(case: ReducedCase) -> tuple[float, float]:
     return 1.0, 0.5
 
 
-def killing_volume(case: ReducedCase, p: ChartPoint) -> float:
+def killing_volume(case: ReducedCase, p: ChartPoint):
     """Orbit volume through p, up to one case constant: the Gram
     determinant of a fixed linear combination of induced Killing fields.
+    A float for one point, an array over a stack.
 
     The determinant is the same in every chart, so it is taken in the ball.
     """
     X = lift(p)
     rows = _complement(case) @ _killing_vectors(generator_basis(case), X)
-    gram = rows @ ball_metric_matrix(X[:-1].ravel(), case.n) @ rows.T
-    det = float(np.linalg.det(gram))
-    if det <= 0.0:
+    x = X[..., :-1, :]
+    gram = (rows @ ball_metric_matrix(x.reshape(x.shape[:-2] + (-1,)), case.n)
+            @ np.swapaxes(rows, -1, -2))
+    det = np.linalg.det(gram)
+    if (det <= 0.0).any():
         raise DegenerateOrbitError("orbit through p is degenerate")
-    return float(np.sqrt(det))
+    return float_or_array(np.sqrt(det))
 
 
 def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
                          seed: int = 0) -> float:
     """Relative spread of killing_volume / volume_functional over random
-    section-interior points; small spread validates the closed form."""
+    section-interior points; small spread validates the closed form.
+
+    The points are drawn as (c1, c2) pairs, and every step runs once on
+    their stack."""
     rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(n_points):
-        if case.kind in POLAR_KINDS:
-            c1 = float(rng.uniform(0.15, 0.6))
-            c2 = float(rng.uniform(0.1, 0.5))
-        else:
-            c1 = float(rng.uniform(0.4, 2.0))
-            c2 = float(rng.uniform(0.3, 1.5))
-        p = section_point(case, c1, c2)
-        uv = orbit_project(case, p)
-        kv = killing_volume(case, p)
-        vf = volume_functional(case, uv)
-        ratios.append(kv / vf)
-    ratios = np.array(ratios)
+    if case.kind in POLAR_KINDS:
+        lo, hi = (0.15, 0.1), (0.6, 0.5)
+    else:
+        lo, hi = (0.4, 0.3), (2.0, 1.5)
+    c1, c2 = rng.uniform(lo, hi, size=(n_points, 2)).T
+    p = section_point(case, c1, c2)
+    ratios = killing_volume(case, p) / volume_functional(case, orbit_project(case, p))
     return float((ratios.max() - ratios.min()) / np.mean(ratios))
 
 
@@ -268,14 +271,15 @@ def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
     return (4.0 * g_half - g_full) / 3.0, (4.0 * H_half - H_full) / 3.0
 
 
-def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
+def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
                            p: ChartPoint) -> float:
     """Trace of the shape operator of the level set {surface = 0} at p.
 
     The derivatives are taken in the chart p is given in, so a residual
     native to that chart converts nothing; a Siegel point is moved to the
-    ball. The stencil is built and checked as one stack, and surface is
-    called once per stencil point. The convention gives +(2n+1) for the
+    ball. The stencil is built and checked as one stacked ChartPoint of k
+    points, and surface is called once on it; its values must broadcast to
+    (k,), or ShapeError is raised. The convention gives +(2n+1) for the
     horosphere residual alpha - a with the normal pointing toward growing
     alpha.
     """
@@ -285,7 +289,12 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], float],
     x0 = coords_array(convert(p, chart))
 
     def values(stack):
-        return np.array([float(surface(q)) for q in points_from_stack(chart, stack, n)])
+        f = np.asarray(surface(points_from_stack(chart, stack, n)), dtype=float)
+        try:
+            return np.broadcast_to(f, (len(stack),))
+        except ValueError:
+            raise ShapeError(f"surface gave shape {f.shape} on a stack of "
+                             f"{len(stack)} points") from None
 
     grad, hess = _richardson_grad_hess(values, x0, CURVATURE_STEP)
     ginv = np.linalg.inv(metric(x0, n))

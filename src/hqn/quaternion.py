@@ -1,10 +1,11 @@
 """Quaternion arithmetic and the two Hermitian forms.
 
 Every quaternion value is a float array of shape (..., 4), components
-q0..q3 on the last axis: a vector over the quaternions is (k, 4) rows, and
-all products go through one Hamilton product table. ``Quaternion`` is the
-scalar reference the array core is tested against, and an accepted input
-where points are built (see ``components``).
+q0..q3 on the last axis: a vector over the quaternions is (k, 4) rows, a
+stack of vectors (..., k, 4), and all products go through one Hamilton
+product table. ``Quaternion`` is the scalar reference the array core is
+tested against, and an accepted input where points are built (see
+``components``).
 
 Scalars multiply vectors on the right throughout (right-module convention).
 All components are 64-bit floats.
@@ -144,11 +145,12 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def qarray_inverse(q: np.ndarray) -> np.ndarray:
-    """Inverse of one quaternion given as a (4,) component array."""
-    n2 = float(q @ q)
-    if n2 == 0.0:
+    """Inverse of a (4,) quaternion, or of each quaternion of a (..., 4) stack."""
+    n2 = qnorm2(q)
+    one = q.ndim == 1
+    if not (n2 if one else n2.all()):
         raise ZeroDivisionError("zero quaternion has no inverse")
-    return q * CONJ / n2
+    return q * CONJ / (n2 if one else n2[..., None])
 
 
 def components(entries) -> np.ndarray:
@@ -157,31 +159,62 @@ def components(entries) -> np.ndarray:
                     dtype=float).reshape(-1, 4)
 
 
-def norm2(rows: np.ndarray) -> float:
-    """Sum of the squared components of any array of quaternions."""
-    return float(np.vdot(rows, rows))
+def _stack_sumsq(flat: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis of a stack, by one BLAS dot per
+    sum: the dot vdot takes for a lone vector, so norm2 and qnorm2 give a
+    vector alone and inside a stack the same bits. Like vdot, it raises no
+    floating-point warning; a square that overflows is inf."""
+    with np.errstate(over="ignore"):
+        return np.vecdot(flat, flat)
+
+
+def norm2(rows: np.ndarray):
+    """Sum of the squared components of one vector of quaternions, (k, 4)
+    rows or a lone (4,) quaternion, as a float; of each vector of a
+    (..., k, 4) stack, as an array."""
+    if rows.ndim <= 2:
+        return float(np.vdot(rows, rows))
+    return _stack_sumsq(rows.reshape(rows.shape[:-2] + (-1,)))
+
+
+def qnorm2(q: np.ndarray):
+    """|q|^2 of a (4,) quaternion, as a float; of each quaternion of a
+    (..., 4) stack, as an array."""
+    if q.ndim == 1:
+        return float(np.vdot(q, q))
+    return _stack_sumsq(q)
+
+
+def float_or_array(x):
+    """A float for a single value, else a float array; one point's results
+    stay Python floats, on the cheap scalar path."""
+    if isinstance(x, (float, np.floating)):
+        return float(x)
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
 
 def _herm_terms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The terms conj(X_l) Y_l of two (k, 4) row vectors, as (k, 4) rows."""
+    """The terms conj(X_l) Y_l of two (..., k, 4) row vectors, as (..., k, 4)
+    rows; leading stack axes broadcast."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
-        raise ShapeError(f"length mismatch: {len(X)} vs {len(Y)}")
+    if X.shape[-2:] != Y.shape[-2:]:
+        raise ShapeError(f"length mismatch: {X.shape[:-1]} vs {Y.shape[:-1]}")
     return hamilton(X * CONJ, Y)
 
 
 def herm_lorentz(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Indefinite Hermitian form of Q^{n,1} on (n+1, 4) rows, as a (4,) row:
-    sum conj(X_l) Y_l over l <= n, minus the last term."""
+    """Indefinite Hermitian form of Q^{n,1} on (..., n+1, 4) rows, as (..., 4)
+    rows: sum conj(X_l) Y_l over l <= n, minus the last term."""
     terms = _herm_terms(X, Y)
-    terms[-1] *= -1.0
-    return terms.sum(axis=0)
+    terms[..., -1, :] *= -1.0
+    return terms.sum(axis=-2)
 
 
 def herm_definite(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Definite Hermitian form (x, y) = sum conj(x_l) y_l on (k, 4) rows,
-    as a (4,) row."""
-    return _herm_terms(x, y).sum(axis=0)
+    """Definite Hermitian form (x, y) = sum conj(x_l) y_l on (..., k, 4)
+    rows, as (..., 4) rows."""
+    return _herm_terms(x, y).sum(axis=-2)
 
 
 POSITIVE = "positive"

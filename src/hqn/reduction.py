@@ -25,7 +25,7 @@ from .isometries import (
     rotation_matrix,
     transvection_matrix,
 )
-from .quaternion import UNIT, norm2
+from .quaternion import UNIT, float_or_array, norm2
 from .errors import (
     DomainError,
     NoSingularStratumError,
@@ -109,34 +109,36 @@ def polar_from_uv(u: float, v: float) -> tuple[float, float]:
 # orbit projections
 
 
-def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple[float, float]:
+def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple:
     """Project a point to the orbit space coordinates of the case:
-    (u, v) for the three ball cases, (alpha, rho) for the parabolic ones."""
+    (u, v) for the three ball cases, (alpha, rho) for the parabolic ones.
+    One point gives two floats, a stack two arrays."""
     n, m = case.n, case.m
     if case.kind in PARABOLIC_KINDS:
         q = convert(p, HORO)
         if case.kind == PARABOLIC:
-            rho = np.sqrt(norm2(q.omega[:n - m]))
+            rho = np.sqrt(norm2(q.omega[..., :n - m, :]))
         else:
-            rho = q.omega[-1, 0]
-        return q.alpha, float(rho)
+            rho = q.omega[..., -1, 0]
+        return q.alpha, float_or_array(rho)
     x = convert(p, BALL).rows
-    sq = np.sum(x * x, axis=1)            # |x_l|^2
+    sq = np.sum(x * x, axis=-1)           # |x_l|^2
     if case.kind == ELLIPTIC:
-        return float(np.sqrt(np.sum(sq[:m]))), float(np.sqrt(np.sum(sq[m:])))
-    if case.kind == LOXODROMIC:
-        den = np.sqrt(1.0 - np.sum(sq[n - m + 1:]))
-        u = np.sqrt(sq[n - m]) / den
-        v = np.sqrt(np.sum(sq[:n - m])) / den
-        return float(u), float(v)
-    # special loxodromic
-    (x0, x1, x2, x3), r2 = x[-1], sq[-1]
-    disc = ((1.0 - 2.0 * x0 + r2) * (1.0 + 2.0 * x0 + r2)
-            - 4.0 * x1 ** 2 - 4.0 * x2 ** 2)
-    den = 1.0 - r2 + np.sqrt(max(disc, 0.0))
-    u = 2.0 * x3 / den
-    v = np.sqrt(2.0) * np.sqrt(np.sum(sq[:n - 1])) / np.sqrt(den)
-    return float(u), float(v)
+        u = np.sqrt(np.sum(sq[..., :m], axis=-1))
+        v = np.sqrt(np.sum(sq[..., m:], axis=-1))
+    elif case.kind == LOXODROMIC:
+        den = np.sqrt(1.0 - np.sum(sq[..., n - m + 1:], axis=-1))
+        u = np.sqrt(sq[..., n - m]) / den
+        v = np.sqrt(np.sum(sq[..., :n - m], axis=-1)) / den
+    else:   # special loxodromic
+        x0, x1, x2, x3 = (x[..., -1, i] for i in range(4))
+        r2 = sq[..., -1]
+        disc = ((1.0 - 2.0 * x0 + r2) * (1.0 + 2.0 * x0 + r2)
+                - 4.0 * x1 ** 2 - 4.0 * x2 ** 2)
+        den = 1.0 - r2 + np.sqrt(np.maximum(disc, 0.0))
+        u = 2.0 * x3 / den
+        v = np.sqrt(2.0) * np.sqrt(np.sum(sq[..., :n - 1], axis=-1)) / np.sqrt(den)
+    return float_or_array(u), float_or_array(v)
 
 
 def in_domain(case: ReducedCase, point: tuple[float, float]) -> bool:
@@ -191,12 +193,6 @@ def orbital_metric(case: ReducedCase, point, u, v, polar: bool = False) -> float
 # volume functionals
 
 
-def _float_or_array(x):
-    # scalars stay on the float path, where they are cheapest
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else x
-
-
 def volume_functional(case: ReducedCase, point, polar: bool = False,
                       bracket_exponent: int = 3):
     """Volume of the orbit over the given orbit-space point.
@@ -207,21 +203,21 @@ def volume_functional(case: ReducedCase, point, polar: bool = False,
     be equal-shape arrays; scalar coordinates give a float.
     """
     n, m = case.n, case.m
-    c1, c2 = _float_or_array(point[0]), _float_or_array(point[1])
+    c1, c2 = float_or_array(point[0]), float_or_array(point[1])
     if case.kind == PARABOLIC:
-        return _float_or_array(c1 ** (-(4 * n + 1) / 2.0) * c2 ** (4 * n - 4 * m - 1))
+        return float_or_array(c1 ** (-(4 * n + 1) / 2.0) * c2 ** (4 * n - 4 * m - 1))
     if case.kind == SPECIAL_PARABOLIC:
-        return _float_or_array(c1 ** (-(4 * n + 1) / 2.0))
+        return float_or_array(c1 ** (-(4 * n + 1) / 2.0))
     if polar:
         r, theta = c1, c2
         if case.kind == SPECIAL_LOXODROMIC:
             bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
-            return _float_or_array(bracket ** bracket_exponent
+            return float_or_array(bracket ** bracket_exponent
                                     * np.sinh(r) ** (4 * n - 5)
                                     * np.sin(theta) ** (4 * n - 5))
         A, B, C, D = case.exponents
         # combined form 2^D sin^{C+D} cos^D avoids 0^negative when C <= 0
-        return _float_or_array(np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
+        return float_or_array(np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
                                 * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
     u, v = c1, c2
     s = 1.0 - u * u - v * v
@@ -229,12 +225,12 @@ def volume_functional(case: ReducedCase, point, polar: bool = False,
     if (s <= 0.0).any() if isinstance(s, np.ndarray) else s <= 0.0:
         raise DomainError("(u, v) outside the orbit space")
     if case.kind == ELLIPTIC:
-        return _float_or_array(u ** (4 * m - 1) * v ** (4 * n - 4 * m - 1)
+        return float_or_array(u ** (4 * m - 1) * v ** (4 * n - 4 * m - 1)
                                 / s ** ((4 * n + 1) / 2.0))
     if case.kind == LOXODROMIC:
-        return _float_or_array(u ** 3 * v ** (4 * n - 4 * m - 1)
+        return float_or_array(u ** 3 * v ** (4 * n - 4 * m - 1)
                                 / s ** ((4 * n + 1) / 2.0))
-    return _float_or_array((1.0 + u * u) ** bracket_exponent * v ** (4 * n - 5)
+    return float_or_array((1.0 + u * u) ** bracket_exponent * v ** (4 * n - 5)
                             / s ** ((4 * n + 1) / 2.0))
 
 
@@ -368,12 +364,12 @@ def first_integral_values(case: ReducedCase, state: PhaseState) -> dict:
     state's fields may be equal-shape arrays; scalar fields give floats.
     """
     n, m = case.n, case.m
-    c1, c2, sigma = map(_float_or_array, (state.c1, state.c2, state.sigma))
+    c1, c2, sigma = map(float_or_array, (state.c1, state.c2, state.sigma))
     if case.kind in POLAR_KINDS:
         V = volume_functional(case, (c1, c2), polar=True)
-        return {"I1": _float_or_array(V * np.cos(sigma))}
+        return {"I1": float_or_array(V * np.cos(sigma))}
     if case.kind == SPECIAL_PARABOLIC:
-        return {"I1": _float_or_array(c1 ** (-2 * n - 1) * np.sin(sigma))}
+        return {"I1": float_or_array(c1 ** (-2 * n - 1) * np.sin(sigma))}
     alpha, rho = c1, c2
     e_i = ((4 * n + 2) * (4 * n - 4 * m - 2) + 1) / (4 * n + 1)
     I = (alpha ** (-2 * n - 1) * rho ** e_i
@@ -383,7 +379,7 @@ def first_integral_values(case: ReducedCase, state: PhaseState) -> dict:
     J = (alpha ** e_j * rho ** (4 * n - 4 * m - 1)
          * (np.sqrt(alpha) * np.cos(sigma)
             + (4 * n + 2) / (4 * n - 4 * m) * rho * np.sin(sigma)))
-    return {"I1": _float_or_array(I), "I2": _float_or_array(J)}
+    return {"I1": float_or_array(I), "I2": float_or_array(J)}
 
 
 # ---------------------------------------------------------------------------

@@ -235,18 +235,18 @@ def test_stack_points_match_single_points(chart):
     # point_from_array of the same row, and pass or fail with it
     rng = np.random.default_rng(5)
     arr = np.array(INSIDE) + rng.uniform(-0.05, 0.05, (6, 8))
-    points = points_from_stack(chart, arr, 2)
-    assert len(points) == 6
-    for row, p in zip(arr, points):
+    stack = points_from_stack(chart, arr, 2)
+    assert len(stack.rows) == 6
+    for i, row in enumerate(arr):
         q = point_from_array(chart, row, 2)
-        assert p.chart == q.chart == chart
-        assert np.array_equal(p.rows, q.rows)
-        assert not p.rows.flags.writeable and not p.rows.flags.owndata
+        assert stack.chart == q.chart == chart
+        assert np.array_equal(stack.rows[i], q.rows)
+        assert not stack.rows[i].flags.writeable and not stack.rows[i].flags.owndata
         with pytest.raises(ValueError):
-            p.rows[0, 0] = 0.25
-    assert points[0].rows.base is points[-1].rows.base
+            stack.rows[i][0, 0] = 0.25
+    assert stack.rows[0].base is stack.rows[-1].base
     arr[0, 0] = 0.5
-    assert points[0].rows[0, 0] != 0.5
+    assert stack.rows[0][0, 0] != 0.5
     outside = {BALL: [0.9, 0.9, 0, 0, 0, 0, 0, 0], SIEGEL: [1.0, 0, 0, 0, 0.2, 0, 0, 0],
                HORO: [0.1, 0, 0, 0, 0.0, 0, 0, 0]}[chart]
     with pytest.raises(NotInteriorError):
@@ -277,3 +277,47 @@ def test_rows_are_read_only():
     assert h.alpha == 0.7 and isinstance(h.alpha, float)
     assert np.array_equal(h.omega, [[0.1, 0.2, 0.0, 0.0]])
     assert np.array_equal(h.beta, [0.0, 0.0, 1.0])
+
+
+def ball_stack(rng, n, k=7, rmax=0.8):
+    # k seeded interior ball points as one (k, 4n) array
+    v = rng.standard_normal((k, 4 * n))
+    return v * (rng.uniform(0.05, rmax, (k, 1)) / np.linalg.norm(v, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("src", [BALL, SIEGEL, HORO])
+def test_convert_stack_equals_points(n, src):
+    # a stacked conversion gives, bit for bit, what each point gives alone
+    stack = convert(points_from_stack(BALL, ball_stack(np.random.default_rng(n), n), n), src)
+    assert stack.chart == src and stack.rows.shape == (7, n, 4)
+    for dst in (BALL, SIEGEL, HORO):
+        got = convert(stack, dst)
+        assert got.chart == dst and not got.rows.flags.writeable
+        for i, rows in enumerate(stack.rows):
+            want = convert(point_from_array(src, rows.ravel(), n), dst)
+            assert np.array_equal(got.rows[i], want.rows)
+    assert np.array_equal(lift(stack)[:, :-1], convert(stack, BALL).rows)
+    assert np.array_equal(coords_array(stack), stack.rows.reshape(7, -1))
+    horo = convert(stack, HORO)
+    alphas = [convert(point_from_array(src, r.ravel(), n), HORO).alpha for r in stack.rows]
+    assert isinstance(horo.alpha, np.ndarray) and np.array_equal(horo.alpha, alphas)
+    assert np.array_equal(busemann(stack), [busemann(point_from_array(src, r.ravel(), n))
+                                            for r in stack.rows])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dist_stack_equals_points(n):
+    rng = np.random.default_rng(10 + n)
+    arr, other = ball_stack(rng, n), ball_stack(rng, n)
+    for chart in (BALL, HORO):
+        stack = convert(points_from_stack(BALL, arr, n), chart)
+        others = points_from_stack(BALL, other, n)
+        q = random_ball_point(rng, n)
+        points = [point_from_array(chart, r.ravel(), n) for r in stack.rows]
+        pairs = [point_from_array(BALL, r, n) for r in other]
+        assert np.array_equal(dist(stack, q), [dist(p, q) for p in points])
+        assert np.array_equal(dist(q, stack), [dist(q, p) for p in points])
+        assert np.array_equal(dist(stack, others),
+                              [dist(p, o) for p, o in zip(points, pairs)])
+        assert isinstance(dist(points[0], q), float)

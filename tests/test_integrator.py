@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
 from hqn.errors import DomainError, ExtrapolationError
 from hqn.integrator import (
+    MAX_STEPS,
     EndpointLimit,
     ProfileCurve,
     elliptic_integral_R,
@@ -322,3 +327,22 @@ def test_kernel_counts(case, s_max, a_range):
     # f(y0) and the initial-step probe, 12 stages per attempt, 3 more per
     # accepted step for the dense output
     assert c1.nfev == 2 + 12 * (c1.accepted + c1.rejected) + 3 * c1.accepted
+
+
+def test_huge_h_spends_the_step_budget():
+    # at h = 1e30 every step is accepted at 10 spacing(s), so without a
+    # budget the run would take ~1e16 steps; the subprocess bounds the wait
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from hqn.errors import StepSizeUnderflow\n"
+            "from hqn.integrator import integrate_profile\n"
+            "from hqn.reduction import ReducedCase\n"
+            "try:\n"
+            "    integrate_profile(ReducedCase('elliptic', 2, 1), 1.0, h=1e30)\n"
+            "except StepSizeUnderflow as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True, timeout=30).stdout
+    head = f"step budget of {MAX_STEPS} steps spent at s = "
+    assert out.startswith(head)
+    assert 0.0 < float(out[len(head):]) < 20.0

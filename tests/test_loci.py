@@ -4,11 +4,13 @@ import pytest
 from hqn.charts import (
     BALL,
     HORO,
+    SIEGEL,
     ball_point,
     convert,
     coords_array,
     horo_point,
     point_from_array,
+    points_from_stack,
 )
 from hqn.errors import DegenerateLocusError
 from hqn.isometries import act_horo_closed, inversion_horo
@@ -191,3 +193,30 @@ def test_locus_residual_dispatch():
     assert locus_residual(p, LocusSpec("bisector-family", t=0.0)) == 0.0
     spec = LocusSpec("bisector", p1=CANON_P1, p2=CANON_P2)
     assert locus_residual(ball_point([0, 0]), spec) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("chart", [BALL, SIEGEL, HORO])
+def test_residuals_stack_equals_points(n, chart):
+    # every residual on a stack gives, bit for bit, its values at the points
+    # alone, and a float at one point
+    rng = np.random.default_rng([n, len(chart)])
+    v = rng.standard_normal((7, 4 * n))
+    v *= rng.uniform(0.05, 0.8, (7, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    stack = convert(points_from_stack(BALL, v, n), chart)
+    points = [point_from_array(chart, r.ravel(), n) for r in stack.rows]
+    p1, p2 = random_ball_point(rng, n), random_ball_point(rng, n)
+    specs = [LocusSpec("bisector", p1=p1, p2=p2), LocusSpec("canonical-bisector"),
+             LocusSpec("fan", normal=fan_normal(n, 0)),
+             LocusSpec("fan", normal=rng.standard_normal(4 * (n - 1)), offset=0.3),
+             LocusSpec("bisector-family", t=0.7), LocusSpec("fan-at-origin")]
+    residuals = [lambda q: bisector_residual(q, p1, p2), canonical_bisector_residual,
+                 lambda q: fan_residual(q, specs[3]),
+                 lambda q: bisector_family_residual(q, -1.3), fan_at_origin_residual]
+    residuals += [lambda q, spec=spec: locus_residual(q, spec) for spec in specs]
+    for f in residuals:
+        got = f(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (7,)
+        want = [f(p) for p in points]
+        assert all(isinstance(w, float) for w in want)
+        assert np.array_equal(got, want)

@@ -16,7 +16,7 @@ from hqn.charts import (
     points_from_stack,
 )
 from hqn.cli import main
-from hqn.errors import NotInteriorError, SingularPointError
+from hqn.errors import NotInteriorError, ShapeError, SingularPointError
 from hqn.integrator import generate_family, integrate_profile, residual_column
 from hqn.isometries import (
     Isometry,
@@ -46,6 +46,7 @@ from hqn.reduction import (
     ELLIPTIC,
     LOXODROMIC,
     PARABOLIC,
+    POLAR_KINDS,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
     ReducedCase,
@@ -168,19 +169,22 @@ def test_horo_metric_stack(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_mean_curvature_call_count(n):
-    # f(x) once, then per step the 2d axis points (shared by the gradient
-    # and the Hessian diagonal) and the 2d(d-1) off-diagonal points
-    calls = []
-
-    def res(q):
-        calls.append(q)
-        return convert(q, HORO).alpha - 1.0
-
-    ambient_mean_curvature(res, horo_point((Quaternion(0.2),) * (n - 1), 1.0,
-                                           Quaternion(0, 0.1, 0, 0)))
+    # one residual call on the stacked stencil, in the point's chart: f(x),
+    # then per step the 2d axis points (shared by the gradient and the
+    # Hessian diagonal) and the 2d(d-1) off-diagonal points
+    p = horo_point((Quaternion(0.2),) * (n - 1), 1.0, Quaternion(0, 0.1, 0, 0))
     d = 4 * n
-    assert len(calls) == 1 + 2 * (2 * d + 2 * d * (d - 1))    # 257 at n = 2
-    assert all(q.chart == HORO for q in calls)
+    for chart in (HORO, BALL):
+        calls = []
+
+        def res(q):
+            calls.append(q)
+            return convert(q, HORO).alpha - 1.0
+
+        ambient_mean_curvature(res, convert(p, chart))
+        [stack] = calls
+        assert stack.rows.shape == (1 + 2 * (2 * d + 2 * d * (d - 1)), n, 4)    # 257 at n = 2
+        assert stack.chart == chart
 
 
 def _loop_grad_hess(f, x, step):
@@ -237,9 +241,7 @@ def test_stacked_stencil_matches_loop(n, chart, kind):
         want = _loop_grad_hess(
             lambda arr: float(surface(point_from_array(chart, arr, n))), x, CURVATURE_STEP)
         got = _richardson_grad_hess(
-            lambda stack: np.array([float(surface(q))
-                                    for q in points_from_stack(chart, stack, n)]),
-            x, CURVATURE_STEP)
+            lambda stack: surface(points_from_stack(chart, stack, n)), x, CURVATURE_STEP)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -255,6 +257,15 @@ def test_mean_curvature_degenerate_gradient():
     p = horo_point((Quaternion(0.3),), 0.7, Quaternion())
     with pytest.raises(SingularPointError):
         ambient_mean_curvature(lambda q: 0.0, p)
+
+
+def test_mean_curvature_surface_shape():
+    # the surface gives one value per stencil point, or one that broadcasts
+    p = horo_point((Quaternion(0.3),), 0.7, Quaternion(0, 0.1, 0, 0))
+    for bad in (lambda q: np.zeros((len(q.rows), 2)), lambda q: np.zeros(3),
+                lambda q: convert(q, HORO).rows[:, 0, :]):
+        with pytest.raises(ShapeError):
+            ambient_mean_curvature(bad, p)
 
 
 def test_ode_residual_and_sensitivity():
@@ -343,3 +354,58 @@ def test_curvature_oracle_pinned(capsys):
     assert set(got) == set(PINNED_CURVATURE)
     for name, value in PINNED_CURVATURE.items():
         assert got[name] == pytest.approx(value, abs=1e-8)
+
+
+def cases_at(n):
+    # every reduced case at n
+    return ([ReducedCase(ELLIPTIC, n, m) for m in range(1, n)]
+            + [ReducedCase(LOXODROMIC, n, m) for m in range(2, n)]
+            + [ReducedCase(SPECIAL_LOXODROMIC, n)]
+            + [ReducedCase(PARABOLIC, n, m) for m in range(1, n)]
+            + [ReducedCase(SPECIAL_PARABOLIC, n)])
+
+
+STACK_CASES = cases_at(2) + cases_at(3) + cases_at(4)
+
+
+@pytest.mark.parametrize("case", STACK_CASES,
+                         ids=[f"{c.kind}-n{c.n}-m{c.m}" for c in STACK_CASES])
+def test_killing_volume_stack_equals_points(case):
+    # one stacked Killing volume gives, bit for bit, each point's volume
+    rng = np.random.default_rng([case.n, case.m or 0, len(case.kind)])
+    c1, c2 = rng.uniform(0.15, 0.5, (2, 9))
+    stack = section_point(case, c1, c2)
+    assert stack.rows.shape == (9, case.n, 4)
+    want = [killing_volume(case, section_point(case, a, b)) for a, b in zip(c1, c2)]
+    assert all(isinstance(w, float) for w in want)
+    assert np.array_equal(killing_volume(case, stack), want)
+    other = convert(stack, HORO if stack.chart == BALL else BALL)
+    assert np.array_equal(killing_volume(case, other), [
+        killing_volume(case, point_from_array(other.chart, r.ravel(), case.n))
+        for r in other.rows])
+
+
+def _loop_spread(case, n_points, seed):
+    # the per-point reference for killing_ratio_spread: alternating scalar
+    # draws, and one point at a time
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(n_points):
+        if case.kind in POLAR_KINDS:
+            c1 = float(rng.uniform(0.15, 0.6))
+            c2 = float(rng.uniform(0.1, 0.5))
+        else:
+            c1 = float(rng.uniform(0.4, 2.0))
+            c2 = float(rng.uniform(0.3, 1.5))
+        p = section_point(case, c1, c2)
+        uv = orbit_project(case, p)
+        ratios.append(killing_volume(case, p) / volume_functional(case, uv))
+    ratios = np.array(ratios)
+    return float((ratios.max() - ratios.min()) / np.mean(ratios))
+
+
+@pytest.mark.parametrize("case", BENCH_CASES, ids=BENCH_IDS)
+def test_stacked_spread_matches_loop(case):
+    for n_points, seed in ((20, 5), (50, 0), (1, 3)):
+        got = killing_ratio_spread(case, n_points, seed)
+        assert abs(got - _loop_spread(case, n_points, seed)) <= 1e-15

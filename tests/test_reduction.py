@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hqn.charts import BALL, HORO, ball_point, convert, horo_point, point_from_array
+from hqn.charts import (
+    BALL,
+    HORO,
+    ball_point,
+    convert,
+    horo_point,
+    point_from_array,
+    points_from_stack,
+)
 from hqn.errors import (
     DomainError,
     NoSingularStratumError,
@@ -409,3 +417,32 @@ def test_polar_uv_round_trip():
         r2, th2 = polar_from_uv(u, v)
         assert r2 == pytest.approx(r, rel=1e-12)
         assert th2 == pytest.approx(th, rel=1e-12)
+
+
+def cases_at(n):
+    # every reduced case at n
+    return ([ReducedCase(ELLIPTIC, n, m) for m in range(1, n)]
+            + [ReducedCase(LOXODROMIC, n, m) for m in range(2, n)]
+            + [ReducedCase(SPECIAL_LOXODROMIC, n)]
+            + [ReducedCase(PARABOLIC, n, m) for m in range(1, n)]
+            + [ReducedCase(SPECIAL_PARABOLIC, n)])
+
+
+STACK_CASES = cases_at(2) + cases_at(3) + cases_at(4)
+
+
+@pytest.mark.parametrize("case", STACK_CASES,
+                         ids=[f"{c.kind}-n{c.n}-m{c.m}" for c in STACK_CASES])
+def test_orbit_project_stack_equals_points(case):
+    # one stacked projection gives, bit for bit, each point's projection
+    n = case.n
+    rng = np.random.default_rng([n, ALL_KINDS.index(case.kind), case.m or 0])
+    v = rng.standard_normal((9, 4 * n))
+    v *= rng.uniform(0.05, 0.8, (9, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    for chart in (BALL, HORO):
+        stack = convert(points_from_stack(BALL, v, n), chart)
+        got = orbit_project(case, stack)
+        want = [orbit_project(case, point_from_array(chart, r.ravel(), n))
+                for r in stack.rows]
+        assert all(isinstance(c, float) for pair in want for c in pair)
+        assert np.array_equal(np.array(got).T, want)
