@@ -24,17 +24,16 @@ import numpy as np
 from .errors import NotInteriorError, ShapeError
 from .quaternion import (
     CONJ,
-    NEGATIVE,
     UNIT,
     components,
     float_or_array,
     hamilton,
     herm_definite,
+    lorentz_sign,
     norm2,
     qarray_inverse,
     qnorm2,
     right_mult_matrix,
-    signature_class,
 )
 
 BALL = "ball"
@@ -242,11 +241,13 @@ def lift(p: ChartPoint) -> np.ndarray:
 
 
 def ball_from_lift(X: np.ndarray) -> ChartPoint:
-    """Re-project a negative Lorentz vector of (n+1, 4) rows, x_l = X_l X_{n+1}^{-1}."""
+    """Re-project a negative Lorentz vector of (n+1, 4) rows, x_l = X_l X_{n+1}^{-1};
+    a (k, n+1, 4) stack of them to a stack of k points."""
     X = np.asarray(X, dtype=float)
-    if signature_class(X) != NEGATIVE:
+    if not np.all(lorentz_sign(X) == -1):
         raise NotInteriorError("lift is not a negative vector")
-    return _point(BALL, hamilton(X[:-1], qarray_inverse(X[-1])))
+    return _point(BALL, hamilton(X[..., :-1, :],
+                                 qarray_inverse(X[..., -1, :])[..., None, :]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .charts import (
     dist,
     metric_matrix,
     point_from_array,
+    points_from_stack,
 )
 from .errors import DomainError, ExtrapolationError, NotInteriorError, ShapeError
 from .integrator import (
@@ -108,51 +109,50 @@ def _check(name: str, value: float, bound: float) -> dict:
 
 
 def _random_ball(rng, n):
+    """The 4n reals of a random ball point."""
     x = rng.uniform(-0.5, 0.5, 4 * n)
     x *= rng.uniform(0.1, 0.9) / max(np.linalg.norm(x), 1e-9)
-    return point_from_array(BALL, x, n)
+    return x
 
 
 def _suite_charts(n: int):
     rng = np.random.default_rng(101)
-    worst_rt = 0.0
-    worst_sym = 0.0
-    for _ in range(50):
-        p = _random_ball(rng, n)
-        q = convert(convert(convert(p, SIEGEL), HORO), BALL)
-        worst_rt = max(worst_rt,
-                       float(np.max(np.abs(coords_array(q) - coords_array(p)))))
-        p2 = _random_ball(rng, n)
-        worst_sym = max(worst_sym, abs(dist(p, p2) - dist(p2, p)))
-    eig = np.linalg.eigvalsh(metric_matrix(_random_ball(rng, n)))
+    x = np.array([_random_ball(rng, n) for _ in range(100)])
+    p = points_from_stack(BALL, x[0::2], n)
+    p2 = points_from_stack(BALL, x[1::2], n)
+    q = convert(convert(convert(p, SIEGEL), HORO), BALL)
+    worst_rt = float(np.max(np.abs(coords_array(q) - coords_array(p))))
+    worst_sym = float(np.max(np.abs(dist(p, p2) - dist(p2, p))))
+    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, _random_ball(rng, n), n)))
     return [_check("chart round trip", worst_rt, 1e-12),
             _check("distance symmetry", worst_sym, 1e-12),
             _check("metric positive definite", 0.0 if eig.min() > 0 else 1.0, 0.5)]
 
 
 def _suite_isometries(n: int):
-    rng = np.random.default_rng(202)
-    worst_defect = 0.0
-    worst_closed = 0.0
-    for _ in range(50):
-        xi = rng.normal(0, 0.4, (n - 1, 4))
-        nu = np.concatenate([[0.0], rng.normal(0, 0.4, 3)])
-        t = float(rng.normal(0, 0.5))
-        B = random_sp(n - 1, rng)
-        lam = random_unit_quaternion(rng)
-        big = qmat_identity(n + 1)
-        big[:n - 1, :n - 1] = B
-        big[n - 1, n - 1] = big[n, n] = lam
-        gens = [("heisenberg", heisenberg_matrix(n, xi, nu),
-                 dict(xi=xi, nu=nu)),
-                ("transvection", transvection_matrix(n, t), dict(t=t)),
-                ("rotation", Isometry(big), dict(B=B, lam=lam))]
-        p = convert(_random_ball(rng, n), HORO)
-        for kind, g, params in gens:
-            worst_defect = max(worst_defect, sp_defect(g.A))
-            a = coords_array(act(g, p))
-            b = coords_array(act_horo_closed(kind, p, **params))
-            worst_closed = max(worst_closed, float(np.max(np.abs(a - b))))
+    rng, k = np.random.default_rng(202), 50
+    xi, nu, t = np.empty((k, n - 1, 4)), np.zeros((k, 4)), np.empty(k)
+    B, lam, x = np.empty((k, n - 1, n - 1, 4)), np.empty((k, 4)), np.empty((k, 4 * n))
+    # random_sp draws from rng between the other draws, so batched draws would
+    # reorder the stream: one pass per element keeps the seeded inputs
+    for i in range(k):
+        xi[i] = rng.normal(0, 0.4, (n - 1, 4))
+        nu[i, 1:] = rng.normal(0, 0.4, 3)
+        t[i] = rng.normal(0, 0.5)
+        B[i] = random_sp(n - 1, rng)
+        lam[i] = random_unit_quaternion(rng)
+        x[i] = _random_ball(rng, n)
+    big = np.broadcast_to(qmat_identity(n + 1), (k, n + 1, n + 1, 4)).copy()
+    big[:, :n - 1, :n - 1] = B
+    big[:, n - 1, n - 1] = big[:, n, n] = lam
+    gens = [("heisenberg", heisenberg_matrix(n, xi, nu), dict(xi=xi, nu=nu)),
+            ("transvection", transvection_matrix(n, t), dict(t=t)),
+            ("rotation", Isometry(big), dict(B=B, lam=lam))]
+    p = convert(points_from_stack(BALL, x, n), HORO)
+    worst_defect = max(float(np.max(sp_defect(g.A))) for _, g, _ in gens)
+    worst_closed = max(float(np.max(np.abs(coords_array(act(g, p))
+                                           - coords_array(act_horo_closed(kind, p, **params)))))
+                       for kind, g, params in gens)
     return [_check("Sp(n,1) defect", worst_defect, 1e-12),
             _check("matrix vs closed-form action", worst_closed, 1e-10)]
 

@@ -10,6 +10,7 @@ c1) are located on the step's interpolant.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -83,11 +84,15 @@ class ProfileCurve:
     V: np.ndarray                 # diagnostics on the uniform grid
     I1: np.ndarray
     I2: np.ndarray
-    residual: np.ndarray
     termination: str
     nfev: int                     # right-hand side evaluations
     accepted: int                 # steps, len(s) - 1
     rejected: int
+
+    @functools.cached_property
+    def residual(self) -> np.ndarray:
+        """residual_column on the uniform grid, computed when first read."""
+        return residual_column(self.case, self.h, self.uniform_s, self.uniform_states)
 
     def state(self, i: int) -> PhaseState:
         return PhaseState(*self.uniform_states[i])
@@ -421,10 +426,11 @@ def residual_column(case: ReducedCase, h: float, s: np.ndarray,
                     states: np.ndarray) -> np.ndarray:
     """Central-difference residual of states sampled on the uniform grid s:
     at each interior sample, max over components of
-    |(y[i+1] - y[i-1]) / (2 ds) - f(y[i])|. It is 0 at the two ends and
-    where the right-hand side is undefined."""
+    |(y[i+1] - y[i-1]) / (2 ds) - f(y[i])|. It is 0 at the two ends,
+    where the right-hand side is undefined, and everywhere on a grid of one
+    repeated s (a curve that ends where it starts), where ds = 0."""
     out = np.zeros(len(s))
-    if len(s) < 3:
+    if len(s) < 3 or s[1] == s[0]:
         return out
     rhs = case_rhs(case, h)
     df = (states[2:] - states[:-2]) / (2.0 * (s[1] - s[0]))
@@ -497,7 +503,6 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
                         uniform_s=uniform_s, uniform_states=uniform_states,
                         V=V, I1=vals["I1"],
                         I2=vals.get("I2", np.full(n_samples, np.nan)),
-                        residual=residual_column(case, h, uniform_s, uniform_states),
                         termination=run.event or "smax", nfev=run.nfev,
                         accepted=run.accepted, rejected=run.rejected)
 

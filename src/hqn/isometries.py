@@ -13,19 +13,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import HORO, ChartPoint, ball_from_lift, convert, lift, point_from_array
+from .charts import (
+    HORO,
+    ChartPoint,
+    ball_from_lift,
+    convert,
+    lift,
+    point_from_array,
+    points_from_stack,
+)
 from .errors import DomainError, NotPolarError, NotSymplecticError, ShapeError
 from .quaternion import (
     CONJ,
     IMAG,
     POSITIVE,
     UNIT,
+    float_or_array,
     hamilton,
     herm_definite,
     herm_lorentz,
     left_mult_matrix,
     norm2,
     qarray_inverse,
+    qnorm2,
     signature_class,
 )
 
@@ -43,8 +53,11 @@ def qmat_identity(m: int) -> np.ndarray:
 
 
 def qmat_to_real(A: np.ndarray) -> np.ndarray:
-    m, k = A.shape[0], A.shape[1]
-    return left_mult_matrix(A).transpose(0, 2, 1, 3).reshape(4 * m, 4 * k)
+    """The real (4m, 4k) matrix of an (m, k, 4) quaternion matrix; of each
+    matrix of an (..., m, k, 4) stack."""
+    m, k = A.shape[-3], A.shape[-2]
+    L = np.swapaxes(left_mult_matrix(A), -3, -2)
+    return L.reshape(A.shape[:-3] + (4 * m, 4 * k))
 
 
 def qmat_from_real(R: np.ndarray) -> np.ndarray:
@@ -54,14 +67,18 @@ def qmat_from_real(R: np.ndarray) -> np.ndarray:
 
 
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    k, c = B.shape[0], B.shape[1]
+    """Product of quaternion matrices; (..., m, k, 4) and (..., k, c, 4)
+    stacks multiply pairwise, each pair through the same real blocks as
+    alone."""
+    k, c = B.shape[-3], B.shape[-2]
     # only the first columns of B's real blocks are needed: they are B itself
-    C = qmat_to_real(A) @ B.transpose(0, 2, 1).reshape(4 * k, c)
-    return np.ascontiguousarray(C.reshape(-1, 4, c).transpose(0, 2, 1))
+    C = qmat_to_real(A) @ np.swapaxes(B, -2, -1).reshape(B.shape[:-3] + (4 * k, c))
+    C = C.reshape(C.shape[:-2] + (-1, 4, c))
+    return np.ascontiguousarray(np.swapaxes(C, -2, -1))
 
 
 def qmat_conj_T(A: np.ndarray) -> np.ndarray:
-    return np.transpose(A, (1, 0, 2)) * CONJ
+    return np.swapaxes(A, -3, -2) * CONJ
 
 
 @functools.cache
@@ -78,11 +95,17 @@ def qmat_expm(G: np.ndarray) -> np.ndarray:
 
 def qmat_vec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Apply a quaternion matrix to a column vector given as (k, 4) rows
-    (entries act on the left)."""
+    (entries act on the left); an (..., m, k, 4) stack of matrices and an
+    (..., k, 4) stack of vectors broadcast against each other."""
     X = np.asarray(X, dtype=float)
-    if A.shape[1] != len(X):
+    if X.ndim < 2 or A.shape[-2] != X.shape[-2]:
         raise ShapeError("matrix/vector size mismatch")
-    return (qmat_to_real(A) @ X.ravel()).reshape(-1, 4)
+    try:
+        Y = qmat_to_real(A) @ X.reshape(X.shape[:-2] + (-1, 1))
+    except ValueError:
+        raise ShapeError(f"stacks of {A.shape[:-3]} matrices and {X.shape[:-2]} "
+                         "vectors do not broadcast") from None
+    return Y.reshape(Y.shape[:-2] + (-1, 4))
 
 
 def lorentz_signature(m: int) -> np.ndarray:
@@ -91,12 +114,13 @@ def lorentz_signature(m: int) -> np.ndarray:
     return J
 
 
-def sp_defect(A: np.ndarray) -> float:
-    """max-norm of A* I_{n,1} A - I_{n,1}."""
+def sp_defect(A: np.ndarray):
+    """max-norm of A* I_{n,1} A - I_{n,1}: a float for one matrix, an array
+    of one value per matrix for an (..., n+1, n+1, 4) stack."""
     JA = A.copy()
-    JA[-1] *= -1.0
-    return float(np.max(np.abs(qmat_mul(qmat_conj_T(A), JA)
-                               - lorentz_signature(A.shape[0]))))
+    JA[..., -1, :, :] *= -1.0
+    D = np.abs(qmat_mul(qmat_conj_T(A), JA) - lorentz_signature(A.shape[-3]))
+    return float_or_array(np.max(D, axis=(-3, -2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,26 +129,30 @@ def sp_defect(A: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Isometry:
-    """(n+1)x(n+1) quaternionic matrix satisfying A* I_{n,1} A = I_{n,1},
-    checked for a matrix from outside; exact members come through _member."""
+    """(n+1)x(n+1) quaternionic matrix satisfying A* I_{n,1} A = I_{n,1}, or
+    a (k, n+1, n+1, 4) stack of k such matrices; checked, every matrix of a
+    stack, for a matrix from outside; exact members come through _member."""
 
     A: np.ndarray
 
     def __post_init__(self):
+        A = self.A
+        if A.ndim not in (3, 4) or A.shape[-3] != A.shape[-2] or A.shape[-1] != 4:
+            raise ShapeError(f"expected (n+1, n+1, 4) or (k, n+1, n+1, 4), got {A.shape}")
         # a NaN defect fails too
-        if not sp_defect(self.A) <= SP_TOL:
+        if not np.all(sp_defect(A) <= SP_TOL):
             raise NotSymplecticError("matrix violates the Sp(n,1) identity")
 
     @property
     def n(self) -> int:
-        return self.A.shape[0] - 1
+        return self.A.shape[-3] - 1
 
     def compose(self, other: "Isometry") -> "Isometry":
         return _member(qmat_mul(self.A, other.A))
 
     def inverse(self) -> "Isometry":
         # A^{-1} = I_{n,1} A* I_{n,1} for members of Sp(n,1)
-        J = lorentz_signature(self.A.shape[0])
+        J = lorentz_signature(self.A.shape[-3])
         return _member(qmat_mul(qmat_mul(J, qmat_conj_T(self.A)), J))
 
 
@@ -137,13 +165,15 @@ def _member(A: np.ndarray) -> Isometry:
 
 
 def _heisenberg_pair(n: int, xi, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Heisenberg element (xi, nu): (n-1, 4) rows and a purely imaginary (4,) row."""
+    """Heisenberg element (xi, nu): (n-1, 4) rows and a purely imaginary (4,)
+    row; or k of them, as (k, n-1, 4) and (k, 4) stacks."""
     xi, nu = np.asarray(xi, dtype=float), np.asarray(nu, dtype=float)
-    if xi.shape != (n - 1, 4) or nu.shape != (4,):
-        raise ShapeError(f"xi must be {n - 1} rows and nu one row of 4")
-    if not np.isfinite(norm2(xi) + norm2(nu)):
+    if (xi.shape[-2:] != (n - 1, 4) or nu.shape[-1:] != (4,)
+            or xi.shape[:-2] != nu.shape[:-1] or nu.ndim > 2):
+        raise ShapeError(f"xi must be {n - 1} rows and nu one row of 4, stacked alike")
+    if not np.all(np.isfinite(norm2(xi) + qnorm2(nu))):
         raise DomainError("xi and nu must be finite, with a finite sum of squares")
-    if nu[0] != 0.0:
+    if np.any(nu[..., 0] != 0.0):
         raise NotSymplecticError("nu must be purely imaginary")
     return xi, nu
 
@@ -155,35 +185,44 @@ def heis_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
     return xi1 + xi2, nu1 + nu2 + 2.0 * herm_definite(xi1, xi2) * IMAG
 
 
+def _identities(m: int, lead: tuple) -> np.ndarray:
+    """A writable lead-shaped stack of (m, m, 4) identity matrices."""
+    return np.broadcast_to(qmat_identity(m), lead + (m, m, 4)).copy()
+
+
 def heisenberg_matrix(n: int, xi, nu) -> Isometry:
     """Heisenberg translation h(xi, nu) as an Sp(n,1) matrix, for xi of
-    (n-1, 4) rows and nu a purely imaginary (4,) row."""
+    (n-1, 4) rows and nu a purely imaginary (4,) row; a stack of k matrices
+    for (k, n-1, 4) and (k, 4) stacks."""
     xi, nu = _heisenberg_pair(n, xi, nu)
     half = 0.5 * nu
-    half[0] += 0.5 * float(np.sum(xi * xi))
-    A = qmat_identity(n + 1)
-    A[:n - 1, n - 1] = -xi
-    A[:n - 1, n] = xi
-    A[n - 1, :n - 1] = xi * CONJ
-    A[n, :n - 1] = xi * CONJ
-    A[n - 1, n - 1] = UNIT - half
-    A[n - 1, n] = half
-    A[n, n - 1] = -half
-    A[n, n] = UNIT + half
+    half[..., 0] += 0.5 * np.sum((xi * xi).reshape(nu.shape[:-1] + (-1,)), axis=-1)
+    A = _identities(n + 1, nu.shape[:-1])
+    A[..., :n - 1, n - 1, :] = -xi
+    A[..., :n - 1, n, :] = xi
+    A[..., n - 1, :n - 1, :] = xi * CONJ
+    A[..., n, :n - 1, :] = xi * CONJ
+    A[..., n - 1, n - 1, :] = UNIT - half
+    A[..., n - 1, n, :] = half
+    A[..., n, n - 1, :] = -half
+    A[..., n, n, :] = UNIT + half
     return _member(A)
 
 
-def transvection_matrix(n: int, t: float) -> Isometry:
-    """Transvection by t along the geodesic through 0 and infinity."""
+def transvection_matrix(n: int, t) -> Isometry:
+    """Transvection by t along the geodesic through 0 and infinity; a stack
+    of k of them for a (k,) array t."""
+    if np.ndim(t) > 1:
+        raise ShapeError(f"t must be a number or a 1-d array, got shape {np.shape(t)}")
     with np.errstate(over="ignore"):
-        ch, sh = float(np.cosh(t)), float(np.sinh(t))
-    if not np.isfinite(ch):
+        ch, sh = np.cosh(t), np.sinh(t)
+    if not np.all(np.isfinite(ch)):
         raise DomainError(f"transvection needs a finite t with finite cosh(t), got {t!r}")
-    A = qmat_identity(n + 1)
-    A[n - 1, n - 1, 0] = ch
-    A[n - 1, n, 0] = sh
-    A[n, n - 1, 0] = sh
-    A[n, n, 0] = ch
+    A = _identities(n + 1, np.shape(ch))
+    A[..., n - 1, n - 1, 0] = ch
+    A[..., n - 1, n, 0] = sh
+    A[..., n, n - 1, 0] = sh
+    A[..., n, n, 0] = ch
     return _member(A)
 
 
@@ -203,38 +242,58 @@ def rotation_matrix(n: int, B: np.ndarray, lam: np.ndarray) -> Isometry:
 
 
 def act(g: Isometry, p: ChartPoint) -> ChartPoint:
-    """Apply an isometry: lift, multiply, re-project; keeps p's chart."""
+    """Apply an isometry: lift, multiply, re-project; keeps p's chart. A
+    stack of k matrices acts on a stack of k points pairwise, and a lone
+    matrix or point meets every element of the other's stack; stacks of
+    different lengths raise ShapeError."""
     return convert(ball_from_lift(qmat_vec(g.A, lift(p))), p.chart)
+
+
+def _fit_stack(lead: tuple, *stacks: tuple) -> None:
+    """Parameters of one action (stack shape ()) or one per point (lead)."""
+    for shape in stacks:
+        if shape not in ((), lead):
+            raise ShapeError(f"parameters stacked as {shape} do not fit "
+                             f"a stack of points shaped {lead}")
 
 
 def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
     """Closed-form horospherical action of the three Iwasawa subgroup kinds,
-    with parameters given as rows.
+    with parameters given as rows; on a stack of k points, one parameter set
+    acts on every point, or k sets, stacked on a leading axis, pairwise.
 
     heisenberg: (xi+omega, alpha, nu+beta+2Im(xi, omega))
     transvection: (e^t omega, e^{2t} alpha, e^{2t} beta)
     rotation (B in Sp(n-1), lam in Sp(1)): (B omega lam^{-1}, alpha, lam beta lam^{-1})
     """
     q = convert(p, HORO)
+    n, lead = q.n, q.rows.shape[:-2]
     rows = q.rows.copy()
     if kind == "heisenberg":
-        xi, nu = _heisenberg_pair(q.n, params["xi"], params["nu"])
-        rows[:-1] += xi
-        rows[-1] = nu + rows[-1] + 2.0 * herm_definite(xi, q.omega) * IMAG
+        xi, nu = _heisenberg_pair(n, params["xi"], params["nu"])
+        _fit_stack(lead, nu.shape[:-1])
+        rows[..., :-1, :] += xi
+        rows[..., -1, :] = nu + rows[..., -1, :] + 2.0 * herm_definite(xi, q.omega) * IMAG
     elif kind == "transvection":
-        e = float(np.exp(float(params["t"])))
-        rows[:-1] *= e
-        rows[-1] *= e * e
+        t = np.asarray(params["t"], dtype=float)
+        _fit_stack(lead, t.shape)
+        e = np.exp(t)[..., None, None]
+        rows[..., :-1, :] *= e
+        rows[..., -1:, :] *= e * e
     elif kind == "rotation":
         B, lam = params["B"], np.asarray(params["lam"], dtype=float)
-        if B.shape[:2] != (q.n - 1, q.n - 1):
-            raise ShapeError("rotation block must act on Q^{n-1}")
+        if B.shape[-3:-1] != (n - 1, n - 1) or lam.shape[-1:] != (4,):
+            raise ShapeError("rotation block must act on Q^{n-1}, and lam be one row of 4")
+        _fit_stack(lead, B.shape[:-3], lam.shape[:-1])
         lam_inv = qarray_inverse(lam)
-        rows[:-1] = hamilton(qmat_vec(B, q.omega), lam_inv)
-        rows[-1, 1:] = hamilton(hamilton(lam, q.rows[-1] * IMAG), lam_inv)[1:]
+        rows[..., :-1, :] = hamilton(qmat_vec(B, q.omega), lam_inv[..., None, :])
+        rows[..., -1, 1:] = hamilton(hamilton(lam, q.rows[..., -1, :] * IMAG),
+                                     lam_inv)[..., 1:]
     else:
         raise ValueError(f"unknown closed-form kind {kind!r}")
-    return point_from_array(HORO, rows.ravel(), q.n)
+    if not lead:
+        return point_from_array(HORO, rows.ravel(), n)
+    return points_from_stack(HORO, rows.reshape(lead + (-1,)), n)
 
 
 # ---------------------------------------------------------------------------

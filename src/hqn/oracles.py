@@ -237,6 +237,15 @@ def _christoffel(x: np.ndarray, n: int,
                            dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
 
+@functools.cache
+def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only index pair (a, b), a < b, of a dim x dim upper triangle."""
+    pairs = np.triu_indices(dim, 1)
+    for idx in pairs:
+        idx.setflags(write=False)
+    return pairs
+
+
 def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
                           x: np.ndarray, step: float):
     """Richardson-extrapolated central differences at steps step and
@@ -247,7 +256,7 @@ def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
     (x +- h e_a) +- h e_b, a < b: 1 + 2 (2d + 2d(d-1)) points.
     """
     dim = len(x)
-    a, b = np.triu_indices(dim, 1)
+    a, b = _upper_pairs(dim)
     stencil = [x[None]]
     for h in (step / 2.0, step):
         E = h * np.eye(dim)

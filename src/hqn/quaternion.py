@@ -224,12 +224,15 @@ NEGATIVE = "negative"
 SIGNATURE_EPS = 1e-10
 
 
-def signature_class(X: np.ndarray) -> str:
-    """Sign of <X,X> for (n+1, 4) rows, under a tolerance relative to X's size."""
-    val = float(herm_lorentz(X, X)[0])
+def lorentz_sign(X: np.ndarray):
+    """Sign of <X,X> under a tolerance relative to X's size: 1, 0 or -1 for
+    (n+1, 4) rows, an int array of them for a (k, n+1, 4) stack. NaN is 0."""
+    val = herm_lorentz(X, X)[..., 0]
     eps = SIGNATURE_EPS * (1.0 + norm2(X))
-    if val > eps:
-        return POSITIVE
-    if val < -eps:
-        return NEGATIVE
-    return NULL
+    sign = (val > eps).astype(int) - (val < -eps)
+    return int(sign) if sign.ndim == 0 else sign
+
+
+def signature_class(X: np.ndarray) -> str:
+    """Sign of <X,X> for (n+1, 4) rows, as POSITIVE, NULL or NEGATIVE."""
+    return (NULL, POSITIVE, NEGATIVE)[lorentz_sign(X)]

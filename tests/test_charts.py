@@ -58,6 +58,24 @@ def test_ball_from_lift():
         ball_from_lift(components([0, 1, 1]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ball_from_lift_stack_matches_vectors(n):
+    rng = np.random.default_rng(70 + n)
+    X = rng.standard_normal((6, n + 1, 4))
+    # negative: the last entry outweighs the rest
+    X[:, -1] *= ((1.5 + np.linalg.norm(X[:, :-1], axis=(1, 2)))
+                 / np.linalg.norm(X[:, -1], axis=1))[:, None]
+    p = ball_from_lift(X)
+    assert p.rows.shape == (6, n, 4)
+    for i in range(6):
+        assert p.rows[i].tobytes() == ball_from_lift(X[i]).rows.tobytes()
+    # one positive vector in the stack fails the whole stack
+    X[4] = 0.0
+    X[4, 0, 0] = 1.0
+    with pytest.raises(NotInteriorError):
+        ball_from_lift(X)
+
+
 def test_dist_examples():
     n = 2
     origin = ball_point([0, 0])

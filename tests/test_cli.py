@@ -10,8 +10,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hqn import cli
+from hqn.charts import (
+    BALL,
+    HORO,
+    SIEGEL,
+    convert,
+    coords_array,
+    dist,
+    metric_matrix,
+    point_from_array,
+)
 from hqn.cli import _build_parser, main
 from hqn.errors import StepSizeUnderflow
+from hqn.isometries import (
+    Isometry,
+    act,
+    act_horo_closed,
+    heisenberg_matrix,
+    qmat_identity,
+    random_sp,
+    random_unit_quaternion,
+    sp_defect,
+    transvection_matrix,
+)
 
 
 def run(capsys, *argv):
@@ -66,6 +88,57 @@ def test_verify_all(capsys):
     assert report["pass"]
     for check in report["checks"]:
         assert set(check) == {"name", "value", "bound", "pass"}
+
+
+def _per_draw_suite_charts(n):
+    # the charts suite as it ran before it was stacked: one point at a time
+    rng = np.random.default_rng(101)
+    worst_rt = 0.0
+    worst_sym = 0.0
+    for _ in range(50):
+        p = point_from_array(BALL, cli._random_ball(rng, n), n)
+        q = convert(convert(convert(p, SIEGEL), HORO), BALL)
+        worst_rt = max(worst_rt,
+                       float(np.max(np.abs(coords_array(q) - coords_array(p)))))
+        p2 = point_from_array(BALL, cli._random_ball(rng, n), n)
+        worst_sym = max(worst_sym, abs(dist(p, p2) - dist(p2, p)))
+    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, cli._random_ball(rng, n), n)))
+    return [cli._check("chart round trip", worst_rt, 1e-12),
+            cli._check("distance symmetry", worst_sym, 1e-12),
+            cli._check("metric positive definite", 0.0 if eig.min() > 0 else 1.0, 0.5)]
+
+
+def _per_draw_suite_isometries(n):
+    # the isometries suite as it ran before it was stacked: one draw at a time
+    rng = np.random.default_rng(202)
+    worst_defect = 0.0
+    worst_closed = 0.0
+    for _ in range(50):
+        xi = rng.normal(0, 0.4, (n - 1, 4))
+        nu = np.concatenate([[0.0], rng.normal(0, 0.4, 3)])
+        t = float(rng.normal(0, 0.5))
+        B = random_sp(n - 1, rng)
+        lam = random_unit_quaternion(rng)
+        big = qmat_identity(n + 1)
+        big[:n - 1, :n - 1] = B
+        big[n - 1, n - 1] = big[n, n] = lam
+        gens = [("heisenberg", heisenberg_matrix(n, xi, nu), dict(xi=xi, nu=nu)),
+                ("transvection", transvection_matrix(n, t), dict(t=t)),
+                ("rotation", Isometry(big), dict(B=B, lam=lam))]
+        p = convert(point_from_array(BALL, cli._random_ball(rng, n), n), HORO)
+        for kind, g, params in gens:
+            worst_defect = max(worst_defect, sp_defect(g.A))
+            a = coords_array(act(g, p))
+            b = coords_array(act_horo_closed(kind, p, **params))
+            worst_closed = max(worst_closed, float(np.max(np.abs(a - b))))
+    return [cli._check("Sp(n,1) defect", worst_defect, 1e-12),
+            cli._check("matrix vs closed-form action", worst_closed, 1e-10)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_suites_match_per_draw(n):
+    assert cli._suite_charts(n) == _per_draw_suite_charts(n)
+    assert cli._suite_isometries(n) == _per_draw_suite_isometries(n)
 
 
 def test_convert_round_trip(capsys):

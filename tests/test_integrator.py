@@ -1,11 +1,13 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+import hqn.integrator
 from hqn.errors import DomainError, ExtrapolationError
 from hqn.integrator import (
     MAX_STEPS,
@@ -15,6 +17,7 @@ from hqn.integrator import (
     generate_family,
     integrate_profile,
     limit_endpoint,
+    residual_column,
 )
 from hqn.reduction import (
     ELLIPTIC,
@@ -221,6 +224,32 @@ def test_residual_diagnostics():
     c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10, n_samples=2001)
     assert np.nanmax(c.residual) < 1e-4
     assert c.residual[0] == 0.0 and c.residual[-1] == 0.0
+
+
+def test_residual_computed_when_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return residual_column(*args)
+
+    monkeypatch.setattr(hqn.integrator, "residual_column", counted)
+    case = ReducedCase(ELLIPTIC, 2, 1)
+    c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10)
+    assert calls == []
+    assert c.residual is c.residual and len(calls) == 1
+    np.testing.assert_array_equal(
+        c.residual, residual_column(case, 0.0, c.uniform_s, c.uniform_states))
+
+
+def test_residual_of_a_curve_ending_at_its_start():
+    # at h = 1e30 the parabolic curve stops at its first step, at its start:
+    # every sample has the same s, and the central difference is undefined
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = integrate_profile(ReducedCase(PARABOLIC, 2, 1), 1.0, h=1e30)
+        assert np.all(c.uniform_s == c.uniform_s[0])
+        np.testing.assert_array_equal(c.residual, np.zeros(801))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hqn.charts import (
     horo_point,
     lift,
     point_from_array,
+    points_from_stack,
 )
 import hqn.isometries
 from hqn.errors import DomainError, NotSymplecticError, ShapeError
@@ -357,3 +358,142 @@ def test_heisenberg_action_matches_scalar_sums(n, data):
     assert np.array_equal(q.omega, xi + omega)
     assert q.alpha == last[0]
     assert np.linalg.norm(q.beta - beta.as_array()[1:]) <= scale
+
+
+# ---------------------------------------------------------------------------
+# stacks: each element gives the bits it gives alone
+
+KINDS = ("heisenberg", "transvection", "rotation")
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _stacked_draws(n, k, seed):
+    """k Heisenberg pairs, transvection times, rotations (B, lam) with their
+    (n+1)x(n+1) matrices, and ball coordinates of k points."""
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(0, 0.4, (k, n - 1, 4))
+    nu = np.zeros((k, 4))
+    nu[:, 1:] = rng.normal(0, 0.4, (k, 3))
+    t = rng.normal(0, 0.5, k)
+    B = np.array([random_sp(n - 1, rng) for _ in range(k)])
+    lam = np.array([random_unit_quaternion(rng) for _ in range(k)])
+    big = np.array([qmat_identity(n + 1)] * k)
+    big[:, :n - 1, :n - 1] = B
+    big[:, n - 1, n - 1] = big[:, n, n] = lam
+    x = rng.standard_normal((k, 4 * n))
+    x *= rng.uniform(0.05, 0.8, (k, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    return dict(xi=xi, nu=nu), dict(t=t), dict(B=B, lam=lam), big, x
+
+
+def _generator(kind, n, params, big, i=...):
+    """The stacked generator of kind, or, for an index i, its element i."""
+    if kind == "heisenberg":
+        return heisenberg_matrix(n, params["xi"][i], params["nu"][i])
+    if kind == "transvection":
+        return transvection_matrix(n, params["t"][i])
+    return Isometry(big[i])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrix_stack_matches_elements(n):
+    rng = np.random.default_rng(40 + n)
+    k = 6
+    A = rng.standard_normal((k, n + 1, n + 1, 4))
+    B = rng.standard_normal((k, n + 1, 2, 4))
+    X = rng.standard_normal((k, n + 1, 4))
+    AB, AX, A0X = qmat_mul(A, B), qmat_vec(A, X), qmat_vec(A[0], X)
+    R, AH = qmat_to_real(A), qmat_conj_T(A)
+    for i in range(k):
+        assert _bits(AB[i]) == _bits(qmat_mul(A[i], B[i]))
+        assert _bits(AX[i]) == _bits(qmat_vec(A[i], X[i]))
+        assert _bits(A0X[i]) == _bits(qmat_vec(A[0], X[i]))
+        assert _bits(R[i]) == _bits(qmat_to_real(A[i]))
+        assert _bits(AH[i]) == _bits(qmat_conj_T(A[i]))
+    defects = sp_defect(A)
+    assert defects.shape == (k,)
+    assert all(_bits(defects[i]) == _bits(sp_defect(A[i])) for i in range(k))
+    assert isinstance(sp_defect(A[0]), float)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_isometry_stack_matches_elements(n):
+    k = 7
+    heis, trans, rot, big, x = _stacked_draws(n, k, 50 + n)
+    p = convert(points_from_stack(BALL, x, n), HORO)
+    for kind, params in zip(KINDS, (heis, trans, rot)):
+        g, g0 = _generator(kind, n, params, big), _generator(kind, n, params, big, 0)
+        assert g.A.shape == (k, n + 1, n + 1, 4) and g.n == n
+        one = {name: v[0] for name, v in params.items()}
+        defects = sp_defect(g.A)
+        moved = coords_array(act(g, p))
+        closed = coords_array(act_horo_closed(kind, p, **params))
+        # one matrix, or one parameter set, on the whole stack
+        moved_one = coords_array(act(g0, p))
+        closed_one = coords_array(act_horo_closed(kind, p, **one))
+        for i in range(k):
+            pi = convert(point_from_array(BALL, x[i], n), HORO)
+            gi = _generator(kind, n, params, big, i)
+            each = {name: v[i] for name, v in params.items()}
+            assert _bits(g.A[i]) == _bits(gi.A)
+            assert _bits(defects[i]) == _bits(sp_defect(gi.A))
+            assert _bits(moved[i]) == _bits(coords_array(act(gi, pi)))
+            assert _bits(closed[i]) == _bits(coords_array(act_horo_closed(kind, pi, **each)))
+            assert _bits(moved_one[i]) == _bits(coords_array(act(g0, pi)))
+            assert _bits(closed_one[i]) == _bits(coords_array(act_horo_closed(kind, pi, **one)))
+
+
+def test_isometry_stack_checks_every_matrix():
+    n = 2
+    heis, trans, rot, big, x = _stacked_draws(n, 5, 60)
+    Isometry(big)
+    for bad in (2.0, np.nan):
+        A = big.copy()
+        A[3] *= bad
+        with pytest.raises(NotSymplecticError):
+            Isometry(A)
+    with pytest.raises(ShapeError):
+        Isometry(big[..., :3])
+
+
+def test_stacked_parameters_checked_per_element():
+    n = 3
+    heis, trans, rot, big, x = _stacked_draws(n, 4, 61)
+    p = convert(points_from_stack(BALL, x, n), HORO)
+    xi, nu = heis["xi"].copy(), heis["nu"].copy()
+    xi[2, 1, 3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            heisenberg_matrix(n, xi, nu)
+        with pytest.raises(DomainError):
+            act_horo_closed("heisenberg", p, xi=xi, nu=nu)
+        with pytest.raises(DomainError):
+            transvection_matrix(n, np.array([0.1, 0.2, 1e3, 0.3]))
+    nu[1, 0] = 0.5
+    with pytest.raises(NotSymplecticError):
+        heisenberg_matrix(n, heis["xi"], nu)
+    with pytest.raises(ShapeError):
+        heisenberg_matrix(n, heis["xi"], heis["nu"][:3])
+    with pytest.raises(ShapeError):
+        heisenberg_matrix(n, heis["xi"][None], heis["nu"][None])
+    with pytest.raises(ShapeError):
+        transvection_matrix(n, np.zeros((2, 2)))
+    # parameters stacked unlike the points
+    with pytest.raises(ShapeError):
+        act_horo_closed("transvection", p, t=trans["t"][:3])
+    with pytest.raises(ShapeError):
+        act_horo_closed("rotation", p, B=rot["B"][:2], lam=rot["lam"][:2])
+
+
+def test_act_on_mismatched_stacks_is_shape_error():
+    n = 2
+    heis, trans, rot, big, x = _stacked_draws(n, 4, 62)
+    g = transvection_matrix(n, trans["t"][:3])
+    p = points_from_stack(BALL, x, n)
+    with pytest.raises(ShapeError):
+        act(g, p)
+    with pytest.raises(ShapeError):
+        qmat_vec(g.A, np.zeros((4, n + 1, 4)))

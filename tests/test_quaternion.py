@@ -14,6 +14,7 @@ from hqn.quaternion import (
     herm_definite,
     herm_lorentz,
     left_mult_matrix,
+    lorentz_sign,
     right_mult_matrix,
     signature_class,
 )
@@ -125,6 +126,11 @@ def test_signature_class():
     assert signature_class(components([0] * n + [1])) == "negative"
     assert signature_class(components([0] * (n - 1) + [1, 1])) == "null"
     assert signature_class(components([1] + [0] * n)) == "positive"
+    X = np.stack([components([0] * n + [1]), components([0] * (n - 1) + [1, 1]),
+                  components([1] + [0] * n), np.full((n + 1, 4), np.nan)])
+    # one test for a vector and for each vector of a stack; NaN is null
+    assert lorentz_sign(X).tolist() == [-1, 0, 1, 0]
+    assert [lorentz_sign(x) for x in X] == [-1, 0, 1, 0]
 
 
 @given(st.lists(quats, min_size=2, max_size=4), quats)
