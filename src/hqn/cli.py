@@ -233,23 +233,28 @@ def _cmd_oracle(args) -> int:
                 f"killing ratio spread {case.kind} m={case.m}",
                 killing_ratio_spread(case, n_points=args.points), 1e-5))
     if args.oracle in ("curvature", "all"):
-        rng = np.random.default_rng(404)
+        n, rng = args.n, np.random.default_rng(404)
         worst_b = worst_f = worst_h = 0.0
         for _ in range(args.points):
-            om = rng.normal(0, 0.25, 4)
+            om = rng.normal(0, 0.25, (n - 1, 4))
             be = rng.normal(0, 0.2, 3)
             al = float(rng.uniform(0.4, 1.5))
-            # horo rows (omega, (alpha, beta)) of one n = 2 point per surface
-            pb = point_from_array(HORO, np.array([*om[:3], 0.0, al, *be[:2], 0.0]), 2)
+            # horo rows (omega, (alpha, beta)) of one point per surface: the
+            # bisector point has beta_3 = 0 and omega_{n-1,3} = 0, the fan
+            # point a real omega_{n-1} and beta_3 = 0
+            on_bisector = om.copy()
+            on_bisector[-1, 3] = 0.0
+            pb = point_from_array(HORO, np.array([*on_bisector.ravel(), al, *be[:2], 0.0]), n)
             worst_b = max(worst_b, abs(ambient_mean_curvature(
                 canonical_bisector_residual, pb)))
-            pf = point_from_array(HORO, np.array([om[0], 0.0, 0.0, 0.0,
-                                                  al, *be[:2], 0.0]), 2)
+            on_fan = om.copy()
+            on_fan[-1, 1:] = 0.0
+            pf = point_from_array(HORO, np.array([*on_fan.ravel(), al, *be[:2], 0.0]), n)
             worst_f = max(worst_f, abs(ambient_mean_curvature(
                 fan_at_origin_residual, pf)))
-            ph = point_from_array(HORO, np.array([*om, 1.0, *be]), 2)
+            ph = point_from_array(HORO, np.array([*om.ravel(), 1.0, *be]), n)
             worst_h = max(worst_h, abs(ambient_mean_curvature(
-                lambda q: convert(q, HORO).alpha - 1.0, ph) - 5.0))
+                lambda q: convert(q, HORO).alpha - 1.0, ph) - (2 * n + 1)))
         checks.append(_check("bisector mean curvature", worst_b, 1e-3))
         checks.append(_check("fan mean curvature", worst_f, 1e-3))
         checks.append(_check("horosphere mean curvature error", worst_h, 1e-3))
@@ -384,8 +389,6 @@ def _check_flags(args) -> None:
         raise DomainError(f"--n must be at least 2, got {args.n}")
     if args.command == "oracle" and args.points < 1:
         raise DomainError(f"--points must be at least 1, got {args.points}")
-    if args.command == "oracle" and args.oracle != "volume" and args.n != 2:
-        raise DomainError("the curvature oracle needs --n 2")
     if args.command == "convert":
         coords = _floats("--coords", args.coords)
         if len(coords) % 4:

@@ -216,10 +216,13 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
     """Integrate the autonomous system y' = f(y) from (t0, y0) towards
     t_bound with scipy's DOP853: its initial step, error norm, step
     factors and step-size underflow, and its event rule (a sign change
-    of g between step ends, g <= 0 <= g_new or g >= 0 >= g_new). Every
-    event is terminal: the run ends at the earliest root, located on the
-    step's interpolant, with y there from the interpolant. A run that
-    tries more than MAX_STEPS steps raises StepSizeUnderflow.
+    of g between step ends, g <= 0 <= g_new or g >= 0 >= g_new). A step
+    whose stages or end leave the orbit space (f raises DomainError or
+    SingularBoundaryError) is rejected with factor MIN_FACTOR, where
+    scipy would propagate the error. Every event is terminal: the run
+    ends at the earliest root, located on the step's interpolant, with y
+    there from the interpolant. A run that tries more than MAX_STEPS
+    steps raises StepSizeUnderflow.
     """
     run = _Run([t0], [y0], [], [])
     t, y = t0, y0
@@ -243,28 +246,36 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
             h = t_new - t
             h_abs = abs(h)
             K = [fy]
-            for row in _STAGES:
-                d0 = d1 = d2 = 0.0
-                for j, a in row:
-                    k = K[j]
-                    d0 += a * k[0]
-                    d1 += a * k[1]
-                    d2 += a * k[2]
-                K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
-            b0 = b1 = b2 = p0 = p1 = p2 = q0 = q1 = q2 = 0.0
-            for j, b, e5, e3 in _WEIGHTS:
-                k0, k1, k2 = K[j]
-                b0 += b * k0
-                b1 += b * k1
-                b2 += b * k2
-                p0 += e5 * k0
-                p1 += e5 * k1
-                p2 += e5 * k2
-                q0 += e3 * k0
-                q1 += e3 * k1
-                q2 += e3 * k2
-            y_new = (y0_ + h * b0, y1_ + h * b1, y2_ + h * b2)
-            f_new = f(*y_new)
+            try:
+                for row in _STAGES:
+                    d0 = d1 = d2 = 0.0
+                    for j, a in row:
+                        k = K[j]
+                        d0 += a * k[0]
+                        d1 += a * k[1]
+                        d2 += a * k[2]
+                    K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+                b0 = b1 = b2 = p0 = p1 = p2 = q0 = q1 = q2 = 0.0
+                for j, b, e5, e3 in _WEIGHTS:
+                    k0, k1, k2 = K[j]
+                    b0 += b * k0
+                    b1 += b * k1
+                    b2 += b * k2
+                    p0 += e5 * k0
+                    p1 += e5 * k1
+                    p2 += e5 * k2
+                    q0 += e3 * k0
+                    q1 += e3 * k1
+                    q2 += e3 * k2
+                y_new = (y0_ + h * b0, y1_ + h * b1, y2_ + h * b2)
+                f_new = f(*y_new)
+            except (DomainError, SingularBoundaryError):
+                # the calls made, the failed one included
+                run.nfev += len(K)
+                h_abs *= MIN_FACTOR
+                rejected = True
+                run.rejected += 1
+                continue
             run.nfev += N_STAGES
             s0 = atol + max(abs(y0_), abs(y_new[0])) * rtol
             s1 = atol + max(abs(y1_), abs(y_new[1])) * rtol
@@ -497,7 +508,7 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         uniform_states = _mirror(uniform_states)
 
     c1, c2, sigma = uniform_states.T
-    V = volume_functional(case, (c1, c2), polar=case.kind in POLAR_KINDS)
+    V = volume_functional(case, (c1, c2))
     vals = first_integral_values(case, PhaseState(c1, c2, sigma))
     return ProfileCurve(case=case, a=a, h=h, s=s_nodes, states=states,
                         uniform_s=uniform_s, uniform_states=uniform_states,

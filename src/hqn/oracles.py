@@ -36,6 +36,7 @@ from .reduction import (
     SPECIAL_LOXODROMIC,
     ReducedCase,
     orbit_project,
+    uv_from_polar,
     volume_functional,
 )
 
@@ -125,17 +126,21 @@ def generator_basis(case: ReducedCase) -> np.ndarray:
 
 
 def section_point(case: ReducedCase, c1, c2) -> ChartPoint:
-    """The point of the case's plane section over orbit coordinates; over
-    equal-shape (k,) arrays of them, the stack of k points."""
+    """The point of the case's plane section over the orbit coordinates
+    (c1, c2) that orbit_project returns; over equal-shape (k,) arrays of
+    them, the stack of k points. A ball case's section is the disc of
+    (u, v) = uv_from_polar(r, theta)."""
     n, m = case.n, case.m
     rows = np.zeros(np.shape(c1) + (n, 4))
     chart = BALL
+    if case.kind in POLAR_KINDS:
+        u, v = uv_from_polar(c1, c2)
     if case.kind == ELLIPTIC:
-        rows[..., m - 1, 0], rows[..., n - 1, 0] = c1, c2
+        rows[..., m - 1, 0], rows[..., n - 1, 0] = u, v
     elif case.kind == LOXODROMIC:
-        rows[..., n - m - 1, 0], rows[..., n - m, 0] = c2, c1
+        rows[..., n - m - 1, 0], rows[..., n - m, 0] = v, u
     elif case.kind == SPECIAL_LOXODROMIC:
-        rows[..., n - 2, 3], rows[..., n - 1, 3] = c2, c1
+        rows[..., n - 2, 3], rows[..., n - 1, 3] = v, u
     else:
         chart = HORO
         rows[..., n - m - 1 if case.kind == PARABOLIC else n - 2, 0] = c2
@@ -176,7 +181,7 @@ def _complement(case: ReducedCase) -> np.ndarray:
 
 def _reference_coords(case: ReducedCase) -> tuple[float, float]:
     if case.kind in POLAR_KINDS:
-        return 0.35, 0.3
+        return 0.5, 0.7
     return 1.0, 0.5
 
 
@@ -207,7 +212,7 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
     their stack."""
     rng = np.random.default_rng(seed)
     if case.kind in POLAR_KINDS:
-        lo, hi = (0.15, 0.1), (0.6, 0.5)
+        lo, hi = (0.2, 0.2), (0.9, 1.2)
     else:
         lo, hi = (0.4, 0.3), (2.0, 1.5)
     c1, c2 = rng.uniform(lo, hi, size=(n_points, 2)).T

@@ -93,16 +93,11 @@ class PhaseState:
 # coordinates on the orbit space
 
 
-def uv_from_polar(r: float, theta: float) -> tuple[float, float]:
+def uv_from_polar(r, theta):
+    """The point (u, v) = tanh(r) (cos theta, sin theta) of the unit disc;
+    equal-shape arrays give arrays."""
     t = np.tanh(r)
-    return float(t * np.cos(theta)), float(t * np.sin(theta))
-
-
-def polar_from_uv(u: float, v: float) -> tuple[float, float]:
-    t = float(np.hypot(u, v))
-    if t >= 1.0:
-        raise DomainError("(u, v) must satisfy u^2 + v^2 < 1")
-    return float(np.arctanh(t)), float(np.arctan2(v, u))
+    return float_or_array(t * np.cos(theta)), float_or_array(t * np.sin(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +105,9 @@ def polar_from_uv(u: float, v: float) -> tuple[float, float]:
 
 
 def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple:
-    """Project a point to the orbit space coordinates of the case:
-    (u, v) for the three ball cases, (alpha, rho) for the parabolic ones.
-    One point gives two floats, a stack two arrays."""
+    """Project a point to the case's ODE coordinates on the orbit space:
+    (r, theta) for the three ball cases, (alpha, rho) for the parabolic
+    ones. One point gives two floats, a stack two arrays."""
     n, m = case.n, case.m
     if case.kind in PARABOLIC_KINDS:
         q = convert(p, HORO)
@@ -121,6 +116,7 @@ def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple:
         else:
             rho = q.omega[..., -1, 0]
         return q.alpha, float_or_array(rho)
+    # the ball cases first find the disc point (u, v) = tanh(r) e^{i theta}
     x = convert(p, BALL).rows
     sq = np.sum(x * x, axis=-1)           # |x_l|^2
     if case.kind == ELLIPTIC:
@@ -138,54 +134,33 @@ def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple:
         den = 1.0 - r2 + np.sqrt(np.maximum(disc, 0.0))
         u = 2.0 * x3 / den
         v = np.sqrt(2.0) * np.sqrt(np.sum(sq[..., :n - 1], axis=-1)) / np.sqrt(den)
-    return float_or_array(u), float_or_array(v)
-
-
-def in_domain(case: ReducedCase, point: tuple[float, float]) -> bool:
-    c1, c2 = point
-    if case.kind in (ELLIPTIC, LOXODROMIC):
-        return c1 >= 0.0 and c2 >= 0.0 and c1 * c1 + c2 * c2 < 1.0
-    if case.kind == SPECIAL_LOXODROMIC:
-        return c2 >= 0.0 and c1 * c1 + c2 * c2 < 1.0
-    if case.kind == PARABOLIC:
-        return c1 > 0.0 and c2 >= 0.0
-    return c1 > 0.0
+    return float_or_array(np.arctanh(np.hypot(u, v))), float_or_array(np.arctan2(v, u))
 
 
 # ---------------------------------------------------------------------------
 # orbital metric
 
 
-def orbital_metric(case: ReducedCase, point, u, v, polar: bool = False) -> float:
+def orbital_metric(case: ReducedCase, point, u, v) -> float:
     """Evaluate the orbit-space metric on tangents u, v at the point.
 
     The three ball cases carry the curvature -1/4 metric
-    4 {(1-v^2) du^2 + 2uv du dv + (1-u^2) dv^2} / (1-u^2-v^2)^2
-    (polar form 4(dr^2 + sinh^2 r dtheta^2)); the parabolic cases carry
+    4(dr^2 + sinh^2 r dtheta^2); the parabolic cases carry
     (dalpha^2 + 4 alpha drho^2) / alpha^2.
     """
-    c1, c2 = float(point[0]), float(point[1])
+    c1 = float(point[0])
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != (2,) or v.shape != (2,):
         raise ShapeError("orbit-space tangents have two components")
     if case.kind in PARABOLIC_KINDS:
-        if not in_domain(case, (c1, c2)):
-            raise DomainError("point outside the orbit space")
+        if c1 <= 0.0:
+            raise DomainError("alpha must be positive")
         g = np.array([[1.0, 0.0], [0.0, 4.0 * c1]]) / c1 ** 2
-        return float(u @ g @ v)
-    if polar:
+    else:
         if c1 < 0.0:
             raise DomainError("polar radius must be nonnegative")
         g = 4.0 * np.array([[1.0, 0.0], [0.0, np.sinh(c1) ** 2]])
-        return float(u @ g @ v)
-    if not in_domain(case, (c1, c2)):
-        raise DomainError("point outside the orbit space")
-    s = 1.0 - c1 * c1 - c2 * c2
-    g = (4.0 / s ** 2) * np.array([
-        [1.0 - c2 * c2, c1 * c2],
-        [c1 * c2, 1.0 - c1 * c1],
-    ])
     return float(u @ g @ v)
 
 
@@ -193,14 +168,13 @@ def orbital_metric(case: ReducedCase, point, u, v, polar: bool = False) -> float
 # volume functionals
 
 
-def volume_functional(case: ReducedCase, point, polar: bool = False,
-                      bracket_exponent: int = 3):
-    """Volume of the orbit over the given orbit-space point.
+def volume_functional(case: ReducedCase, point):
+    """Volume of the orbit over the orbit-space point (c1, c2) of the
+    case's ODE coordinates.
 
     Normalized per case (global constants drop out of the ODEs). The
-    polar and (u, v) forms of a single case may differ by one constant;
-    the special loxodromic forms agree exactly. The two coordinates may
-    be equal-shape arrays; scalar coordinates give a float.
+    two coordinates may be equal-shape arrays; scalar coordinates give
+    a float.
     """
     n, m = case.n, case.m
     c1, c2 = float_or_array(point[0]), float_or_array(point[1])
@@ -208,35 +182,21 @@ def volume_functional(case: ReducedCase, point, polar: bool = False,
         return float_or_array(c1 ** (-(4 * n + 1) / 2.0) * c2 ** (4 * n - 4 * m - 1))
     if case.kind == SPECIAL_PARABOLIC:
         return float_or_array(c1 ** (-(4 * n + 1) / 2.0))
-    if polar:
-        r, theta = c1, c2
-        if case.kind == SPECIAL_LOXODROMIC:
-            bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
-            return float_or_array(bracket ** bracket_exponent
-                                    * np.sinh(r) ** (4 * n - 5)
-                                    * np.sin(theta) ** (4 * n - 5))
-        A, B, C, D = case.exponents
-        # combined form 2^D sin^{C+D} cos^D avoids 0^negative when C <= 0
-        return float_or_array(np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
-                                * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
-    u, v = c1, c2
-    s = 1.0 - u * u - v * v
-    # np.any would cost microseconds on the scalar path the oracles take
-    if (s <= 0.0).any() if isinstance(s, np.ndarray) else s <= 0.0:
-        raise DomainError("(u, v) outside the orbit space")
-    if case.kind == ELLIPTIC:
-        return float_or_array(u ** (4 * m - 1) * v ** (4 * n - 4 * m - 1)
-                                / s ** ((4 * n + 1) / 2.0))
-    if case.kind == LOXODROMIC:
-        return float_or_array(u ** 3 * v ** (4 * n - 4 * m - 1)
-                                / s ** ((4 * n + 1) / 2.0))
-    return float_or_array((1.0 + u * u) ** bracket_exponent * v ** (4 * n - 5)
-                            / s ** ((4 * n + 1) / 2.0))
+    r, theta = c1, c2
+    if case.kind == SPECIAL_LOXODROMIC:
+        bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
+        return float_or_array(bracket ** 3 * np.sinh(r) ** (4 * n - 5)
+                              * np.sin(theta) ** (4 * n - 5))
+    A, B, C, D = case.exponents
+    # combined form 2^D sin^{C+D} cos^D avoids 0^negative when C <= 0
+    return float_or_array(np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
+                          * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
 
 
 def _polar_slopes(case: ReducedCase) -> Callable[[float, float], tuple[float, float]]:
-    """The (P, Q) of log_volume_slope as a float function of (c1, c2),
-    with the case's constants bound once."""
+    """The closed-form (P, Q) coefficients of the polar ODE as a float
+    function of (c1, c2), with the case's constants bound once: P is
+    (1/2) d(ln V)/d theta, Q is (1/2)(d(ln V)/dr + coth r)."""
     cos, sin, sinh, tan, tanh = math.cos, math.sin, math.sinh, math.tan, math.tanh
     if case.kind in (ELLIPTIC, LOXODROMIC):
         A, B, C, D = case.exponents
@@ -260,16 +220,7 @@ def _polar_slopes(case: ReducedCase) -> Callable[[float, float], tuple[float, fl
                            + 3.0 * sinh(2.0 * c1) * (1.0 + ct * ct) / bracket))
 
         return slopes
-    raise ShapeError("log_volume_slope applies to the polar cases")
-
-
-def log_volume_slope(case: ReducedCase, point) -> tuple[float, float]:
-    """Closed-form (P, Q) coefficients of the reduced ODE.
-
-    P = (1/2) d(ln V)/d c2 evaluated in the case's ODE coordinates;
-    Q = (1/2)(d(ln V)/d c1 + connection term).
-    """
-    return _polar_slopes(case)(float(point[0]), float(point[1]))
+    raise ShapeError("the slopes P, Q apply to the polar cases")
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +317,7 @@ def first_integral_values(case: ReducedCase, state: PhaseState) -> dict:
     n, m = case.n, case.m
     c1, c2, sigma = map(float_or_array, (state.c1, state.c2, state.sigma))
     if case.kind in POLAR_KINDS:
-        V = volume_functional(case, (c1, c2), polar=True)
+        V = volume_functional(case, (c1, c2))
         return {"I1": float_or_array(V * np.cos(sigma))}
     if case.kind == SPECIAL_PARABOLIC:
         return {"I1": float_or_array(c1 ** (-2 * n - 1) * np.sin(sigma))}

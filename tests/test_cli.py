@@ -207,9 +207,9 @@ def test_usage_error():
     ["family", "--case", "elliptic", "--n", "2", "--m", "1", "--a-grid", "1,-1",
      "--out-dir", "fam"],
     ["boundary", "--case", "parabolic", "--n", "2", "--m", "1", "--a", "-1"],
-    # checked before any Killing spread is computed
-    ["oracle", "--oracle", "all", "--n", "3"],
-    ["oracle", "--oracle", "curvature", "--n", "3"],
+    # checked before any oracle runs
+    ["oracle", "--oracle", "all", "--n", "1"],
+    ["oracle", "--oracle", "curvature", "--n", "0"],
     ["convert", "--from", "ball", "--to", "horo", "--coords", "0.1,0.2,0.3"],
     ["convert", "--from", "ball", "--to", "horo", "--coords", "0.1,x,0,0"],
     ["convert", "--from", "ball", "--to", "horo",
@@ -248,6 +248,15 @@ def test_bad_case_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("hqn: error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_runs_at_n3(capsys):
+    # both oracles run at every n >= 2; the horosphere check expects 2n + 1
+    code, out = run(capsys, "oracle", "--n", "3")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "horosphere mean curvature error" in names
+    assert "killing ratio spread loxodromic m=2" in names
 
 
 @settings(max_examples=25, deadline=None)

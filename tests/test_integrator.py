@@ -346,6 +346,22 @@ def test_kernel_sweep_raises_nothing(case, s_max, a_range):
 
 
 @pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
+def test_cmc_sweep_raises_nothing(case, s_max, a_range):
+    # a step whose stages leave the orbit space is rejected, so every CMC
+    # curve ends on s_max or a named event; a failed stage ends its step's
+    # calls early
+    for h in (0.1, -0.1, 1.0, -1.0, 3.0, -3.0):
+        for a in (0.3, 0.7, 1.5):
+            for tol in (1e-6, 1e-8, 1e-10):
+                curve = integrate_profile(case, a, s_max=s_max, tol=tol, h=h,
+                                          n_samples=5)
+                assert curve.termination in ("smax", "domain_exit",
+                                             "sigma_event", "c1_floor")
+                assert np.all(np.isfinite(curve.uniform_states))
+                assert curve.nfev <= 2 + 15 * curve.accepted + 12 * curve.rejected
+
+
+@pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
 def test_kernel_counts(case, s_max, a_range):
     a = float(np.mean(a_range)) + 0.1
     c1, c2 = (integrate_profile(case, a, s_max=s_max, tol=1e-11, n_samples=5)

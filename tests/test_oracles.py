@@ -60,6 +60,11 @@ ALL_CASES = [
     ReducedCase(SPECIAL_PARABOLIC, 2),
     ReducedCase(ELLIPTIC, 3, 1),
     ReducedCase(ELLIPTIC, 3, 2),
+    ReducedCase(ELLIPTIC, 4, 2),
+    ReducedCase(LOXODROMIC, 4, 3),
+    ReducedCase(SPECIAL_LOXODROMIC, 4),
+    ReducedCase(PARABOLIC, 4, 2),
+    ReducedCase(SPECIAL_PARABOLIC, 4),
 ]
 
 
@@ -69,29 +74,25 @@ def test_killing_ratio_constant(case):
     # Gram-determinant orbit volume from Killing fields agrees with the
     # closed-form functional up to one constant per case
     spread = killing_ratio_spread(case, n_points=50, seed=7)
-    assert spread < 1e-5
+    assert spread < 1e-12
 
 
 def test_cube_exponent_is_decisive():
-    # dropping the cube on the bracket breaks the ratio by double digits
+    # dropping the cube on the bracket cosh^2 r + sinh^2 r cos^2 theta
+    # breaks the ratio by double digits
     case = ReducedCase(SPECIAL_LOXODROMIC, 2)
-    rng = np.random.default_rng(3)
-    ratios = []
-    for _ in range(20):
-        c1 = float(rng.uniform(0.15, 0.6))
-        c2 = float(rng.uniform(0.1, 0.5))
-        p = section_point(case, c1, c2)
-        uv = orbit_project(case, p)
-        wrong = volume_functional(case, uv, bracket_exponent=1)
-        ratios.append(killing_volume(case, p) / wrong)
-    ratios = np.array(ratios)
+    r, theta = np.random.default_rng(3).uniform((0.2, 0.2), (0.9, 1.2), (20, 2)).T
+    bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
+    ratios = killing_volume(case, section_point(case, r, theta)) / (
+        volume_functional(case, (r, theta)) / bracket ** 2)
     assert (ratios.max() - ratios.min()) / ratios.mean() > 0.1
 
 
 def test_killing_volume_vanishes_at_stratum():
+    # theta = pi/2 is the elliptic stratum u = 0
     case = ReducedCase(ELLIPTIC, 2, 1)
-    bulk = killing_volume(case, section_point(case, 0.35, 0.3))
-    near = killing_volume(case, section_point(case, 1e-3, 0.3))
+    bulk = killing_volume(case, section_point(case, 0.5, 0.7))
+    near = killing_volume(case, section_point(case, 0.5, 0.5 * np.pi - 1e-3))
     assert near < 1e-6 * bulk
 
 
@@ -392,14 +393,14 @@ def _loop_spread(case, n_points, seed):
     ratios = []
     for _ in range(n_points):
         if case.kind in POLAR_KINDS:
-            c1 = float(rng.uniform(0.15, 0.6))
-            c2 = float(rng.uniform(0.1, 0.5))
+            c1 = float(rng.uniform(0.2, 0.9))
+            c2 = float(rng.uniform(0.2, 1.2))
         else:
             c1 = float(rng.uniform(0.4, 2.0))
             c2 = float(rng.uniform(0.3, 1.5))
         p = section_point(case, c1, c2)
-        uv = orbit_project(case, p)
-        ratios.append(killing_volume(case, p) / volume_functional(case, uv))
+        ratios.append(killing_volume(case, p)
+                      / volume_functional(case, orbit_project(case, p)))
     ratios = np.array(ratios)
     return float((ratios.max() - ratios.min()) / np.mean(ratios))
 

@@ -6,7 +6,9 @@ from hqn.charts import (
     HORO,
     ball_point,
     convert,
+    coords_array,
     horo_point,
+    metric_matrix,
     point_from_array,
     points_from_stack,
 )
@@ -16,6 +18,7 @@ from hqn.errors import (
     SingularBoundaryError,
 )
 from hqn.isometries import act
+from hqn.oracles import section_point
 from hqn.quaternion import QI, Quaternion
 from hqn.reduction import (
     ALL_KINDS,
@@ -27,14 +30,12 @@ from hqn.reduction import (
     PhaseState,
     ReducedCase,
     boundary_sigma_rate,
+    case_rhs,
     explicit_solutions,
     first_integral_values,
-    in_domain,
-    log_volume_slope,
     ode_rhs,
     orbit_project,
     orbital_metric,
-    polar_from_uv,
     random_symmetry,
     uv_from_polar,
     volume_functional,
@@ -93,7 +94,8 @@ def test_exponent_identities():
 
 def test_orbit_project_examples():
     case = ReducedCase(ELLIPTIC, 2, 1)
-    assert orbit_project(case, ball_point([0.5, 0])) == pytest.approx((0.5, 0.0))
+    assert orbit_project(case, ball_point([0.5, 0])) == pytest.approx(
+        (np.arctanh(0.5), 0.0))
     case = ReducedCase(SPECIAL_LOXODROMIC, 2)
     assert orbit_project(case, ball_point([0, 0])) == pytest.approx((0.0, 0.0))
     case = ReducedCase(SPECIAL_PARABOLIC, 2)
@@ -102,7 +104,8 @@ def test_orbit_project_examples():
 
 
 def test_special_loxodromic_section_map():
-    # section points x_{n-1} = kb, x_n = kc land at (u, v) = (c, b)
+    # section points x_{n-1} = kb, x_n = kc land at the disc point
+    # (u, v) = (c, |b|), that is at r = artanh |(c, b)|, theta = arg(c + i|b|)
     case = ReducedCase(SPECIAL_LOXODROMIC, 2)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -110,9 +113,9 @@ def test_special_loxodromic_section_map():
         if b * b + c * c >= 0.9:
             continue
         p = ball_point([Quaternion(0, 0, 0, b), Quaternion(0, 0, 0, c)])
-        u, v = orbit_project(case, p)
-        assert u == pytest.approx(c, abs=1e-12)
-        assert v == pytest.approx(abs(b), abs=1e-12)
+        r, theta = orbit_project(case, p)
+        assert r == pytest.approx(np.arctanh(np.hypot(c, b)), abs=1e-12)
+        assert theta == pytest.approx(np.arctan2(abs(b), c), abs=1e-12)
 
 
 def test_orbit_invariance():
@@ -131,34 +134,33 @@ def test_orbital_metric_examples():
     case = ReducedCase(ELLIPTIC, 2, 1)
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     r, th = 0.8, 0.6
-    assert orbital_metric(case, (r, th), e1, e1, polar=True) == pytest.approx(4.0)
-    assert orbital_metric(case, (r, th), e2, e2, polar=True) == pytest.approx(
+    assert orbital_metric(case, (r, th), e1, e1) == pytest.approx(4.0)
+    assert orbital_metric(case, (r, th), e2, e2) == pytest.approx(
         4.0 * np.sinh(r) ** 2)
+    assert orbital_metric(case, (r, th), e1, e2) == 0.0
     pcase = ReducedCase(PARABOLIC, 2, 1)
     assert orbital_metric(pcase, (1.0, 0.7), e2, e2) == pytest.approx(4.0)
-    with pytest.raises(DomainError):
-        orbital_metric(case, (0.9, 0.9), e1, e1)
+    assert orbital_metric(pcase, (0.5, 0.7), e1, e1) == pytest.approx(4.0)
 
 
 def test_orbital_metric_polar_agreement():
-    # the (u, v) form pulls back to 4(dr^2 + sinh^2 r dtheta^2)
+    # the metric in the ODE coordinates is the ambient metric pulled back
+    # along the section: the section meets the orbits orthogonally
     rng = np.random.default_rng(2)
-    case = ReducedCase(ELLIPTIC, 2, 1)
     h = 1e-6
-    for _ in range(20):
-        r, th = rng.uniform(0.2, 1.5), rng.uniform(0.1, 1.4)
-        w = rng.standard_normal(2)
-        up = np.array(uv_from_polar(r + h * w[0], th + h * w[1]))
-        dn = np.array(uv_from_polar(r - h * w[0], th - h * w[1]))
-        duv = (up - dn) / (2 * h)
-        val_uv = orbital_metric(case, uv_from_polar(r, th), duv, duv)
-        val_polar = orbital_metric(case, (r, th), w, w, polar=True)
-        assert val_uv == pytest.approx(val_polar, rel=1e-6)
+    for case in CASES:
+        for _ in range(5):
+            c = np.array([rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.3)])
+            w = rng.standard_normal(2)
+            dx = (coords_array(section_point(case, *(c + h * w)))
+                  - coords_array(section_point(case, *(c - h * w)))) / (2 * h)
+            ambient = dx @ metric_matrix(section_point(case, *c)) @ dx
+            assert orbital_metric(case, c, w, w) == pytest.approx(ambient, rel=1e-7)
 
 
 def test_volume_examples():
     case = ReducedCase(ELLIPTIC, 2, 1)
-    v = volume_functional(case, (1.0, np.pi / 4), polar=True)
+    v = volume_functional(case, (1.0, np.pi / 4))
     assert v == pytest.approx(np.sinh(1.0) ** 3 * np.sinh(2.0) ** 3, rel=1e-12)
     pcase = ReducedCase(PARABOLIC, 2, 1)
     assert volume_functional(pcase, (1.0, 1.0)) == 1.0
@@ -167,29 +169,27 @@ def test_volume_examples():
 
 
 def test_special_loxodromic_volume_identity():
-    # polar form with the cubed bracket equals the (u, v) form exactly
+    # the polar form with the cubed bracket equals the disc form
+    # (1 + u^2)^3 v^{4n-5} / (1 - u^2 - v^2)^{(4n+1)/2} exactly
     rng = np.random.default_rng(3)
     for n in (2, 3):
         case = ReducedCase(SPECIAL_LOXODROMIC, n)
-        for _ in range(50):
-            r, th = rng.uniform(0.1, 1.5), rng.uniform(0.1, np.pi - 0.1)
-            a = volume_functional(case, (r, th), polar=True)
-            b = volume_functional(case, uv_from_polar(r, th))
-            assert a == pytest.approx(b, rel=1e-10)
-            # exponent 1 on the bracket does not reproduce the (u, v) form
-            c = volume_functional(case, (r, th), polar=True, bracket_exponent=1)
-            assert abs(c / b - 1.0) > 1e-3 or r < 0.15
+        r = rng.uniform(0.1, 1.5, 50)
+        th = rng.uniform(0.1, np.pi - 0.1, 50)
+        u, v = uv_from_polar(r, th)
+        disc = (1.0 + u * u) ** 3 * v ** (4 * n - 5) / (1.0 - u * u - v * v) ** (2 * n + 0.5)
+        np.testing.assert_allclose(volume_functional(case, (r, th)), disc, rtol=1e-10)
 
 
 def test_volume_vanishes_on_strata():
     for case in CASES:
         if case.kind in (ELLIPTIC, LOXODROMIC):
-            assert volume_functional(case, (1.0, 0.0), polar=True) == 0.0
-            assert volume_functional(case, (1.0, np.pi / 2), polar=True) \
+            assert volume_functional(case, (1.0, 0.0)) == 0.0
+            assert volume_functional(case, (1.0, np.pi / 2)) \
                 == pytest.approx(0.0, abs=1e-30)
         elif case.kind == SPECIAL_LOXODROMIC:
-            assert volume_functional(case, (1.0, 0.0), polar=True) == 0.0
-            assert volume_functional(case, (1.0, np.pi), polar=True) \
+            assert volume_functional(case, (1.0, 0.0)) == 0.0
+            assert volume_functional(case, (1.0, np.pi)) \
                 == pytest.approx(0.0, abs=1e-12)
         elif case.kind == PARABOLIC:
             assert volume_functional(case, (1.0, 0.0)) == 0.0
@@ -238,15 +238,14 @@ def test_reconstruction_from_volume():
         for _ in range(100):
             st = random_interior_state(case, rng)
             c1, c2 = st.c1, st.c2
+            lv = lambda a, b: np.log(volume_functional(case, (a, b)))
             if case.kind in (ELLIPTIC, LOXODROMIC, SPECIAL_LOXODROMIC):
-                lv = lambda a, b: np.log(volume_functional(case, (a, b), polar=True))
                 P_fd = 0.5 * (lv(c1, c2 + h) - lv(c1, c2 - h)) / (2 * h)
                 Q_fd = 0.5 * ((lv(c1 + h, c2) - lv(c1 - h, c2)) / (2 * h)
                               + 1.0 / np.tanh(c1))
                 expect = (P_fd * np.cos(st.sigma) / np.sinh(c1)
                           - Q_fd * np.sin(st.sigma))
             else:
-                lv = lambda a, b: np.log(volume_functional(case, (a, b)))
                 e2 = 0.5 * np.sqrt(c1)
                 P_fd = e2 * (lv(c1, c2 + h) - lv(c1, c2 - h)) / (2 * h)
                 Q_fd = c1 * (lv(c1 + h, c2) - lv(c1 - h, c2)) / (2 * h) - 0.5
@@ -340,12 +339,13 @@ def test_explicit_solution_values():
 
 
 def test_cone_angle_zeroes_P():
+    # at sigma = 0 the polar system reads dsigma/ds = P / sinh r
     for case in CASES:
         if case.kind not in (ELLIPTIC, LOXODROMIC):
             continue
         A, B, C, D = case.exponents
         theta_star = np.arctan(np.sqrt((C + D) / D))
-        P, _ = log_volume_slope(case, (1.0, theta_star))
+        P = case_rhs(case)(1.0, theta_star, 0.0)[2] * np.sinh(1.0)
         assert P == pytest.approx(0.0, abs=1e-13)
 
 
@@ -402,21 +402,25 @@ def test_parabolic_integral_signs():
 
 
 def test_in_domain():
-    assert in_domain(ReducedCase(ELLIPTIC, 2, 1), (0.5, 0.5))
-    assert not in_domain(ReducedCase(ELLIPTIC, 2, 1), (0.9, 0.9))
-    assert in_domain(ReducedCase(SPECIAL_LOXODROMIC, 2), (-0.5, 0.5))
-    assert in_domain(ReducedCase(SPECIAL_PARABOLIC, 2), (1.0, -7.0))
-    assert not in_domain(ReducedCase(PARABOLIC, 2, 1), (1.0, -0.1))
+    # the orbit-space metric is defined at r >= 0 and at alpha > 0
+    e1 = np.array([1.0, 0.0])
+    for case in CASES:
+        assert orbital_metric(case, (0.9, 0.5), e1, e1) > 0.0
+        bad = -0.1 if case.kind in (ELLIPTIC, LOXODROMIC, SPECIAL_LOXODROMIC) else 0.0
+        with pytest.raises(DomainError):
+            orbital_metric(case, (bad, 0.5), e1, e1)
 
 
 def test_polar_uv_round_trip():
+    # uv_from_polar takes arrays, equal to its values at the points alone;
+    # test_section_round_trip inverts it through orbit_project
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        r, th = rng.uniform(0.1, 2.0), rng.uniform(0.05, np.pi / 2 - 0.05)
-        u, v = uv_from_polar(r, th)
-        r2, th2 = polar_from_uv(u, v)
-        assert r2 == pytest.approx(r, rel=1e-12)
-        assert th2 == pytest.approx(th, rel=1e-12)
+    r, th = rng.uniform(0.1, 2.0, 50), rng.uniform(0.05, np.pi / 2 - 0.05, 50)
+    u, v = uv_from_polar(r, th)
+    assert [uv_from_polar(a, b) for a, b in zip(r.tolist(), th.tolist())] \
+        == list(zip(u.tolist(), v.tolist()))
+    np.testing.assert_allclose(np.hypot(u, v), np.tanh(r), rtol=1e-15)
+    np.testing.assert_allclose(np.arctan2(v, u), th, rtol=1e-14)
 
 
 def cases_at(n):
@@ -446,3 +450,21 @@ def test_orbit_project_stack_equals_points(case):
                 for r in stack.rows]
         assert all(isinstance(c, float) for pair in want for c in pair)
         assert np.array_equal(np.array(got).T, want)
+
+
+@pytest.mark.parametrize("case", STACK_CASES,
+                         ids=[f"{c.kind}-n{c.n}-m{c.m}" for c in STACK_CASES])
+def test_section_round_trip(case):
+    # orbit_project inverts section_point in the ODE coordinates, on one
+    # point and on a stack
+    rng = np.random.default_rng([case.n, ALL_KINDS.index(case.kind), case.m or 0])
+    if case.kind in (ELLIPTIC, LOXODROMIC, SPECIAL_LOXODROMIC):
+        top = 3.0 if case.kind == SPECIAL_LOXODROMIC else 1.4
+        c1, c2 = rng.uniform(0.2, 1.5, 9), rng.uniform(0.1, top, 9)
+    else:
+        c1, c2 = rng.uniform(0.2, 3.0, 9), rng.uniform(0.1, 2.0, 9)
+    for a, b in zip(c1.tolist(), c2.tolist()):
+        assert orbit_project(case, section_point(case, a, b)) \
+            == pytest.approx((a, b), rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(orbit_project(case, section_point(case, c1, c2)),
+                               (c1, c2), rtol=1e-12, atol=1e-12)
