@@ -193,37 +193,13 @@ def _ball_rows(p: ChartPoint) -> np.ndarray:
     return _convert_rows(p.rows, p.chart, BALL)
 
 
-def _map(p: ChartPoint, src: str, dst: str, name: str) -> ChartPoint:
-    if p.chart != src:
-        raise ShapeError(f"{name} expects a {src}-chart point")
-    return _point(dst, _convert_rows(p.rows, src, dst))
-
-
-def cayley(p: ChartPoint) -> ChartPoint:
-    """Ball -> Siegel."""
-    return _map(p, BALL, SIEGEL, "cayley")
-
-
-def cayley_inv(p: ChartPoint) -> ChartPoint:
-    """Siegel -> Ball."""
-    return _map(p, SIEGEL, BALL, "cayley_inv")
-
-
-def horo_from_siegel(p: ChartPoint) -> ChartPoint:
-    return _map(p, SIEGEL, HORO, "horo_from_siegel")
-
-
-def siegel_from_horo(p: ChartPoint) -> ChartPoint:
-    return _map(p, HORO, SIEGEL, "siegel_from_horo")
-
-
 def convert(p: ChartPoint, chart: str) -> ChartPoint:
     if chart == p.chart:
         return p
     for c in (p.chart, chart):
         if c not in (BALL, SIEGEL, HORO):
             raise ShapeError(f"unknown chart {c!r}")
-    return _map(p, p.chart, chart, "convert")
+    return _point(chart, _convert_rows(p.rows, p.chart, chart))
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +274,6 @@ def busemann(p: ChartPoint):
 # Riemannian metric
 
 
-def metric_eval(p: ChartPoint, u: np.ndarray, v: np.ndarray) -> float:
-    """Evaluate the metric at p on tangents given in p's chart coordinates."""
-    g = metric_matrix(p)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (g.shape[0],) or v.shape != (g.shape[0],):
-        raise ShapeError("tangent vectors do not match the chart dimension")
-    return float(u @ g @ v)
-
-
 def metric_matrix(p: ChartPoint) -> np.ndarray:
     """Metric as a (4n)x(4n) real symmetric matrix in p's chart."""
     n = p.n
@@ -317,8 +283,7 @@ def metric_matrix(p: ChartPoint) -> np.ndarray:
         return horo_metric_matrix(coords_array(p), n)
     # Siegel metric via the closed-form pushforward to horo coordinates:
     # omega = zeta', alpha = 2 Re(zeta_n) - |zeta'|^2, beta = 2 Im(zeta_n)
-    horo = horo_from_siegel(p)
-    gh = horo_metric_matrix(coords_array(horo), n)
+    gh = horo_metric_matrix(coords_array(convert(p, HORO)), n)
     J = _siegel_to_horo_jacobian(p)
     return J.T @ gh @ J
 

@@ -29,7 +29,6 @@ from .errors import DomainError, ExtrapolationError, NotInteriorError, ShapeErro
 from .integrator import (
     check_start,
     elliptic_integral_R,
-    generate_family,
     integrate_profile,
     limit_endpoint,
 )
@@ -53,8 +52,8 @@ from .reduction import (
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
     ReducedCase,
+    case_rhs,
     explicit_solutions,
-    ode_rhs,
 )
 
 FMT = "%.17g"
@@ -175,7 +174,7 @@ def _suite_reduction(n: int):
         worst = 0.0
         for sol in explicit_solutions(case):
             st = sol.state(1.0, 1.0)
-            f = ode_rhs(case, st, sol.h(1.0))
+            f = case_rhs(case, sol.h(1.0))(st.c1, st.c2, st.sigma)
             frozen = abs(f[1]) if abs(np.sin(st.sigma)) < 1e-12 else abs(f[0])
             worst = max(worst, abs(f[2]), frozen)
         checks.append(_check(f"stationary families {case.kind} m={case.m}",
@@ -210,8 +209,8 @@ def _cmd_curve(args) -> int:
 def _cmd_family(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fam = generate_family(args.case, args.a_grid, h=args.h, s_max=args.smax,
-                          tol=args.tol, n_samples=args.samples)
+    fam = [integrate_profile(args.case, a, s_max=args.smax, tol=args.tol, h=args.h,
+                             n_samples=args.samples) for a in args.a_grid]
     for a, curve in zip(args.a_grid, fam):
         _write_curve_csv(curve, out / f"curve_a{_fmt(a)}.csv")
     return 0
@@ -278,7 +277,8 @@ def _cmd_boundary(args) -> int:
         checks.append({"name": "limit in tangent-slope bounds",
                        "value": lim.c2, "bound": [lo, hi], "pass": ok})
     elif case.kind == SPECIAL_PARABOLIC:
-        R = elliptic_integral_R(case.n)
+        # the limit scales with the dilation alpha -> a alpha, rho -> sqrt(a) rho
+        R = float(np.sqrt(args.a)) * elliptic_integral_R(case.n)
         checks.append(_check("limit vs closed-form quadrature",
                              abs(abs(lim.c2) - R), 1e-6))
     else:

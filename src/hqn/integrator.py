@@ -94,9 +94,6 @@ class ProfileCurve:
         """residual_column on the uniform grid, computed when first read."""
         return residual_column(self.case, self.h, self.uniform_s, self.uniform_states)
 
-    def state(self, i: int) -> PhaseState:
-        return PhaseState(*self.uniform_states[i])
-
     def final_state(self) -> PhaseState:
         return PhaseState(*self.states[-1])
 
@@ -156,14 +153,15 @@ def _initial_step(f, y, fy, interval, rtol, atol) -> float:
     return min(100.0 * h0, h1, interval)
 
 
-def _interpolate(coef, i: int, x: float) -> float:
-    """Component i of a step's dense output at the fraction x of the step,
-    in the operation order of scipy's Dop853DenseOutput."""
+def _interpolate(terms, x):
+    """A step's dense output at the fraction x of the step, from its 8 terms
+    y_old, F0..F6 (floats, or arrays over points), in the operation order
+    of scipy's Dop853DenseOutput."""
     y = 0.0
     for k in range(7, 0, -1):
-        y += coef[3 * k + i]
+        y += terms[k]
         y *= x if k % 2 else 1.0 - x
-    return y + coef[i]
+    return y + terms[0]
 
 
 def _brentq(g: Callable[[float], float], xa: float, xb: float) -> float:
@@ -332,15 +330,16 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
         hit = None
         for ev, g_old, g_end in zip(events, g, g_new):
             if g_old <= 0.0 <= g_end or g_old >= 0.0 >= g_end:
-                root = _brentq(lambda s, ev=ev, t=t, h=h: ev.sign * (
-                    _interpolate(coef, ev.index, (s - t) / h) - ev.level), t, t_new)
+                terms = coef[ev.index::3]
+                root = _brentq(lambda s, ev=ev, t=t, h=h, terms=terms: ev.sign * (
+                    _interpolate(terms, (s - t) / h) - ev.level), t, t_new)
                 if hit is None or root < hit[0]:
                     hit = (root, ev.name)
         if hit is not None:
             root, run.event = hit
             x = (root - t) / h
             run.t.append(root)
-            run.y.append(tuple(_interpolate(coef, i, x) for i in range(3)))
+            run.y.append(tuple(_interpolate(coef[i::3], x) for i in range(3)))
             return run
         run.t.append(t_new)
         run.y.append(y_new)
@@ -356,11 +355,7 @@ def _dense(run: _Run, s: np.ndarray) -> np.ndarray:
     seg = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(run.coef) - 1)
     coef = np.array(run.coef).reshape(-1, 8, 3)[seg]
     x = ((s - t[seg]) / np.array(run.h)[seg])[:, None]
-    y = np.zeros((len(s), 3))
-    for k in range(7, 0, -1):
-        y += coef[:, k]
-        y *= x if k % 2 else 1.0 - x
-    return y + coef[:, 0]
+    return _interpolate(np.moveaxis(coef, 1, 0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +472,27 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     rhs = case_rhs(case, h)
     # Special parabolic curves run in (ln alpha, rho, sigma): alpha decays
     # toward the boundary, and no Runge-Kutta stage can then step to alpha <= 0.
+    # At h = 0 they run in (ln alpha, rho, w), w = ln tan(sigma/2): there
+    # sin(sigma) = I1 alpha^{2n+1} keeps sigma in (0, pi), and near pi an
+    # error of pi tol in sigma would be one of pi tol / sin(sigma) in I1.
     log_alpha = case.kind == SPECIAL_PARABOLIC
+    tan_half = log_alpha and h == 0.0
     if log_alpha:
-        y0 = (math.log(a_run), 0.0, 0.5 * math.pi)
-        exp = math.exp
+        y0 = (math.log(a_run), 0.0, 0.0 if tan_half else 0.5 * math.pi)
+        exp, atan2, sin = math.exp, math.atan2, math.sin
 
-        def f(log_a, rho, sigma):
+        def f_sigma(log_a, rho, sigma):
             alpha = exp(log_a)
             dc1, dc2, dsig = rhs(alpha, rho, sigma)
             return dc1 / alpha, dc2, dsig
+
+        def f_w(log_a, rho, w):
+            # sigma = 2 atan(e^w); w only grows from 0, so e^{-w} cannot overflow
+            sigma = 2.0 * atan2(1.0, exp(-w))
+            dlog_a, dc2, dsig = f_sigma(log_a, rho, sigma)
+            return dlog_a, dc2, dsig / sin(sigma)
+
+        f = f_w if tan_half else f_sigma
     else:
         f = rhs
         if case.kind == SPECIAL_LOXODROMIC and a_run == 0.0:
@@ -500,9 +507,11 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     states = np.array(run.y)
     uniform_s = np.linspace(s_start, s_nodes[-1], n_samples)
     uniform_states = _dense(run, uniform_s)
-    if log_alpha:
-        states[:, 0] = np.exp(states[:, 0])
-        uniform_states[:, 0] = np.exp(uniform_states[:, 0])
+    for y in (states, uniform_states):
+        if log_alpha:
+            y[:, 0] = np.exp(y[:, 0])
+        if tan_half:
+            y[:, 2] = 2.0 * np.arctan2(1.0, np.exp(-y[:, 2]))
     if mirror:
         states = _mirror(states)
         uniform_states = _mirror(uniform_states)
@@ -516,12 +525,6 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
                         I2=vals.get("I2", np.full(n_samples, np.nan)),
                         termination=run.event or "smax", nfev=run.nfev,
                         accepted=run.accepted, rejected=run.rejected)
-
-
-def generate_family(case: ReducedCase, a_grid, h: float = 0.0,
-                    **kwargs) -> list[ProfileCurve]:
-    """Integrate one curve per grid value; results in grid order."""
-    return [integrate_profile(case, a, h=h, **kwargs) for a in a_grid]
 
 
 def elliptic_integral_R(n: int) -> float:

@@ -26,17 +26,16 @@ from .errors import DomainError, NotPolarError, NotSymplecticError, ShapeError
 from .quaternion import (
     CONJ,
     IMAG,
-    POSITIVE,
     UNIT,
     float_or_array,
     hamilton,
     herm_definite,
     herm_lorentz,
     left_mult_matrix,
+    lorentz_sign,
     norm2,
     qarray_inverse,
     qnorm2,
-    signature_class,
 )
 
 SP_TOL = 1e-10
@@ -313,7 +312,7 @@ def inversion_horo(p: ChartPoint) -> ChartPoint:
 def inversion_at_hyperplane(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     """X -> X - 2 lam <lam, X> / <lam, lam> on (n+1, 4) rows, for a positive
     vector lam."""
-    if signature_class(lam) != POSITIVE:
+    if lorentz_sign(lam) != 1:
         raise NotPolarError("hyperplane vector must be positive")
     factor = (2.0 / herm_lorentz(lam, lam)[0]) * herm_lorentz(lam, X)
     return X - hamilton(lam, factor)

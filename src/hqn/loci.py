@@ -9,43 +9,11 @@ bit for bit to its values at the points alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .charts import HORO, ChartPoint, convert, dist, point_from_array
 from .errors import DegenerateLocusError, ShapeError
 from .quaternion import float_or_array, norm2
-
-
-@dataclass(frozen=True)
-class LocusSpec:
-    """Which locus: a bisector of two points, the canonical bisector,
-    a fan cut out by a real-linear functional of omega, the bisector
-    degeneration family at parameter t, or the fan with vertex at the
-    origin of the Heisenberg group."""
-
-    kind: str
-    p1: Optional[ChartPoint] = None
-    p2: Optional[ChartPoint] = None
-    normal: Optional[np.ndarray] = None    # real-linear functional on Q^{n-1}
-    offset: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        kinds = {"bisector", "canonical-bisector", "fan",
-                 "bisector-family", "fan-at-origin"}
-        if self.kind not in kinds:
-            raise ShapeError(f"unknown locus kind {self.kind!r}")
-        if self.kind == "bisector":
-            if self.p1 is None or self.p2 is None:
-                raise DegenerateLocusError("bisector needs two points")
-            if dist(self.p1, self.p2) == 0.0:
-                raise DegenerateLocusError("bisector of equal points")
-        if self.kind == "fan":
-            if self.normal is None or not np.any(np.asarray(self.normal)):
-                raise DegenerateLocusError("fan needs a nonzero normal")
 
 
 def bisector_residual(p: ChartPoint, p1: ChartPoint, p2: ChartPoint):
@@ -69,20 +37,22 @@ def spine_projection(p: ChartPoint) -> ChartPoint:
     return point_from_array(HORO, rows.ravel(), q.n)
 
 
-def fan_residual(p: ChartPoint, spec: LocusSpec):
-    """Affine functional of omega alone; independent of alpha and beta.
+def fan_residual(p: ChartPoint, normal, offset: float = 0.0):
+    """The affine functional <omega, normal> - offset of omega alone,
+    independent of alpha and beta; normal is a nonzero real-linear
+    functional on Q^{n-1}.
 
     The default vertical fan has residual Re(omega_{n-1}); the rotated
     copy used by the inversion check has residual Re(k omega_{n-1}).
     """
+    normal = np.asarray(normal, dtype=float)
+    if not np.any(normal):
+        raise DegenerateLocusError("fan needs a nonzero normal")
     q = convert(p, HORO)
-    if spec.kind != "fan":
-        raise ShapeError("fan_residual expects a fan spec")
-    normal = np.asarray(spec.normal, dtype=float)
     w = q.omega.reshape(q.omega.shape[:-2] + (-1,))
     if normal.shape != w.shape[-1:]:
         raise ShapeError("fan normal does not match Q^{n-1}")
-    return float_or_array(np.vecdot(w, normal) - spec.offset)
+    return float_or_array(np.vecdot(w, normal) - offset)
 
 
 def fan_normal(n: int, component: int) -> np.ndarray:
@@ -112,15 +82,3 @@ def fan_at_origin_residual(p: ChartPoint):
     w, b = q.omega[..., -1, :], q.beta
     return float_or_array(w[..., 3] * (q.alpha + norm2(q.omega)) + w[..., 2] * b[..., 0]
                           - w[..., 1] * b[..., 1] - w[..., 0] * b[..., 2])
-
-
-def locus_residual(p: ChartPoint, spec: LocusSpec):
-    if spec.kind == "bisector":
-        return bisector_residual(p, spec.p1, spec.p2)
-    if spec.kind == "canonical-bisector":
-        return canonical_bisector_residual(p)
-    if spec.kind == "fan":
-        return fan_residual(p, spec)
-    if spec.kind == "bisector-family":
-        return bisector_family_residual(p, spec.t)
-    return fan_at_origin_residual(p)

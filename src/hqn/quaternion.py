@@ -217,10 +217,6 @@ def herm_definite(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _herm_terms(x, y).sum(axis=-2)
 
 
-POSITIVE = "positive"
-NULL = "null"
-NEGATIVE = "negative"
-
 SIGNATURE_EPS = 1e-10
 
 
@@ -232,7 +228,3 @@ def lorentz_sign(X: np.ndarray):
     sign = (val > eps).astype(int) - (val < -eps)
     return int(sign) if sign.ndim == 0 else sign
 
-
-def signature_class(X: np.ndarray) -> str:
-    """Sign of <X,X> for (n+1, 4) rows, as POSITIVE, NULL or NEGATIVE."""
-    return (NULL, POSITIVE, NEGATIVE)[lorentz_sign(X)]

@@ -85,9 +85,6 @@ class PhaseState:
     c2: float
     sigma: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.sigma])
-
 
 # ---------------------------------------------------------------------------
 # coordinates on the orbit space
@@ -232,9 +229,8 @@ def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float
     """The reduced right-hand side of the case at mean curvature h, as a
     float function (c1, c2, sigma) -> (dc1, dc2, dsigma).
 
-    The case's constants are bound once, which makes it the form the
-    integrator calls; it raises DomainError outside the orbit space and
-    SingularBoundaryError on a singular stratum, as ode_rhs does.
+    The case's constants are bound once. It raises DomainError outside
+    the orbit space and SingularBoundaryError on a singular stratum.
     """
     n, m = case.n, case.m
     cos, sin, sinh, sqrt = math.cos, math.sin, math.sinh, math.sqrt
@@ -275,11 +271,6 @@ def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float
         return c1 * cos(sigma), 0.5 * sqrt(c1) * sn, k_sin * sn + h
 
     return rhs
-
-
-def ode_rhs(case: ReducedCase, state: PhaseState, h: float = 0.0) -> tuple[float, float, float]:
-    """The reduced right-hand side at one state (see case_rhs)."""
-    return case_rhs(case, h)(float(state.c1), float(state.c2), float(state.sigma))
 
 
 def boundary_sigma_rate(case: ReducedCase, a: float) -> float:

@@ -17,7 +17,7 @@ from hqn.charts import (
     horo_point,
     point_from_array,
 )
-from hqn.integrator import elliptic_integral_R, generate_family, integrate_profile, limit_endpoint
+from hqn.integrator import elliptic_integral_R, integrate_profile, limit_endpoint
 from hqn.isometries import (
     Isometry,
     act,
@@ -30,7 +30,6 @@ from hqn.isometries import (
     transvection_matrix,
 )
 from hqn.loci import (
-    LocusSpec,
     canonical_bisector_residual,
     fan_at_origin_residual,
     fan_normal,
@@ -53,8 +52,8 @@ from hqn.reduction import (
     SPECIAL_PARABOLIC,
     PhaseState,
     ReducedCase,
+    case_rhs,
     explicit_solutions,
-    ode_rhs,
     random_symmetry,
 )
 
@@ -142,7 +141,7 @@ def test_criterion_2_rhs_from_volume():
                 Q = c1 * (lv(c1 + step, c2) - lv(c1 - step, c2)) / (2 * step) \
                     - 0.5
                 expect = P * np.cos(st.sigma) - Q * np.sin(st.sigma)
-            got = ode_rhs(case, st, 0.0)[2]
+            got = case_rhs(case, 0.0)(st.c1, st.c2, st.sigma)[2]
             worst = max(worst, abs(got - expect) / max(abs(expect), 1.0))
     _verdict(2, worst < 1e-6, f"worst relative deviation {worst:.2e}")
 
@@ -229,8 +228,8 @@ def test_criterion_7_parabolic_limit_and_foliation():
     lim = limit_endpoint(c)
     lo, hi = np.sqrt(1.0 / 3.0), np.sqrt(2.0 / 5.0)
     in_bounds = lo <= lim.c2 <= hi
-    fam = generate_family(case, [0.5, 1.0, 2.0], s_max=60.0, tol=1e-11,
-                          c1_floor=1e-7, n_samples=4001)
+    fam = [integrate_profile(case, a, s_max=60.0, tol=1e-11, c1_floor=1e-7,
+                             n_samples=4001) for a in (0.5, 1.0, 2.0)]
     rep = foliation_certificate(case, fam, [0.5, 1.0, 2.0, 4.0], tol=1e-5)
     ok = in_bounds and rep["pass"]
     _verdict(7, ok, f"rho limit {lim.c2:.6f} in [{lo:.4f}, {hi:.4f}], "
@@ -256,19 +255,19 @@ def test_criterion_9_fan_lines():
     worst_stat = 0.0
     for al in (0.3, 1.0, 2.5):
         for R in (0.1, elliptic_integral_R(2), 0.7):
-            f = ode_rhs(case, PhaseState(al, R, 0.0), 0.0)
+            f = case_rhs(case, 0.0)(al, R, 0.0)
             worst_stat = max(worst_stat, abs(f[1]), abs(f[2]))
     rng = np.random.default_rng(99)
     worst_inv = 0.0
+    normal = fan_normal(2, 0)
     for _ in range(50):
         R = float(rng.uniform(0.1, 0.8))
-        spec = LocusSpec("fan", normal=fan_normal(2, 0), offset=R)
         om = Quaternion(R, *rng.normal(0, 0.3, 3))
         p = horo_point((om,), float(rng.uniform(0.3, 1.5)),
                        Quaternion(0, *rng.normal(0, 0.3, 3)))
-        assert abs(fan_residual(p, spec)) < 1e-15
+        assert abs(fan_residual(p, normal, R)) < 1e-15
         g = random_symmetry(case, rng)
-        worst_inv = max(worst_inv, abs(fan_residual(act(g, p), spec)))
+        worst_inv = max(worst_inv, abs(fan_residual(act(g, p), normal, R)))
     ok = worst_stat == 0.0 and worst_inv < 1e-10
     _verdict(9, ok, f"stationary residual {worst_stat:.1e}, "
                     f"invariance {worst_inv:.2e}")
@@ -291,7 +290,7 @@ def test_criterion_10_explicit_ledger():
         for sol in explicit_solutions(case):
             for a, t in ((0.5, 0.8), (1.0, 1.4), (2.0, 0.3)):
                 st = sol.state(a, t)
-                f = ode_rhs(case, st, sol.h(a))
+                f = case_rhs(case, sol.h(a))(st.c1, st.c2, st.sigma)
                 frozen = abs(f[1]) if abs(np.sin(st.sigma)) < 1e-12 \
                     else abs(f[0])
                 worst_stat = max(worst_stat, abs(f[2]), frozen)

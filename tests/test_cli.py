@@ -90,6 +90,16 @@ def test_verify_all(capsys):
         assert set(check) == {"name", "value", "bound", "pass"}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_all_passes_at_every_n(capsys, n):
+    # the special parabolic conserved quantity drifts far below its bound
+    code, out = run(capsys, "verify", "--suite", "all", "--n", str(n))
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    drift = [c["value"] for c in report["checks"] if c["name"] == "conserved quantity drift"]
+    assert len(drift) == 1 and drift[0] <= 1e-10
+
+
 def _per_draw_suite_charts(n):
     # the charts suite as it ran before it was stacked: one point at a time
     rng = np.random.default_rng(101)
@@ -161,6 +171,15 @@ def test_boundary_parabolic(capsys):
     report = json.loads(out)
     lo, hi = report["checks"][0]["bound"]
     assert lo < report["checks"][0]["value"] < hi
+
+
+@pytest.mark.parametrize("a", ["0.5", "2"])
+def test_boundary_special_parabolic_scales_with_a(capsys, a):
+    # the limit of the curve started at alpha = a is sqrt(a) R(n)
+    code, out = run(capsys, "boundary", "--case", "special-parabolic", "--n", "2",
+                    "--a", a, "--smax", "50")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["value"] <= 1e-10
 
 
 def test_boundary_failure_honours_out(tmp_path, capsys):

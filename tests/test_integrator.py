@@ -14,7 +14,6 @@ from hqn.integrator import (
     EndpointLimit,
     ProfileCurve,
     elliptic_integral_R,
-    generate_family,
     integrate_profile,
     limit_endpoint,
     residual_column,
@@ -25,9 +24,8 @@ from hqn.reduction import (
     PARABOLIC,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
-    PhaseState,
     ReducedCase,
-    ode_rhs,
+    case_rhs,
 )
 
 
@@ -75,7 +73,7 @@ def test_special_loxodromic_invariant_line():
 
 def test_special_loxodromic_mirror():
     case = ReducedCase(SPECIAL_LOXODROMIC, 2)
-    fam = generate_family(case, [-0.5, 0.0, 0.5], s_max=5.0, tol=1e-11)
+    fam = [integrate_profile(case, a, s_max=5.0, tol=1e-11) for a in (-0.5, 0.0, 0.5)]
     cm, c0, cp = fam
     assert cm.a == -0.5 and cp.a == 0.5
     np.testing.assert_allclose(cm.uniform_states[:, 0],
@@ -109,6 +107,32 @@ def test_special_parabolic_small_alpha(n, tol):
         assert c.uniform_states[-1, 0] < 1e-6 * a      # alpha has decayed
 
 
+def test_special_parabolic_sigma_coordinate_at_nonzero_h():
+    # away from h = 0 the special parabolic curve runs in (ln alpha, rho,
+    # sigma), and sigma passes pi; counts and states are pinned to the bit
+    case = ReducedCase(SPECIAL_PARABOLIC, 2)
+    c = integrate_profile(case, 0.9, s_max=3.0, tol=1e-10, h=0.3, n_samples=3)
+    assert (c.nfev, c.accepted, c.rejected, c.termination) == (374, 24, 1, "smax")
+    np.testing.assert_array_equal(c.uniform_states, [
+        [0.9, 0.0, 1.5707963267948966],
+        [0.22846086928486092, 0.11293328294340248, 3.200509477447929],
+        [0.051113773193162036, 0.09784126507828343, 3.2016280845987026]])
+    np.testing.assert_array_equal(c.states[-1], c.uniform_states[-1])
+
+
+def test_event_root_state_is_the_dense_output():
+    # the kernel's state at an event root comes from the float interpolant,
+    # the samples from the array one; at the root the two agree bit for bit
+    curves = [integrate_profile(ReducedCase(PARABOLIC, 2, 1), a, s_max=60.0, tol=1e-10)
+              for a in (0.5, 1.0, 2.0)]
+    curves.append(integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 3), 1.0, s_max=50.0,
+                                    tol=1e-12, c1_floor=0.3))
+    for c in curves:
+        assert c.termination == "c1_floor"
+        assert c.uniform_s[-1] == c.s[-1]
+        np.testing.assert_array_equal(c.states[-1], c.uniform_states[-1])
+
+
 def test_special_parabolic_floor_event():
     case = ReducedCase(SPECIAL_PARABOLIC, 2)
     c = integrate_profile(case, 1.0, s_max=50.0, tol=1e-12, c1_floor=0.3)
@@ -135,7 +159,7 @@ def test_parabolic_dilation_family():
 
 def test_elliptic_family_disjoint():
     case = ReducedCase(ELLIPTIC, 2, 1)
-    fam = generate_family(case, [0.5, 1.0], s_max=8.0, tol=1e-10)
+    fam = [integrate_profile(case, a, s_max=8.0, tol=1e-10) for a in (0.5, 1.0)]
     pts0 = fam[0].uniform_states[:, :2]
     pts1 = fam[1].uniform_states[:, :2]
     d = np.min(np.linalg.norm(pts0[:, None, :] - pts1[None, :, :], axis=2))
@@ -146,8 +170,8 @@ def test_family_grid_order_and_threads():
     # families run serially, in grid order, and repeat exactly
     case = ReducedCase(ELLIPTIC, 2, 1)
     grid = [0.4, 0.9, 1.3]
-    first = generate_family(case, grid, s_max=3.0, tol=1e-9)
-    second = generate_family(case, grid, s_max=3.0, tol=1e-9)
+    first, second = ([integrate_profile(case, a, s_max=3.0, tol=1e-9) for a in grid]
+                     for _ in range(2))
     assert [c.a for c in first] == grid
     for cs, cp in zip(first, second):
         assert cs.a == cp.a
@@ -290,10 +314,10 @@ def test_tableau_is_scipys():
 
 
 def _scipy_states(curve, tol):
-    """solve_ivp(DOP853) on ode_rhs from the curve's first node to its last,
-    in the coordinates integrate_profile integrates (ln alpha for special
-    parabolic curves, the mirror image for special loxodromic a < 0),
-    sampled at the curve's uniform grid."""
+    """solve_ivp(DOP853) on case_rhs from the curve's first node to its last,
+    in (ln alpha, rho, sigma) for special parabolic curves and in the mirror
+    image for special loxodromic a < 0, sampled at the curve's uniform
+    grid."""
     from scipy.integrate import solve_ivp
 
     case = curve.case
@@ -302,12 +326,14 @@ def _scipy_states(curve, tol):
     flip = lambda y: y * [1.0, -1.0, -1.0] + [0.0, np.pi, 0.0]
     y0 = flip(curve.states[0]) if mirror else curve.states[0].copy()
 
+    rhs = case_rhs(case)
+
     def f(s, y):
         if log_alpha:
             alpha = np.exp(y[0])
-            d1, d2, d3 = ode_rhs(case, PhaseState(alpha, y[1], y[2]))
+            d1, d2, d3 = rhs(alpha, y[1], y[2])
             return d1 / alpha, d2, d3
-        return ode_rhs(case, PhaseState(*y))
+        return rhs(*y)
 
     if log_alpha:
         y0[0] = np.log(y0[0])

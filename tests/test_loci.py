@@ -12,17 +12,15 @@ from hqn.charts import (
     point_from_array,
     points_from_stack,
 )
-from hqn.errors import DegenerateLocusError
+from hqn.errors import DegenerateLocusError, ShapeError
 from hqn.isometries import act_horo_closed, inversion_horo
 from hqn.loci import (
-    LocusSpec,
     bisector_family_residual,
     bisector_residual,
     canonical_bisector_residual,
     fan_at_origin_residual,
     fan_normal,
     fan_residual,
-    locus_residual,
     spine_projection,
 )
 from hqn.quaternion import QI, QK, Quaternion
@@ -44,8 +42,6 @@ def test_bisector_trivial():
     assert bisector_residual(CANON_P1, CANON_P1, CANON_P2) < 0.0
     with pytest.raises(DegenerateLocusError):
         bisector_residual(mid, CANON_P1, CANON_P1)
-    with pytest.raises(DegenerateLocusError):
-        LocusSpec("bisector", p1=CANON_P1, p2=CANON_P1)
 
 
 def test_bisector_canonical_grid():
@@ -110,11 +106,14 @@ def test_spine_projection():
 
 
 def test_fan_residual():
-    spec = LocusSpec("fan", normal=fan_normal(2, 0))
-    assert fan_residual(horo_point([0], 1.0, 0), spec) == 0.0
-    assert fan_residual(horo_point([Quaternion(1.0)], 1.0, 0), spec) == 1.0
+    normal = fan_normal(2, 0)
+    assert fan_residual(horo_point([0], 1.0, 0), normal) == 0.0
+    assert fan_residual(horo_point([Quaternion(1.0)], 1.0, 0), normal) == 1.0
+    assert fan_residual(horo_point([Quaternion(1.0)], 1.0, 0), normal, 0.25) == 0.75
     with pytest.raises(DegenerateLocusError):
-        LocusSpec("fan", normal=np.zeros(4))
+        fan_residual(horo_point([0], 1.0, 0), np.zeros(4))
+    with pytest.raises(ShapeError):
+        fan_residual(horo_point([0], 1.0, 0), np.ones(8))
 
     # invariance under Heisenberg translations with Re(xi_{n-1}) = 0
     rng = np.random.default_rng(4)
@@ -123,8 +122,8 @@ def test_fan_residual():
         xi = np.array([[0.0, *rng.standard_normal(3)]])
         nu = np.array([0.0, *rng.standard_normal(3)])
         q = act_horo_closed("heisenberg", p, xi=xi, nu=nu)
-        assert fan_residual(q, spec) == pytest.approx(
-            fan_residual(p, spec), abs=1e-12)
+        assert fan_residual(q, normal) == pytest.approx(
+            fan_residual(p, normal), abs=1e-12)
 
 
 def test_bisector_family():
@@ -186,15 +185,6 @@ def test_inversion_maps_fan_to_fan_at_origin():
         assert abs(fan_at_origin_residual(q)) < 1e-9 * (1.0 + a + abs(b))
 
 
-def test_locus_residual_dispatch():
-    p = horo_point([QK], 1.0, 0)
-    assert locus_residual(p, LocusSpec("fan-at-origin")) == 2.0
-    assert locus_residual(p, LocusSpec("canonical-bisector")) == 0.0
-    assert locus_residual(p, LocusSpec("bisector-family", t=0.0)) == 0.0
-    spec = LocusSpec("bisector", p1=CANON_P1, p2=CANON_P2)
-    assert locus_residual(ball_point([0, 0]), spec) == 0.0
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("chart", [BALL, SIEGEL, HORO])
 def test_residuals_stack_equals_points(n, chart):
@@ -206,14 +196,12 @@ def test_residuals_stack_equals_points(n, chart):
     stack = convert(points_from_stack(BALL, v, n), chart)
     points = [point_from_array(chart, r.ravel(), n) for r in stack.rows]
     p1, p2 = random_ball_point(rng, n), random_ball_point(rng, n)
-    specs = [LocusSpec("bisector", p1=p1, p2=p2), LocusSpec("canonical-bisector"),
-             LocusSpec("fan", normal=fan_normal(n, 0)),
-             LocusSpec("fan", normal=rng.standard_normal(4 * (n - 1)), offset=0.3),
-             LocusSpec("bisector-family", t=0.7), LocusSpec("fan-at-origin")]
+    normal = rng.standard_normal(4 * (n - 1))
     residuals = [lambda q: bisector_residual(q, p1, p2), canonical_bisector_residual,
-                 lambda q: fan_residual(q, specs[3]),
+                 lambda q: fan_residual(q, fan_normal(n, 0)),
+                 lambda q: fan_residual(q, normal, 0.3),
+                 lambda q: bisector_family_residual(q, 0.7),
                  lambda q: bisector_family_residual(q, -1.3), fan_at_origin_residual]
-    residuals += [lambda q, spec=spec: locus_residual(q, spec) for spec in specs]
     for f in residuals:
         got = f(stack)
         assert isinstance(got, np.ndarray) and got.shape == (7,)

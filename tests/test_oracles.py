@@ -17,7 +17,7 @@ from hqn.charts import (
 )
 from hqn.cli import main
 from hqn.errors import NotInteriorError, ShapeError, SingularPointError
-from hqn.integrator import generate_family, integrate_profile, residual_column
+from hqn.integrator import integrate_profile, residual_column
 from hqn.isometries import (
     Isometry,
     act,
@@ -283,8 +283,8 @@ def test_ode_residual_and_sensitivity():
 
 def test_foliation_certificate():
     case = ReducedCase(PARABOLIC, 2, 1)
-    fam = generate_family(case, [0.5, 1.0, 2.0], s_max=60.0, tol=1e-11,
-                          c1_floor=1e-7, n_samples=4001)
+    fam = [integrate_profile(case, a, s_max=60.0, tol=1e-11, c1_floor=1e-7,
+                             n_samples=4001) for a in (0.5, 1.0, 2.0)]
     rep = foliation_certificate(case, fam, [0.5, 1.0, 2.0, 4.0], tol=1e-5)
     assert rep["pass"]
     assert len(rep["checks"]) == 15

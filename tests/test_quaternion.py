@@ -16,7 +16,6 @@ from hqn.quaternion import (
     left_mult_matrix,
     lorentz_sign,
     right_mult_matrix,
-    signature_class,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -123,9 +122,6 @@ def test_herm_definite_examples():
 
 def test_signature_class():
     n = 3
-    assert signature_class(components([0] * n + [1])) == "negative"
-    assert signature_class(components([0] * (n - 1) + [1, 1])) == "null"
-    assert signature_class(components([1] + [0] * n)) == "positive"
     X = np.stack([components([0] * n + [1]), components([0] * (n - 1) + [1, 1]),
                   components([1] + [0] * n), np.full((n + 1, 4), np.nan)])
     # one test for a vector and for each vector of a stack; NaN is null

@@ -33,7 +33,6 @@ from hqn.reduction import (
     case_rhs,
     explicit_solutions,
     first_integral_values,
-    ode_rhs,
     orbit_project,
     orbital_metric,
     random_symmetry,
@@ -199,7 +198,7 @@ def test_ode_rhs_transcription():
     # direct check of one elliptic state against the displayed system
     case = ReducedCase(ELLIPTIC, 2, 1)
     r, th, sg, h = 0.9, 0.5, 0.3, 0.7
-    d1, d2, d3 = ode_rhs(case, PhaseState(r, th, sg), h)
+    d1, d2, d3 = case_rhs(case, h)(r, th, sg)
     assert d1 == pytest.approx(0.5 * np.cos(sg))
     assert d2 == pytest.approx(0.5 * np.sin(sg) / np.sinh(r))
     n, m = 2, 1
@@ -211,7 +210,7 @@ def test_ode_rhs_transcription():
     # parabolic display
     pcase = ReducedCase(PARABOLIC, 2, 1)
     al, rho = 1.3, 0.8
-    d1, d2, d3 = ode_rhs(pcase, PhaseState(al, rho, sg), h)
+    d1, d2, d3 = case_rhs(pcase, h)(al, rho, sg)
     assert d1 == pytest.approx(al * np.cos(sg))
     assert d2 == pytest.approx(0.5 * np.sqrt(al) * np.sin(sg))
     assert d3 == pytest.approx((2 * n - 2 * m - 0.5) * np.sqrt(al) / rho
@@ -221,13 +220,13 @@ def test_ode_rhs_transcription():
 def test_ode_rhs_singular_strata():
     case = ReducedCase(ELLIPTIC, 2, 1)
     with pytest.raises(SingularBoundaryError):
-        ode_rhs(case, PhaseState(1.0, 0.0, 0.5))
+        case_rhs(case)(1.0, 0.0, 0.5)
     with pytest.raises(SingularBoundaryError):
-        ode_rhs(case, PhaseState(1.0, np.pi / 2, 0.5))
+        case_rhs(case)(1.0, np.pi / 2, 0.5)
     with pytest.raises(SingularBoundaryError):
-        ode_rhs(ReducedCase(PARABOLIC, 2, 1), PhaseState(1.0, 0.0, 0.5))
+        case_rhs(ReducedCase(PARABOLIC, 2, 1))(1.0, 0.0, 0.5)
     # theta = pi/2 is interior for the special loxodromic case
-    ode_rhs(ReducedCase(SPECIAL_LOXODROMIC, 2), PhaseState(1.0, np.pi / 2, 0.5))
+    case_rhs(ReducedCase(SPECIAL_LOXODROMIC, 2))(1.0, np.pi / 2, 0.5)
 
 
 def test_reconstruction_from_volume():
@@ -250,7 +249,7 @@ def test_reconstruction_from_volume():
                 P_fd = e2 * (lv(c1, c2 + h) - lv(c1, c2 - h)) / (2 * h)
                 Q_fd = c1 * (lv(c1 + h, c2) - lv(c1 - h, c2)) / (2 * h) - 0.5
                 expect = P_fd * np.cos(st.sigma) - Q_fd * np.sin(st.sigma)
-            got = ode_rhs(case, st, 0.0)[2]
+            got = case_rhs(case, 0.0)(st.c1, st.c2, st.sigma)[2]
             assert got == pytest.approx(expect, rel=1e-6, abs=1e-6)
 
 
@@ -291,7 +290,7 @@ def test_boundary_sigma_rate_matches_integration():
             else:
                 y0 = [a - rate * s0 ** 2 / 4, s0 / (2 * np.sinh(a)),
                       np.pi / 2 + rate * s0]
-            f = lambda s, y: ode_rhs(case, PhaseState(*y), 0.0)
+            f = lambda s, y, rhs=case_rhs(case): rhs(*y)
             sol = solve_ivp(f, (s0, 0.05), y0, rtol=1e-12, atol=1e-12,
                             dense_output=True)
             sig = sol.sol(0.05)[2]
@@ -310,7 +309,7 @@ def test_explicit_solutions():
                 t = float(rng.uniform(0.2, 1.5))
                 st = sol.state(a, t)
                 h = sol.h(a)
-                d1, d2, d3 = ode_rhs(case, st, h)
+                d1, d2, d3 = case_rhs(case, h)(st.c1, st.c2, st.sigma)
                 # the family parameter direction is constant: no drift in
                 # sigma, and the transverse coordinate is frozen
                 assert d3 == pytest.approx(0.0, abs=1e-12)
@@ -357,8 +356,8 @@ def test_parabolic_dilation_equivariance():
         t = float(rng.uniform(-1, 1))
         e = np.exp(t)
         scaled = PhaseState(e * e * st.c1, e * st.c2, st.sigma)
-        d = ode_rhs(case, st, 0.0)
-        ds = ode_rhs(case, scaled, 0.0)
+        d = case_rhs(case, 0.0)(st.c1, st.c2, st.sigma)
+        ds = case_rhs(case, 0.0)(scaled.c1, scaled.c2, scaled.sigma)
         # ds scales trivially: alpha' by e^2, rho' by e, sigma' unchanged
         assert ds[0] == pytest.approx(e * e * d[0], rel=1e-12)
         assert ds[1] == pytest.approx(e * d[1], rel=1e-12)
@@ -387,7 +386,7 @@ def test_parabolic_integral_signs():
     s0 = 1e-4
     y0 = [a * (1 - rate * s0 ** 2 / 2), 0.5 * np.sqrt(a) * s0,
           np.pi / 2 + rate * s0]
-    f = lambda s, y: ode_rhs(case, PhaseState(*y), 0.0)
+    f = lambda s, y, rhs=case_rhs(case): rhs(*y)
     sol = solve_ivp(f, (s0, 2.0), y0, rtol=1e-11, atol=1e-11, dense_output=True)
     samples = np.linspace(0.01, 2.0, 40)
     I_vals, J_vals = [], []
