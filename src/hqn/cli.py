@@ -38,10 +38,10 @@ from .isometries import (
     act_horo_closed,
     heisenberg_matrix,
     qmat_identity,
-    random_sp,
-    random_unit_quaternion,
     sp_defect,
+    sp_from_normals,
     transvection_matrix,
+    unit_quaternions,
 )
 from .loci import canonical_bisector_residual, fan_at_origin_residual
 from .oracles import ambient_mean_curvature, killing_ratio_spread
@@ -107,16 +107,32 @@ def _check(name: str, value: float, bound: float) -> dict:
 # verify suites
 
 
+def _scale_to_radius(x: np.ndarray, r) -> np.ndarray:
+    """The 4n reals x rescaled to norm r: a row alone, or each row of a
+    (k, 4n) stack with its r of a (k,) array; the norm is the BLAS dot
+    np.linalg.norm takes, so a row gives the same bits alone and stacked."""
+    return x * (r / np.maximum(np.sqrt(np.vecdot(x, x)), 1e-9))[..., None]
+
+
 def _random_ball(rng, n):
     """The 4n reals of a random ball point."""
     x = rng.uniform(-0.5, 0.5, 4 * n)
-    x *= rng.uniform(0.1, 0.9) / max(np.linalg.norm(x), 1e-9)
-    return x
+    return _scale_to_radius(x, rng.uniform(0.1, 0.9))
+
+
+def _random_balls(rng, n, k):
+    """k random ball points as (k, 4n) reals: the draws of k calls of
+    _random_ball, in their order, scaled once on the stack."""
+    x, r = np.empty((k, 4 * n)), np.empty(k)
+    for i in range(k):
+        x[i] = rng.uniform(-0.5, 0.5, 4 * n)
+        r[i] = rng.uniform(0.1, 0.9)
+    return _scale_to_radius(x, r)
 
 
 def _suite_charts(n: int):
     rng = np.random.default_rng(101)
-    x = np.array([_random_ball(rng, n) for _ in range(100)])
+    x = _random_balls(rng, n, 100)
     p = points_from_stack(BALL, x[0::2], n)
     p2 = points_from_stack(BALL, x[1::2], n)
     q = convert(convert(convert(p, SIEGEL), HORO), BALL)
@@ -128,19 +144,29 @@ def _suite_charts(n: int):
             _check("metric positive definite", 0.0 if eig.min() > 0 else 1.0, 0.5)]
 
 
-def _suite_isometries(n: int):
-    rng, k = np.random.default_rng(202), 50
+def _isometry_draws(rng, n, k):
+    """k Heisenberg pairs (xi, nu), transvection lengths t, rotation blocks
+    B in Sp(n-1), unit quaternions lam and ball points x, as stacks. The
+    loop keeps the draws of k rounds of xi, nu, t, random_sp(n - 1),
+    random_unit_quaternion and _random_ball in their seeded order; the
+    arithmetic on them runs once on the stacks."""
     xi, nu, t = np.empty((k, n - 1, 4)), np.zeros((k, 4)), np.empty(k)
-    B, lam, x = np.empty((k, n - 1, n - 1, 4)), np.empty((k, 4)), np.empty((k, 4 * n))
-    # random_sp draws from rng between the other draws, so batched draws would
-    # reorder the stream: one pass per element keeps the seeded inputs
+    V, lam = np.empty((k, n - 1, n - 1, 4)), np.empty((k, 4))
+    x, r = np.empty((k, 4 * n)), np.empty(k)
     for i in range(k):
         xi[i] = rng.normal(0, 0.4, (n - 1, 4))
         nu[i, 1:] = rng.normal(0, 0.4, 3)
         t[i] = rng.normal(0, 0.5)
-        B[i] = random_sp(n - 1, rng)
-        lam[i] = random_unit_quaternion(rng)
-        x[i] = _random_ball(rng, n)
+        V[i] = rng.standard_normal((n - 1, n - 1, 4))
+        lam[i] = rng.standard_normal(4)
+        x[i] = rng.uniform(-0.5, 0.5, 4 * n)
+        r[i] = rng.uniform(0.1, 0.9)
+    return xi, nu, t, sp_from_normals(V), unit_quaternions(lam), _scale_to_radius(x, r)
+
+
+def _suite_isometries(n: int):
+    k = 50
+    xi, nu, t, B, lam, x = _isometry_draws(np.random.default_rng(202), n, k)
     big = np.broadcast_to(qmat_identity(n + 1), (k, n + 1, n + 1, 4)).copy()
     big[:, :n - 1, :n - 1] = B
     big[:, n - 1, n - 1] = big[:, n, n] = lam
@@ -301,73 +327,93 @@ def _cmd_integral(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# "-3.5e-05", "-inf" and "-nan" are values too; Python 3.11's argparse
+# takes only the "-3" and "-.5" forms
+NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _case_flags(p) -> None:
+    p.add_argument("--case", required=True, choices=sorted(ALL_KINDS))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--smax", type=float, default=20.0)
+    p.add_argument("--tol", type=float, default=1e-10)
+
+
+def _profile_flags(p) -> None:
+    _case_flags(p)
+    p.add_argument("--h", type=float, default=0.0)
+    p.add_argument("--samples", type=int, default=801)
+
+
+def _flags_curve(p) -> None:
+    _profile_flags(p)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--out", required=True)
+
+
+def _flags_family(p) -> None:
+    _profile_flags(p)
+    p.add_argument("--a-grid", required=True)
+    p.add_argument("--out-dir", required=True)
+
+
+def _flags_verify(p) -> None:
+    p.add_argument("--suite", default="all", choices=["all"] + sorted(SUITES))
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--out", default=None)
+
+
+def _flags_oracle(p) -> None:
+    p.add_argument("--oracle", default="all", choices=["all", "volume", "curvature"])
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--out", default=None)
+
+
+def _flags_boundary(p) -> None:
+    _case_flags(p)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--out", default=None)
+
+
+def _flags_convert(p) -> None:
+    p.add_argument("--from", dest="frm", required=True, choices=sorted(CHARTS))
+    p.add_argument("--to", required=True, choices=sorted(CHARTS))
+    p.add_argument("--coords", required=True)
+    p.add_argument("--transvection", type=float, default=None)
+
+
+def _flags_integral(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+
+
+# each verb's flags and command, in the order `hqn -h` lists them
+VERBS = {
+    "curve": (_flags_curve, _cmd_curve),
+    "family": (_flags_family, _cmd_family),
+    "verify": (_flags_verify, _cmd_verify),
+    "oracle": (_flags_oracle, _cmd_oracle),
+    "boundary": (_flags_boundary, _cmd_boundary),
+    "convert": (_flags_convert, _cmd_convert),
+    "integral": (_flags_integral, _cmd_integral),
+}
+
+
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of the one verb named: that verb's
+    arguments parse the same, and the other verbs' subparsers go unbuilt."""
     ap = argparse.ArgumentParser(prog="hqn")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def verb(name):
-        # flags are spelled in full: "--h" is not "--help", "--a" not "--a-grid"
-        p = sub.add_parser(name, allow_abbrev=False)
-        # "-3.5e-05", "-inf" and "-nan" are values too; Python 3.11's
-        # argparse takes only the "-3" and "-.5" forms
-        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-        return p
-
-    def add_case_flags(p):
-        p.add_argument("--case", required=True, choices=sorted(ALL_KINDS))
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--smax", type=float, default=20.0)
-        p.add_argument("--tol", type=float, default=1e-10)
-
-    def add_curve_flags(p):
-        add_case_flags(p)
-        p.add_argument("--h", type=float, default=0.0)
-        p.add_argument("--samples", type=int, default=801)
-
-    pc = verb("curve")
-    add_curve_flags(pc)
-    pc.add_argument("--a", type=float, required=True)
-    pc.add_argument("--out", required=True)
-    pc.set_defaults(func=_cmd_curve)
-
-    pf = verb("family")
-    add_curve_flags(pf)
-    pf.add_argument("--a-grid", required=True)
-    pf.add_argument("--out-dir", required=True)
-    pf.set_defaults(func=_cmd_family)
-
-    pv = verb("verify")
-    pv.add_argument("--suite", default="all",
-                    choices=["all"] + sorted(SUITES))
-    pv.add_argument("--n", type=int, default=2)
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(func=_cmd_verify)
-
-    po = verb("oracle")
-    po.add_argument("--oracle", default="all",
-                    choices=["all", "volume", "curvature"])
-    po.add_argument("--n", type=int, default=2)
-    po.add_argument("--points", type=int, default=20)
-    po.add_argument("--out", default=None)
-    po.set_defaults(func=_cmd_oracle)
-
-    pb = verb("boundary")
-    add_case_flags(pb)
-    pb.add_argument("--a", type=float, required=True)
-    pb.add_argument("--out", default=None)
-    pb.set_defaults(func=_cmd_boundary)
-
-    px = verb("convert")
-    px.add_argument("--from", dest="frm", required=True, choices=sorted(CHARTS))
-    px.add_argument("--to", required=True, choices=sorted(CHARTS))
-    px.add_argument("--coords", required=True)
-    px.add_argument("--transvection", type=float, default=None)
-    px.set_defaults(func=_cmd_convert)
-
-    pi = verb("integral")
-    pi.add_argument("--n", type=int, required=True)
-    pi.set_defaults(func=_cmd_integral)
+    # a one-verb tree still names every verb in its usage line
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
+    for name, (add_flags, func) in VERBS.items():
+        if verb in (None, name):
+            # flags are spelled in full: "--h" is not "--help", "--a" not "--a-grid"
+            p = sub.add_parser(name, allow_abbrev=False)
+            p._negative_number_matcher = NEGATIVE_NUMBER
+            add_flags(p)
+            p.set_defaults(func=func)
     return ap
 
 
@@ -408,7 +454,9 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no verb, -h or an unknown verb: the full tree lists the verbs
+    parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     try:
         _check_flags(args)

@@ -507,6 +507,8 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     states = np.array(run.y)
     uniform_s = np.linspace(s_start, s_nodes[-1], n_samples)
     uniform_states = _dense(run, uniform_s)
+    if tan_half:
+        log_a, abs_w = uniform_states[:, 0].copy(), np.abs(uniform_states[:, 2])
     for y in (states, uniform_states):
         if log_alpha:
             y[:, 0] = np.exp(y[:, 0])
@@ -519,9 +521,15 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     c1, c2, sigma = uniform_states.T
     V = volume_functional(case, (c1, c2))
     vals = first_integral_values(case, PhaseState(c1, c2, sigma))
+    I1 = vals["I1"]
+    if tan_half:
+        # I1 = alpha^{-2n-1} sin(sigma) with sin(sigma) = 1/cosh(w), from the
+        # integrated (ln alpha, w): near pi, sigma has rounded away what w keeps
+        log_cosh_w = abs_w + np.log1p(np.exp(-2.0 * abs_w)) - math.log(2.0)
+        I1 = np.exp(-(2 * case.n + 1) * log_a - log_cosh_w)
     return ProfileCurve(case=case, a=a, h=h, s=s_nodes, states=states,
                         uniform_s=uniform_s, uniform_states=uniform_states,
-                        V=V, I1=vals["I1"],
+                        V=V, I1=I1,
                         I2=vals.get("I2", np.full(n_samples, np.nan)),
                         termination=run.event or "smax", nfev=run.nfev,
                         accepted=run.accepted, rejected=run.rejected)

@@ -322,9 +322,15 @@ def inversion_at_hyperplane(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
 # test/oracle helpers
 
 
+def unit_quaternions(v: np.ndarray) -> np.ndarray:
+    """v / |v| for a (4,) row, or for each row of a (..., 4) stack; |v| is
+    the BLAS dot np.linalg.norm takes, so a row alone and inside a stack
+    give the same bits."""
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
+
+
 def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(4)
-    return v / np.linalg.norm(v)
+    return unit_quaternions(rng.standard_normal(4))
 
 
 def random_skew_hermitian(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -347,12 +353,21 @@ def random_lorentz_sp(m: int, rng: np.random.Generator) -> np.ndarray:
     return qmat_expm(qmat_mul(J, S))
 
 
-def random_sp(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random element of Sp(n) by Gram-Schmidt over the quaternions."""
-    A = np.zeros((n, n, 4))
-    for c in range(n):
-        v = rng.standard_normal((n, 4))
-        for u in A[:, :c].transpose(1, 0, 2):
-            v = v - hamilton(u, herm_definite(u, v))      # subtract u (u, v)
-        A[:, c] = v * (1.0 / float(np.sqrt(np.sum(v * v))))
+def sp_from_normals(V: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt over the quaternions: the element of Sp(n) whose column c
+    comes from the (n, 4) rows V[c], of an (n, n, 4) array V; one element per
+    (n, n, 4) array of a (..., n, n, 4) stack, each with the bits it has alone."""
+    V = np.asarray(V, dtype=float)
+    A = np.zeros(V.shape)
+    for c in range(V.shape[-3]):
+        v = V[..., c, :, :]
+        for j in range(c):
+            u = A[..., :, j, :]
+            v = v - hamilton(u, herm_definite(u, v)[..., None, :])    # subtract u (u, v)
+        A[..., :, c, :] = v * (1.0 / np.sqrt(np.sum(v * v, axis=(-2, -1))))[..., None, None]
     return A
+
+
+def random_sp(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random element of Sp(n): Gram-Schmidt on n columns of normal draws."""
+    return sp_from_normals(rng.standard_normal((n, n, 4)))

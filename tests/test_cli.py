@@ -151,6 +151,49 @@ def test_stacked_suites_match_per_draw(n):
     assert cli._suite_isometries(n) == _per_draw_suite_isometries(n)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_suite_draws_keep_the_per_draw_stream(n):
+    # the stacked draws are the per-draw loop's values, bit for bit, and
+    # leave the generator where that loop left it
+    rng, ref = np.random.default_rng(101), np.random.default_rng(101)
+    x = cli._random_balls(rng, n, 100)
+    assert x.tobytes() == np.array([cli._random_ball(ref, n) for _ in range(100)]).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    rng, ref = np.random.default_rng(202), np.random.default_rng(202)
+    got = cli._isometry_draws(rng, n, 50)
+    want = [[] for _ in range(6)]
+    for _ in range(50):
+        nu = np.zeros(4)
+        draw = (ref.normal(0, 0.4, (n - 1, 4)), nu, ref.normal(0, 0.4, 3),
+                ref.normal(0, 0.5), random_sp(n - 1, ref),
+                random_unit_quaternion(ref), cli._random_ball(ref, n))
+        nu[1:] = draw[2]
+        for stack, value in zip(want, draw[:2] + draw[3:]):
+            stack.append(value)
+    for stack, values in zip(got, want):
+        assert stack.tobytes() == np.array(values).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# check values of the charts and isometries suites, as float.hex, from the
+# per-draw suites they were first computed by
+SUITE_VALUES = {
+    2: ["0x1.0000000000000p-52", "0x0.0p+0", "0x0.0p+0",
+        "0x1.c000000000000p-51", "0x1.4000000000000p-47"],
+    3: ["0x1.8000000000000p-53", "0x0.0p+0", "0x0.0p+0",
+        "0x1.0000000000000p-49", "0x1.0c00000000000p-48"],
+    4: ["0x1.8000000000000p-53", "0x0.0p+0", "0x0.0p+0",
+        "0x1.2000000000000p-49", "0x1.2000000000000p-46"],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_suite_values_are_pinned(n):
+    checks = cli._suite_charts(n) + cli._suite_isometries(n)
+    assert [c["value"].hex() for c in checks] == SUITE_VALUES[n]
+
+
 def test_convert_round_trip(capsys):
     coords = "0.1,0.02,0,0,0.2,0,0.05,0"
     code, out = run(capsys, "convert", "--from", "ball", "--to", "horo",
@@ -408,3 +451,76 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _exit_and_output(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out + captured.err
+
+
+def test_top_level_help_lists_every_verb(capsys):
+    code, text = _exit_and_output(capsys, ["-h"])
+    assert code == 0
+    for verb in ("curve", "family", "verify", "oracle", "boundary", "convert", "integral"):
+        assert verb in text
+    assert list(cli.VERBS) == ["curve", "family", "verify", "oracle", "boundary",
+                               "convert", "integral"]
+
+
+VERB_FLAGS = {
+    "curve": ["--case", "--n", "--m", "--smax", "--tol", "--h", "--samples", "--a", "--out"],
+    "family": ["--case", "--n", "--m", "--smax", "--tol", "--h", "--samples",
+               "--a-grid", "--out-dir"],
+    "verify": ["--suite", "--n", "--out"],
+    "oracle": ["--oracle", "--n", "--points", "--out"],
+    "boundary": ["--case", "--n", "--m", "--smax", "--tol", "--a", "--out"],
+    "convert": ["--from", "--to", "--coords", "--transvection"],
+    "integral": ["--n"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+def test_verb_help_names_its_flags(capsys, verb):
+    code, text = _exit_and_output(capsys, [verb, "-h"])
+    assert code == 0
+    assert text.startswith(f"usage: hqn {verb} ")
+    for flag in VERB_FLAGS[verb]:
+        assert flag in text
+
+
+VERB_ARGV = {
+    "curve": ["--case", "elliptic", "--n", "2", "--a", "1", "--out", "c.csv"],
+    "family": ["--case", "elliptic", "--n", "2", "--a-grid", "1,2", "--out-dir", "d"],
+    "verify": [],
+    "oracle": ["--points", "3"],
+    "boundary": ["--case", "parabolic", "--n", "2", "--m", "1", "--a", "-1e-05"],
+    "convert": ["--from", "ball", "--to", "horo", "--coords", "0,0,0,0"],
+    "integral": ["--n", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+def test_one_verb_parser_parses_like_the_full_tree(verb):
+    argv = [verb, *VERB_ARGV[verb]]
+    assert _build_parser(verb).parse_args(argv) == _build_parser().parse_args(argv)
+
+
+def test_no_verb_and_unknown_verb_are_usage_errors(capsys):
+    code, text = _exit_and_output(capsys, [])
+    assert code == 2 and "required: command" in text
+    code, text = _exit_and_output(capsys, ["bogus"])
+    assert code == 2 and "invalid choice: 'bogus'" in text
+    for verb in cli.VERBS:
+        assert verb in text
+
+
+def test_one_verb_parser_keeps_the_full_usage_line(capsys):
+    # a usage error found after parsing prints the top-level usage line,
+    # which names every verb, as the full tree's does
+    code, text = _exit_and_output(capsys, ["verify", "--n", "1"])
+    assert code == 2
+    usage = "usage: hqn [-h] {curve,family,verify,oracle,boundary,convert,integral} ..."
+    assert text.splitlines()[0] == usage
+    assert _build_parser().format_usage().strip() == usage

@@ -90,6 +90,17 @@ def test_special_parabolic_conservation():
     assert np.max(np.abs(c.I1 - 1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("a", [0.2, 0.9, 2.0])
+def test_special_parabolic_I1_column_at_h0(a):
+    # I1 = alpha^{-5} sin(sigma) is conserved on the whole n = 2 curve: in
+    # its tail sigma is within a rounding of pi, and I1 taken from sigma
+    # there read up to 1e92 times a^{-5}
+    case = ReducedCase(SPECIAL_PARABOLIC, 2)
+    c = integrate_profile(case, a, s_max=50.0, tol=1e-11)
+    assert c.termination == "smax"
+    assert np.max(np.abs(c.I1 * a ** 5 - 1.0)) <= 1e-10
+
+
 # a values whose tol-1e-11 curves once failed with an RK stage at alpha < 0
 STAGE_FAILURE_A = [1.0874414337171368, 1.0897434186292159, 1.202390859257005,
                    1.1126284926983443, 1.6011720417059925]

@@ -39,7 +39,9 @@ from hqn.isometries import (
     random_unit_quaternion,
     rotation_matrix,
     sp_defect,
+    sp_from_normals,
     transvection_matrix,
+    unit_quaternions,
 )
 from hqn.quaternion import (
     QI,
@@ -48,6 +50,7 @@ from hqn.quaternion import (
     Quaternion,
     components,
     hamilton,
+    herm_definite,
     herm_lorentz,
 )
 
@@ -497,3 +500,44 @@ def test_act_on_mismatched_stacks_is_shape_error():
         act(g, p)
     with pytest.raises(ShapeError):
         qmat_vec(g.A, np.zeros((4, n + 1, 4)))
+
+
+def _random_sp_per_column(n, rng):
+    # random_sp as it was written before it took a stack: one draw and one
+    # Gram-Schmidt pass per column
+    A = np.zeros((n, n, 4))
+    for c in range(n):
+        v = rng.standard_normal((n, 4))
+        for u in A[:, :c].transpose(1, 0, 2):
+            v = v - hamilton(u, herm_definite(u, v))
+        A[:, c] = v * (1.0 / float(np.sqrt(np.sum(v * v))))
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_sp_stack_equals_single_calls(n):
+    k = 7
+    per_column, single, stacked = (np.random.default_rng(31 + n) for _ in range(3))
+    want = [_random_sp_per_column(n, per_column) for _ in range(k)]
+    got = [random_sp(n, single) for _ in range(k)]
+    stack = sp_from_normals(stacked.standard_normal((k, n, n, 4)))
+    assert stack.shape == (k, n, n, 4)
+    for i in range(k):
+        assert want[i].tobytes() == got[i].tobytes() == stack[i].tobytes()
+    assert (per_column.bit_generator.state == single.bit_generator.state
+            == stacked.bit_generator.state)
+    # each column is a unit vector orthogonal to the columns before it
+    B = stack[0]
+    np.testing.assert_allclose(qmat_mul(qmat_conj_T(B), B), qmat_identity(n), atol=1e-14)
+
+
+def test_unit_quaternions_stack_equals_rows():
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((9, 4))
+    stacked = unit_quaternions(v)
+    for row, got in zip(v, stacked):
+        # the normalisation random_unit_quaternion had: np.linalg.norm of the row
+        assert got.tobytes() == (row / np.linalg.norm(row)).tobytes()
+        assert got.tobytes() == unit_quaternions(row).tobytes()
+    again = np.random.default_rng(5)
+    assert random_unit_quaternion(again).tobytes() == stacked[0].tobytes()
