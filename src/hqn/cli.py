@@ -1,6 +1,6 @@
 """Command-line surface for curves, families, verification and oracles.
 
-Exit codes: 0 success, 1 failed check, 2 usage error.
+Exit codes: 0 success, 1 failed check or numerical failure, 2 usage error.
 Output files are byte-deterministic for identical configurations.
 """
 
@@ -25,7 +25,13 @@ from .charts import (
     point_from_array,
     points_from_stack,
 )
-from .errors import DomainError, ExtrapolationError, NotInteriorError, ShapeError
+from .errors import (
+    DomainError,
+    ExtrapolationError,
+    NotInteriorError,
+    NumericalError,
+    ShapeError,
+)
 from .integrator import (
     check_start,
     elliptic_integral_R,
@@ -419,8 +425,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 def _check_flags(args) -> None:
     """Raise DomainError, ShapeError or NotInteriorError for flag values no
-    verb can run with. Only these become usage errors: errors raised
-    later, while computing, propagate."""
+    verb can run with. Only these become usage errors: a NumericalError
+    raised later, while computing, is a one-line failure with exit 1, and
+    any other error propagates."""
     if getattr(args, "case", None) is not None:
         args.case = _case(args)
         # hqn boundary checks the limits of minimal curves: h = 0 and the
@@ -462,7 +469,11 @@ def main(argv=None) -> int:
         _check_flags(args)
     except (DomainError, NotInteriorError, ShapeError) as exc:
         parser.error(str(exc))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NumericalError as exc:
+        print(f"hqn {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

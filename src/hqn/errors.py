@@ -33,17 +33,22 @@ class NoSingularStratumError(ValueError):
     """The requested case has no singular boundary stratum."""
 
 
-class StepSizeUnderflow(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation on valid input failed numerically. The CLI reports it
+    in one line with exit 1."""
+
+
+class StepSizeUnderflow(NumericalError):
     """Adaptive integrator could not meet the tolerance."""
 
 
-class ExtrapolationError(RuntimeError):
+class ExtrapolationError(NumericalError):
     """Curve tail is not convergent enough to extrapolate an endpoint."""
 
 
-class DegenerateOrbitError(RuntimeError):
+class DegenerateOrbitError(NumericalError):
     """Killing fields fail to span the expected orbit tangent space."""
 
 
-class SingularPointError(RuntimeError):
+class SingularPointError(NumericalError):
     """Level-set gradient (numerically) vanishes at the evaluation point."""

@@ -27,7 +27,7 @@ from .charts import (
     points_from_stack,
 )
 from .errors import DegenerateOrbitError, ShapeError, SingularPointError
-from .quaternion import CONJ, float_or_array, hamilton
+from .quaternion import CONJ, float_or_array, hamilton, left_mult_matrix
 from .reduction import (
     ELLIPTIC,
     LOXODROMIC,
@@ -157,8 +157,15 @@ def _killing_vectors(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Ball-chart Killing fields of the k algebra elements basis at the
     point with lift X = (x, 1), as (k, 4n) rows, or at each lift of a
     (P, n+1, 4) stack, as (P, k, 4n): x_l = Y_l Y_{n+1}^{-1} along
-    Y = exp(tG) X gives v_l = (GX)_l - x_l (GX)_{n+1}."""
-    GX = hamilton(basis, X[..., None, None, :, :]).sum(axis=-2)
+    Y = exp(tG) X gives v_l = (GX)_l - x_l (GX)_{n+1}.
+
+    Every GX is one product of the flat lifts with the real matrix of
+    X -> (GX for each G). A generator's row has at most two nonzero
+    entries, each a unit quaternion times 1 or 1/2, so each component of
+    GX is one rounding of at most two exact products, in any order."""
+    k, size = basis.shape[:2]
+    M = left_mult_matrix(basis).transpose(2, 4, 0, 1, 3).reshape(4 * size, -1)
+    GX = (X.reshape(X.shape[:-2] + (-1,)) @ M).reshape(X.shape[:-2] + (k, size, 4))
     v = GX[..., :-1, :] - hamilton(X[..., None, :-1, :], GX[..., -1:, :])
     return v.reshape(v.shape[:-2] + (-1,))
 
@@ -225,23 +232,6 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
 # ambient mean curvature oracle
 
 
-def _christoffel(x: np.ndarray, n: int,
-                 metric: Callable[[np.ndarray, int], np.ndarray],
-                 ginv: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of metric at x, given the inverse metric there.
-    The metric's derivatives are Richardson-extrapolated central differences
-    at CHRISTOFFEL_STEP and half of it, from one stacked metric call at the
-    4 * 4n points x +- h e_a."""
-    d = 4 * n
-    step = CHRISTOFFEL_STEP
-    E = step * np.eye(d)
-    g = metric(np.concatenate([x + E, x - E, x + E / 2.0, x - E / 2.0]), n)
-    g = g.reshape(4, d, d, d)
-    dg = (4.0 * (g[2] - g[3]) / step - (g[0] - g[1]) / (2.0 * step)) / 3.0
-    return 0.5 * np.einsum("cd,abd->cab", ginv,
-                           dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-
-
 @functools.cache
 def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only index pair (a, b), a < b, of a dim x dim upper triangle."""
@@ -251,38 +241,77 @@ def _upper_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _frozen(rows: list) -> np.ndarray:
+    table = np.concatenate(rows)
+    table.flags.writeable = False
+    return table
+
+
+# x + table gives the bits of the sums x +- h e_a and (x +- h e_a) +- h e_b
+# that define the points: each entry is one rounding. A table's first row
+# is -0.0, the additive identity of IEEE arithmetic (x + -0.0 is x, -0.0
+# included). A coordinate that does not move gets +0.0 where those sums add
+# a +0.0 to it, and -0.0 where they only subtract zeros.
+
+
+@functools.cache
+def _stencil_offsets(dim: int, step: float) -> np.ndarray:
+    """The read-only (1 + 2 (2 dim + 2 dim (dim - 1)), dim) offsets of the
+    Richardson stencil: 0, then per step h = step / 2 and step, the 2 dim
+    axis offsets +-h e_a and the 2 dim (dim - 1) offsets
+    (+-h e_a) +- h e_b, a < b."""
+    a, b = _upper_pairs(dim)
+    rows = [np.full((1, dim), -0.0)]
+    for h in (step / 2.0, step):
+        P = h * np.eye(dim)
+        M = -P
+        rows += [P, M, P[a] + P[b], P[a] - P[b], M[a] + P[b], M[a] - P[b]]
+    return _frozen(rows)
+
+
+@functools.cache
+def _christoffel_offsets(dim: int) -> np.ndarray:
+    """The read-only (1 + 4 dim, dim) offsets 0, +h e_a, -h e_a, +h/2 e_a
+    and -h/2 e_a of the metric's difference quotients, h = CHRISTOFFEL_STEP."""
+    E = CHRISTOFFEL_STEP * np.eye(dim)
+    return _frozen([np.full((1, dim), -0.0), E, -E, E / 2.0, -E / 2.0])
+
+
+def _christoffel(g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Christoffel symbols from the inverse metric at x and the (4d, d, d)
+    metric at the points x +- h e_a, x +- h/2 e_a of _christoffel_offsets
+    (after its first row), h = CHRISTOFFEL_STEP: Richardson-extrapolated
+    central differences of the metric."""
+    d = len(ginv)
+    step = CHRISTOFFEL_STEP
+    g = g.reshape(4, d, d, d)
+    dg = (4.0 * (g[2] - g[3]) / step - (g[0] - g[1]) / (2.0 * step)) / 3.0
+    return 0.5 * np.einsum("cd,abd->cab", ginv,
+                           dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+
+
 def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
                           x: np.ndarray, step: float):
     """Richardson-extrapolated central differences at steps step and
-    step / 2, from one call of values on a (k, d) stack of points.
-
-    The stack is x, then per step the 2d axis points x +- h e_a (shared by
-    the gradient and the Hessian diagonal) and the 2d(d-1) points
-    (x +- h e_a) +- h e_b, a < b: 1 + 2 (2d + 2d(d-1)) points.
+    step / 2, from one call of values on the (k, d) stack of points
+    x + _stencil_offsets(d, step): x, then per step the 2d axis points
+    x +- h e_a (shared by the gradient and the Hessian diagonal) and the
+    2d(d-1) points (x +- h e_a) +- h e_b, a < b. Both steps' differences
+    are taken in one pass over a leading axis of 2.
     """
     dim = len(x)
     a, b = _upper_pairs(dim)
-    stencil = [x[None]]
-    for h in (step / 2.0, step):
-        E = h * np.eye(dim)
-        P, M = x + E, x - E
-        stencil += [P, M, P[a] + E[b], P[a] - E[b], M[a] + E[b], M[a] - E[b]]
-    f = values(np.concatenate(stencil))
+    f = values(x + _stencil_offsets(dim, step))
     f0 = f[0]
-
-    def grad_hess(h, fh):
-        fp, fm = fh[:2 * dim].reshape(2, dim)
-        fpp, fpm, fmp, fmm = fh[2 * dim:].reshape(4, len(a))
-        g = (fp - fm) / (2.0 * h)
-        H = np.empty((dim, dim))
-        H[a, b] = H[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
-        H[np.diag_indices(dim)] = (fp - 2.0 * f0 + fm) / h ** 2
-        return g, H
-
-    f_half, f_full = f[1:].reshape(2, -1)
-    g_half, H_half = grad_hess(step / 2.0, f_half)
-    g_full, H_full = grad_hess(step, f_full)
-    return (4.0 * g_half - g_full) / 3.0, (4.0 * H_half - H_full) / 3.0
+    fh = f[1:].reshape(2, -1)
+    h = np.array([[step / 2.0], [step]])
+    fp, fm = fh[:, :2 * dim].reshape(2, 2, dim).swapaxes(0, 1)
+    fpp, fpm, fmp, fmm = fh[:, 2 * dim:].reshape(2, 4, -1).swapaxes(0, 1)
+    g = (fp - fm) / (2.0 * h)
+    H = np.empty((2, dim, dim))
+    H[:, a, b] = H[:, b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
+    H[:, np.arange(dim), np.arange(dim)] = (fp - 2.0 * f0 + fm) / h ** 2
+    return (4.0 * g[0] - g[1]) / 3.0, (4.0 * H[0] - H[1]) / 3.0
 
 
 def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
@@ -293,9 +322,10 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     native to that chart converts nothing; a Siegel point is moved to the
     ball. The stencil is built and checked as one stacked ChartPoint of k
     points, and surface is called once on it; its values must broadcast to
-    (k,), or ShapeError is raised. The convention gives +(2n+1) for the
-    horosphere residual alpha - a with the normal pointing toward growing
-    alpha.
+    (k,), or ShapeError is raised. The metric is evaluated once, on the
+    stack of p and its Christoffel difference points. The convention gives
+    +(2n+1) for the horosphere residual alpha - a with the normal pointing
+    toward growing alpha.
     """
     n = p.n
     chart = HORO if p.chart == HORO else BALL
@@ -311,11 +341,12 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
                              f"{len(stack)} points") from None
 
     grad, hess = _richardson_grad_hess(values, x0, CURVATURE_STEP)
-    ginv = np.linalg.inv(metric(x0, n))
+    g = metric(x0 + _christoffel_offsets(len(x0)), n)
+    ginv = np.linalg.inv(g[0])
     norm2 = float(grad @ ginv @ grad)
     if norm2 < 1e-16:
         raise SingularPointError("degenerate surface gradient")
-    gamma = _christoffel(x0, n, metric, ginv)
+    gamma = _christoffel(g[1:], ginv)
     hess_cov = hess - np.einsum("cab,c->ab", gamma, grad)
     Nup = ginv @ grad / np.sqrt(norm2)
     proj = ginv - np.outer(Nup, Nup)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hqn.integrator
 from hqn import cli
 from hqn.charts import (
     BALL,
@@ -22,7 +23,13 @@ from hqn.charts import (
     point_from_array,
 )
 from hqn.cli import _build_parser, main
-from hqn.errors import StepSizeUnderflow
+from hqn.errors import (
+    DegenerateOrbitError,
+    ExtrapolationError,
+    NumericalError,
+    SingularPointError,
+    StepSizeUnderflow,
+)
 from hqn.isometries import (
     Isometry,
     act,
@@ -435,12 +442,43 @@ def test_large_transvection_prints_point(capsys):
     assert alpha == pytest.approx(np.exp(20.0) * 1.1 / 0.9, rel=1e-6)
 
 
-def test_integration_error_is_not_usage_error(tmp_path):
+def test_integration_error_is_not_usage_error(tmp_path, capsys):
     # only the flags are validated up front; an error raised while
-    # integrating propagates (at h = 1e300 the step size underflows)
-    with pytest.raises(StepSizeUnderflow):
-        main(["curve", "--case", "special-parabolic", "--n", "2", "--a", "1",
-              "--h", "1e300", "--out", str(tmp_path / "c.csv")])
+    # integrating (at h = 1e300 the step size underflows) is a one-line
+    # failure with exit 1, not a usage error
+    assert main(["curve", "--case", "special-parabolic", "--n", "2", "--a", "1",
+                 "--h", "1e300", "--out", str(tmp_path / "c.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("hqn curve: required step size is less than "
+                            "spacing between numbers at s = 0.0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numerical_errors_share_one_base():
+    for exc in (StepSizeUnderflow, ExtrapolationError, DegenerateOrbitError,
+                SingularPointError):
+        assert issubclass(exc, NumericalError)
+    assert issubclass(NumericalError, RuntimeError)
+    assert not issubclass(NumericalError, ValueError)
+
+
+def test_step_budget_is_one_line_failure(tmp_path, monkeypatch, capsys):
+    # at h = 1e30 every step is accepted at 10 spacing(s), until the step
+    # budget is spent; main reports that in one stderr line, with exit 1
+    monkeypatch.setattr(hqn.integrator, "MAX_STEPS", 50)
+    out = tmp_path / "c.csv"
+    code = main(["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
+                 "--h", "1e30", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    head = "hqn curve: step budget of 50 steps spent at s = "
+    assert line.startswith(head)
+    assert 0.0 < float(line[len(head):]) < 1.0
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_out():

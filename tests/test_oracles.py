@@ -6,6 +6,7 @@ import pytest
 from hqn.charts import (
     BALL,
     HORO,
+    ball_metric_matrix,
     convert,
     coords_array,
     dist,
@@ -28,9 +29,12 @@ from hqn.isometries import (
 )
 from hqn.loci import canonical_bisector_residual, fan_at_origin_residual
 from hqn.oracles import (
+    CHRISTOFFEL_STEP,
     CURVATURE_STEP,
+    _christoffel_offsets,
     _richardson_grad_hess,
     _killing_vectors,
+    _stencil_offsets,
     _reference_coords,
     ambient_mean_curvature,
     foliation_certificate,
@@ -166,6 +170,74 @@ def test_horo_metric_stack(n):
     assert stack.shape == (2, 5, 4 * n, 4 * n)
     for idx in np.ndindex(2, 5):
         assert np.array_equal(stack[idx], horo_metric_matrix(c[idx], n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_metric_stack(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 0.5, (2, 5, 4 * n))
+    x *= rng.uniform(0.0, 0.95, (2, 5, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
+    x[0, 0, ::3] = -0.0
+    stack = ball_metric_matrix(x, n)
+    assert stack.shape == (2, 5, 4 * n, 4 * n)
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(stack[idx], ball_metric_matrix(x[idx], n))
+
+
+def _same_bits(a, b):
+    # equal values and equal signs of zero
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _loop_stencil(x, step):
+    # the reference stencil: one shifted copy of x at a time
+    dim = len(x)
+    a, b = np.triu_indices(dim, 1)
+    stencil = [x[None]]
+    for h in (step / 2.0, step):
+        E = h * np.eye(dim)
+        P, M = x + E, x - E
+        stencil += [P, M, P[a] + E[b], P[a] - E[b], M[a] + E[b], M[a] - E[b]]
+    return np.concatenate(stencil)
+
+
+def _signed_zero_point(dim, h, rng):
+    # a point with +0.0 and -0.0 coordinates, and coordinates at -h and +h,
+    # where x + h or x - h cancels exactly
+    x = rng.uniform(-0.6, 0.6, dim)
+    x[0::5], x[1::5], x[2::5], x[3::5] = 0.0, -0.0, -h, h
+    return x
+
+
+@pytest.mark.parametrize("dim", [8, 12, 16])
+def test_stencil_offsets_give_the_loop_stencil(dim):
+    # x + the cached table has the bits of the loop-built stencil, signed
+    # zeros included, and the table is read-only
+    table = _stencil_offsets(dim, CURVATURE_STEP)
+    assert table.shape == (1 + 4 * dim + 4 * dim * (dim - 1), dim)
+    assert not table.flags.writeable
+    assert _stencil_offsets(dim, CURVATURE_STEP) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    rng = np.random.default_rng(dim)
+    for h in (CURVATURE_STEP / 2.0, CURVATURE_STEP):
+        x = _signed_zero_point(dim, h, rng)
+        assert _same_bits(x + table, _loop_stencil(x, CURVATURE_STEP))
+
+
+@pytest.mark.parametrize("dim", [8, 12, 16])
+def test_christoffel_offsets_give_the_loop_points(dim):
+    # x, then x +- h e_a and x +- h/2 e_a, each one shifted copy of x
+    table = _christoffel_offsets(dim)
+    assert table.shape == (1 + 4 * dim, dim)
+    assert not table.flags.writeable
+    assert _christoffel_offsets(dim) is table
+    rng = np.random.default_rng(dim)
+    E = CHRISTOFFEL_STEP * np.eye(dim)
+    for h in (CHRISTOFFEL_STEP / 2.0, CHRISTOFFEL_STEP):
+        x = _signed_zero_point(dim, h, rng)
+        want = np.concatenate([x[None], x + E, x - E, x + E / 2.0, x - E / 2.0])
+        assert _same_bits(x + table, want)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -346,6 +418,41 @@ def test_exact_killing_fields(case):
                     - coords_array(act(Isometry(qmat_expm(-d * G)), p))) / (2.0 * d)
                    for G in basis])
     assert np.max(np.abs(_killing_vectors(basis, lift(p)) - fd)) <= 1e-8
+
+
+# Every check value of `hqn oracle --n 2` and `--n 3`, as float.hex, as
+# computed before the stencils were cached and the Killing fields were one
+# product.
+ORACLE_VALUES = {
+    2: [
+        ("killing ratio spread elliptic m=1", "0x1.cfffffffffffcp-49"),
+        ("killing ratio spread special-loxodromic m=None", "0x1.9000000000006p-49"),
+        ("killing ratio spread parabolic m=1", "0x1.13ffffffffff5p-47"),
+        ("killing ratio spread special-parabolic m=None", "0x1.03ffffffffffap-47"),
+        ("bisector mean curvature", "0x1.38b3f3f0caa24p-38"),
+        ("fan mean curvature", "0x1.bf70fb3dda7dep-44"),
+        ("horosphere mean curvature error", "0x1.521a000000000p-34"),
+    ],
+    3: [
+        ("killing ratio spread elliptic m=1", "0x1.6fffffffffffdp-48"),
+        ("killing ratio spread elliptic m=2", "0x1.6800000000004p-48"),
+        ("killing ratio spread loxodromic m=2", "0x1.3000000000008p-48"),
+        ("killing ratio spread special-loxodromic m=None", "0x1.0800000000002p-48"),
+        ("killing ratio spread parabolic m=1", "0x1.2bffffffffff9p-47"),
+        ("killing ratio spread parabolic m=2", "0x1.07ffffffffff5p-46"),
+        ("killing ratio spread special-parabolic m=None", "0x1.83ffffffffff7p-47"),
+        ("bisector mean curvature", "0x1.528ad6b8a42d4p-37"),
+        ("fan mean curvature", "0x1.f77fe8b4ff3a3p-39"),
+        ("horosphere mean curvature error", "0x1.2226000000000p-33"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_report_values_are_pinned(n, capsys):
+    assert main(["oracle", "--n", str(n)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["value"].hex()) for c in report["checks"]] == ORACLE_VALUES[n]
 
 
 def test_curvature_oracle_pinned(capsys):
