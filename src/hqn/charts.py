@@ -26,7 +26,6 @@ from .quaternion import (
     CONJ,
     UNIT,
     components,
-    float_or_array,
     hamilton,
     herm_definite,
     lorentz_sign,
@@ -64,8 +63,8 @@ class ChartPoint:
 
     @property
     def alpha(self):
-        """Horo: the height alpha > 0; a float for one point."""
-        return float_or_array(_re_last(self.rows))
+        """Horo: the height alpha > 0, per point."""
+        return _re_last(self.rows)
 
     @property
     def beta(self) -> np.ndarray:
@@ -87,14 +86,13 @@ def _re_last(rows: np.ndarray):
 
 
 def _inside(chart: str, rows: np.ndarray):
-    """The interior test of one point's (n, 4) rows (a bool) or of a
-    (k, n, 4) stack (a bool per point).
+    """The interior test of (..., n, 4) rows, a bool per point.
 
     Each test is one strict comparison, which NaN fails. Adding s - s to
     alpha (or Re zeta_n) makes non-finite rows fail it too: that is 0 for
     finite rows and NaN when their sum of squares s is not finite (a NaN or
-    infinite component, or a square that overflows). On a stack, inf - inf
-    warns, so _point silences numpy's "invalid" flag there.
+    infinite component, or a square that overflows). There inf - inf
+    warns, so _point silences numpy's "invalid" flag.
     """
     if chart not in _OUTSIDE:
         raise ShapeError(f"unknown chart {chart!r}")
@@ -110,11 +108,8 @@ def _inside(chart: str, rows: np.ndarray):
 def _point(chart: str, rows: np.ndarray) -> ChartPoint:
     """Validate the interior (n, 4) or (k, n, 4) rows of a chart and freeze
     them into a ChartPoint."""
-    if rows.ndim == 2:
-        inside = _inside(chart, rows)
-    else:
-        with np.errstate(invalid="ignore"):
-            inside = _inside(chart, rows).all()
+    with np.errstate(invalid="ignore"):
+        inside = _inside(chart, rows).all()
     if not inside:
         raise NotInteriorError(_OUTSIDE[chart])
     rows.setflags(write=False)
@@ -236,20 +231,12 @@ def coords_array(p: ChartPoint) -> np.ndarray:
 
 
 def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (4 * n,):
-        raise ShapeError(f"expected {4 * n} reals, got shape {arr.shape}")
-    return _point(chart, arr.reshape(n, 4).copy())
-
-
-def points_from_stack(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
-    """One ChartPoint holding the k points of a (k, 4n) array, checked by
-    the interior test of point_from_array in one pass. Its rows are one
-    frozen (k, n, 4) copy."""
+    """The point of 4n reals, or one ChartPoint holding the k points of a
+    (k, 4n) array, checked in one pass. Its rows are one frozen copy."""
     arr = np.array(arr, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 4 * n:
-        raise ShapeError(f"expected rows of {4 * n} reals, got shape {arr.shape}")
-    return _point(chart, arr.reshape(-1, n, 4))
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 4 * n:
+        raise ShapeError(f"expected {4 * n} reals or rows of them, got shape {arr.shape}")
+    return _point(chart, arr.reshape(arr.shape[:-1] + (n, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +244,17 @@ def points_from_stack(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
 
 
 def dist(p: ChartPoint, q: ChartPoint):
-    """d = 2 arccosh(|1 - (x,y)| / sqrt((1-|x|^2)(1-|y|^2))), ball chart; a
-    float for two points, an array when either is a stack."""
+    """d = 2 arccosh(|1 - (x,y)| / sqrt((1-|x|^2)(1-|y|^2))), ball chart;
+    an array when either point is a stack."""
     x, y = _ball_rows(p), _ball_rows(q)
     num = np.sqrt(qnorm2(UNIT - herm_definite(x, y)))
     den = np.sqrt((1.0 - norm2(x)) * (1.0 - norm2(y)))
-    return float_or_array(2.0 * np.arccosh(np.maximum(num / den, 1.0)))
+    return 2.0 * np.arccosh(np.maximum(num / den, 1.0))
 
 
 def busemann(p: ChartPoint):
     """Busemann function of the axis through 0 and infinity: -ln(alpha)."""
-    return float_or_array(-np.log(convert(p, HORO).alpha))
+    return -np.log(convert(p, HORO).alpha)
 
 
 # ---------------------------------------------------------------------------

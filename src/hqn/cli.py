@@ -23,7 +23,6 @@ from .charts import (
     dist,
     metric_matrix,
     point_from_array,
-    points_from_stack,
 )
 from .errors import (
     DomainError,
@@ -31,6 +30,7 @@ from .errors import (
     NotInteriorError,
     NumericalError,
     ShapeError,
+    SingularBoundaryError,
 )
 from .integrator import (
     check_start,
@@ -139,8 +139,8 @@ def _random_balls(rng, n, k):
 def _suite_charts(n: int):
     rng = np.random.default_rng(101)
     x = _random_balls(rng, n, 100)
-    p = points_from_stack(BALL, x[0::2], n)
-    p2 = points_from_stack(BALL, x[1::2], n)
+    p = point_from_array(BALL, x[0::2], n)
+    p2 = point_from_array(BALL, x[1::2], n)
     q = convert(convert(convert(p, SIEGEL), HORO), BALL)
     worst_rt = float(np.max(np.abs(coords_array(q) - coords_array(p))))
     worst_sym = float(np.max(np.abs(dist(p, p2) - dist(p2, p))))
@@ -179,7 +179,7 @@ def _suite_isometries(n: int):
     gens = [("heisenberg", heisenberg_matrix(n, xi, nu), dict(xi=xi, nu=nu)),
             ("transvection", transvection_matrix(n, t), dict(t=t)),
             ("rotation", Isometry(big), dict(B=B, lam=lam))]
-    p = convert(points_from_stack(BALL, x, n), HORO)
+    p = convert(point_from_array(BALL, x, n), HORO)
     worst_defect = max(float(np.max(sp_defect(g.A))) for _, g, _ in gens)
     worst_closed = max(float(np.max(np.abs(coords_array(act(g, p))
                                            - coords_array(act_horo_closed(kind, p, **params)))))
@@ -425,9 +425,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 def _check_flags(args) -> None:
     """Raise DomainError, ShapeError or NotInteriorError for flag values no
-    verb can run with. Only these become usage errors: a NumericalError
-    raised later, while computing, is a one-line failure with exit 1, and
-    any other error propagates."""
+    verb can run with. Only these become usage errors: a NumericalError,
+    DomainError or SingularBoundaryError raised later, while computing, is
+    a one-line failure with exit 1, and any other error propagates."""
     if getattr(args, "case", None) is not None:
         args.case = _case(args)
         # hqn boundary checks the limits of minimal curves: h = 0 and the
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args)
-    except NumericalError as exc:
+    except (NumericalError, DomainError, SingularBoundaryError) as exc:
         print(f"hqn {args.command}: {exc}", file=sys.stderr)
         return 1
 

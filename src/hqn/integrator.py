@@ -215,9 +215,11 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
     t_bound with scipy's DOP853: its initial step, error norm, step
     factors and step-size underflow, and its event rule (a sign change
     of g between step ends, g <= 0 <= g_new or g >= 0 >= g_new). A step
-    whose stages or end leave the orbit space (f raises DomainError or
-    SingularBoundaryError) is rejected with factor MIN_FACTOR, where
-    scipy would propagate the error. Every event is terminal: the run
+    is rejected with factor MIN_FACTOR, where scipy would propagate the
+    error, when f raises ValueError or OverflowError at one of its stages,
+    its end or the three stages of its dense output: the state left the
+    orbit space (DomainError, SingularBoundaryError, a math domain error)
+    or the float range. Every event is terminal: the run
     ends at the earliest root, located on the step's interpolant, with y
     there from the interpolant. A run that tries more than MAX_STEPS
     steps raises StepSizeUnderflow.
@@ -267,47 +269,50 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
                     q2 += e3 * k2
                 y_new = (y0_ + h * b0, y1_ + h * b1, y2_ + h * b2)
                 f_new = f(*y_new)
-            except (DomainError, SingularBoundaryError):
+                s0 = atol + max(abs(y0_), abs(y_new[0])) * rtol
+                s1 = atol + max(abs(y1_), abs(y_new[1])) * rtol
+                s2 = atol + max(abs(y2_), abs(y_new[2])) * rtol
+                p0, p1, p2 = p0 / s0, p1 / s1, p2 / s2
+                q0, q1, q2 = q0 / s0, q1 / s1, q2 / s2
+                err5 = p0 * p0 + p1 * p1 + p2 * p2
+                err3 = q0 * q0 + q1 * q1 + q2 * q2
+                if err5 == 0.0 and err3 == 0.0:
+                    error_norm = 0.0
+                else:
+                    error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 3.0)
+                if error_norm < 1.0:
+                    # dense output: three more stages
+                    K.append(f_new)
+                    for row in _EXTRA_STAGES:
+                        d0 = d1 = d2 = 0.0
+                        for j, a in row:
+                            k = K[j]
+                            d0 += a * k[0]
+                            d1 += a * k[1]
+                            d2 += a * k[2]
+                        K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+            except (ValueError, OverflowError):
                 # the calls made, the failed one included
                 run.nfev += len(K)
                 h_abs *= MIN_FACTOR
                 rejected = True
                 run.rejected += 1
                 continue
-            run.nfev += N_STAGES
-            s0 = atol + max(abs(y0_), abs(y_new[0])) * rtol
-            s1 = atol + max(abs(y1_), abs(y_new[1])) * rtol
-            s2 = atol + max(abs(y2_), abs(y_new[2])) * rtol
-            p0, p1, p2, q0, q1, q2 = p0 / s0, p1 / s1, p2 / s2, q0 / s0, q1 / s1, q2 / s2
-            err5 = p0 * p0 + p1 * p1 + p2 * p2
-            err3 = q0 * q0 + q1 * q1 + q2 * q2
-            if err5 == 0.0 and err3 == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 3.0)
             if error_norm < 1.0:
+                run.nfev += N_STAGES + 3
                 factor = (MAX_FACTOR if error_norm == 0.0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
+            run.nfev += N_STAGES
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
             run.rejected += 1
         run.accepted += 1
 
-        # dense output: three more stages, then F0..F6
-        K.append(f_new)
-        for row in _EXTRA_STAGES:
-            d0 = d1 = d2 = 0.0
-            for j, a in row:
-                k = K[j]
-                d0 += a * k[0]
-                d1 += a * k[1]
-                d2 += a * k[2]
-            K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
-        run.nfev += 3
+        # F0..F6 of the dense output
         coef = [y0_, y1_, y2_]
         for i in range(3):
             coef.append(y_new[i] - y[i])

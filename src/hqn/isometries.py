@@ -20,14 +20,12 @@ from .charts import (
     convert,
     lift,
     point_from_array,
-    points_from_stack,
 )
 from .errors import DomainError, NotPolarError, NotSymplecticError, ShapeError
 from .quaternion import (
     CONJ,
     IMAG,
     UNIT,
-    float_or_array,
     hamilton,
     herm_definite,
     herm_lorentz,
@@ -114,12 +112,12 @@ def lorentz_signature(m: int) -> np.ndarray:
 
 
 def sp_defect(A: np.ndarray):
-    """max-norm of A* I_{n,1} A - I_{n,1}: a float for one matrix, an array
-    of one value per matrix for an (..., n+1, n+1, 4) stack."""
+    """max-norm of A* I_{n,1} A - I_{n,1}, one value per matrix of an
+    (..., n+1, n+1, 4) array."""
     JA = A.copy()
     JA[..., -1, :, :] *= -1.0
     D = np.abs(qmat_mul(qmat_conj_T(A), JA) - lorentz_signature(A.shape[-3]))
-    return float_or_array(np.max(D, axis=(-3, -2, -1)))
+    return np.max(D, axis=(-3, -2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +288,7 @@ def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
                                      lam_inv)[..., 1:]
     else:
         raise ValueError(f"unknown closed-form kind {kind!r}")
-    if not lead:
-        return point_from_array(HORO, rows.ravel(), n)
-    return points_from_stack(HORO, rows.reshape(lead + (-1,)), n)
+    return point_from_array(HORO, rows.reshape(lead + (-1,)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def inversion_horo(p: ChartPoint) -> ChartPoint:
     denom = q.rows[-1].copy()              # alpha + |omega|^2 + beta
     denom[0] += norm2(q.omega)
     rows = np.vstack([hamilton(q.omega, qarray_inverse(denom)),
-                      q.rows[-1] * CONJ / norm2(denom)])
+                      q.rows[-1] * CONJ / qnorm2(denom)])
     return convert(point_from_array(HORO, rows.ravel(), q.n), p.chart)
 
 

@@ -3,8 +3,8 @@
 Every hypersurface here is represented by a real residual function whose
 zero level set is the locus. Residuals are cheap to sample, which is what
 the verification oracles need; no parametrizations are kept. Each residual
-gives a float at one point and an array over a stacked ChartPoint, equal
-bit for bit to its values at the points alone.
+gives a numpy scalar at one point and, by the same expression, an array
+over a stacked ChartPoint.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .charts import HORO, ChartPoint, convert, dist, point_from_array
 from .errors import DegenerateLocusError, ShapeError
-from .quaternion import float_or_array, norm2
+from .quaternion import norm2
 
 
 def bisector_residual(p: ChartPoint, p1: ChartPoint, p2: ChartPoint):
@@ -25,7 +25,7 @@ def bisector_residual(p: ChartPoint, p1: ChartPoint, p2: ChartPoint):
 
 def canonical_bisector_residual(p: ChartPoint):
     """Re(k beta) in horospherical coordinates, i.e. -beta_3."""
-    return float_or_array(-convert(p, HORO).beta[..., 2])
+    return -convert(p, HORO).beta[..., 2]
 
 
 def spine_projection(p: ChartPoint) -> ChartPoint:
@@ -52,7 +52,7 @@ def fan_residual(p: ChartPoint, normal, offset: float = 0.0):
     w = q.omega.reshape(q.omega.shape[:-2] + (-1,))
     if normal.shape != w.shape[-1:]:
         raise ShapeError("fan normal does not match Q^{n-1}")
-    return float_or_array(np.vecdot(w, normal) - offset)
+    return np.vecdot(w, normal) - offset
 
 
 def fan_normal(n: int, component: int) -> np.ndarray:
@@ -69,7 +69,7 @@ def fan_normal(n: int, component: int) -> np.ndarray:
 def bisector_family_residual(p: ChartPoint, t: float):
     """Re(k (beta - 2 t omega_{n-1})); t = 0 is the canonical bisector."""
     q = convert(p, HORO)
-    return float_or_array(-q.beta[..., 2] + 2.0 * t * q.omega[..., -1, 3])
+    return -q.beta[..., 2] + 2.0 * t * q.omega[..., -1, 3]
 
 
 def fan_at_origin_residual(p: ChartPoint):
@@ -80,5 +80,5 @@ def fan_at_origin_residual(p: ChartPoint):
     """
     q = convert(p, HORO)
     w, b = q.omega[..., -1, :], q.beta
-    return float_or_array(w[..., 3] * (q.alpha + norm2(q.omega)) + w[..., 2] * b[..., 0]
-                          - w[..., 1] * b[..., 1] - w[..., 0] * b[..., 2])
+    return (w[..., 3] * (q.alpha + norm2(q.omega)) + w[..., 2] * b[..., 0]
+            - w[..., 1] * b[..., 1] - w[..., 0] * b[..., 2])

@@ -24,10 +24,9 @@ from .charts import (
     horo_metric_matrix,
     lift,
     point_from_array,
-    points_from_stack,
 )
 from .errors import DegenerateOrbitError, ShapeError, SingularPointError
-from .quaternion import CONJ, float_or_array, hamilton, left_mult_matrix
+from .quaternion import CONJ, hamilton, left_mult_matrix
 from .reduction import (
     ELLIPTIC,
     LOXODROMIC,
@@ -145,8 +144,7 @@ def section_point(case: ReducedCase, c1, c2) -> ChartPoint:
         chart = HORO
         rows[..., n - m - 1 if case.kind == PARABOLIC else n - 2, 0] = c2
         rows[..., n - 1, 0] = c1           # alpha
-    coords = rows.reshape(rows.shape[:-2] + (-1,))
-    return (points_from_stack if coords.ndim == 2 else point_from_array)(chart, coords, n)
+    return point_from_array(chart, rows.reshape(rows.shape[:-2] + (-1,)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +192,8 @@ def _reference_coords(case: ReducedCase) -> tuple[float, float]:
 
 def killing_volume(case: ReducedCase, p: ChartPoint):
     """Orbit volume through p, up to one case constant: the Gram
-    determinant of a fixed linear combination of induced Killing fields.
-    A float for one point, an array over a stack.
+    determinant of a fixed linear combination of induced Killing fields,
+    per point.
 
     The determinant is the same in every chart, so it is taken in the ball.
     """
@@ -207,7 +205,7 @@ def killing_volume(case: ReducedCase, p: ChartPoint):
     det = np.linalg.det(gram)
     if (det <= 0.0).any():
         raise DegenerateOrbitError("orbit through p is degenerate")
-    return float_or_array(np.sqrt(det))
+    return np.sqrt(det)
 
 
 def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
@@ -333,7 +331,7 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     x0 = coords_array(convert(p, chart))
 
     def values(stack):
-        f = np.asarray(surface(points_from_stack(chart, stack, n)), dtype=float)
+        f = np.asarray(surface(point_from_array(chart, stack, n)), dtype=float)
         try:
             return np.broadcast_to(f, (len(stack),))
         except ValueError:

@@ -3,9 +3,11 @@
 Every quaternion value is a float array of shape (..., 4), components
 q0..q3 on the last axis: a vector over the quaternions is (k, 4) rows, a
 stack of vectors (..., k, 4), and all products go through one Hamilton
-product table. ``Quaternion`` is the scalar reference the array core is
-tested against, and an accepted input where points are built (see
-``components``).
+product table. Leading axes are stack axes: one value and a stack of them
+go through the same expression, so a stack gives each value's bits, and a
+norm or sign of one value is a numpy scalar. ``Quaternion`` is the scalar
+reference the array core is tested against, and an accepted input where
+points are built (see ``components``).
 
 Scalars multiply vectors on the right throughout (right-module convention).
 All components are 64-bit floats.
@@ -101,7 +103,6 @@ def _coerce(x) -> Quaternion:
     raise TypeError(f"cannot interpret {x!r} as a quaternion")
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 QI = Quaternion(0.0, 1.0)
 QJ = Quaternion(0.0, 0.0, 1.0)
@@ -145,12 +146,11 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def qarray_inverse(q: np.ndarray) -> np.ndarray:
-    """Inverse of a (4,) quaternion, or of each quaternion of a (..., 4) stack."""
+    """Inverse of each quaternion of a (..., 4) array."""
     n2 = qnorm2(q)
-    one = q.ndim == 1
-    if not (n2 if one else n2.all()):
+    if not n2.all():
         raise ZeroDivisionError("zero quaternion has no inverse")
-    return q * CONJ / (n2 if one else n2[..., None])
+    return q * CONJ / n2[..., None]
 
 
 def components(entries) -> np.ndarray:
@@ -159,39 +159,19 @@ def components(entries) -> np.ndarray:
                     dtype=float).reshape(-1, 4)
 
 
-def _stack_sumsq(flat: np.ndarray) -> np.ndarray:
-    """Sum of squares along the last axis of a stack, by one BLAS dot per
-    sum: the dot vdot takes for a lone vector, so norm2 and qnorm2 give a
-    vector alone and inside a stack the same bits. Like vdot, it raises no
-    floating-point warning; a square that overflows is inf."""
+def qnorm2(q: np.ndarray):
+    """|q|^2 of each quaternion of a (..., 4) array, as a numpy scalar for
+    one quaternion: the sum of squares along the last axis, by one BLAS dot
+    per sum, so a quaternion gives the same bits alone and in a stack. A
+    square that overflows is inf, without a warning."""
     with np.errstate(over="ignore"):
-        return np.vecdot(flat, flat)
+        return np.vecdot(q, q)
 
 
 def norm2(rows: np.ndarray):
-    """Sum of the squared components of one vector of quaternions, (k, 4)
-    rows or a lone (4,) quaternion, as a float; of each vector of a
-    (..., k, 4) stack, as an array."""
-    if rows.ndim <= 2:
-        return float(np.vdot(rows, rows))
-    return _stack_sumsq(rows.reshape(rows.shape[:-2] + (-1,)))
-
-
-def qnorm2(q: np.ndarray):
-    """|q|^2 of a (4,) quaternion, as a float; of each quaternion of a
-    (..., 4) stack, as an array."""
-    if q.ndim == 1:
-        return float(np.vdot(q, q))
-    return _stack_sumsq(q)
-
-
-def float_or_array(x):
-    """A float for a single value, else a float array; one point's results
-    stay Python floats, on the cheap scalar path."""
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else x
+    """Sum of the squared components of each vector of quaternions: one
+    value per (k, 4) rows of a (..., k, 4) array, by qnorm2 of the 4k reals."""
+    return qnorm2(rows.reshape(rows.shape[:-2] + (-1,)))
 
 
 def _herm_terms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -221,10 +201,9 @@ SIGNATURE_EPS = 1e-10
 
 
 def lorentz_sign(X: np.ndarray):
-    """Sign of <X,X> under a tolerance relative to X's size: 1, 0 or -1 for
-    (n+1, 4) rows, an int array of them for a (k, n+1, 4) stack. NaN is 0."""
+    """Sign of <X,X> under a tolerance relative to X's size: 1, 0 or -1 per
+    (n+1, 4) rows of an (..., n+1, 4) array. NaN is 0."""
     val = herm_lorentz(X, X)[..., 0]
     eps = SIGNATURE_EPS * (1.0 + norm2(X))
-    sign = (val > eps).astype(int) - (val < -eps)
-    return int(sign) if sign.ndim == 0 else sign
+    return ((val > eps).astype(int) - (val < -eps))[()]
 

@@ -25,7 +25,7 @@ from .isometries import (
     rotation_matrix,
     transvection_matrix,
 )
-from .quaternion import UNIT, float_or_array, norm2
+from .quaternion import UNIT, norm2
 from .errors import (
     DomainError,
     NoSingularStratumError,
@@ -94,7 +94,7 @@ def uv_from_polar(r, theta):
     """The point (u, v) = tanh(r) (cos theta, sin theta) of the unit disc;
     equal-shape arrays give arrays."""
     t = np.tanh(r)
-    return float_or_array(t * np.cos(theta)), float_or_array(t * np.sin(theta))
+    return t * np.cos(theta), t * np.sin(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +104,15 @@ def uv_from_polar(r, theta):
 def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple:
     """Project a point to the case's ODE coordinates on the orbit space:
     (r, theta) for the three ball cases, (alpha, rho) for the parabolic
-    ones. One point gives two floats, a stack two arrays."""
+    ones. One point gives two numpy scalars, a stack two arrays."""
     n, m = case.n, case.m
     if case.kind in PARABOLIC_KINDS:
         q = convert(p, HORO)
         if case.kind == PARABOLIC:
             rho = np.sqrt(norm2(q.omega[..., :n - m, :]))
         else:
-            rho = q.omega[..., -1, 0]
-        return q.alpha, float_or_array(rho)
+            rho = q.omega[..., -1, 0][()]
+        return q.alpha, rho
     # the ball cases first find the disc point (u, v) = tanh(r) e^{i theta}
     x = convert(p, BALL).rows
     sq = np.sum(x * x, axis=-1)           # |x_l|^2
@@ -131,7 +131,7 @@ def orbit_project(case: ReducedCase, p: ChartPoint) -> tuple:
         den = 1.0 - r2 + np.sqrt(np.maximum(disc, 0.0))
         u = 2.0 * x3 / den
         v = np.sqrt(2.0) * np.sqrt(np.sum(sq[..., :n - 1], axis=-1)) / np.sqrt(den)
-    return float_or_array(np.arctanh(np.hypot(u, v))), float_or_array(np.arctan2(v, u))
+    return np.arctanh(np.hypot(u, v)), np.arctan2(v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +170,22 @@ def volume_functional(case: ReducedCase, point):
     case's ODE coordinates.
 
     Normalized per case (global constants drop out of the ODEs). The
-    two coordinates may be equal-shape arrays; scalar coordinates give
-    a float.
+    two coordinates may be equal-shape arrays.
     """
     n, m = case.n, case.m
-    c1, c2 = float_or_array(point[0]), float_or_array(point[1])
+    c1, c2 = point
     if case.kind == PARABOLIC:
-        return float_or_array(c1 ** (-(4 * n + 1) / 2.0) * c2 ** (4 * n - 4 * m - 1))
+        return c1 ** (-(4 * n + 1) / 2.0) * c2 ** (4 * n - 4 * m - 1)
     if case.kind == SPECIAL_PARABOLIC:
-        return float_or_array(c1 ** (-(4 * n + 1) / 2.0))
+        return c1 ** (-(4 * n + 1) / 2.0)
     r, theta = c1, c2
     if case.kind == SPECIAL_LOXODROMIC:
         bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
-        return float_or_array(bracket ** 3 * np.sinh(r) ** (4 * n - 5)
-                              * np.sin(theta) ** (4 * n - 5))
+        return bracket ** 3 * np.sinh(r) ** (4 * n - 5) * np.sin(theta) ** (4 * n - 5)
     A, B, C, D = case.exponents
     # combined form 2^D sin^{C+D} cos^D avoids 0^negative when C <= 0
-    return float_or_array(np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
-                          * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
+    return (np.sinh(r) ** A * np.sinh(2.0 * r) ** B * 2.0 ** D
+            * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
 
 
 def _polar_slopes(case: ReducedCase) -> Callable[[float, float], tuple[float, float]]:
@@ -303,15 +301,14 @@ def first_integral_values(case: ReducedCase, state: PhaseState) -> dict:
     cases carry the growth quantity I1 = V cos(sigma); the parabolic
     case carries the sign pair (I, J); the special parabolic case
     carries the exactly conserved I1 = alpha^{-2n-1} sin(sigma). The
-    state's fields may be equal-shape arrays; scalar fields give floats.
+    state's fields may be equal-shape arrays.
     """
     n, m = case.n, case.m
-    c1, c2, sigma = map(float_or_array, (state.c1, state.c2, state.sigma))
+    c1, c2, sigma = state.c1, state.c2, state.sigma
     if case.kind in POLAR_KINDS:
-        V = volume_functional(case, (c1, c2))
-        return {"I1": float_or_array(V * np.cos(sigma))}
+        return {"I1": volume_functional(case, (c1, c2)) * np.cos(sigma)}
     if case.kind == SPECIAL_PARABOLIC:
-        return {"I1": float_or_array(c1 ** (-2 * n - 1) * np.sin(sigma))}
+        return {"I1": c1 ** (-2 * n - 1) * np.sin(sigma)}
     alpha, rho = c1, c2
     e_i = ((4 * n + 2) * (4 * n - 4 * m - 2) + 1) / (4 * n + 1)
     I = (alpha ** (-2 * n - 1) * rho ** e_i
@@ -321,7 +318,7 @@ def first_integral_values(case: ReducedCase, state: PhaseState) -> dict:
     J = (alpha ** e_j * rho ** (4 * n - 4 * m - 1)
          * (np.sqrt(alpha) * np.cos(sigma)
             + (4 * n + 2) / (4 * n - 4 * m) * rho * np.sin(sigma)))
-    return {"I1": float_or_array(I), "I2": float_or_array(J)}
+    return {"I1": I, "I2": J}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from hqn.charts import (
     lift,
     metric_matrix,
     point_from_array,
-    points_from_stack,
     push_tangent,
     siegel_point,
 )
@@ -236,7 +235,7 @@ def test_non_finite_rows_are_not_interior(chart, bad, slot):
         with pytest.raises(NotInteriorError):
             point_from_array(chart, arr, 2)
         with pytest.raises(NotInteriorError):
-            points_from_stack(chart, stack, 2)
+            point_from_array(chart, stack, 2)
 
 
 @pytest.mark.parametrize("chart", [BALL, SIEGEL, HORO])
@@ -245,7 +244,7 @@ def test_stack_points_match_single_points(chart):
     # point_from_array of the same row, and pass or fail with it
     rng = np.random.default_rng(5)
     arr = np.array(INSIDE) + rng.uniform(-0.05, 0.05, (6, 8))
-    stack = points_from_stack(chart, arr, 2)
+    stack = point_from_array(chart, arr, 2)
     assert len(stack.rows) == 6
     for i, row in enumerate(arr):
         q = point_from_array(chart, row, 2)
@@ -262,11 +261,11 @@ def test_stack_points_match_single_points(chart):
     with pytest.raises(NotInteriorError):
         point_from_array(chart, np.array(outside), 2)
     with pytest.raises(NotInteriorError):
-        points_from_stack(chart, np.vstack([arr, outside]), 2)
+        point_from_array(chart, np.vstack([arr, outside]), 2)
     with pytest.raises(ShapeError):
-        points_from_stack(chart, arr[:, :4], 2)
+        point_from_array(chart, arr[:, :4], 2)
     with pytest.raises(ShapeError):
-        points_from_stack(chart, arr.ravel(), 2)
+        point_from_array(chart, arr.ravel(), 2)
 
 
 def test_rows_are_read_only():
@@ -299,7 +298,7 @@ def ball_stack(rng, n, k=7, rmax=0.8):
 @pytest.mark.parametrize("src", [BALL, SIEGEL, HORO])
 def test_convert_stack_equals_points(n, src):
     # a stacked conversion gives, bit for bit, what each point gives alone
-    stack = convert(points_from_stack(BALL, ball_stack(np.random.default_rng(n), n), n), src)
+    stack = convert(point_from_array(BALL, ball_stack(np.random.default_rng(n), n), n), src)
     assert stack.chart == src and stack.rows.shape == (7, n, 4)
     for dst in (BALL, SIEGEL, HORO):
         got = convert(stack, dst)
@@ -321,8 +320,8 @@ def test_dist_stack_equals_points(n):
     rng = np.random.default_rng(10 + n)
     arr, other = ball_stack(rng, n), ball_stack(rng, n)
     for chart in (BALL, HORO):
-        stack = convert(points_from_stack(BALL, arr, n), chart)
-        others = points_from_stack(BALL, other, n)
+        stack = convert(point_from_array(BALL, arr, n), chart)
+        others = point_from_array(BALL, other, n)
         q = random_ball_point(rng, n)
         points = [point_from_array(chart, r.ravel(), n) for r in stack.rows]
         pairs = [point_from_array(BALL, r, n) for r in other]
@@ -330,4 +329,5 @@ def test_dist_stack_equals_points(n):
         assert np.array_equal(dist(q, stack), [dist(q, p) for p in points])
         assert np.array_equal(dist(stack, others),
                               [dist(p, o) for p, o in zip(points, pairs)])
-        assert isinstance(dist(points[0], q), float)
+        one = dist(points[0], q)
+        assert isinstance(one, float) and np.ndim(one) == 0 and not isinstance(one, np.ndarray)

@@ -481,6 +481,32 @@ def test_step_budget_is_one_line_failure(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    # the dense-output stages leave the orbit space
+    "--case elliptic --n 2 --m 1 --a 300 --tol 1e-3 --smax 1e6 --h 1e6",
+    # math.sinh overflows past r = 710
+    "--case loxodromic --n 3 --m 2 --a 0.5 --smax 1e6",
+    # a non-finite sigma reaches math.cos
+    "--case elliptic --n 2 --m 1 --a 30 --tol 1e-3 --smax 1e6 --h -7",
+    # the first right-hand side call is on the singular stratum
+    "--case elliptic --n 2 --m 1 --a 1e-8",
+])
+def test_failed_curve_is_one_line(tmp_path, monkeypatch, capsys, flags):
+    # a stage that raises is a rejected step, and a DomainError or
+    # SingularBoundaryError from a verb is one stderr line with exit 1; the
+    # first curve ends on the step budget, cut here from 100 000 (CI runs
+    # the full one)
+    monkeypatch.setattr(hqn.integrator, "MAX_STEPS", 5000)
+    out = tmp_path / "x.csv"
+    code = main(["curve", *flags.split(), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("hqn curve: ")
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is imported lazily, by the verbs and functions that use it
     src = Path(__file__).resolve().parent.parent / "src"

@@ -16,7 +16,6 @@ from hqn.charts import (
     horo_point,
     lift,
     point_from_array,
-    points_from_stack,
 )
 import hqn.isometries
 from hqn.errors import DomainError, NotSymplecticError, ShapeError
@@ -418,14 +417,15 @@ def test_matrix_stack_matches_elements(n):
     defects = sp_defect(A)
     assert defects.shape == (k,)
     assert all(_bits(defects[i]) == _bits(sp_defect(A[i])) for i in range(k))
-    assert isinstance(sp_defect(A[0]), float)
+    one = sp_defect(A[0])
+    assert isinstance(one, float) and np.ndim(one) == 0 and not isinstance(one, np.ndarray)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_isometry_stack_matches_elements(n):
     k = 7
     heis, trans, rot, big, x = _stacked_draws(n, k, 50 + n)
-    p = convert(points_from_stack(BALL, x, n), HORO)
+    p = convert(point_from_array(BALL, x, n), HORO)
     for kind, params in zip(KINDS, (heis, trans, rot)):
         g, g0 = _generator(kind, n, params, big), _generator(kind, n, params, big, 0)
         assert g.A.shape == (k, n + 1, n + 1, 4) and g.n == n
@@ -464,7 +464,7 @@ def test_isometry_stack_checks_every_matrix():
 def test_stacked_parameters_checked_per_element():
     n = 3
     heis, trans, rot, big, x = _stacked_draws(n, 4, 61)
-    p = convert(points_from_stack(BALL, x, n), HORO)
+    p = convert(point_from_array(BALL, x, n), HORO)
     xi, nu = heis["xi"].copy(), heis["nu"].copy()
     xi[2, 1, 3] = np.nan
     with warnings.catch_warnings():
@@ -495,7 +495,7 @@ def test_act_on_mismatched_stacks_is_shape_error():
     n = 2
     heis, trans, rot, big, x = _stacked_draws(n, 4, 62)
     g = transvection_matrix(n, trans["t"][:3])
-    p = points_from_stack(BALL, x, n)
+    p = point_from_array(BALL, x, n)
     with pytest.raises(ShapeError):
         act(g, p)
     with pytest.raises(ShapeError):

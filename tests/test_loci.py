@@ -10,7 +10,6 @@ from hqn.charts import (
     coords_array,
     horo_point,
     point_from_array,
-    points_from_stack,
 )
 from hqn.errors import DegenerateLocusError, ShapeError
 from hqn.isometries import act_horo_closed, inversion_horo
@@ -189,11 +188,11 @@ def test_inversion_maps_fan_to_fan_at_origin():
 @pytest.mark.parametrize("chart", [BALL, SIEGEL, HORO])
 def test_residuals_stack_equals_points(n, chart):
     # every residual on a stack gives, bit for bit, its values at the points
-    # alone, and a float at one point
+    # alone, and a float at one point, not a 0-d array
     rng = np.random.default_rng([n, len(chart)])
     v = rng.standard_normal((7, 4 * n))
     v *= rng.uniform(0.05, 0.8, (7, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
-    stack = convert(points_from_stack(BALL, v, n), chart)
+    stack = convert(point_from_array(BALL, v, n), chart)
     points = [point_from_array(chart, r.ravel(), n) for r in stack.rows]
     p1, p2 = random_ball_point(rng, n), random_ball_point(rng, n)
     normal = rng.standard_normal(4 * (n - 1))
@@ -206,5 +205,6 @@ def test_residuals_stack_equals_points(n, chart):
         got = f(stack)
         assert isinstance(got, np.ndarray) and got.shape == (7,)
         want = [f(p) for p in points]
-        assert all(isinstance(w, float) for w in want)
+        assert all(isinstance(w, float) and np.ndim(w) == 0
+                   and not isinstance(w, np.ndarray) for w in want)
         assert np.array_equal(got, want)

@@ -10,7 +10,6 @@ from hqn.charts import (
     horo_point,
     metric_matrix,
     point_from_array,
-    points_from_stack,
 )
 from hqn.errors import (
     DomainError,
@@ -443,11 +442,12 @@ def test_orbit_project_stack_equals_points(case):
     v = rng.standard_normal((9, 4 * n))
     v *= rng.uniform(0.05, 0.8, (9, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
     for chart in (BALL, HORO):
-        stack = convert(points_from_stack(BALL, v, n), chart)
+        stack = convert(point_from_array(BALL, v, n), chart)
         got = orbit_project(case, stack)
         want = [orbit_project(case, point_from_array(chart, r.ravel(), n))
                 for r in stack.rows]
-        assert all(isinstance(c, float) for pair in want for c in pair)
+        assert all(isinstance(c, float) and np.ndim(c) == 0
+                   and not isinstance(c, np.ndarray) for pair in want for c in pair)
         assert np.array_equal(np.array(got).T, want)
 
 
