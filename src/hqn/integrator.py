@@ -5,7 +5,8 @@ that start there take one second-order Taylor step (sized s0) before the
 adaptive integrator takes over. The integrator is a DOP853 loop on
 Python floats for the three-component state, with SciPy's step control
 and event semantics; events (domain exit, sigma reaching pi, a floor on
-c1) are located on the step's interpolant.
+c1) are located on the step's interpolant. One attempt of a step is
+straight-line code generated from the tableau on first use.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ ROOT_TOL = 4.0 * EPS               # event roots, absolute and relative
 # takes 484 (loxodromic n=3 m=2 at tol 1e-13); a run at a huge h, whose
 # steps are all accepted at 10 spacing(s), stops here in seconds.
 MAX_STEPS = 100_000
-
-_STAGES = A[1:N_STAGES]
-_EXTRA_STAGES = A[N_STAGES + 1:]
-# B, E5 and E3 share their nonzero columns
-_WEIGHTS = tuple((j, b, e5, e3) for (j, b), (_, e5), (_, e3) in zip(B, E5, E3))
-
 
 def __getattr__(name):
     # scipy's solver stays reachable under its old name (bench/spans.py
@@ -208,6 +203,67 @@ def _brentq(g: Callable[[float], float], xa: float, xb: float) -> float:
     return xcur
 
 
+def _step_source() -> str:
+    """The source of _step, one DOP853 attempt written out from the tableau.
+
+    _step(f, y0, y1, y2, k0_0, k0_1, k0_2, h, h_abs, rtol, atol) tries the
+    step h from the state y with slope k0 = f(y) and returns (error_norm,
+    (y_new, f_new, coef) or None, calls). An accepted attempt (error_norm
+    < 1.0) returns the end state, its slope and the 24 terms of _Run.coef;
+    calls is 15. A rejected one returns None, with calls 12; when f raises
+    ValueError or OverflowError, error_norm is NaN and calls counts the
+    calls made, the failed one included. Stage j's slope is kj_0, kj_1,
+    kj_2 (k12 is f_new), and every sum over a tableau row is the flat
+    left-associative 0.0 + w * kj_c + ... in column order: the IEEE
+    operations of a loop over the rows, in its order, so the bits are
+    the loop's.
+    """
+    def dot(row, c):
+        return "(0.0 + " + " + ".join(f"{w!r} * k{j}_{c}" for j, w in row) + ")"
+
+    def stage(j):
+        args = ", ".join(f"y{c} + {dot(A[j], c)} * h" for c in range(3))
+        return [f"calls = {j}", f"k{j}_0, k{j}_1, k{j}_2 = f({args})"]
+
+    body = [line for j in range(1, N_STAGES) for line in stage(j)]
+    body += [f"n{c} = y{c} + h * {dot(B, c)}" for c in range(3)]
+    body += [f"calls = {N_STAGES}", f"k{N_STAGES}_0, k{N_STAGES}_1, k{N_STAGES}_2 = f(n0, n1, n2)"]
+    for c in range(3):
+        body += [f"u, v = abs(y{c}), abs(n{c})",
+                 f"s{c} = atol + (v if v > u else u) * rtol",   # max(u, v)
+                 f"p{c} = {dot(E5, c)} / s{c}",
+                 f"q{c} = {dot(E3, c)} / s{c}"]
+    body += ["err5 = p0 * p0 + p1 * p1 + p2 * p2",
+             "err3 = q0 * q0 + q1 * q1 + q2 * q2",
+             "error_norm = 0.0 if err5 == 0.0 and err3 == 0.0 else "
+             "h_abs * err5 / sqrt((err5 + 0.01 * err3) * 3.0)",
+             "if not error_norm < 1.0:",
+             f"    return error_norm, None, {N_STAGES}"]
+    body += [line for j in range(N_STAGES + 1, len(A)) for line in stage(j)]
+    body += [f"a{c} = n{c} - y{c}" for c in range(3)]
+    coef = ([f"y{c}" for c in range(3)] + [f"a{c}" for c in range(3)]
+            + [f"h * k0_{c} - a{c}" for c in range(3)]
+            + [f"2.0 * a{c} - h * (k{N_STAGES}_{c} + k0_{c})" for c in range(3)]
+            + [f"h * {dot(row, c)}" for row in D for c in range(3)])
+    body.append("coef = " + ", ".join(coef))
+    return "\n".join(
+        ["def _step(f, y0, y1, y2, k0_0, k0_1, k0_2, h, h_abs, rtol, atol):",
+         "    try:"]
+        + ["        " + line for line in body]
+        + ["    except (ValueError, OverflowError):",
+           "        return nan, None, calls",
+           f"    return error_norm, ((n0, n1, n2), (k{N_STAGES}_0, k{N_STAGES}_1, "
+           f"k{N_STAGES}_2), coef), {N_STAGES + 3}", ""])
+
+
+@functools.cache
+def _make_step():
+    """_step, compiled from _step_source on first use."""
+    namespace = {"sqrt": math.sqrt, "nan": math.nan}
+    exec(compile(_step_source(), "<dop853 step>", "exec"), namespace)
+    return namespace["_step"]
+
+
 def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
             t_bound: float, rtol: float, atol: float,
             events: list[_Event]) -> _Run:
@@ -219,11 +275,13 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
     error, when f raises ValueError or OverflowError at one of its stages,
     its end or the three stages of its dense output: the state left the
     orbit space (DomainError, SingularBoundaryError, a math domain error)
-    or the float range. Every event is terminal: the run
+    or the float range. Only f(y0) and the initial-step probe raise out
+    of the run. Every event is terminal: the run
     ends at the earliest root, located on the step's interpolant, with y
     there from the interpolant. A run that tries more than MAX_STEPS
     steps raises StepSizeUnderflow.
     """
+    step = _make_step()
     run = _Run([t0], [y0], [], [])
     t, y = t0, y0
     fy = f(*y)
@@ -233,7 +291,6 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
-        y0_, y1_, y2_ = y
         rejected = False
         while True:
             if not h_abs >= min_step:
@@ -245,89 +302,21 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            K = [fy]
-            try:
-                for row in _STAGES:
-                    d0 = d1 = d2 = 0.0
-                    for j, a in row:
-                        k = K[j]
-                        d0 += a * k[0]
-                        d1 += a * k[1]
-                        d2 += a * k[2]
-                    K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
-                b0 = b1 = b2 = p0 = p1 = p2 = q0 = q1 = q2 = 0.0
-                for j, b, e5, e3 in _WEIGHTS:
-                    k0, k1, k2 = K[j]
-                    b0 += b * k0
-                    b1 += b * k1
-                    b2 += b * k2
-                    p0 += e5 * k0
-                    p1 += e5 * k1
-                    p2 += e5 * k2
-                    q0 += e3 * k0
-                    q1 += e3 * k1
-                    q2 += e3 * k2
-                y_new = (y0_ + h * b0, y1_ + h * b1, y2_ + h * b2)
-                f_new = f(*y_new)
-                s0 = atol + max(abs(y0_), abs(y_new[0])) * rtol
-                s1 = atol + max(abs(y1_), abs(y_new[1])) * rtol
-                s2 = atol + max(abs(y2_), abs(y_new[2])) * rtol
-                p0, p1, p2 = p0 / s0, p1 / s1, p2 / s2
-                q0, q1, q2 = q0 / s0, q1 / s1, q2 / s2
-                err5 = p0 * p0 + p1 * p1 + p2 * p2
-                err3 = q0 * q0 + q1 * q1 + q2 * q2
-                if err5 == 0.0 and err3 == 0.0:
-                    error_norm = 0.0
-                else:
-                    error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 3.0)
-                if error_norm < 1.0:
-                    # dense output: three more stages
-                    K.append(f_new)
-                    for row in _EXTRA_STAGES:
-                        d0 = d1 = d2 = 0.0
-                        for j, a in row:
-                            k = K[j]
-                            d0 += a * k[0]
-                            d1 += a * k[1]
-                            d2 += a * k[2]
-                        K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
-            except (ValueError, OverflowError):
-                # the calls made, the failed one included
-                run.nfev += len(K)
-                h_abs *= MIN_FACTOR
-                rejected = True
-                run.rejected += 1
-                continue
+            error_norm, new, calls = step(f, *y, *fy, h, h_abs, rtol, atol)
+            run.nfev += calls
             if error_norm < 1.0:
-                run.nfev += N_STAGES + 3
                 factor = (MAX_FACTOR if error_norm == 0.0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            run.nfev += N_STAGES
+            # a NaN norm, from f raising, gives MIN_FACTOR
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
             run.rejected += 1
         run.accepted += 1
-
-        # F0..F6 of the dense output
-        coef = [y0_, y1_, y2_]
-        for i in range(3):
-            coef.append(y_new[i] - y[i])
-        for i in range(3):
-            coef.append(h * fy[i] - coef[3 + i])
-        for i in range(3):
-            coef.append(2.0 * coef[3 + i] - h * (f_new[i] + fy[i]))
-        for row in D:
-            d0 = d1 = d2 = 0.0
-            for j, dd in row:
-                k = K[j]
-                d0 += dd * k[0]
-                d1 += dd * k[1]
-                d2 += dd * k[2]
-            coef += (h * d0, h * d1, h * d2)
+        y_new, f_new, coef = new
         run.h.append(h)
         run.coef.append(coef)
 
@@ -368,12 +357,13 @@ def _dense(run: _Run, s: np.ndarray) -> np.ndarray:
 
 
 def _taylor_start(case: ReducedCase, a: float, s0: float) -> np.ndarray:
-    """Second-order start orthogonal to the singular stratum."""
+    """Second-order start orthogonal to the singular stratum. Past a ~ 710
+    sinh(a) overflows: theta0 is 0, on the stratum, and f(y0) raises."""
     rate = boundary_sigma_rate(case, a)
     if case.kind in POLAR_KINDS:
-        return np.array([a - rate * s0 ** 2 / 4.0,
-                         s0 / (2.0 * np.sinh(a)),
-                         0.5 * np.pi + rate * s0])
+        with np.errstate(over="ignore"):
+            theta0 = s0 / (2.0 * np.sinh(a))
+        return np.array([a - rate * s0 ** 2 / 4.0, theta0, 0.5 * np.pi + rate * s0])
     return np.array([a * (1.0 - rate * s0 ** 2 / 2.0),
                      0.5 * np.sqrt(a) * s0,
                      0.5 * np.pi + rate * s0])
@@ -437,21 +427,27 @@ def residual_column(case: ReducedCase, h: float, s: np.ndarray,
                     states: np.ndarray) -> np.ndarray:
     """Central-difference residual of states sampled on the uniform grid s:
     at each interior sample, max over components of
-    |(y[i+1] - y[i-1]) / (2 ds) - f(y[i])|. It is 0 at the two ends,
-    where the right-hand side is undefined, and everywhere on a grid of one
+    |(y[i+1] - y[i-1]) / (2 ds) - f(y[i])|. It is 0 at the two ends and
+    at a sample where f raises DomainError or SingularBoundaryError, where
+    the right-hand side is undefined, and everywhere on a grid of one
     repeated s (a curve that ends where it starts), where ds = 0."""
     out = np.zeros(len(s))
     if len(s) < 3 or s[1] == s[0]:
         return out
     rhs = case_rhs(case, h)
     df = (states[2:] - states[:-2]) / (2.0 * (s[1] - s[0]))
-    f = np.zeros_like(df)
-    defined = np.ones(len(df), dtype=bool)
-    for i, y in enumerate(states[1:-1].tolist()):
-        try:
-            f[i] = rhs(*y)
-        except (DomainError, SingularBoundaryError):
-            defined[i] = False
+    try:
+        f = np.array(list(map(rhs, *states[1:-1].T.tolist())))
+        defined = True
+    except (DomainError, SingularBoundaryError):
+        # some sample is outside the orbit space: evaluate one at a time
+        f = np.zeros_like(df)
+        defined = np.ones(len(df), dtype=bool)
+        for i, y in enumerate(states[1:-1].tolist()):
+            try:
+                f[i] = rhs(*y)
+            except (DomainError, SingularBoundaryError):
+                defined[i] = False
     out[1:-1] = np.where(defined, np.max(np.abs(df - f), axis=1), 0.0)
     return out
 
@@ -505,8 +501,17 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         else:
             y0 = tuple(_taylor_start(case, a_run, TAYLOR_STEP).tolist())
 
-    run = _dop853(f, s_start, y0, s_max, rtol=max(tol, 100.0 * EPS), atol=tol,
-                  events=_events(case, c1_floor))
+    try:
+        run = _dop853(f, s_start, y0, s_max, rtol=max(tol, 100.0 * EPS), atol=tol,
+                      events=_events(case, c1_floor))
+    except SingularBoundaryError:
+        # a stage that raises is a rejected step, so this is f at the
+        # start or the initial-step probe next to it
+        start = ("theta0 = s0/(2 sinh |a|)" if case.kind in POLAR_KINDS
+                 else "rho0 = sqrt(a) s0/2")
+        raise SingularBoundaryError(
+            f"--a {a!r} starts the curve at {start} = {y0[1]!r}, which is not "
+            "clear of the singular strata; choose another --a") from None
 
     s_nodes = np.array(run.t)
     states = np.array(run.y)
@@ -524,14 +529,16 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         uniform_states = _mirror(uniform_states)
 
     c1, c2, sigma = uniform_states.T
-    V = volume_functional(case, (c1, c2))
-    vals = first_integral_values(case, PhaseState(c1, c2, sigma))
-    I1 = vals["I1"]
-    if tan_half:
-        # I1 = alpha^{-2n-1} sin(sigma) with sin(sigma) = 1/cosh(w), from the
-        # integrated (ln alpha, w): near pi, sigma has rounded away what w keeps
-        log_cosh_w = abs_w + np.log1p(np.exp(-2.0 * abs_w)) - math.log(2.0)
-        I1 = np.exp(-(2 * case.n + 1) * log_a - log_cosh_w)
+    # far out (r past ~80 at n = 2) V and I1 overflow to inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = volume_functional(case, (c1, c2))
+        vals = first_integral_values(case, PhaseState(c1, c2, sigma))
+        I1 = vals["I1"]
+        if tan_half:
+            # I1 = alpha^{-2n-1} sin(sigma) with sin(sigma) = 1/cosh(w), from the
+            # integrated (ln alpha, w): near pi, sigma has rounded away what w keeps
+            log_cosh_w = abs_w + np.log1p(np.exp(-2.0 * abs_w)) - math.log(2.0)
+            I1 = np.exp(-(2 * case.n + 1) * log_a - log_cosh_w)
     return ProfileCurve(case=case, a=a, h=h, s=s_nodes, states=states,
                         uniform_s=uniform_s, uniform_states=uniform_states,
                         V=V, I1=I1,

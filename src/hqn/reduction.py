@@ -188,36 +188,6 @@ def volume_functional(case: ReducedCase, point):
             * np.sin(theta) ** (C + D) * np.cos(theta) ** D)
 
 
-def _polar_slopes(case: ReducedCase) -> Callable[[float, float], tuple[float, float]]:
-    """The closed-form (P, Q) coefficients of the polar ODE as a float
-    function of (c1, c2), with the case's constants bound once: P is
-    (1/2) d(ln V)/d theta, Q is (1/2)(d(ln V)/dr + coth r)."""
-    cos, sin, sinh, tan, tanh = math.cos, math.sin, math.sinh, math.tan, math.tanh
-    if case.kind in (ELLIPTIC, LOXODROMIC):
-        A, B, C, D = case.exponents
-        half_c, half_a1 = 0.5 * C, 0.5 * (A + 1)
-
-        def slopes(c1, c2):
-            return (half_c / tan(c2) + D / tan(2.0 * c2),
-                    half_a1 / tanh(c1) + B / tanh(2.0 * c1))
-
-        return slopes
-    if case.kind == SPECIAL_LOXODROMIC:
-        kp, kq = 4 * case.n - 5, 4 * case.n - 4
-        cosh = math.cosh
-
-        def slopes(c1, c2):
-            sh, ch, ct = sinh(c1), cosh(c1), cos(c2)
-            sc = sh * ct
-            bracket = ch * ch + sc * sc
-            return (0.5 * (kp / tan(c2) - 3.0 * (sh * sh) * sin(2.0 * c2) / bracket),
-                    0.5 * (kq / tanh(c1)
-                           + 3.0 * sinh(2.0 * c1) * (1.0 + ct * ct) / bracket))
-
-        return slopes
-    raise ShapeError("the slopes P, Q apply to the polar cases")
-
-
 # ---------------------------------------------------------------------------
 # reduced ODE right-hand sides
 
@@ -232,9 +202,12 @@ def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float
     """
     n, m = case.n, case.m
     cos, sin, sinh, sqrt = math.cos, math.sin, math.sinh, math.sqrt
-    if case.kind in POLAR_KINDS:
-        top = math.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * math.pi
-        slopes = _polar_slopes(case)
+    # the polar cases: dsigma = P cos(sigma) / sinh(r) - Q sin(sigma) + h, with
+    # P = (1/2) d(ln V)/d theta and Q = (1/2)(d(ln V)/dr + coth r)
+    if case.kind in (ELLIPTIC, LOXODROMIC):
+        A, B, C, D = case.exponents
+        half_c, half_a1 = 0.5 * C, 0.5 * (A + 1)
+        tan, tanh, top = math.tan, math.tanh, 0.5 * math.pi
 
         def rhs(c1, c2, sigma):
             if c1 <= 0.0:
@@ -242,8 +215,28 @@ def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float
             if not (0.0 < c2 < top):
                 raise SingularBoundaryError(
                     "state on a singular stratum; use boundary_sigma_rate")
-            P, Q = slopes(c1, c2)
+            P = half_c / tan(c2) + D / tan(2.0 * c2)
+            Q = half_a1 / tanh(c1) + B / tanh(2.0 * c1)
             cs, sn, sh = cos(sigma), sin(sigma), sinh(c1)
+            return 0.5 * cs, 0.5 * sn / sh, P * cs / sh - Q * sn + h
+
+        return rhs
+    if case.kind == SPECIAL_LOXODROMIC:
+        kp, kq = 4 * n - 5, 4 * n - 4
+        cosh, tan, tanh, top = math.cosh, math.tan, math.tanh, math.pi
+
+        def rhs(c1, c2, sigma):
+            if c1 <= 0.0:
+                raise DomainError("polar radius must be positive")
+            if not (0.0 < c2 < top):
+                raise SingularBoundaryError(
+                    "state on a singular stratum; use boundary_sigma_rate")
+            sh, ch, ct = sinh(c1), cosh(c1), cos(c2)
+            sc = sh * ct
+            bracket = ch * ch + sc * sc
+            P = 0.5 * (kp / tan(c2) - 3.0 * (sh * sh) * sin(2.0 * c2) / bracket)
+            Q = 0.5 * (kq / tanh(c1) + 3.0 * sinh(2.0 * c1) * (1.0 + ct * ct) / bracket)
+            cs, sn = cos(sigma), sin(sigma)
             return 0.5 * cs, 0.5 * sn / sh, P * cs / sh - Q * sn + h
 
         return rhs

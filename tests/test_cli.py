@@ -490,6 +490,8 @@ def test_step_budget_is_one_line_failure(tmp_path, monkeypatch, capsys):
     "--case elliptic --n 2 --m 1 --a 30 --tol 1e-3 --smax 1e6 --h -7",
     # the first right-hand side call is on the singular stratum
     "--case elliptic --n 2 --m 1 --a 1e-8",
+    # so it is where sinh(a) overflows
+    "--case elliptic --n 2 --m 1 --a 800",
 ])
 def test_failed_curve_is_one_line(tmp_path, monkeypatch, capsys, flags):
     # a stage that raises is a rejected step, and a DomainError or
@@ -505,6 +507,35 @@ def test_failed_curve_is_one_line(tmp_path, monkeypatch, capsys, flags):
     [line] = captured.err.splitlines()
     assert line.startswith("hqn curve: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("a,theta0", [("1e-8", "5000.0"), ("800", "0.0")])
+def test_singular_start_names_the_flag(tmp_path, capsys, a, theta0):
+    # a start on the singular stratum is one line that names --a and the
+    # start theta0, with no warning on the way
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["curve", "--case", "elliptic", "--n", "2", "--m", "1",
+                     "--a", a, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"hqn curve: --a {float(a)!r} starts the curve at theta0 = s0/(2 sinh |a|) "
+        f"= {theta0}, which is not clear of the singular strata; choose another --a\n")
+
+
+def test_far_curve_warns_nothing(tmp_path, capsys):
+    # past r ~ 80 at n = 2, V and I1 overflow to inf: the columns say so,
+    # with no RuntimeWarning
+    out = tmp_path / "long.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["curve", "--case", "elliptic", "--n", "2", "--m", "1",
+                     "--a", "1", "--smax", "200", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table[:, :4]))
+    assert np.isinf(table[-1, 4]) and np.isinf(table[-1, 5])
 
 
 def test_cli_import_leaves_scipy_out():

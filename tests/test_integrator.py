@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import warnings
@@ -8,8 +9,10 @@ import pytest
 from scipy.special import beta as beta_fn
 
 import hqn.integrator
-from hqn.errors import DomainError, ExtrapolationError
+from hqn.dop853 import A, B, D, E3, E5, N_STAGES
+from hqn.errors import DomainError, ExtrapolationError, SingularBoundaryError
 from hqn.integrator import (
+    EPS,
     MAX_STEPS,
     EndpointLimit,
     ProfileCurve,
@@ -287,6 +290,33 @@ def test_residual_of_a_curve_ending_at_its_start():
         np.testing.assert_array_equal(c.residual, np.zeros(801))
 
 
+def _residual_per_sample(case, s, states):
+    """residual_column sample by sample: 0 where the right-hand side raises."""
+    rhs, ds = case_rhs(case), s[1] - s[0]
+    out = np.zeros(len(s))
+    for i in range(1, len(s) - 1):
+        try:
+            f = rhs(*states[i].tolist())
+        except (DomainError, SingularBoundaryError):
+            continue
+        out[i] = np.max(np.abs((states[i + 1] - states[i - 1]) / (2.0 * ds) - f))
+    return out
+
+
+def test_residual_where_one_sample_leaves_the_orbit_space():
+    # the right-hand side runs over all samples in one pass, and sample by
+    # sample only when some sample raises
+    case = ReducedCase(ELLIPTIC, 2, 1)
+    c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10, n_samples=201)
+    s, states = c.uniform_s, c.uniform_states.copy()
+    np.testing.assert_array_equal(residual_column(case, 0.0, s, states),
+                                  _residual_per_sample(case, s, states))
+    states[100, 1] = -0.25      # theta < 0: a singular stratum
+    got = residual_column(case, 0.0, s, states)
+    assert got[100] == 0.0 and np.all(got[1:100] > 0.0)
+    np.testing.assert_array_equal(got, _residual_per_sample(case, s, states))
+
+
 # ---------------------------------------------------------------------------
 # the DOP853 kernel against scipy's solve_ivp
 
@@ -319,9 +349,151 @@ def test_tableau_is_scipys():
     np.testing.assert_array_equal(dense([dop853.E3], (1, len(ref.E3)))[0], ref.E3)
     np.testing.assert_array_equal(dense([dop853.E5], (1, len(ref.E5)))[0], ref.E5)
     np.testing.assert_array_equal(dense(dop853.D, ref.D.shape), ref.D)
-    # the kernel forms B, E5 and E3 sums in one pass over shared columns
+    # _loop_attempt forms the B, E5 and E3 sums in one pass over shared columns
     assert ([j for j, _ in dop853.B] == [j for j, _ in dop853.E5]
             == [j for j, _ in dop853.E3])
+
+
+def _loop_attempt(f, y, fy, h, h_abs, rtol, atol):
+    """One DOP853 attempt as loops over the tableau's rows: the reference
+    the generated step must match bit for bit. It returns what _step does,
+    with the calls counted as the loop's kernel counted them: 12 for an
+    attempt rejected on its error, 15 for an accepted one, and len(K),
+    the failed call included, when f raises."""
+    y0_, y1_, y2_ = y
+    K = [fy]
+    try:
+        for row in A[1:N_STAGES]:
+            d0 = d1 = d2 = 0.0
+            for j, a in row:
+                k = K[j]
+                d0 += a * k[0]
+                d1 += a * k[1]
+                d2 += a * k[2]
+            K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+        b0 = b1 = b2 = p0 = p1 = p2 = q0 = q1 = q2 = 0.0
+        for (j, b), (_, e5), (_, e3) in zip(B, E5, E3):
+            k0, k1, k2 = K[j]
+            b0 += b * k0
+            b1 += b * k1
+            b2 += b * k2
+            p0 += e5 * k0
+            p1 += e5 * k1
+            p2 += e5 * k2
+            q0 += e3 * k0
+            q1 += e3 * k1
+            q2 += e3 * k2
+        y_new = (y0_ + h * b0, y1_ + h * b1, y2_ + h * b2)
+        f_new = f(*y_new)
+        s0 = atol + max(abs(y0_), abs(y_new[0])) * rtol
+        s1 = atol + max(abs(y1_), abs(y_new[1])) * rtol
+        s2 = atol + max(abs(y2_), abs(y_new[2])) * rtol
+        p0, p1, p2 = p0 / s0, p1 / s1, p2 / s2
+        q0, q1, q2 = q0 / s0, q1 / s1, q2 / s2
+        err5 = p0 * p0 + p1 * p1 + p2 * p2
+        err3 = q0 * q0 + q1 * q1 + q2 * q2
+        if err5 == 0.0 and err3 == 0.0:
+            error_norm = 0.0
+        else:
+            error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 3.0)
+        if not error_norm < 1.0:
+            return error_norm, None, N_STAGES
+        K.append(f_new)
+        for row in A[N_STAGES + 1:]:
+            d0 = d1 = d2 = 0.0
+            for j, a in row:
+                k = K[j]
+                d0 += a * k[0]
+                d1 += a * k[1]
+                d2 += a * k[2]
+            K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+    except (ValueError, OverflowError):
+        return math.nan, None, len(K)
+    coef = [y0_, y1_, y2_]
+    for i in range(3):
+        coef.append(y_new[i] - y[i])
+    for i in range(3):
+        coef.append(h * fy[i] - coef[3 + i])
+    for i in range(3):
+        coef.append(2.0 * coef[3 + i] - h * (f_new[i] + fy[i]))
+    for row in D:
+        d0 = d1 = d2 = 0.0
+        for j, dd in row:
+            k = K[j]
+            d0 += dd * k[0]
+            d1 += dd * k[1]
+            d2 += dd * k[2]
+        coef += (h * d0, h * d1, h * d2)
+    return error_norm, (y_new, f_new, coef), N_STAGES + 3
+
+
+def _hex(x):
+    """Floats, in nested sequences, as float.hex: -0.0 and NaN count."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(_hex(v) for v in x)
+    return x
+
+
+def _attempt(f, y, h, tol):
+    """(the generated step's result, the loop's) for one attempt of h from y."""
+    fy = f(*y)
+    args = (abs(h), max(tol, 100.0 * EPS), tol)
+    return (hqn.integrator._make_step()(f, *y, *fy, h, *args),
+            _loop_attempt(f, y, fy, h, *args))
+
+
+@pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
+def test_generated_step_is_the_loop(case, s_max, a_range):
+    # seeded nodes of bench curves, with steps from a quarter to 32 times
+    # the curve's own: accepted and rejected attempts, and stages that raise
+    rng = np.random.default_rng(23)
+    f, lo, hi = case_rhs(case), *a_range
+    accepted = set()
+    for a in lo + (hi - lo) * rng.random(3):
+        for tol in (1e-6, 1e-11):
+            c = integrate_profile(case, float(a), s_max=s_max, tol=tol, n_samples=5)
+            for k in rng.integers(0, len(c.s) - 1, 10):
+                h = float(c.s[k + 1] - c.s[k]) * 2.0 ** rng.uniform(-2.0, 5.0)
+                got, want = _attempt(f, tuple(c.states[k].tolist()), h, tol)
+                assert _hex(got) == _hex(want)
+                assert len(got[1][2]) == 24 if got[1] else got[2] <= 12
+                accepted.add(got[1] is not None)
+    assert accepted == {True, False}
+
+
+def test_generated_step_counts_the_calls_of_a_raising_stage():
+    # a stage that raises at call i (the stages, then the end, then the
+    # three dense-output stages) gives a NaN norm and i calls
+    rhs = case_rhs(ReducedCase(ELLIPTIC, 2, 1))
+    y, h = (1.0, 0.5, 1.0), 0.01
+    got, want = _attempt(rhs, y, h, 1e-10)
+    assert got[0] < 1.0 and got[2] == want[2] == N_STAGES + 3
+
+    def failing(at):
+        calls = []
+
+        def f(*state):
+            calls.append(1)
+            if len(calls) == at:
+                raise (OverflowError if at % 2 else DomainError)("stage")
+            return rhs(*state)
+        return f
+
+    fy, args = rhs(*y), (h, h, 1e-10, 1e-10)
+    for at in range(1, N_STAGES + 4):
+        got = hqn.integrator._make_step()(failing(at), *y, *fy, *args)
+        want = _loop_attempt(failing(at), y, fy, *args)
+        assert _hex(got) == _hex(want) == ("nan", None, at)
+
+
+def test_generated_step_rejects_a_nan_error_norm():
+    # the stages overflow to inf, and the error sums to inf - inf
+    f = lambda c1, c2, sigma: (1e308, -1e308, 1e308)
+    got, want = _attempt(f, (1.0, 1.0, 1.0), 1.0, 1e-10)
+    assert math.isnan(got[0]) and got[1:] == (None, N_STAGES)
+    assert _hex(got) == _hex(want)
 
 
 def _scipy_states(curve, tol):
