@@ -436,19 +436,16 @@ def residual_column(case: ReducedCase, h: float, s: np.ndarray,
         return out
     rhs = case_rhs(case, h)
     df = (states[2:] - states[:-2]) / (2.0 * (s[1] - s[0]))
-    try:
-        f = np.array(list(map(rhs, *states[1:-1].T.tolist())))
-        defined = True
-    except (DomainError, SingularBoundaryError):
-        # some sample is outside the orbit space: evaluate one at a time
-        f = np.zeros_like(df)
-        defined = np.ones(len(df), dtype=bool)
-        for i, y in enumerate(states[1:-1].tolist()):
-            try:
-                f[i] = rhs(*y)
-            except (DomainError, SingularBoundaryError):
-                defined[i] = False
-    out[1:-1] = np.where(defined, np.max(np.abs(df - f), axis=1), 0.0)
+    # f goes into a list and then into one array: assigning it row by row
+    # into an array is slower
+    f, defined = [], np.ones(len(df), dtype=bool)
+    for i, (c1, c2, sigma) in enumerate(states[1:-1].tolist()):
+        try:
+            f.append(rhs(c1, c2, sigma))
+        except (DomainError, SingularBoundaryError):
+            f.append((0.0, 0.0, 0.0))
+            defined[i] = False
+    out[1:-1] = np.where(defined, np.max(np.abs(df - np.array(f)), axis=1), 0.0)
     return out
 
 
@@ -510,8 +507,8 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         start = ("theta0 = s0/(2 sinh |a|)" if case.kind in POLAR_KINDS
                  else "rho0 = sqrt(a) s0/2")
         raise SingularBoundaryError(
-            f"--a {a!r} starts the curve at {start} = {y0[1]!r}, which is not "
-            "clear of the singular strata; choose another --a") from None
+            f"a = {a!r} starts the curve at {start} = {y0[1]!r}, which is not "
+            "clear of the singular strata; choose another a") from None
 
     s_nodes = np.array(run.t)
     states = np.array(run.y)

@@ -192,6 +192,11 @@ def volume_functional(case: ReducedCase, point):
 # reduced ODE right-hand sides
 
 
+# the guards of both polar right-hand sides
+NOT_POLAR = "polar radius must be positive"
+ON_POLAR_STRATUM = "state on a singular stratum; use boundary_sigma_rate"
+
+
 def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float],
                                                              tuple[float, float, float]]:
     """The reduced right-hand side of the case at mean curvature h, as a
@@ -211,10 +216,9 @@ def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float
 
         def rhs(c1, c2, sigma):
             if c1 <= 0.0:
-                raise DomainError("polar radius must be positive")
+                raise DomainError(NOT_POLAR)
             if not (0.0 < c2 < top):
-                raise SingularBoundaryError(
-                    "state on a singular stratum; use boundary_sigma_rate")
+                raise SingularBoundaryError(ON_POLAR_STRATUM)
             P = half_c / tan(c2) + D / tan(2.0 * c2)
             Q = half_a1 / tanh(c1) + B / tanh(2.0 * c1)
             cs, sn, sh = cos(sigma), sin(sigma), sinh(c1)
@@ -227,10 +231,9 @@ def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float
 
         def rhs(c1, c2, sigma):
             if c1 <= 0.0:
-                raise DomainError("polar radius must be positive")
+                raise DomainError(NOT_POLAR)
             if not (0.0 < c2 < top):
-                raise SingularBoundaryError(
-                    "state on a singular stratum; use boundary_sigma_rate")
+                raise SingularBoundaryError(ON_POLAR_STRATUM)
             sh, ch, ct = sinh(c1), cosh(c1), cos(c2)
             sc = sh * ct
             bracket = ch * ch + sc * sc

@@ -509,19 +509,23 @@ def test_failed_curve_is_one_line(tmp_path, monkeypatch, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb,flag", [("curve", "--a"), ("boundary", "--a"),
+                                       ("family", "--a-grid")])
 @pytest.mark.parametrize("a,theta0", [("1e-8", "5000.0"), ("800", "0.0")])
-def test_singular_start_names_the_flag(tmp_path, capsys, a, theta0):
-    # a start on the singular stratum is one line that names --a and the
-    # start theta0, with no warning on the way
-    out = tmp_path / "x.csv"
+def test_singular_start_names_a(tmp_path, capsys, verb, flag, a, theta0):
+    # a start on the singular stratum is one line that names the start
+    # parameter a and theta0, with no warning on the way; the message comes
+    # from integrate_profile, so it names no flag, whichever verb gave a
+    out = {"curve": ["--out", str(tmp_path / "x.csv")], "boundary": [],
+           "family": ["--out-dir", str(tmp_path)]}[verb]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["curve", "--case", "elliptic", "--n", "2", "--m", "1",
-                     "--a", a, "--out", str(out)])
+        code = main([verb, "--case", "elliptic", "--n", "2", "--m", "1",
+                     flag, a, *out])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"hqn curve: --a {float(a)!r} starts the curve at theta0 = s0/(2 sinh |a|) "
-        f"= {theta0}, which is not clear of the singular strata; choose another --a\n")
+        f"hqn {verb}: a = {float(a)!r} starts the curve at theta0 = s0/(2 sinh |a|) "
+        f"= {theta0}, which is not clear of the singular strata; choose another a\n")
 
 
 def test_far_curve_warns_nothing(tmp_path, capsys):

@@ -304,8 +304,8 @@ def _residual_per_sample(case, s, states):
 
 
 def test_residual_where_one_sample_leaves_the_orbit_space():
-    # the right-hand side runs over all samples in one pass, and sample by
-    # sample only when some sample raises
+    # a sample where the right-hand side raises reads 0; the others keep
+    # their values
     case = ReducedCase(ELLIPTIC, 2, 1)
     c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10, n_samples=201)
     s, states = c.uniform_s, c.uniform_states.copy()

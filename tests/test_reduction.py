@@ -23,6 +23,8 @@ from hqn.reduction import (
     ALL_KINDS,
     ELLIPTIC,
     LOXODROMIC,
+    NOT_POLAR,
+    ON_POLAR_STRATUM,
     PARABOLIC,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
@@ -226,6 +228,20 @@ def test_ode_rhs_singular_strata():
         case_rhs(ReducedCase(PARABOLIC, 2, 1))(1.0, 0.0, 0.5)
     # theta = pi/2 is interior for the special loxodromic case
     case_rhs(ReducedCase(SPECIAL_LOXODROMIC, 2))(1.0, np.pi / 2, 0.5)
+
+
+@pytest.mark.parametrize("kind,top", [(ELLIPTIC, np.pi / 2), (SPECIAL_LOXODROMIC, np.pi)])
+def test_polar_rhs_guards(kind, top):
+    # both polar right-hand sides raise the same two errors, checked first
+    rhs = case_rhs(ReducedCase(kind, 2, 1 if kind == ELLIPTIC else None))
+    for c1, c2 in [(0.0, 0.5), (-0.5, 0.5), (-0.5, 0.0)]:
+        with pytest.raises(DomainError) as exc:
+            rhs(c1, c2, 0.5)
+        assert str(exc.value) == NOT_POLAR
+    for c2 in (0.0, -0.1, top, top + 0.1, float("nan")):
+        with pytest.raises(SingularBoundaryError) as exc:
+            rhs(1.0, c2, 0.5)
+        assert str(exc.value) == ON_POLAR_STRATUM
 
 
 def test_reconstruction_from_volume():
