@@ -49,7 +49,12 @@ from .isometries import (
     transvection_matrix,
     unit_quaternions,
 )
-from .loci import canonical_bisector_residual, fan_at_origin_residual
+from .loci import (
+    bisector_family_residual,
+    canonical_bisector_residual,
+    fan_at_origin_residual,
+    fan_residual,
+)
 from .oracles import ambient_mean_curvature, killing_ratio_spread
 from .reduction import (
     ALL_KINDS,
@@ -289,6 +294,27 @@ def _cmd_oracle(args) -> int:
         checks.append(_check("bisector mean curvature", worst_b, 1e-3))
         checks.append(_check("fan mean curvature", worst_f, 1e-3))
         checks.append(_check("horosphere mean curvature error", worst_h, 1e-3))
+    if args.oracle in ("families", "all"):
+        n, rng, t = args.n, np.random.default_rng(405), 0.7
+        worst_f = worst_b = 0.0
+        for _ in range(args.points):
+            om = rng.normal(0, 0.25, (n - 1, 4))
+            be = rng.normal(0, 0.2, 3)
+            al = float(rng.uniform(0.4, 1.5))
+            normal = rng.normal(size=4 * (n - 1))
+            # the fan with a random normal through the point, and the member
+            # t of the bisector family through the point with beta_3 moved
+            # to 2 t omega_{n-1,3}
+            p = point_from_array(HORO, np.array([*om.ravel(), al, *be]), n)
+            offset = float(np.vecdot(om.ravel(), normal))
+            worst_f = max(worst_f, abs(ambient_mean_curvature(
+                lambda q: fan_residual(q, normal, offset), p)))
+            pt = point_from_array(HORO, np.array([*om.ravel(), al, *be[:2],
+                                                  2.0 * t * om[-1, 3]]), n)
+            worst_b = max(worst_b, abs(ambient_mean_curvature(
+                lambda q: bisector_family_residual(q, t), pt)))
+        checks.append(_check("general fan mean curvature", worst_f, 1e-3))
+        checks.append(_check(f"bisector family t={t} mean curvature", worst_b, 1e-3))
     return _emit_report(_report(checks), args.out)
 
 
@@ -371,7 +397,7 @@ def _flags_verify(p) -> None:
 
 
 def _flags_oracle(p) -> None:
-    p.add_argument("--oracle", default="all", choices=["all", "volume", "curvature"])
+    p.add_argument("--oracle", default="all", choices=["all", "volume", "curvature", "families"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--out", default=None)

@@ -459,7 +459,11 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     parameter a > 0 and sigma = pi/2; special loxodromic additionally
     accepts a = 0 (the invariant line) and a < 0 (mirror image); special
     parabolic starts at the interior state (a, 0, pi/2). The tolerance
-    is atol = tol and rtol = max(tol, 100 eps).
+    is atol = tol and rtol = max(tol, 100 eps). A start that is not clear
+    of the singular strata (f raises there, or the start state is at or
+    past the level of one of the curve's events: in the polar cases
+    theta0 < 1e-12 once a > ~18.4) or not above the c1 floor raises
+    SingularBoundaryError.
     """
     s_start = check_start(case, a, s_max, tol, h, n_samples)
     mirror = case.kind == SPECIAL_LOXODROMIC and a < 0.0
@@ -498,17 +502,31 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         else:
             y0 = tuple(_taylor_start(case, a_run, TAYLOR_STEP).tolist())
 
+    def off_start():
+        start = ("theta0 = s0/(2 sinh |a|)" if case.kind in POLAR_KINDS
+                 else "rho0 = sqrt(a) s0/2")
+        return SingularBoundaryError(
+            f"a = {a!r} starts the curve at {start} = {y0[1]!r}, which is not "
+            "clear of the singular strata; choose another a")
+
+    events = _events(case, c1_floor)
+    # a start at or past an event level would end, or never end, the curve
+    # by a crossing in the wrong direction
+    for ev in events:
+        if not ev.sign * (y0[ev.index] - ev.level) > 0.0:
+            if ev.name != "c1_floor":
+                raise off_start()
+            c1 = a_run if log_alpha else y0[0]
+            raise SingularBoundaryError(
+                f"a = {a!r} starts the curve at c1 = {c1!r}, not above its "
+                f"floor {c1_floor!r}; choose another a")
     try:
         run = _dop853(f, s_start, y0, s_max, rtol=max(tol, 100.0 * EPS), atol=tol,
-                      events=_events(case, c1_floor))
+                      events=events)
     except SingularBoundaryError:
         # a stage that raises is a rejected step, so this is f at the
         # start or the initial-step probe next to it
-        start = ("theta0 = s0/(2 sinh |a|)" if case.kind in POLAR_KINDS
-                 else "rho0 = sqrt(a) s0/2")
-        raise SingularBoundaryError(
-            f"a = {a!r} starts the curve at {start} = {y0[1]!r}, which is not "
-            "clear of the singular strata; choose another a") from None
+        raise off_start() from None
 
     s_nodes = np.array(run.t)
     states = np.array(run.y)

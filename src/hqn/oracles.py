@@ -275,19 +275,6 @@ def _christoffel_offsets(dim: int) -> np.ndarray:
     return _frozen([np.full((1, dim), -0.0), E, -E, E / 2.0, -E / 2.0])
 
 
-def _christoffel(g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Christoffel symbols from the inverse metric at x and the (4d, d, d)
-    metric at the points x +- h e_a, x +- h/2 e_a of _christoffel_offsets
-    (after its first row), h = CHRISTOFFEL_STEP: Richardson-extrapolated
-    central differences of the metric."""
-    d = len(ginv)
-    step = CHRISTOFFEL_STEP
-    g = g.reshape(4, d, d, d)
-    dg = (4.0 * (g[2] - g[3]) / step - (g[0] - g[1]) / (2.0 * step)) / 3.0
-    return 0.5 * np.einsum("cd,abd->cab", ginv,
-                           dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-
-
 def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
                           x: np.ndarray, step: float):
     """Richardson-extrapolated central differences at steps step and
@@ -295,21 +282,98 @@ def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
     x + _stencil_offsets(d, step): x, then per step the 2d axis points
     x +- h e_a (shared by the gradient and the Hessian diagonal) and the
     2d(d-1) points (x +- h e_a) +- h e_b, a < b. Both steps' differences
-    are taken in one pass over a leading axis of 2.
+    are taken in one pass over a leading axis of 2. values may give
+    (k, ...) arrays: each trailing index is differenced on its own, with
+    the bits of a (k,) call, into a (d, ...) gradient and (d, d, ...)
+    Hessian. ambient_mean_curvature takes the same differences as the
+    rows of _grad_hess_weights, whose reference this is.
     """
     dim = len(x)
     a, b = _upper_pairs(dim)
     f = values(x + _stencil_offsets(dim, step))
+    tail = f.shape[1:]
     f0 = f[0]
-    fh = f[1:].reshape(2, -1)
-    h = np.array([[step / 2.0], [step]])
-    fp, fm = fh[:, :2 * dim].reshape(2, 2, dim).swapaxes(0, 1)
-    fpp, fpm, fmp, fmm = fh[:, 2 * dim:].reshape(2, 4, -1).swapaxes(0, 1)
+    fh = f[1:].reshape((2, -1) + tail)
+    h = np.array([step / 2.0, step]).reshape((2, 1) + (1,) * len(tail))
+    fp, fm = fh[:, :2 * dim].reshape((2, 2, dim) + tail).swapaxes(0, 1)
+    fpp, fpm, fmp, fmm = fh[:, 2 * dim:].reshape((2, 4, -1) + tail).swapaxes(0, 1)
     g = (fp - fm) / (2.0 * h)
-    H = np.empty((2, dim, dim))
+    H = np.empty((2, dim, dim) + tail)
     H[:, a, b] = H[:, b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
     H[:, np.arange(dim), np.arange(dim)] = (fp - 2.0 * f0 + fm) / h ** 2
     return (4.0 * g[0] - g[1]) / 3.0, (4.0 * H[0] - H[1]) / 3.0
+
+
+@functools.cache
+def _grad_hess_weights(dim: int, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear map from the k values f of the stencil x +
+    _stencil_offsets(dim, step) to the gradient and the flattened Hessian
+    of _richardson_grad_hess, row by row: read-only (dim + dim^2, 8)
+    stencil indices and integer weights, zero-padded, and a read-only
+    scale per row, so that the derivatives are
+    scale * (weights * f[index]).sum(axis=1).
+
+    With p, m the points x +- h e_a and pp, pm, mp, mm the points
+    (x +- h e_a) +- h e_b at h = step / 2, and P, M, PP, PM, MP, MM the
+    same at h = step, the rows are
+      gradient a:   (8 p - 8 m - P + M) / (6 step),
+      Hessian aa:   (16 p + 16 m - 30 f(x) - P - M) / (3 step^2),
+      Hessian ab:   (16 (pp - pm - mp + mm) - (PP - PM - MP + MM)) / (12 step^2).
+    Every product with f but -30 f(x) is exact, so the map rounds about
+    where the differences do; a map of the unscaled weights would round
+    every product at its size |f| / step^2. At n = 4 (dim 16) the map has
+    2176 terms, where the dense (dim + dim^2, k) matrix has 278 800.
+    """
+    a, b = _upper_pairs(dim)
+    pairs = len(a)
+
+    def points(first):
+        # P, M, PP, PM, MP, MM of one step, whose block starts at first
+        axis, pair = first + np.arange(dim), first + 2 * dim + np.arange(pairs)
+        return axis, axis + dim, pair, pair + pairs, pair + 2 * pairs, pair + 3 * pairs
+
+    p, m, pp, pm, mp, mm = points(1)
+    P, M, PP, PM, MP, MM = points(1 + 2 * dim + 4 * pairs)
+    index = np.zeros((dim + dim * dim, 8), dtype=np.intp)
+    weights = np.zeros((dim + dim * dim, 8))
+    index[:dim, :4] = np.stack([p, m, P, M], axis=1)
+    weights[:dim, :4] = (8.0, -8.0, -1.0, 1.0)
+    diag = dim + (dim + 1) * np.arange(dim)
+    index[diag, :5] = np.stack([p, m, np.zeros(dim, dtype=np.intp), P, M], axis=1)
+    weights[diag, :5] = (16.0, 16.0, -30.0, -1.0, -1.0)
+    for rows in (dim + dim * a + b, dim + dim * b + a):
+        index[rows] = np.stack([pp, pm, mp, mm, PP, PM, MP, MM], axis=1)
+        weights[rows] = (16.0, -16.0, -16.0, 16.0, -1.0, 1.0, 1.0, -1.0)
+    scale = np.concatenate([np.full(dim, 1.0 / (6.0 * step)),
+                            np.where(np.eye(dim, dtype=bool), 1.0 / (3.0 * step ** 2),
+                                     1.0 / (12.0 * step ** 2)).ravel()])
+    for table in (index, weights, scale):
+        table.flags.writeable = False
+    return index, weights, scale
+
+
+# The metric's derivative from the differences g(x + h e_c) - g(x - h e_c)
+# at h = CHRISTOFFEL_STEP and h / 2: (4 D(h/2) / h - D(h) / (2h)) / 3.
+_METRIC_WEIGHTS = np.array([-1.0 / (6.0 * CHRISTOFFEL_STEP),
+                            4.0 / (3.0 * CHRISTOFFEL_STEP)])
+_METRIC_WEIGHTS.flags.writeable = False
+
+
+def _christoffel_contraction(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_c Gamma^c_ab d_c f at x, from the (4d, d, d) metric at the points
+    x +- h e_c, x +- h/2 e_c of _christoffel_offsets (after its first row),
+    h = CHRISTOFFEL_STEP, and u = g^-1 df at x, without forming Gamma.
+
+    dg[c] = d_c g takes the central differences in pairs first and then the
+    two Richardson weights in one product. Then the sum is
+    (A + A^T - B) / 2 with A = dg u and B_ab = sum_c u_c dg[c]_ab.
+    """
+    d = len(u)
+    pairs = g.reshape(4, d, d, d)
+    dg = (_METRIC_WEIGHTS @ (pairs[0::2] - pairs[1::2]).reshape(2, -1)).reshape(d, d, d)
+    A = dg @ u
+    B = (u @ dg.reshape(d, d * d)).reshape(d, d)
+    return 0.5 * (A + A.T - B)
 
 
 def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
@@ -320,35 +384,43 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     native to that chart converts nothing; a Siegel point is moved to the
     ball. The stencil is built and checked as one stacked ChartPoint of k
     points, and surface is called once on it; its values must broadcast to
-    (k,), or ShapeError is raised. The metric is evaluated once, on the
-    stack of p and its Christoffel difference points. The convention gives
-    +(2n+1) for the horosphere residual alpha - a with the normal pointing
-    toward growing alpha.
+    (k,), or ShapeError is raised. The convention gives +(2n+1) for the
+    horosphere residual alpha - a with the normal pointing toward growing
+    alpha.
+
+    Every derivative is a fixed linear map of sampled values. The gradient
+    and Hessian of f are one weighted sum over the cached rows of
+    _grad_hess_weights: d + d^2 rows of 8 stencil values, 10 KB of tables
+    at n = 2 and 37 KB at n = 4. The metric is evaluated once, on the
+    stack of p and its Christoffel difference points, and its derivatives
+    are contracted with u = g^-1 df (_christoffel_contraction) without
+    forming the d^3 Christoffel symbols. Then
+    H = -<g^-1 - u u^T / |df|^2, Hess f - sum_c Gamma^c d_c f> / |df|.
     """
     n = p.n
     chart = HORO if p.chart == HORO else BALL
     metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
     x0 = coords_array(convert(p, chart))
-
-    def values(stack):
-        f = np.asarray(surface(point_from_array(chart, stack, n)), dtype=float)
-        try:
-            return np.broadcast_to(f, (len(stack),))
-        except ValueError:
-            raise ShapeError(f"surface gave shape {f.shape} on a stack of "
-                             f"{len(stack)} points") from None
-
-    grad, hess = _richardson_grad_hess(values, x0, CURVATURE_STEP)
-    g = metric(x0 + _christoffel_offsets(len(x0)), n)
+    d = len(x0)
+    stack = x0 + _stencil_offsets(d, CURVATURE_STEP)
+    f = np.asarray(surface(point_from_array(chart, stack, n)), dtype=float)
+    try:
+        f = np.broadcast_to(f, (len(stack),))
+    except ValueError:
+        raise ShapeError(f"surface gave shape {f.shape} on a stack of "
+                         f"{len(stack)} points") from None
+    index, weights, scale = _grad_hess_weights(d, CURVATURE_STEP)
+    grad_hess = scale * (weights * f[index]).sum(axis=1)
+    grad, hess = grad_hess[:d], grad_hess[d:].reshape(d, d)
+    g = metric(x0 + _christoffel_offsets(d), n)
     ginv = np.linalg.inv(g[0])
-    norm2 = float(grad @ ginv @ grad)
+    u = ginv @ grad
+    norm2 = float(grad @ u)
     if norm2 < 1e-16:
         raise SingularPointError("degenerate surface gradient")
-    gamma = _christoffel(g[1:], ginv)
-    hess_cov = hess - np.einsum("cab,c->ab", gamma, grad)
-    Nup = ginv @ grad / np.sqrt(norm2)
-    proj = ginv - np.outer(Nup, Nup)
-    return -float(np.einsum("ab,ab->", proj, hess_cov)) / np.sqrt(norm2)
+    hess_cov = hess - _christoffel_contraction(g[1:], u)
+    proj = ginv - np.outer(u, u) / norm2
+    return -float(np.vdot(proj, hess_cov)) / np.sqrt(norm2)
 
 
 # ---------------------------------------------------------------------------

@@ -483,11 +483,16 @@ def test_step_budget_is_one_line_failure(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flags", [
     # the dense-output stages leave the orbit space
-    "--case elliptic --n 2 --m 1 --a 300 --tol 1e-3 --smax 1e6 --h 1e6",
+    "--case elliptic --n 2 --m 1 --a 1 --tol 1e-3 --smax 1e6 --h -1e6",
     # math.sinh overflows past r = 710
     "--case loxodromic --n 3 --m 2 --a 0.5 --smax 1e6",
     # a non-finite sigma reaches math.cos
+    "--case special-loxodromic --n 2 --a 2 --tol 1e-2 --smax 1e6 --h -1",
+    # theta0 = s0 / (2 sinh a) starts below the domain_exit level 1e-12
+    "--case elliptic --n 2 --m 1 --a 300 --tol 1e-3 --smax 1e6 --h 1e6",
     "--case elliptic --n 2 --m 1 --a 30 --tol 1e-3 --smax 1e6 --h -7",
+    "--case elliptic --n 2 --m 1 --a 19",
+    "--case elliptic --n 2 --m 1 --a 300",
     # the first right-hand side call is on the singular stratum
     "--case elliptic --n 2 --m 1 --a 1e-8",
     # so it is where sinh(a) overflows
@@ -511,7 +516,9 @@ def test_failed_curve_is_one_line(tmp_path, monkeypatch, capsys, flags):
 
 @pytest.mark.parametrize("verb,flag", [("curve", "--a"), ("boundary", "--a"),
                                        ("family", "--a-grid")])
-@pytest.mark.parametrize("a,theta0", [("1e-8", "5000.0"), ("800", "0.0")])
+@pytest.mark.parametrize("a,theta0", [("1e-8", "5000.0"), ("800", "0.0"),
+                                      ("19", "5.602796437537269e-13"),
+                                      ("300", "5.148200222412014e-135")])
 def test_singular_start_names_a(tmp_path, capsys, verb, flag, a, theta0):
     # a start on the singular stratum is one line that names the start
     # parameter a and theta0, with no warning on the way; the message comes

@@ -257,6 +257,27 @@ def test_invalid_start():
         integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 2), 1.0, s_max=0.0)
 
 
+def test_start_past_an_event_level():
+    # a start at or past the level of one of the curve's events raises
+    # before the first step: theta0 = s0 / (2 sinh a) < 1e-12 once a > ~18.4,
+    # rho0 = sqrt(a) s0 / 2 < 1e-14, or c1 at or below its floor
+    ell = ReducedCase(ELLIPTIC, 2, 1)
+    assert integrate_profile(ell, 18.0, s_max=2.0, n_samples=5).accepted > 0
+    for case, a in ((ell, 19.0), (ell, 25.0), (ell, 300.0),
+                    (ReducedCase(LOXODROMIC, 3, 2), 19.0),
+                    (ReducedCase(SPECIAL_LOXODROMIC, 2), -19.0)):
+        with pytest.raises(SingularBoundaryError,
+                           match=r"^a = .* starts the curve at theta0 = "):
+            integrate_profile(case, a)
+    with pytest.raises(SingularBoundaryError, match=r"at rho0 = sqrt\(a\) s0/2 = "):
+        integrate_profile(ReducedCase(PARABOLIC, 2, 1), 1e-30, c1_floor=1e-40)
+    with pytest.raises(SingularBoundaryError, match=r"not above its floor 1e-08; "):
+        integrate_profile(ReducedCase(PARABOLIC, 2, 1), 1e-9)
+    with pytest.raises(SingularBoundaryError,
+                       match=r"^a = 0.5 starts the curve at c1 = 0.5, not above its floor 0.5; "):
+        integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 2), 0.5, c1_floor=0.5)
+
+
 def test_residual_diagnostics():
     case = ReducedCase(ELLIPTIC, 2, 1)
     c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10, n_samples=2001)

@@ -30,7 +30,9 @@ from hqn.loci import canonical_bisector_residual, fan_at_origin_residual
 from hqn.oracles import (
     CHRISTOFFEL_STEP,
     CURVATURE_STEP,
+    _christoffel_contraction,
     _christoffel_offsets,
+    _grad_hess_weights,
     _richardson_grad_hess,
     _killing_vectors,
     _stencil_offsets,
@@ -317,6 +319,115 @@ def test_stacked_stencil_matches_loop(n, chart, kind):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_grad_hess_trailing_axis_is_each_column():
+    # each trailing index of the values is differenced with the bits of a
+    # one-dimensional call on that column
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-0.5, 0.5, 8)
+    F = rng.normal(size=(len(_stencil_offsets(8, CURVATURE_STEP)), 2, 3))
+    grad, hess = _richardson_grad_hess(lambda stack: F, x, CURVATURE_STEP)
+    assert grad.shape == (8, 2, 3) and hess.shape == (8, 8, 2, 3)
+    for i, j in np.ndindex(2, 3):
+        g, H = _richardson_grad_hess(lambda stack: F[:, i, j], x, CURVATURE_STEP)
+        assert _same_bits(grad[:, i, j], g) and _same_bits(hess[:, :, i, j], H)
+
+
+def _weight_map(dim):
+    # the map of _grad_hess_weights applied to stencil values, and the
+    # rounding bound of its 8-term rows, 4 * 8 eps (|scale weights| @ |f|)
+    index, weights, scale = _grad_hess_weights(dim, CURVATURE_STEP)
+
+    def apply(f):
+        bound = 32.0 * np.finfo(float).eps * scale * (np.abs(weights) * np.abs(f[index])).sum(axis=1)
+        return scale * (weights * f[index]).sum(axis=1), bound
+    return apply
+
+
+@pytest.mark.parametrize("dim", [8, 12, 16])
+def test_grad_hess_weights_are_the_differences_on_unit_vectors(dim):
+    # the map's matrix, scaled, has the bits of _richardson_grad_hess on
+    # the k unit vectors (one call on the identity, its trailing axis the
+    # columns); the cached tables are read-only
+    index, weights, scale = _grad_hess_weights(dim, CURVATURE_STEP)
+    assert _grad_hess_weights(dim, CURVATURE_STEP)[0] is index
+    assert index.shape == weights.shape == (dim + dim * dim, 8) == scale.shape + (8,)
+    for table in (index, weights, scale):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    k = len(_stencil_offsets(dim, CURVATURE_STEP))
+    grad, hess = _richardson_grad_hess(lambda stack: np.eye(k), np.zeros(dim), CURVATURE_STEP)
+    matrix = np.zeros((dim + dim * dim, k))
+    np.add.at(matrix, (np.arange(len(index))[:, None], index), weights)
+    assert _same_bits(scale[:, None] * matrix,
+                      np.concatenate([grad, hess.reshape(dim * dim, k)]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("chart", [HORO, BALL])
+@pytest.mark.parametrize("kind", ["bisector", "fan", "horosphere"])
+def test_grad_hess_weights_match_differences(n, chart, kind):
+    # on a surface's stencil values the map gives the differences of
+    # _richardson_grad_hess within the rounding of its rows
+    rng = np.random.default_rng([n, [HORO, BALL].index(chart), len(kind), 1])
+    apply = _weight_map(4 * n)
+    for _ in range(3):
+        surface, p = _horo_surface_point(n, kind, rng)
+        x = coords_array(convert(p, chart))
+        k = len(_stencil_offsets(4 * n, CURVATURE_STEP))
+        f = np.broadcast_to(surface(point_from_array(
+            chart, x + _stencil_offsets(4 * n, CURVATURE_STEP), n)), (k,))
+        g, H = _richardson_grad_hess(lambda stack: f, x, CURVATURE_STEP)
+        got, bound = apply(f)
+        assert np.all(np.abs(got - np.concatenate([g, H.ravel()])) <= bound)
+
+
+@pytest.mark.parametrize("dim", [8, 12])
+def test_grad_hess_weights_are_exact_on_quadratics(dim):
+    # central differences are exact on a quadratic, so the map gives its
+    # gradient and Hessian to rounding; at x = 0 the stencil points are the
+    # offsets themselves
+    rng = np.random.default_rng(dim)
+    apply = _weight_map(dim)
+    pts = _stencil_offsets(dim, CURVATURE_STEP)
+    for _ in range(5):
+        c, b = rng.normal(), rng.normal(size=dim)
+        Q = rng.normal(size=(dim, dim))
+        Q = Q + Q.T
+        got, bound = apply(c + pts @ b + 0.5 * np.einsum("ka,ab,kb->k", pts, Q, pts))
+        assert np.all(np.abs(got - np.concatenate([b, Q.ravel()])) <= bound)
+
+
+def _einsum_christoffel(g, ginv):
+    # the reference: the full d^3 Christoffel array from the metric's
+    # Richardson differences, as the curvature oracle formed it
+    d = len(ginv)
+    step = CHRISTOFFEL_STEP
+    g = g.reshape(4, d, d, d)
+    dg = (4.0 * (g[2] - g[3]) / step - (g[0] - g[1]) / (2.0 * step)) / 3.0
+    return 0.5 * np.einsum("cd,abd->cab", ginv,
+                           dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("chart", [HORO, BALL])
+def test_christoffel_contraction_matches_einsum(n, chart):
+    # sum_c Gamma^c_ab d_c f from the contraction with u = g^-1 df equals the
+    # one from the full Christoffel array, to 1e-13 relative
+    rng = np.random.default_rng([n, [HORO, BALL].index(chart), 2])
+    metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
+    d = 4 * n
+    for i in range(20):
+        _, p = _horo_surface_point(n, ["bisector", "fan", "horosphere"][i % 3], rng)
+        x = coords_array(convert(p, chart))
+        g = metric(x + _christoffel_offsets(d), n)
+        ginv = np.linalg.inv(g[0])
+        grad = rng.normal(size=d)
+        want = np.einsum("cab,c->ab", _einsum_christoffel(g[1:], ginv), grad)
+        got = _christoffel_contraction(g[1:], ginv @ grad)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_mean_curvature_stencil_leaves_chart():
     # at alpha = 5e-4 the step-1e-3 stencil point alpha - h is outside the chart
     assert CURVATURE_STEP == 1e-3
@@ -419,18 +530,21 @@ def test_exact_killing_fields(case):
     assert np.max(np.abs(_killing_vectors(basis, lift(p)) - fd)) <= 1e-8
 
 
-# Every check value of `hqn oracle --n 2` and `--n 3`, as float.hex, as
-# computed before the stencils were cached and the Killing fields were one
-# product.
+# Every check value of `hqn oracle --n 2` and `--n 3`, as float.hex. The
+# Killing spreads are as computed before the stencils were cached and the
+# Killing fields were one product; the curvatures as computed with the
+# stencil's integer weight map and the contracted Christoffel term.
 ORACLE_VALUES = {
     2: [
         ("killing ratio spread elliptic m=1", "0x1.cfffffffffffcp-49"),
         ("killing ratio spread special-loxodromic m=None", "0x1.9000000000006p-49"),
         ("killing ratio spread parabolic m=1", "0x1.13ffffffffff5p-47"),
         ("killing ratio spread special-parabolic m=None", "0x1.03ffffffffffap-47"),
-        ("bisector mean curvature", "0x1.38b3f3f0caa24p-38"),
-        ("fan mean curvature", "0x1.bf70fb3dda7dep-44"),
-        ("horosphere mean curvature error", "0x1.521a000000000p-34"),
+        ("bisector mean curvature", "0x1.38b389f067297p-38"),
+        ("fan mean curvature", "0x1.1bf8425676c98p-49"),
+        ("horosphere mean curvature error", "0x1.5218000000000p-34"),
+        ("general fan mean curvature", "0x1.cc838634f2d08p-32"),
+        ("bisector family t=0.7 mean curvature", "0x1.86d7082ca0f82p-34"),
     ],
     3: [
         ("killing ratio spread elliptic m=1", "0x1.6fffffffffffdp-48"),
@@ -440,9 +554,11 @@ ORACLE_VALUES = {
         ("killing ratio spread parabolic m=1", "0x1.2bffffffffff9p-47"),
         ("killing ratio spread parabolic m=2", "0x1.07ffffffffff5p-46"),
         ("killing ratio spread special-parabolic m=None", "0x1.83ffffffffff7p-47"),
-        ("bisector mean curvature", "0x1.528ad6b8a42d4p-37"),
-        ("fan mean curvature", "0x1.f77fe8b4ff3a3p-39"),
-        ("horosphere mean curvature error", "0x1.2226000000000p-33"),
+        ("bisector mean curvature", "0x1.528a1069c43f0p-37"),
+        ("fan mean curvature", "0x1.ed9805173fcc5p-39"),
+        ("horosphere mean curvature error", "0x1.2225800000000p-33"),
+        ("general fan mean curvature", "0x1.10e736255bfcbp-30"),
+        ("bisector family t=0.7 mean curvature", "0x1.354de5a4c2eb3p-34"),
     ],
 }
 
