@@ -294,7 +294,7 @@ def _cmd_oracle(args) -> int:
         checks.append(_check("bisector mean curvature", worst_b, 1e-3))
         checks.append(_check("fan mean curvature", worst_f, 1e-3))
         checks.append(_check("horosphere mean curvature error", worst_h, 1e-3))
-    if args.oracle in ("families", "all"):
+    if args.oracle == "all":
         n, rng, t = args.n, np.random.default_rng(405), 0.7
         worst_f = worst_b = 0.0
         for _ in range(args.points):
@@ -397,7 +397,7 @@ def _flags_verify(p) -> None:
 
 
 def _flags_oracle(p) -> None:
-    p.add_argument("--oracle", default="all", choices=["all", "volume", "curvature", "families"])
+    p.add_argument("--oracle", default="all", choices=["all", "volume", "curvature"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--out", default=None)

@@ -282,23 +282,20 @@ def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
     x + _stencil_offsets(d, step): x, then per step the 2d axis points
     x +- h e_a (shared by the gradient and the Hessian diagonal) and the
     2d(d-1) points (x +- h e_a) +- h e_b, a < b. Both steps' differences
-    are taken in one pass over a leading axis of 2. values may give
-    (k, ...) arrays: each trailing index is differenced on its own, with
-    the bits of a (k,) call, into a (d, ...) gradient and (d, d, ...)
-    Hessian. ambient_mean_curvature takes the same differences as the
-    rows of _grad_hess_weights, whose reference this is.
+    are taken in one pass over a leading axis of 2. ambient_mean_curvature
+    takes the same differences as the rows of _grad_hess_weights, whose
+    reference this is.
     """
     dim = len(x)
     a, b = _upper_pairs(dim)
     f = values(x + _stencil_offsets(dim, step))
-    tail = f.shape[1:]
     f0 = f[0]
-    fh = f[1:].reshape((2, -1) + tail)
-    h = np.array([step / 2.0, step]).reshape((2, 1) + (1,) * len(tail))
-    fp, fm = fh[:, :2 * dim].reshape((2, 2, dim) + tail).swapaxes(0, 1)
-    fpp, fpm, fmp, fmm = fh[:, 2 * dim:].reshape((2, 4, -1) + tail).swapaxes(0, 1)
+    fh = f[1:].reshape(2, -1)
+    h = np.array([[step / 2.0], [step]])
+    fp, fm = fh[:, :2 * dim].reshape(2, 2, dim).swapaxes(0, 1)
+    fpp, fpm, fmp, fmm = fh[:, 2 * dim:].reshape(2, 4, -1).swapaxes(0, 1)
     g = (fp - fm) / (2.0 * h)
-    H = np.empty((2, dim, dim) + tail)
+    H = np.empty((2, dim, dim))
     H[:, a, b] = H[:, b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h ** 2)
     H[:, np.arange(dim), np.arange(dim)] = (fp - 2.0 * f0 + fm) / h ** 2
     return (4.0 * g[0] - g[1]) / 3.0, (4.0 * H[0] - H[1]) / 3.0

@@ -319,19 +319,6 @@ def test_stacked_stencil_matches_loop(n, chart, kind):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def test_grad_hess_trailing_axis_is_each_column():
-    # each trailing index of the values is differenced with the bits of a
-    # one-dimensional call on that column
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-0.5, 0.5, 8)
-    F = rng.normal(size=(len(_stencil_offsets(8, CURVATURE_STEP)), 2, 3))
-    grad, hess = _richardson_grad_hess(lambda stack: F, x, CURVATURE_STEP)
-    assert grad.shape == (8, 2, 3) and hess.shape == (8, 8, 2, 3)
-    for i, j in np.ndindex(2, 3):
-        g, H = _richardson_grad_hess(lambda stack: F[:, i, j], x, CURVATURE_STEP)
-        assert _same_bits(grad[:, i, j], g) and _same_bits(hess[:, :, i, j], H)
-
-
 def _weight_map(dim):
     # the map of _grad_hess_weights applied to stencil values, and the
     # rounding bound of its 8-term rows, 4 * 8 eps (|scale weights| @ |f|)
@@ -346,8 +333,8 @@ def _weight_map(dim):
 @pytest.mark.parametrize("dim", [8, 12, 16])
 def test_grad_hess_weights_are_the_differences_on_unit_vectors(dim):
     # the map's matrix, scaled, has the bits of _richardson_grad_hess on
-    # the k unit vectors (one call on the identity, its trailing axis the
-    # columns); the cached tables are read-only
+    # the k unit vectors, one call per column; the cached tables are
+    # read-only
     index, weights, scale = _grad_hess_weights(dim, CURVATURE_STEP)
     assert _grad_hess_weights(dim, CURVATURE_STEP)[0] is index
     assert index.shape == weights.shape == (dim + dim * dim, 8) == scale.shape + (8,)
@@ -356,11 +343,13 @@ def test_grad_hess_weights_are_the_differences_on_unit_vectors(dim):
         with pytest.raises(ValueError):
             table[0] = 1
     k = len(_stencil_offsets(dim, CURVATURE_STEP))
-    grad, hess = _richardson_grad_hess(lambda stack: np.eye(k), np.zeros(dim), CURVATURE_STEP)
+    want = np.empty((dim + dim * dim, k))
+    for j, unit in enumerate(np.eye(k)):
+        grad, hess = _richardson_grad_hess(lambda stack: unit, np.zeros(dim), CURVATURE_STEP)
+        want[:, j] = np.concatenate([grad, hess.ravel()])
     matrix = np.zeros((dim + dim * dim, k))
     np.add.at(matrix, (np.arange(len(index))[:, None], index), weights)
-    assert _same_bits(scale[:, None] * matrix,
-                      np.concatenate([grad, hess.reshape(dim * dim, k)]))
+    assert _same_bits(scale[:, None] * matrix, want)
 
 
 @pytest.mark.parametrize("n", [2, 3])
