@@ -1,12 +1,15 @@
 """Command-line surface for curves, families, verification and oracles.
 
-Exit codes: 0 success, 1 failed check or numerical failure, 2 usage error.
+Exit codes: 0 success, 1 failed check, numerical failure or unwritable output,
+2 usage error.
 Output files are byte-deterministic for identical configurations.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import re
 import sys
@@ -29,6 +32,7 @@ from .errors import (
     ExtrapolationError,
     NotInteriorError,
     NumericalError,
+    OutputError,
     ShapeError,
     SingularBoundaryError,
 )
@@ -76,11 +80,192 @@ def _fmt(x: float) -> str:
     return FMT % x
 
 
+# The curve table is formatted in numpy, one 48-byte row per value, built as
+# six little-endian uint64 words: the sign, the "0.000" prefix of fixed
+# notation and the first digit with its slot; 16 (digit, slot) pairs, four to
+# a word; "e-ddd" and the separator. A slot holds "." after the last integer
+# digit. Bytes a value does not use are 0 and are deleted at the end.
+_WORD = np.dtype("<u8")
+_SEP = 47                   # the byte of "," or "\n"
+# |x| in [1e-270, 1e270] takes the fast path, with k = floor(log10 |x|)
+# within +-_K_MAX and p = 16 - k from _P_MIN to _P_MAX (log10 may be off by one)
+_FAST_MIN, _FAST_MAX = 1e-270, 1e270
+_P_MIN, _P_MAX = -255, 287
+_K_MAX = 16 - _P_MIN
+_SPLIT = 134217729.0        # 2^27 + 1: Veltkamp's split of a double in halves
+
+
+def _word(text: bytes, at: int) -> int:
+    """text placed from byte `at` of a little-endian uint64."""
+    return int.from_bytes(text, "little") << (8 * at)
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The tables of _format_g17, built on its first call:
+    - hi, lo by p in [_P_MIN, _P_MAX], with hi + lo = 10^p to about 2^-106:
+      hi is 10^p rounded and lo the remainder rounded, both from integer
+      arithmetic, whose int / int rounds correctly; lo = 0 for 0 <= p <= 22,
+      where 10^p is a double;
+    - head and tail words by k in [-_K_MAX, _K_MAX]: the "0.000" prefix of
+      fixed notation for -4 <= k < 0 and the "e-ddd" of scientific notation
+      outside -4 <= k < 17;
+    - by c in [0, 10^4): the word of its four digits as (digit, slot) pairs,
+      and, at c + j 10^4, the index among the 17 digits of its last nonzero
+      one when c is chunk j = 0..3 (4j + 1 to 4j + 4; 0 for c = 0);
+    - by the index of the last digit shown, 0 to 16, and of the last integer
+      digit, -4 to 16 (negative in fixed notation below 1), the masks of the
+      four pair words and the "." in the first five words."""
+    hi, lo = [], []
+    for p in range(_P_MIN, _P_MAX + 1):
+        t = 10 ** abs(p)
+        if p >= 0:
+            hi.append(float(t))
+            lo.append(float(t - int(hi[-1])))
+        else:
+            hi.append(1 / t)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * t) / (den * t))
+    ks = range(-_K_MAX, _K_MAX + 1)
+    head = [_word(b"0." + b"0" * (-1 - k), 1) if -4 <= k < 0 else 0 for k in ks]
+    tail = [0 if -4 <= k < 17 else _word(b"e%+03d" % k, 0) for k in ks]
+    # the digits of c = 0..9999, first digit first
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+    pairs = np.zeros((10 ** 4, 8), np.uint8)
+    pairs[:, ::2] = digits.T + ord("0")
+    place = np.max((digits != 0) * np.arange(1, 5, dtype=np.uint8)[:, None], axis=0)
+    last = np.concatenate([np.where(place > 0, place + 4 * j, 0) for j in range(4)])
+    fill = np.zeros((17, 21, 9), _WORD)
+    for shown in range(17):
+        fill[shown, :, :4] = [(1 << 16 * min(max(shown - 4 * j, 0), 4)) - 1 for j in range(4)]
+        for point in range(shown):
+            at = 7 + 2 * point
+            fill[shown, point + 4, 4 + at // 8] = _word(b".", at % 8)
+    return (np.array(hi), np.array(lo), np.array(head, _WORD), np.array(tail, _WORD),
+            pairs.view(_WORD).ravel(), last, fill.reshape(-1, 9).T.copy())
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hi = _SPLIT * a
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _digits17(ax: np.ndarray, hi_of: np.ndarray,
+              lo_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k = floor(log10 ax), D = round-half-even(ax 10^(16 - k)) and where D
+    is not certain, for ax in [_FAST_MIN, _FAST_MAX]; in place where it can,
+    so that few arrays of ax's size live at once."""
+    k = np.log10(ax)
+    k = np.floor(k, out=k).astype(np.intp)
+    hi, lo = hi_of.take(16 - _P_MIN - k), lo_of.take(16 - _P_MIN - k)
+    prod = ax * hi
+    a1, a2 = _split(ax)
+    b1, b2 = _split(hi)
+    del hi
+    # prod + rest = ax * hi exactly, and then adds ax * lo; the sums run in
+    # the order ((a1 b1 - prod) + a1 b2 + a2 b1) + a2 b2 + ax lo
+    rest = a1 * b1
+    rest -= prod
+    rest += a1 * b2
+    rest += a2 * b1
+    rest += a2 * b2
+    del a1, a2, b1, b2
+    rest += ax * lo
+    # prod >= 2^53 is an even integer, so rounding rest rounds the sum
+    step = np.rint(rest)
+    digits = prod.astype(np.int64)
+    digits += step.astype(np.int64)
+    # a log10 one too large leaves ax 10^p below 10^16, though D may round
+    # up to it; one too small leaves D >= 10^17; and lo != 0 where the
+    # product is not exact, so that a near tie is not certain
+    prod -= 1e16
+    prod += rest
+    slow = prod < 0
+    slow |= digits >= 10 ** 17
+    rest -= step
+    slow |= (np.abs(rest, out=rest) >= 0.5 - 1e-9) & (lo != 0)
+    return k, digits, slow
+
+
+def _format_g17(table: np.ndarray) -> bytes:
+    """The bytes of "".join(",".join(FMT % v for v in row) + "\n" for row in
+    table) for a 2-d float64 table, in a few array passes.
+
+    Each value |x| in [1e-270, 1e270] gets k = floor(log10 |x|) and the 17
+    digits D = round-half-even(|x| 10^(16 - k)) from the Dekker product of
+    |x| with 10^(16 - k) = hi + lo. For 0 <= 16 - k <= 22 the product is
+    exact, so ties are decided exactly. nan, +-inf and +-0 are written as
+    FMT writes them. A value outside that range, one whose log10 was off by
+    one (|x| 10^(16 - k) outside [10^16, 10^17) once rounded) and one within
+    1e-9 of a tie that is not exact are formatted by FMT itself."""
+    n_rows, n_cols = table.shape
+    x = table.ravel()
+    hi_of, lo_of, head_of, tail_of, pairs_of, last_of, fill_of = _g17_tables()
+    with np.errstate(all="ignore"):
+        ax = np.abs(x)
+        fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+        np.copyto(ax, 1.0, where=~fast)
+        k, digits, slow = _digits17(ax, hi_of, lo_of)
+    # each array is dropped once used: faulting in the pages of a larger peak
+    # costs more than the arithmetic
+    del ax
+    # D as a lead digit and four chunks of four digits
+    top, bottom = np.divmod(digits, 10 ** 8)
+    del digits
+    lead, top = np.divmod(top.astype(np.uint32), 10 ** 8)
+    bottom = bottom.astype(np.uint32)
+    chunks = [top // 10 ** 4, top % 10 ** 4, bottom // 10 ** 4, bottom % 10 ** 4]
+    del top, bottom
+    # the digits shown end at the last nonzero one or, in fixed notation,
+    # at the last integer digit, which a "." follows if any digit does
+    last = functools.reduce(np.maximum, [last_of.take(c + j * 10 ** 4)
+                                         for j, c in enumerate(chunks)])
+    point = np.where((k >= -4) & (k < 17), k, 0)
+    fill = np.maximum(last, point) * 21 + point + 4
+    words = np.empty((x.size, 6), _WORD)
+    words[:, 0] = (head_of[k + _K_MAX] | (lead.astype(_WORD) + ord("0")) << 48
+                   | fill_of[4].take(fill))
+    for j, c in enumerate(chunks):
+        words[:, 1 + j] = pairs_of.take(c) & fill_of[j].take(fill) | fill_of[5 + j].take(fill)
+    seps = np.array([_word(b",", 7)] * (n_cols - 1) + [_word(b"\n", 7)], _WORD)
+    words[:, 5] = tail_of[k + _K_MAX] | np.tile(seps, n_rows)
+    del chunks, fill
+    out = words.view(np.uint8)
+    out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+
+    # a value off the fast path was formatted as 1, a lone first digit, so
+    # writing the first word writes nan, inf or 0
+    other = np.flatnonzero(~fast)
+    special = ~np.isfinite(x[other]) | (x[other] == 0)
+    xs = x[other[special]]
+    words[other[special], 0] = np.where(
+        np.isnan(xs), _word(b"nan", 1),
+        np.signbit(xs) * ord("-") | np.where(xs == 0, _word(b"0", 1), _word(b"inf", 1)))
+    for i in np.concatenate([np.flatnonzero(slow), other[~special]]):
+        text = (FMT % x[i]).encode()
+        out[i, :_SEP] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    data = out.tobytes()
+    del words, out
+    return data.translate(None, b"\0")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Raise an OSError from the block as an OutputError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_curve_csv(curve, path: Path) -> None:
     table = np.column_stack([curve.uniform_s, curve.uniform_states, curve.V,
                              curve.I1, curve.I2, curve.residual])
-    row = "\n" + ",".join([FMT] * table.shape[1])
-    path.write_text((CSV_HEADER + row * len(table) + "\n") % tuple(table.ravel().tolist()))
+    data = (CSV_HEADER + "\n").encode() + _format_g17(table)
+    with _writing(path):
+        path.write_bytes(data)
 
 
 def _floats(flag: str, text: str) -> list[float]:
@@ -103,7 +288,8 @@ def _report(checks) -> dict:
 def _emit_report(report: dict, out) -> int:
     text = json.dumps(report, indent=2, sort_keys=False)
     if out:
-        Path(out).write_text(text + "\n")
+        with _writing(out):
+            Path(out).write_text(text + "\n")
     else:
         print(text)
     return 0 if report["pass"] else 1
@@ -245,7 +431,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_family(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     fam = [integrate_profile(args.case, a, s_max=args.smax, tol=args.tol, h=args.h,
                              n_samples=args.samples) for a in args.a_grid]
     for a, curve in zip(args.a_grid, fam):
@@ -452,8 +639,9 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 def _check_flags(args) -> None:
     """Raise DomainError, ShapeError or NotInteriorError for flag values no
     verb can run with. Only these become usage errors: a NumericalError,
-    DomainError or SingularBoundaryError raised later, while computing, is
-    a one-line failure with exit 1, and any other error propagates."""
+    DomainError or SingularBoundaryError raised later, while computing, or
+    an OutputError while writing, is a one-line failure with exit 1, and
+    any other error propagates."""
     if getattr(args, "case", None) is not None:
         args.case = _case(args)
         # hqn boundary checks the limits of minimal curves: h = 0 and the
@@ -497,7 +685,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args)
-    except (NumericalError, DomainError, SingularBoundaryError) as exc:
+    except (NumericalError, DomainError, SingularBoundaryError, OutputError) as exc:
         print(f"hqn {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -33,6 +33,11 @@ class NoSingularStratumError(ValueError):
     """The requested case has no singular boundary stratum."""
 
 
+class OutputError(OSError):
+    """An output file or directory cannot be written. The CLI reports it in
+    one line with exit 1."""
+
+
 class NumericalError(RuntimeError):
     """A computation on valid input failed numerically. The CLI reports it
     in one line with exit 1."""

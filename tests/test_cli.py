@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import hqn.integrator
 from hqn import cli
@@ -70,6 +73,150 @@ def test_curve_byte_deterministic(tmp_path):
               "--out", str(out)])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _reference_text(table):
+    # the curve file as the writer made it with one % over the table: the
+    # reference for the vectorised formatter
+    row = "\n" + ",".join([cli.FMT] * table.shape[1])
+    return (cli.CSV_HEADER + row * len(table) + "\n") % tuple(table.ravel().tolist())
+
+
+def _reference_write(curve, path):
+    table = np.column_stack([curve.uniform_s, curve.uniform_states, curve.V,
+                             curve.I1, curve.I2, curve.residual])
+    path.write_text(_reference_text(table))
+
+
+def _assert_formats_like_percent(values, n_cols=1):
+    table = np.asarray(values, dtype=np.float64).reshape(-1, n_cols)
+    got = (cli.CSV_HEADER + "\n").encode() + cli._format_g17(table)
+    assert got == _reference_text(table).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                    elements=st.floats()))
+def test_format_matches_percent_on_any_floats(table):
+    # nan, +-inf, +-0 and subnormals included
+    _assert_formats_like_percent(table, table.shape[1])
+
+
+def test_format_matches_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(2025).integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64)
+    _assert_formats_like_percent(bits.view(np.float64), 8)
+
+
+def test_format_decides_ties_and_powers_of_ten():
+    # exact ties of the 17th digit, decided half to even
+    ties = [1 + 2 ** -17, 3 * 2 ** -24, 11120207626922.8125]
+    assert [cli.FMT % v for v in ties] == ["1.0000076293945312", "1.7881393432617188e-07",
+                                           "11120207626922.812"]
+    _assert_formats_like_percent(ties + [-v for v in ties])
+    # every tie where 10^(16 - k) is not a double: (2n + 1) 10^-p / 2 with
+    # 5^p dividing 2n + 1, so p = 23 or 24
+    _assert_formats_like_percent([m * 2.0 ** -24 for m in range(3, 17, 2)]
+                                 + [m * 2.0 ** -25 for m in (1, 3)])
+    # each power of ten, where log10 may be off by one, and its neighbours
+    tens = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    _assert_formats_like_percent(np.concatenate(
+        [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)]), 3)
+    # where fixed notation turns scientific, and 17 digits turn 18
+    _assert_formats_like_percent([1e16, 1e17, 99999999999999999.0, 1e-4, 1e-5,
+                                  9.9999999999999995e-5, 0.0, -0.0])
+
+
+CURVE_FLAGS = [
+    # the bench cases
+    "--case elliptic --n 2 --m 1 --a 1.3 --tol 1e-11",
+    "--case loxodromic --n 3 --m 2 --a 0.7 --tol 1e-11",
+    "--case special-loxodromic --n 2 --a 0.4 --tol 1e-11",
+    "--case parabolic --n 2 --m 1 --a 1.1 --smax 60 --tol 1e-11",
+    "--case special-parabolic --n 2 --a 0.9 --smax 50 --tol 1e-11",
+    # CMC curves and the mirrored special-loxodromic curve
+    "--case elliptic --n 2 --m 1 --a 1 --h 1 --tol 1e-8",
+    "--case elliptic --n 2 --m 1 --a 1 --h -1 --tol 1e-8",
+    "--case special-loxodromic --n 2 --a -0.5",
+    # V and I1 reach inf, and the I2 column is nan
+    "--case elliptic --n 2 --m 1 --a 1 --smax 200",
+    "--case elliptic --n 2 --m 1 --a 1 --samples 0",
+    "--case elliptic --n 2 --m 1 --a 1 --samples 1",
+    "--case elliptic --n 2 --m 1 --a 1 --samples 2",
+]
+
+
+@pytest.mark.parametrize("flags", CURVE_FLAGS)
+def test_curve_file_matches_percent_writer(tmp_path, monkeypatch, flags):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    assert main(["curve", *flags.split(), "--out", str(new)]) == 0
+    monkeypatch.setattr(cli, "_write_curve_csv", _reference_write)
+    assert main(["curve", *flags.split(), "--out", str(ref)]) == 0
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def _reformats_to_itself(data: bytes) -> bool:
+    # every field read with float and written with %.17g gives the same
+    # bytes; shares no code with the writer
+    header, *rows = data.decode().split("\n")
+    return rows[-1] == "" and "\n".join(
+        ",".join("%.17g" % float(v) for v in row.split(",")) for row in rows[:-1]) \
+        == "\n".join(rows[:-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(["--case elliptic --n 2 --m 1", "--case loxodromic --n 3 --m 2",
+                             "--case special-loxodromic --n 2", "--case parabolic --n 2 --m 1",
+                             "--case special-parabolic --n 2"]),
+       a=st.sampled_from(["1e-300", "1e-8", "0.5", "3", "30", "300", "-0.5", "0"]),
+       h=st.sampled_from(["0", "1", "-7", "50", "1e6", "-1e6"]),
+       tol=st.sampled_from(["1e-3", "1e-14", "1e-16", "0.5"]),
+       smax=st.sampled_from(["1e-3", "5", "200", "1e6"]),
+       samples=st.integers(0, 50))
+def test_curve_flags_never_traceback(tmp_path_factory, case, a, h, tol, smax, samples):
+    # any flag values end in a curve file (exit 0) whose fields re-format to
+    # themselves, a one-line failure (exit 1) or a usage error (exit 2), with
+    # nothing written; the step budget is cut from 100 000 so that curves
+    # which would spend it (h = 50 at tol 1e-14, h = +-1e6) take no seconds
+    out = tmp_path_factory.getbasetemp() / "flags.csv"
+    out.unlink(missing_ok=True)
+    argv = ["curve", *case.split(), "--a", a, "--h", h, "--tol", tol, "--smax", smax,
+            "--samples", str(samples), "--out", str(out)]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.setattr(hqn.integrator, "MAX_STEPS", 2000)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert lines == [] and _reformats_to_itself(out.read_bytes())
+    else:
+        assert not out.exists()
+        errors = [ln for ln in lines if not ln.startswith(("usage: ", " "))]
+        assert errors == [lines[-1]]
+        assert lines[-1].startswith("hqn curve: " if code == 1 else "hqn: error: ")
+
+
+@pytest.mark.parametrize("verb,argv,errnum", [
+    ("curve", ["--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
+               "--out", "{missing}/x.csv"], errno.ENOENT),
+    ("family", ["--case", "elliptic", "--n", "2", "--m", "1", "--a-grid", "1",
+                "--out-dir", "{file}/fam"], errno.ENOTDIR),
+    ("verify", ["--suite", "charts", "--out", "{missing}/r.json"], errno.ENOENT),
+])
+def test_unwritable_output_is_one_line(tmp_path, capsys, verb, argv, errnum):
+    # a missing directory, or a file where a directory should be, is one
+    # stderr line naming the path, with exit 1
+    (tmp_path / "file").write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in argv]
+    assert main([verb, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line == f"hqn {verb}: cannot write {argv[-1]}: {os.strerror(errnum)}"
 
 
 def test_family(tmp_path):
