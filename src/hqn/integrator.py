@@ -562,29 +562,36 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
                         accepted=run.accepted, rejected=run.rejected)
 
 
+def _beta_half(p: float) -> float:
+    """The complete beta function B(p, 1/2)."""
+    return math.gamma(p) * math.sqrt(math.pi) / math.gamma(p + 0.5)
+
+
+def _beta_series(x: float, a: float, c: float) -> float:
+    """sum_k (c)_k x^k / (k! (a + k)) for 0 <= x <= 1/2, to rounding: the
+    hypergeometric series of x^-a B(x; a, 1 - c)."""
+    total, term = 0.0, 1.0
+    for k in range(64):       # (c)_k / k! <= 1 for c <= 1: term k is below 2^-k
+        add = term / (a + k)
+        total += add
+        if add <= EPS * total:
+            break
+        term *= (c + k) * x / (k + 1)
+    return total
+
+
 def elliptic_integral_R(n: int) -> float:
     """The total transverse displacement R of the special parabolic
     solution through (1, 0, pi/2):
 
-        R = (1/2) integral_0^1 sqrt(t^{4n+1} / (1 - t^{4n+2})) dt.
+        R = (1/2) integral_0^1 sqrt(t^{4n+1} / (1 - t^{4n+2})) dt
+          = B(p, 1/2) / (2 (4n + 2)),  p = (4n + 3) / (8n + 4),
 
-    The endpoint singularity at t = 1 is removed by t = 1 - x^2.
+    by x = t^{4n+2}.
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    p = 4 * n + 2
-
-    def f(x):
-        if x == 0.0:
-            return 1.0 / np.sqrt(p)
-        num = (1.0 - x * x) ** (p - 1)
-        den = -np.expm1(p * np.log1p(-x * x))
-        return x * np.sqrt(num / den)
-
-    from scipy.integrate import quad
-
-    val, err = quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return float(val)
+    return _beta_half((4 * n + 3) / (8 * n + 4)) / (2 * (4 * n + 2))
 
 
 @dataclass(frozen=True)
@@ -600,9 +607,9 @@ def limit_endpoint(curve: ProfileCurve) -> EndpointLimit:
 
     Parabolic curves stopped at a small alpha floor get a tail
     correction for rho from the tangent-slope sandwich; special
-    parabolic curves use the conserved quantity to integrate the exact
-    tail. Elliptic and loxodromic curves have no finite limit and the
-    final sample is returned unconverged.
+    parabolic curves add the exact tail, an incomplete beta function of
+    the conserved quantity. Elliptic and loxodromic curves have no finite
+    limit and the final sample is returned unconverged.
     """
     case = curve.case
     n, m = case.n, case.m
@@ -617,18 +624,20 @@ def limit_endpoint(curve: ProfileCurve) -> EndpointLimit:
         c = 0.5 * (lo + hi)
         rho_lim = float(np.sqrt(fin.c2 ** 2 + c * fin.c1))
         return EndpointLimit(0.0, rho_lim, True, "extrapolated")
-    # special parabolic: use I = alpha^{-2n-1} sin(sigma)
+    # special parabolic: I = alpha^{-2n-1} sin(sigma) is conserved, so the rest
+    # of the curve adds (1/2) int_0^alpha I t^{2n+1/2} / sqrt(1 - (I t^{2n+1})^2) dt
+    # to |rho|. By x = (I t^{2n+1})^2 that is, with x = sin^2(sigma) here,
+    # sqrt(alpha) sin(sigma) x^-p B(x; p, 1/2) / (2 (4n + 2)); past x = 1/2,
+    # B(x; p, 1/2) = B(p, 1/2) - B(1 - x; 1/2, p). alpha^{-2n-1} is never formed.
     if fin.c1 > 0.5:
         raise ExtrapolationError("curve tail has not reached small alpha")
-    I = float(fin.c1 ** (-2 * n - 1) * np.sin(fin.sigma))
-
-    def slope(t):
-        return 0.5 * I * t ** (2 * n + 0.5) / np.sqrt(1.0 - (I * t ** (2 * n + 1)) ** 2)
-
-    from scipy.integrate import quad
-
-    tail, err = quad(slope, 0.0, fin.c1, epsabs=1e-13, epsrel=1e-13)
-    if not np.isfinite(tail):
-        raise ExtrapolationError("tail quadrature failed")
+    p = (4 * n + 3) / (8 * n + 4)
+    sin, cos = math.sin(fin.sigma), math.cos(fin.sigma)
+    x = sin * sin
+    if x <= 0.5:
+        S = _beta_series(x, p, 0.5)
+    else:
+        S = (_beta_half(p) - abs(cos) * _beta_series(cos * cos, 0.5, 1.0 - p)) / x ** p
+    tail = math.sqrt(fin.c1) * sin * S / (2 * (4 * n + 2))
     sign = 1.0 if fin.c2 >= 0 else -1.0
     return EndpointLimit(0.0, float(fin.c2 + sign * tail), True, "extrapolated")

@@ -1,14 +1,12 @@
 """Sp(n,1) matrices, Iwasawa subgroup actions, and inversions.
 
 Quaternionic matrices are stored as float arrays of shape (rows, cols, 4).
-Matrix products and exponentials go through the real 4x-size representation
-(each entry replaced by its left-multiplication 4x4 block), which is an
-algebra homomorphism.
+Matrix products go through the real 4x-size representation (each entry
+replaced by its left-multiplication 4x4 block), an algebra homomorphism.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +55,6 @@ def qmat_to_real(A: np.ndarray) -> np.ndarray:
     return L.reshape(A.shape[:-3] + (4 * m, 4 * k))
 
 
-def qmat_from_real(R: np.ndarray) -> np.ndarray:
-    m, k = R.shape[0] // 4, R.shape[1] // 4
-    # the first column of L(q) is q
-    return np.ascontiguousarray(R.reshape(m, 4, k, 4)[:, :, :, 0].transpose(0, 2, 1))
-
-
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of quaternion matrices; (..., m, k, 4) and (..., k, c, 4)
     stacks multiply pairwise, each pair through the same real blocks as
@@ -76,18 +68,6 @@ def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def qmat_conj_T(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, -3, -2) * CONJ
-
-
-@functools.cache
-def _expm():
-    # imported on first use, which keeps scipy off `import hqn.cli`
-    from scipy.linalg import expm
-
-    return expm
-
-
-def qmat_expm(G: np.ndarray) -> np.ndarray:
-    return qmat_from_real(_expm()(qmat_to_real(G)))
 
 
 def qmat_vec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -327,26 +307,6 @@ def unit_quaternions(v: np.ndarray) -> np.ndarray:
 
 def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
     return unit_quaternions(rng.standard_normal(4))
-
-
-def random_skew_hermitian(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Random S with S* = -S (diagonal purely imaginary), entries of scale 0.5."""
-    S = np.zeros((m, m, 4))
-    for r in range(m):
-        S[r, r] = 0.5 * np.concatenate([[0.0], rng.standard_normal(3)])
-        for c in range(r + 1, m):
-            q = 0.5 * rng.standard_normal(4)
-            S[r, c] = q
-            S[c, r] = -q * CONJ
-    return S
-
-
-def random_lorentz_sp(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Random element of the isometry group of the form I_{m-1,1},
-    built as exp(J S) with S skew-Hermitian and J the signature matrix."""
-    S = random_skew_hermitian(m, rng)
-    J = lorentz_signature(m)
-    return qmat_expm(qmat_mul(J, S))
 
 
 def sp_from_normals(V: np.ndarray) -> np.ndarray:

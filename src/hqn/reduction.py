@@ -20,8 +20,8 @@ from .isometries import (
     Isometry,
     heisenberg_matrix,
     qmat_identity,
-    random_lorentz_sp,
     random_sp,
+    random_unit_quaternion,
     rotation_matrix,
     transvection_matrix,
 )
@@ -330,11 +330,16 @@ def random_symmetry(case: ReducedCase, rng: np.random.Generator) -> Isometry:
         big[m:, m:] = random_sp(n - m, rng)
         return rotation_matrix(n, big, UNIT)
     if case.kind == LOXODROMIC:
-        A = np.zeros((n + 1, n + 1, 4))
-        A[:n - m, :n - m] = random_sp(n - m, rng)
-        A[n - m, n - m, 0] = 1.0
-        A[n - m + 1:, n - m + 1:] = random_lorentz_sp(m, rng)
-        return Isometry(A)
+        # k a k': Sp(m-1,1), on the last m coordinates, is K A K with
+        # K = Sp(m-1) x Sp(1) and A the transvections
+        def k_part():
+            big = qmat_identity(n)
+            big[:n - m, :n - m] = random_sp(n - m, rng)
+            big[n - m + 1:, n - m + 1:] = random_sp(m - 1, rng)
+            return rotation_matrix(n, big, random_unit_quaternion(rng))
+
+        g = k_part().compose(transvection_matrix(n, float(rng.uniform(-1, 1))))
+        return g.compose(k_part())
     if case.kind == SPECIAL_LOXODROMIC:
         nu = np.array([0.0, rng.standard_normal(), rng.standard_normal(), 0.0])
         g = heisenberg_matrix(n, np.zeros((n - 1, 4)), nu)

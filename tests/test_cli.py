@@ -33,6 +33,7 @@ from hqn.errors import (
     SingularPointError,
     StepSizeUnderflow,
 )
+from hqn.integrator import elliptic_integral_R
 from hqn.isometries import (
     Isometry,
     act,
@@ -696,14 +697,92 @@ def test_far_curve_warns_nothing(tmp_path, capsys):
     assert np.isinf(table[-1, 4]) and np.isinf(table[-1, 5])
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is imported lazily, by the verbs and functions that use it
+SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None          # any import of scipy raises ImportError
+sys.path.insert(0, sys.argv[1])
+from hqn.cli import main
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_verb_runs_without_scipy(tmp_path):
+    # numpy is hqn's only runtime dependency: every verb, and `boundary` for
+    # every case kind, exits 0 with scipy unimportable
     src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hqn.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    runs = [
+        ["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
+         "--out", str(tmp_path / "c.csv")],
+        ["family", "--case", "parabolic", "--n", "2", "--m", "1", "--a-grid", "0.5,1",
+         "--out-dir", str(tmp_path / "fam")],
+        ["verify", "--suite", "all", "--n", "2"],
+        ["oracle", "--n", "2", "--points", "3"],
+        ["convert", "--from", "ball", "--to", "horo", "--coords", "0,0,0,0,0.1,0,0,0"],
+        ["integral", "--n", "2"],
+        ["boundary", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1"],
+        ["boundary", "--case", "loxodromic", "--n", "3", "--m", "2", "--a", "0.5"],
+        ["boundary", "--case", "special-loxodromic", "--n", "2", "--a", "0.5"],
+        ["boundary", "--case", "parabolic", "--n", "2", "--m", "1", "--a", "1",
+         "--smax", "100"],
+        ["boundary", "--case", "special-parabolic", "--n", "2", "--a", "1", "--smax", "50"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED, str(src), json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(runs)
+
+
+def test_special_parabolic_boundary_at_tiny_a(capsys):
+    # at a = 1e-300, alpha^{-2n-1} overflows; the tail is taken without it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["boundary", "--case", "special-parabolic", "--n", "2", "--a", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    (check,) = json.loads(captured.out)["checks"]
+    assert check["name"] == "limit vs closed-form quadrature" and check["pass"]
+    assert check["value"] <= 1e-6 * 1e-150 * elliptic_integral_R(2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(verb=st.sampled_from(["boundary", "family"]),
+       case=st.sampled_from(["--case elliptic --n 2 --m 1", "--case loxodromic --n 3 --m 2",
+                             "--case special-loxodromic --n 2", "--case parabolic --n 2 --m 1",
+                             "--case special-parabolic --n 2"]),
+       a=st.lists(st.sampled_from(["1e-300", "1e-8", "0.5", "3", "30", "300", "-0.5", "0"]),
+                  min_size=1, max_size=3),
+       h=st.sampled_from(["0", "1", "-7", "50", "1e6", "-1e6"]),
+       tol=st.sampled_from(["1e-3", "1e-14", "1e-16", "0.5"]),
+       smax=st.sampled_from(["1e-3", "5", "200", "1e6"]),
+       samples=st.integers(0, 50))
+def test_boundary_and_family_flags_never_traceback(tmp_path_factory, verb, case, a, h, tol,
+                                                   smax, samples):
+    # any flag values, with warnings as errors, end in exit 0, a one-line
+    # failure or failed report (exit 1) or a usage error (exit 2); the step
+    # budget is cut as in test_curve_flags_never_traceback
+    if verb == "boundary":
+        argv = ["boundary", *case.split(), "--a", a[0], "--tol", tol, "--smax", smax]
+    else:
+        argv = ["family", *case.split(), "--a-grid", ",".join(a), "--h", h, "--tol", tol,
+                "--smax", smax, "--samples", str(samples),
+                "--out-dir", str(tmp_path_factory.getbasetemp() / "flags")]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        mp.setattr(hqn.integrator, "MAX_STEPS", 2000)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    errors = [ln for ln in lines if not ln.startswith(("usage: ", " "))]
+    assert len(errors) <= 1 and (code == 0) <= (errors == [])
 
 
 def _exit_and_output(capsys, argv):

@@ -3,7 +3,9 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
@@ -27,6 +29,7 @@ from hqn.reduction import (
     PARABOLIC,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
+    PhaseState,
     ReducedCase,
     case_rhs,
 )
@@ -208,6 +211,65 @@ def test_elliptic_integral_R():
     assert elliptic_integral_R(2) == pytest.approx(0.1471, abs=5e-5)
     vals = [elliptic_integral_R(n) for n in range(1, 6)]
     assert np.all(np.diff(vals) < 0)
+
+
+def test_elliptic_integral_R_matches_mpmath():
+    # the gamma-function ratio is B(p, 1/2) / (2 (4n + 2)) to 1e-15 relative,
+    # against 40 digits with the exact p
+    with mpmath.workdps(40):
+        for n in range(2, 41):
+            p = mpmath.mpf(4 * n + 3) / (8 * n + 4)
+            want = mpmath.beta(p, mpmath.mpf(1) / 2) / (2 * (4 * n + 2))
+            assert abs(elliptic_integral_R(n) - want) <= 1e-15 * want
+
+
+def _ending_at(n, alpha, sigma, rho=0.0):
+    """A special parabolic curve, as limit_endpoint reads it, whose last
+    sample is (alpha, rho, sigma)."""
+    return SimpleNamespace(case=ReducedCase(SPECIAL_PARABOLIC, n), termination="smax",
+                           final_state=lambda: PhaseState(alpha, rho, sigma))
+
+
+def test_special_parabolic_tail_is_the_incomplete_beta():
+    # the tail is sqrt(alpha) sin(sigma)^(-1/(4n+2)) B(sin^2 sigma; p, 1/2) / (2 (4n+2)),
+    # on both sides of the reflection at sin^2 sigma = 1/2
+    from scipy.special import beta, betainc
+
+    rng = np.random.default_rng(26)
+    reflected = 0
+    for n in (2, 3, 4, 5):
+        p = (4 * n + 3) / (8 * n + 4)
+        for alpha, sigma in zip(10.0 ** rng.uniform(-300, math.log10(0.5), 400),
+                                rng.uniform(0.0, math.pi, 400)):
+            x = math.sin(sigma) ** 2
+            reflected += x > 0.5
+            want = (math.sqrt(alpha) * math.sin(sigma) ** (-1.0 / (4 * n + 2))
+                    * betainc(p, 0.5, x) * beta(p, 0.5) / (2 * (4 * n + 2)))
+            lim = limit_endpoint(_ending_at(n, alpha, sigma))
+            assert lim.converged and lim.c1 == 0.0
+            assert abs(lim.c2 - want) <= 1e-13 * want
+            # the tail moves rho away from 0
+            assert limit_endpoint(_ending_at(n, alpha, sigma, -1.0)).c2 == -1.0 - lim.c2
+    assert 600 <= reflected <= 1000
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_special_parabolic_limit_matches_quadrature(n):
+    # the closed-form tail gives the limit that the quadrature of
+    # (1/2) I t^{2n+1/2} / sqrt(1 - (I t^{2n+1})^2) over [0, alpha] gave
+    from scipy.integrate import quad
+
+    case = ReducedCase(SPECIAL_PARABOLIC, n)
+    for a in (0.2, 0.5, 1.0, 2.0):
+        for s_max in (3.0, 10.0, 50.0):
+            curve = integrate_profile(case, a, s_max=s_max, tol=1e-10)
+            fin = curve.final_state()
+            I = fin.c1 ** (-2 * n - 1) * math.sin(fin.sigma)
+            tail, _ = quad(lambda t: 0.5 * I * t ** (2 * n + 0.5)
+                           / math.sqrt(1.0 - (I * t ** (2 * n + 1)) ** 2),
+                           0.0, fin.c1, epsabs=1e-13, epsrel=1e-13)
+            want = fin.c2 + math.copysign(tail, fin.c2)
+            assert limit_endpoint(curve).c2 == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_limit_endpoint_parabolic():

@@ -28,8 +28,6 @@ from hqn.isometries import (
     inversion_at_hyperplane,
     inversion_horo,
     qmat_conj_T,
-    qmat_expm,
-    qmat_from_real,
     qmat_identity,
     qmat_mul,
     qmat_to_real,
@@ -272,17 +270,6 @@ def test_rotation_validation():
         heisenberg_matrix(2, components([QI]), UNIT)
 
 
-def test_expm_route():
-    # exp of the transvection generator reproduces the closed form
-    n = 2
-    G = np.zeros((n + 1, n + 1, 4))
-    G[n - 1, n, 0] = 1.0
-    G[n, n - 1, 0] = 1.0
-    for t in (0.4, -1.2):
-        np.testing.assert_allclose(qmat_expm(t * G),
-                                   transvection_matrix(n, t).A, atol=1e-12)
-
-
 def test_qmat_vec_right_module():
     # matrix action commutes with right scalar multiplication of the vector
     rng = np.random.default_rng(8)
@@ -304,7 +291,6 @@ def test_real_representation_is_homomorphism(data):
     m, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
     A = data.draw(arrays(float, (m, k, 4), elements=finite))
     B = data.draw(arrays(float, (k, c, 4), elements=finite))
-    np.testing.assert_array_equal(qmat_from_real(qmat_to_real(A)), A)
     np.testing.assert_array_equal(qmat_to_real(qmat_conj_T(A)), qmat_to_real(A).T)
     AB = qmat_mul(A, B)
     scale = 1e-14 * (1.0 + k * 9.0)

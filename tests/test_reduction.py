@@ -16,7 +16,7 @@ from hqn.errors import (
     NoSingularStratumError,
     SingularBoundaryError,
 )
-from hqn.isometries import act
+from hqn.isometries import Isometry, act, sp_defect
 from hqn.oracles import section_point
 from hqn.quaternion import QI, Quaternion
 from hqn.reduction import (
@@ -128,6 +128,25 @@ def test_orbit_invariance():
             a = orbit_project(case, p)
             b = orbit_project(case, act(g, p))
             np.testing.assert_allclose(b, a, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 3)])
+def test_loxodromic_symmetry_is_a_moving_member(n, m):
+    # K A K lies in diag(Sp(n-m), 1, Sp(m-1,1)), and its transvection moves
+    # the origin: |A[n, n]| = cosh of the distance it moves 0
+    case = ReducedCase(LOXODROMIC, n, m)
+    rng = np.random.default_rng([n, m])
+    k = n - m
+    for _ in range(10):
+        A = random_symmetry(case, rng).A
+        assert sp_defect(A) <= 1e-12
+        assert np.all(A[:k, k:] == 0.0) and np.all(A[k:, :k] == 0.0)
+        assert np.all(A[k, k + 1:] == 0.0) and np.all(A[k + 1:, k] == 0.0)
+        assert np.array_equal(A[k, k], [1.0, 0.0, 0.0, 0.0])
+        assert np.linalg.norm(A[n, n]) > 1.0
+        p = random_ball_point(rng, n, rmax=0.7)
+        np.testing.assert_allclose(orbit_project(case, act(Isometry(A), p)),
+                                   orbit_project(case, p), atol=1e-10)
 
 
 def test_orbital_metric_examples():
