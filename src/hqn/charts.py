@@ -17,6 +17,7 @@ differences of the conversion maps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,9 +285,7 @@ def ball_metric_matrix(x: np.ndarray, n: int) -> np.ndarray:
     r2 = np.sum(x * x, axis=-1)
     if np.any(r2 >= 1.0):
         raise NotInteriorError("ball metric needs |x| < 1")
-    # (dx, x) = sum_l conj(dx_l) x_l  is M @ dx with 4x4 blocks R(x_l) C
-    blocks = right_mult_matrix(x.reshape(x.shape[:-1] + (n, 4))) * CONJ
-    M = np.swapaxes(blocks, -3, -2).reshape(x.shape[:-1] + (4, 4 * n))
+    M = _ball_pairing(x, n)
     s = (1.0 - r2)[..., None, None]
     return 4.0 * (s * np.eye(4 * n) + np.swapaxes(M, -1, -2) @ M) / s ** 2
 
@@ -304,12 +303,77 @@ def horo_metric_matrix(c: np.ndarray, n: int) -> np.ndarray:
     # note Im((omega, u)) = -Im((u, omega)) for the quaternionic pairing
     B = np.zeros(lead + (3, 4 * n))
     B[..., m + 1:] = np.eye(3)
-    blocks = right_mult_matrix(c[..., :m].reshape(lead + (n - 1, 4))) * CONJ   # u_l -> conj(u_l) w_l
-    B[..., :m] = 2.0 * np.swapaxes(blocks[..., 1:, :], -3, -2).reshape(lead + (3, m))
+    B[..., :m] = 2.0 * _ball_pairing(c[..., :m], n - 1)[..., 1:, :]
     g = np.swapaxes(B, -1, -2) @ B
     g[..., m, m] += 1.0
     g[..., np.arange(m), np.arange(m)] += 4.0 * alpha
     return g / (alpha * alpha)[..., None]
+
+
+def _ball_pairing(x: np.ndarray, n: int) -> np.ndarray:
+    """The (..., 4, 4n) matrix M of dx -> (dx, x) = sum_l conj(dx_l) x_l:
+    4x4 blocks R(x_l) C, linear in x."""
+    blocks = right_mult_matrix(x.reshape(x.shape[:-1] + (n, 4))) * CONJ
+    return np.swapaxes(blocks, -3, -2).reshape(x.shape[:-1] + (4, 4 * n))
+
+
+@functools.cache
+def _pairing_tables(chart: str, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of the pairing N = N0 + x @ F (entries 0, +-1, +-2,
+    so N has the pairing's bits) the metric is quadratic in, the ball's M or
+    the horo B = (L(omega), 0, I_3): N0, F as (d, d r), the (d, d, r) F_c^T
+    of F_c = dN/dx_c, and the diagonal projection P on the coordinates N
+    depends on (the ball's identity)."""
+    d = 4 * n
+    F = np.zeros((d, 4 if chart == BALL else 3, d))
+    N0 = np.zeros(F.shape[1:])
+    if chart == BALL:
+        F[:] = _ball_pairing(np.eye(d), n)
+    else:
+        F[:d - 4, :, :d - 4] = 2.0 * _ball_pairing(np.eye(d - 4), n - 1)[:, 1:]
+        N0[:, d - 3:] = np.eye(3)
+    tables = (N0, F.reshape(d, -1), np.ascontiguousarray(np.swapaxes(F, 1, 2)),
+              np.diag(F.any(axis=(1, 2)).astype(float)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def metric_jet(chart: str, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse and the (d, d, d) derivative dg[c] = d_c g of the ball
+    or horo metric matrix at the d = 4n reals x, in closed form, with
+    d_c (N^T N) = F_c^T N + N^T F_c.
+
+    Ball: g = 4 (s I + M^T M) / s^2 with s = 1 - |x|^2 and M M^T = |x|^2 I,
+    so g^-1 = s (I - M^T M) / 4, d_c g = 4 (d_c (M^T M) - 2 x_c I) / s^2
+    + 4 x_c g / s. Horo: g = J^T diag(4 alpha I_m, 1, I_3) J / alpha^2,
+    m = d - 4, J the identity with lower rows B, so g^-1 = alpha^2 J^-1
+    diag(I_m / (4 alpha), 1, I_3) J^-T, J^-1 the identity less L there;
+    d_omega g = d_omega (B^T B) / alpha^2, d_alpha g = 4 P / alpha^2
+    - 2 g / alpha, d_beta g = 0."""
+    if chart not in (BALL, HORO):
+        raise ShapeError(f"metric_jet takes a ball or horo chart, not {chart!r}")
+    N0, F, Ft, P = _pairing_tables(chart, n)
+    N = N0 + (x @ F).reshape(N0.shape)
+    FN = Ft @ N
+    dNN = FN + np.swapaxes(FN, 1, 2)
+    NN = N.T @ N
+    if chart == BALL:
+        s = 1.0 - float(x @ x)
+        g = (4.0 / (s * s)) * (s * P + NN)
+        dg = (4.0 / (s * s)) * (dNN - 2.0 * x[:, None, None] * P)
+        return (0.25 * s) * (P - NN), dg + (4.0 / s) * x[:, None, None] * g
+    m = len(x) - 4
+    alpha = float(x[m])
+    a2 = alpha * alpha
+    g = NN + (4.0 * alpha) * P
+    g[m, m] += 1.0
+    g /= a2
+    K = P.copy()                           # the omega columns of J^-1
+    K[m + 1:, :m] = -N[:, :m]
+    dg = dNN / a2
+    dg[m] = (4.0 / a2) * P - (2.0 / alpha) * g
+    return (0.25 * alpha) * (K @ K.T) + a2 * (np.eye(len(x)) - P), dg
 
 
 def _siegel_to_horo_jacobian(p: ChartPoint) -> np.ndarray:

@@ -522,10 +522,10 @@ def _cmd_boundary(args) -> int:
         checks.append({"name": "limit in tangent-slope bounds",
                        "value": lim.c2, "bound": [lo, hi], "pass": ok})
     elif case.kind == SPECIAL_PARABOLIC:
-        # the limit scales with the dilation alpha -> a alpha, rho -> sqrt(a) rho
+        # the limit scales as sqrt(a) R(n) (alpha -> a alpha), so its error is relative
         R = float(np.sqrt(args.a)) * elliptic_integral_R(case.n)
         checks.append(_check("limit vs closed-form quadrature",
-                             abs(abs(lim.c2) - R), 1e-6))
+                             abs(abs(lim.c2) - R) / R, 1e-6))
     else:
         checks.append({"name": "no finite limit expected",
                        "value": lim.tag, "bound": "NotConverged",

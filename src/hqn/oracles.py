@@ -3,8 +3,8 @@
 Nothing here reuses the closed-form volume functionals or ODE
 right-hand sides being checked: orbit volumes are rebuilt from Killing
 fields of the group action, and mean curvature from finite differences
-of the residual and the ambient metric in the chart the point is given
-in (ball or horospherical; a Siegel point is moved to the ball).
+of the residual and the metric's closed forms in the chart the point is
+given in (ball or horospherical; a Siegel point is moved to the ball).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .charts import (
     ball_metric_matrix,
     convert,
     coords_array,
-    horo_metric_matrix,
     lift,
+    metric_jet,
     point_from_array,
 )
 from .errors import DegenerateOrbitError, ShapeError, SingularPointError
@@ -43,7 +43,6 @@ UNITS = np.eye(4)          # 1, i, j, k as component rows
 IM_UNITS = UNITS[1:]
 
 CURVATURE_STEP = 1e-3      # Richardson steps of the residual's derivatives
-CHRISTOFFEL_STEP = 1e-5    # Richardson steps of the metric's derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +266,6 @@ def _stencil_offsets(dim: int, step: float) -> np.ndarray:
     return _frozen(rows)
 
 
-@functools.cache
-def _christoffel_offsets(dim: int) -> np.ndarray:
-    """The read-only (1 + 4 dim, dim) offsets 0, +h e_a, -h e_a, +h/2 e_a
-    and -h/2 e_a of the metric's difference quotients, h = CHRISTOFFEL_STEP."""
-    E = CHRISTOFFEL_STEP * np.eye(dim)
-    return _frozen([np.full((1, dim), -0.0), E, -E, E / 2.0, -E / 2.0])
-
-
 def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
                           x: np.ndarray, step: float):
     """Richardson-extrapolated central differences at steps step and
@@ -349,25 +340,12 @@ def _grad_hess_weights(dim: int, step: float) -> tuple[np.ndarray, np.ndarray, n
     return index, weights, scale
 
 
-# The metric's derivative from the differences g(x + h e_c) - g(x - h e_c)
-# at h = CHRISTOFFEL_STEP and h / 2: (4 D(h/2) / h - D(h) / (2h)) / 3.
-_METRIC_WEIGHTS = np.array([-1.0 / (6.0 * CHRISTOFFEL_STEP),
-                            4.0 / (3.0 * CHRISTOFFEL_STEP)])
-_METRIC_WEIGHTS.flags.writeable = False
-
-
-def _christoffel_contraction(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_c Gamma^c_ab d_c f at x, from the (4d, d, d) metric at the points
-    x +- h e_c, x +- h/2 e_c of _christoffel_offsets (after its first row),
-    h = CHRISTOFFEL_STEP, and u = g^-1 df at x, without forming Gamma.
-
-    dg[c] = d_c g takes the central differences in pairs first and then the
-    two Richardson weights in one product. Then the sum is
+def _christoffel_contraction(dg: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_c Gamma^c_ab d_c f from the (d, d, d) metric derivative
+    dg[c] = d_c g and u = g^-1 df, without forming Gamma: the sum is
     (A + A^T - B) / 2 with A = dg u and B_ab = sum_c u_c dg[c]_ab.
     """
     d = len(u)
-    pairs = g.reshape(4, d, d, d)
-    dg = (_METRIC_WEIGHTS @ (pairs[0::2] - pairs[1::2]).reshape(2, -1)).reshape(d, d, d)
     A = dg @ u
     B = (u @ dg.reshape(d, d * d)).reshape(d, d)
     return 0.5 * (A + A.T - B)
@@ -385,18 +363,16 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     horosphere residual alpha - a with the normal pointing toward growing
     alpha.
 
-    Every derivative is a fixed linear map of sampled values. The gradient
-    and Hessian of f are one weighted sum over the cached rows of
-    _grad_hess_weights: d + d^2 rows of 8 stencil values, 10 KB of tables
-    at n = 2 and 37 KB at n = 4. The metric is evaluated once, on the
-    stack of p and its Christoffel difference points, and its derivatives
-    are contracted with u = g^-1 df (_christoffel_contraction) without
-    forming the d^3 Christoffel symbols. Then
+    The gradient and Hessian of f are one weighted sum of the sampled
+    values over the cached rows of _grad_hess_weights: d + d^2 rows of 8
+    stencil values, 10 KB of tables at n = 2 and 37 KB at n = 4. The
+    metric's inverse and derivative at p are closed forms
+    (charts.metric_jet), and the derivative is contracted with u = g^-1 df
+    (_christoffel_contraction) without forming the d^3 Christoffel symbols:
     H = -<g^-1 - u u^T / |df|^2, Hess f - sum_c Gamma^c d_c f> / |df|.
     """
     n = p.n
     chart = HORO if p.chart == HORO else BALL
-    metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
     x0 = coords_array(convert(p, chart))
     d = len(x0)
     stack = x0 + _stencil_offsets(d, CURVATURE_STEP)
@@ -409,13 +385,12 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     index, weights, scale = _grad_hess_weights(d, CURVATURE_STEP)
     grad_hess = scale * (weights * f[index]).sum(axis=1)
     grad, hess = grad_hess[:d], grad_hess[d:].reshape(d, d)
-    g = metric(x0 + _christoffel_offsets(d), n)
-    ginv = np.linalg.inv(g[0])
+    ginv, dg = metric_jet(chart, x0, n)
     u = ginv @ grad
     norm2 = float(grad @ u)
     if norm2 < 1e-16:
         raise SingularPointError("degenerate surface gradient")
-    hess_cov = hess - _christoffel_contraction(g[1:], u)
+    hess_cov = hess - _christoffel_contraction(dg, u)
     proj = ginv - np.outer(u, u) / norm2
     return -float(np.vdot(proj, hess_cov)) / np.sqrt(norm2)
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -33,7 +34,6 @@ from hqn.errors import (
     SingularPointError,
     StepSizeUnderflow,
 )
-from hqn.integrator import elliptic_integral_R
 from hqn.isometries import (
     Isometry,
     act,
@@ -745,7 +745,25 @@ def test_special_parabolic_boundary_at_tiny_a(capsys):
     assert code == 0 and captured.err == ""
     (check,) = json.loads(captured.out)["checks"]
     assert check["name"] == "limit vs closed-form quadrature" and check["pass"]
-    assert check["value"] <= 1e-6 * 1e-150 * elliptic_integral_R(2)
+    assert check["value"] <= 1e-6          # relative to sqrt(a) R(2) = 1e-150 R(2)
+
+
+@pytest.mark.parametrize("a, smax", [("1", "50"), ("1e-300", "20")])
+def test_special_parabolic_limit_off_by_1e_5_fails(monkeypatch, capsys, a, smax):
+    # a limit 1e-5 off sqrt(a) R(n), relative, fails the check at every a;
+    # at a = 1e-300 an absolute 1e-6 bound would pass any limit
+    real = cli.limit_endpoint
+
+    def off(curve):
+        lim = real(curve)
+        return dataclasses.replace(lim, c2=lim.c2 * (1.0 + 1e-5))
+
+    monkeypatch.setattr(cli, "limit_endpoint", off)
+    code, out = run(capsys, "boundary", "--case", "special-parabolic", "--n", "2",
+                    "--a", a, "--smax", smax)
+    (check,) = json.loads(out)["checks"]
+    assert code == 1 and check["name"] == "limit vs closed-form quadrature"
+    assert check["pass"] is False and check["value"] == pytest.approx(1e-5, rel=0.01)
 
 
 @settings(max_examples=120, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hqn.charts import (
     BALL,
     HORO,
+    _pairing_tables,
     ball_metric_matrix,
     convert,
     coords_array,
@@ -13,6 +14,7 @@ from hqn.charts import (
     horo_metric_matrix,
     horo_point,
     lift,
+    metric_jet,
     point_from_array,
 )
 from hqn.cli import main
@@ -28,10 +30,8 @@ from hqn.isometries import (
 )
 from hqn.loci import canonical_bisector_residual, fan_at_origin_residual
 from hqn.oracles import (
-    CHRISTOFFEL_STEP,
     CURVATURE_STEP,
     _christoffel_contraction,
-    _christoffel_offsets,
     _grad_hess_weights,
     _richardson_grad_hess,
     _killing_vectors,
@@ -155,11 +155,15 @@ def test_mean_curvature_geodesic_sphere(n, r):
      5.0),
 ], ids=["bisector", "fan", "horosphere", "horosphere-small-alpha"])
 def test_mean_curvature_chart_invariant(surface, p, want):
-    # the same surface at the same point, differentiated in either chart
+    # the same surface at the same point, differentiated in either chart;
+    # the charts agree to 4.2e-10 (the horosphere, whose ball residual the
+    # stencil does not differentiate exactly), and the horo chart, where
+    # every residual here is a polynomial of degree <= 2, gives want to
+    # 1.8e-15
     in_horo = ambient_mean_curvature(surface, p)
     in_ball = ambient_mean_curvature(surface, convert(p, BALL))
-    assert in_horo == pytest.approx(in_ball, abs=1e-7)
-    assert in_horo == pytest.approx(want, abs=1e-7)
+    assert in_horo == pytest.approx(in_ball, abs=4e-9)
+    assert in_horo == pytest.approx(want, abs=2e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -224,21 +228,6 @@ def test_stencil_offsets_give_the_loop_stencil(dim):
     for h in (CURVATURE_STEP / 2.0, CURVATURE_STEP):
         x = _signed_zero_point(dim, h, rng)
         assert _same_bits(x + table, _loop_stencil(x, CURVATURE_STEP))
-
-
-@pytest.mark.parametrize("dim", [8, 12, 16])
-def test_christoffel_offsets_give_the_loop_points(dim):
-    # x, then x +- h e_a and x +- h/2 e_a, each one shifted copy of x
-    table = _christoffel_offsets(dim)
-    assert table.shape == (1 + 4 * dim, dim)
-    assert not table.flags.writeable
-    assert _christoffel_offsets(dim) is table
-    rng = np.random.default_rng(dim)
-    E = CHRISTOFFEL_STEP * np.eye(dim)
-    for h in (CHRISTOFFEL_STEP / 2.0, CHRISTOFFEL_STEP):
-        x = _signed_zero_point(dim, h, rng)
-        want = np.concatenate([x[None], x + E, x - E, x + E / 2.0, x - E / 2.0])
-        assert _same_bits(x + table, want)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -387,13 +376,53 @@ def test_grad_hess_weights_are_exact_on_quadratics(dim):
         assert np.all(np.abs(got - np.concatenate([b, Q.ravel()])) <= bound)
 
 
-def _einsum_christoffel(g, ginv):
-    # the reference: the full d^3 Christoffel array from the metric's
-    # Richardson differences, as the curvature oracle formed it
-    d = len(ginv)
-    step = CHRISTOFFEL_STEP
-    g = g.reshape(4, d, d, d)
-    dg = (4.0 * (g[2] - g[3]) / step - (g[0] - g[1]) / (2.0 * step)) / 3.0
+def _metric_points(chart, n, rng):
+    # three points of the chart, the first near its edge: alpha = 0.02 in
+    # horo coordinates, |x| = 0.95 in the ball
+    d = 4 * n
+    if chart == HORO:
+        x = rng.uniform(-0.4, 0.4, (3, d))
+        x[:, d - 4] = (0.02, 0.7, 1.5)
+        return x
+    x = rng.normal(size=(3, d))
+    return x * (np.array([[0.95], [0.3], [0.7]]) / np.linalg.norm(x, axis=1, keepdims=True))
+
+
+def _richardson_metric_derivative(metric, x, n, h):
+    # the reference: Richardson-extrapolated central differences of the
+    # metric matrix at steps h and h / 2, one coordinate at a time
+    def central(step):
+        E = step * np.eye(len(x))
+        return np.array([(metric(x + e, n) - metric(x - e, n)) / (2.0 * step) for e in E])
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("chart", [HORO, BALL])
+def test_metric_jet_matches_references(n, chart):
+    # the closed-form inverse is the inverse of the metric matrix, and the
+    # closed-form derivative is its Richardson difference, whose truncation
+    # and rounding leave up to 2.7e-10 relative; the tables are cached and
+    # read-only, and a Siegel chart is refused
+    metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
+    tables = _pairing_tables(chart, n)
+    assert _pairing_tables(chart, n) is tables
+    assert not any(table.flags.writeable for table in tables)
+    with pytest.raises(ShapeError):
+        metric_jet("siegel", np.zeros(4 * n), n)
+    d = 4 * n
+    for x in _metric_points(chart, n, np.random.default_rng([n, len(chart)])):
+        ginv, dg = metric_jet(chart, x, n)
+        g = metric(x, n)
+        assert np.max(np.abs(ginv @ g - np.eye(d))) <= 5e-14
+        assert np.max(np.abs(ginv - np.linalg.inv(g))) <= 5e-14 * np.max(np.abs(ginv))
+        scale = x[d - 4] if chart == HORO else 1.0 - x @ x
+        want = _richardson_metric_derivative(metric, x, n, 1e-5 * scale)
+        assert np.max(np.abs(dg - want)) <= 2e-9 * np.max(np.abs(dg))
+
+
+def _einsum_christoffel(dg, ginv):
+    # the reference: the full d^3 Christoffel array of dg[c] = d_c g
     return 0.5 * np.einsum("cd,abd->cab", ginv,
                            dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
 
@@ -401,19 +430,17 @@ def _einsum_christoffel(g, ginv):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("chart", [HORO, BALL])
 def test_christoffel_contraction_matches_einsum(n, chart):
-    # sum_c Gamma^c_ab d_c f from the contraction with u = g^-1 df equals the
-    # one from the full Christoffel array, to 1e-13 relative
+    # sum_c Gamma^c_ab d_c f from the contraction of the closed-form dg
+    # with u = g^-1 df equals the one from the full Christoffel array, to
+    # 1e-13 relative
     rng = np.random.default_rng([n, [HORO, BALL].index(chart), 2])
-    metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
     d = 4 * n
     for i in range(20):
         _, p = _horo_surface_point(n, ["bisector", "fan", "horosphere"][i % 3], rng)
-        x = coords_array(convert(p, chart))
-        g = metric(x + _christoffel_offsets(d), n)
-        ginv = np.linalg.inv(g[0])
+        ginv, dg = metric_jet(chart, coords_array(convert(p, chart)), n)
         grad = rng.normal(size=d)
-        want = np.einsum("cab,c->ab", _einsum_christoffel(g[1:], ginv), grad)
-        got = _christoffel_contraction(g[1:], ginv @ grad)
+        want = np.einsum("cab,c->ab", _einsum_christoffel(dg, ginv), grad)
+        got = _christoffel_contraction(dg, ginv @ grad)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -527,21 +554,22 @@ def test_exact_killing_fields(case):
     assert np.max(np.abs(_killing_vectors(basis, lift(p)) - fd)) <= 1e-8
 
 
-# Every check value of `hqn oracle --n 2` and `--n 3`, as float.hex. The
-# Killing spreads are as computed before the stencils were cached and the
-# Killing fields were one product; the curvatures as computed with the
-# stencil's integer weight map and the contracted Christoffel term.
+# Every check value of `hqn oracle --n 2`, `--n 3` and `--n 4`, as
+# float.hex. The Killing spreads are as computed before the stencils were
+# cached and the Killing fields were one product; the curvatures as
+# computed with the stencil's integer weight map and the closed-form
+# inverse and derivative of the metric.
 ORACLE_VALUES = {
     2: [
         ("killing ratio spread elliptic m=1", "0x1.cfffffffffffcp-49"),
         ("killing ratio spread special-loxodromic m=None", "0x1.9000000000006p-49"),
         ("killing ratio spread parabolic m=1", "0x1.13ffffffffff5p-47"),
         ("killing ratio spread special-parabolic m=None", "0x1.03ffffffffffap-47"),
-        ("bisector mean curvature", "0x1.38b389f067297p-38"),
-        ("fan mean curvature", "0x1.1bf8425676c98p-49"),
-        ("horosphere mean curvature error", "0x1.5218000000000p-34"),
-        ("general fan mean curvature", "0x1.cc838634f2d08p-32"),
-        ("bisector family t=0.7 mean curvature", "0x1.86d7082ca0f82p-34"),
+        ("bisector mean curvature", "0x1.36839ef8592c3p-55"),
+        ("fan mean curvature", "0x1.1a738253437fep-49"),
+        ("horosphere mean curvature error", "0x1.0000000000000p-49"),
+        ("general fan mean curvature", "0x1.c000e34717ad0p-32"),
+        ("bisector family t=0.7 mean curvature", "0x1.9b824dc50b8d4p-34"),
     ],
     3: [
         ("killing ratio spread elliptic m=1", "0x1.6fffffffffffdp-48"),
@@ -551,20 +579,48 @@ ORACLE_VALUES = {
         ("killing ratio spread parabolic m=1", "0x1.2bffffffffff9p-47"),
         ("killing ratio spread parabolic m=2", "0x1.07ffffffffff5p-46"),
         ("killing ratio spread special-parabolic m=None", "0x1.83ffffffffff7p-47"),
-        ("bisector mean curvature", "0x1.528a1069c43f0p-37"),
-        ("fan mean curvature", "0x1.ed9805173fcc5p-39"),
-        ("horosphere mean curvature error", "0x1.2225800000000p-33"),
-        ("general fan mean curvature", "0x1.10e736255bfcbp-30"),
-        ("bisector family t=0.7 mean curvature", "0x1.354de5a4c2eb3p-34"),
+        ("bisector mean curvature", "0x1.481f3960ca886p-53"),
+        ("fan mean curvature", "0x1.67b8dfcbc2d43p-45"),
+        ("horosphere mean curvature error", "0x1.0000000000000p-49"),
+        ("general fan mean curvature", "0x1.13a85f2c212c9p-30"),
+        ("bisector family t=0.7 mean curvature", "0x1.3c1a37e9a43e4p-34"),
+    ],
+    4: [
+        ("killing ratio spread elliptic m=1", "0x1.47ffffffffffap-47"),
+        ("killing ratio spread elliptic m=2", "0x1.37ffffffffffep-47"),
+        ("killing ratio spread elliptic m=3", "0x1.1800000000007p-47"),
+        ("killing ratio spread loxodromic m=2", "0x1.0800000000005p-47"),
+        ("killing ratio spread loxodromic m=3", "0x1.2800000000006p-47"),
+        ("killing ratio spread special-loxodromic m=None", "0x1.2bffffffffffcp-47"),
+        ("killing ratio spread parabolic m=1", "0x1.6fffffffffffdp-47"),
+        ("killing ratio spread parabolic m=2", "0x1.77ffffffffffap-47"),
+        ("killing ratio spread parabolic m=3", "0x1.39fffffffffefp-46"),
+        ("killing ratio spread special-parabolic m=None", "0x1.37ffffffffff7p-46"),
+        ("bisector mean curvature", "0x1.3d97f2904af27p-53"),
+        ("fan mean curvature", "0x1.3d596c6fa421cp-44"),
+        ("horosphere mean curvature error", "0x1.0000000000000p-49"),
+        ("general fan mean curvature", "0x1.b79f0c76f2e02p-29"),
+        ("bisector family t=0.7 mean curvature", "0x1.3b0c1d217bccdp-34"),
     ],
 }
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_oracle_report_values_are_pinned(n, capsys):
     assert main(["oracle", "--n", str(n)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [(c["name"], c["value"].hex()) for c in report["checks"]] == ORACLE_VALUES[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_killing_pins_are_the_volume_oracle(n, capsys):
+    # the Killing-spread pins are the bits of `hqn oracle --oracle volume`,
+    # which runs no curvature code: a change to the curvature oracle moves
+    # only the curvature pins
+    assert main(["oracle", "--oracle", "volume", "--n", str(n)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["value"].hex()) for c in report["checks"]] == [
+        pin for pin in ORACLE_VALUES[n] if pin[0].startswith("killing ratio spread")]
 
 
 def test_curvature_oracle_pinned(capsys):
