@@ -79,15 +79,11 @@ class ProfileCurve:
     V: np.ndarray                 # diagnostics on the uniform grid
     I1: np.ndarray
     I2: np.ndarray
+    residual: np.ndarray          # error estimate of the step holding each sample
     termination: str
     nfev: int                     # right-hand side evaluations
     accepted: int                 # steps, len(s) - 1
     rejected: int
-
-    @functools.cached_property
-    def residual(self) -> np.ndarray:
-        """residual_column on the uniform grid, computed when first read."""
-        return residual_column(self.case, self.h, self.uniform_s, self.uniform_states)
 
     def final_state(self) -> PhaseState:
         return PhaseState(*self.states[-1])
@@ -115,12 +111,13 @@ class _Run:
     Step k starts at node t[k] and has length h[k] (its end is t[k + 1],
     except when an event root cut the last step short); coef[k] holds its
     y_old and dense output coefficients F0..F6, as 8 consecutive
-    (c1, c2, sigma) triples."""
+    (c1, c2, sigma) triples, and err[k] its error_norm."""
 
     t: list
     y: list
     h: list
     coef: list
+    err: list
     nfev: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -282,7 +279,7 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
     steps raises StepSizeUnderflow.
     """
     step = _make_step()
-    run = _Run([t0], [y0], [], [])
+    run = _Run([t0], [y0], [], [], [])
     t, y = t0, y0
     fy = f(*y)
     h_abs = _initial_step(f, y, fy, t_bound - t0, rtol, atol)
@@ -319,6 +316,7 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
         y_new, f_new, coef = new
         run.h.append(h)
         run.coef.append(coef)
+        run.err.append(error_norm)
 
         g_new = [ev.sign * (y_new[ev.index] - ev.level) for ev in events]
         hit = None
@@ -342,14 +340,15 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
         t, y, fy, g = t_new, y_new, f_new, g_new
 
 
-def _dense(run: _Run, s: np.ndarray) -> np.ndarray:
-    """The run's dense output at the points s, as (len(s), 3) rows; a
-    point on a node takes the earlier step's interpolant."""
+def _dense(run: _Run, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run's dense output at the points s, as (len(s), 3) rows, and
+    the index of the step that gives each point; a point on a node takes
+    the earlier step's interpolant."""
     t = np.array(run.t)
     seg = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(run.coef) - 1)
     coef = np.array(run.coef).reshape(-1, 8, 3)[seg]
     x = ((s - t[seg]) / np.array(run.h)[seg])[:, None]
-    return _interpolate(np.moveaxis(coef, 1, 0), x)
+    return _interpolate(np.moveaxis(coef, 1, 0), x), seg
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +422,6 @@ def check_start(case: ReducedCase, a: float, s_max: float = 20.0,
     return s_start
 
 
-def residual_column(case: ReducedCase, h: float, s: np.ndarray,
-                    states: np.ndarray) -> np.ndarray:
-    """Central-difference residual of states sampled on the uniform grid s:
-    at each interior sample, max over components of
-    |(y[i+1] - y[i-1]) / (2 ds) - f(y[i])|. It is 0 at the two ends and
-    at a sample where f raises DomainError or SingularBoundaryError, where
-    the right-hand side is undefined, and everywhere on a grid of one
-    repeated s (a curve that ends where it starts), where ds = 0."""
-    out = np.zeros(len(s))
-    if len(s) < 3 or s[1] == s[0]:
-        return out
-    rhs = case_rhs(case, h)
-    df = (states[2:] - states[:-2]) / (2.0 * (s[1] - s[0]))
-    # f goes into a list and then into one array: assigning it row by row
-    # into an array is slower
-    f, defined = [], np.ones(len(df), dtype=bool)
-    for i, (c1, c2, sigma) in enumerate(states[1:-1].tolist()):
-        try:
-            f.append(rhs(c1, c2, sigma))
-        except (DomainError, SingularBoundaryError):
-            f.append((0.0, 0.0, 0.0))
-            defined[i] = False
-    out[1:-1] = np.where(defined, np.max(np.abs(df - np.array(f)), axis=1), 0.0)
-    return out
-
-
 def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
                       tol: float = 1e-10, h: float = 0.0,
                       c1_floor: Optional[float] = None,
@@ -520,9 +493,9 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
             raise SingularBoundaryError(
                 f"a = {a!r} starts the curve at c1 = {c1!r}, not above its "
                 f"floor {c1_floor!r}; choose another a")
+    rtol, atol = max(tol, 100.0 * EPS), tol
     try:
-        run = _dop853(f, s_start, y0, s_max, rtol=max(tol, 100.0 * EPS), atol=tol,
-                      events=events)
+        run = _dop853(f, s_start, y0, s_max, rtol=rtol, atol=atol, events=events)
     except SingularBoundaryError:
         # a stage that raises is a rejected step, so this is f at the
         # start or the initial-step probe next to it
@@ -531,7 +504,13 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     s_nodes = np.array(run.t)
     states = np.array(run.y)
     uniform_s = np.linspace(s_start, s_nodes[-1], n_samples)
-    uniform_states = _dense(run, uniform_s)
+    uniform_states, seg = _dense(run, uniform_s)
+    # step k's own error estimate, in the integrated coordinates: its
+    # error_norm weighs each component's error by 1 / (atol + rtol
+    # max(|y_k|, |y_{k+1}|)), so times the largest of those it is absolute
+    ends = np.abs(states)
+    scale = atol + rtol * np.max(np.maximum(ends[:-1], ends[1:]), axis=1)
+    residual = (np.array(run.err) * scale)[seg]
     if tan_half:
         log_a, abs_w = uniform_states[:, 0].copy(), np.abs(uniform_states[:, 2])
     for y in (states, uniform_states):
@@ -558,6 +537,7 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
                         uniform_s=uniform_s, uniform_states=uniform_states,
                         V=V, I1=I1,
                         I2=vals.get("I2", np.full(n_samples, np.nan)),
+                        residual=residual,
                         termination=run.event or "smax", nfev=run.nfev,
                         accepted=run.accepted, rejected=run.rejected)
 

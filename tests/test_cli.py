@@ -306,6 +306,25 @@ def test_stacked_suites_match_per_draw(n):
     assert cli._suite_isometries(n) == _per_draw_suite_isometries(n)
 
 
+def _random_balls_loop(rng, n, k):
+    """k calls of uniform per coordinate block and radius: the reference
+    for the one-block draw of cli._random_balls."""
+    x, r = np.empty((k, 4 * n)), np.empty(k)
+    for i in range(k):
+        x[i] = rng.uniform(-0.5, 0.5, 4 * n)
+        r[i] = rng.uniform(0.1, 0.9)
+    return cli._scale_to_radius(x, r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 100])
+def test_random_balls_are_the_uniform_loop(n, k):
+    for seed in (101, 7, 2**40 + 3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert cli._random_balls(rng, n, k).tobytes() == _random_balls_loop(ref, n, k).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_suite_draws_keep_the_per_draw_stream(n):
     # the stacked draws are the per-draw loop's values, bit for bit, and

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+import hqn.cli
 import hqn.integrator
 from hqn.dop853 import A, B, D, E3, E5, N_STAGES
 from hqn.errors import DomainError, ExtrapolationError, SingularBoundaryError
@@ -21,7 +22,6 @@ from hqn.integrator import (
     elliptic_integral_R,
     integrate_profile,
     limit_endpoint,
-    residual_column,
 )
 from hqn.reduction import (
     ELLIPTIC,
@@ -33,6 +33,7 @@ from hqn.reduction import (
     ReducedCase,
     case_rhs,
 )
+from residual_reference import residual_column
 
 
 def test_elliptic_profile():
@@ -341,36 +342,57 @@ def test_start_past_an_event_level():
 
 
 def test_residual_diagnostics():
+    # the column is the step's error estimate: finite, not negative, of
+    # the tolerance's order, and one value per step
     case = ReducedCase(ELLIPTIC, 2, 1)
     c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10, n_samples=2001)
-    assert np.nanmax(c.residual) < 1e-4
-    assert c.residual[0] == 0.0 and c.residual[-1] == 0.0
+    assert np.all(np.isfinite(c.residual)) and np.all(c.residual >= 0.0)
+    assert 0.0 < np.max(c.residual) < 1e-9
+    # the step whose interpolant gives each sample
+    steps = np.clip(np.searchsorted(c.s, c.uniform_s, side="left") - 1, 0, c.accepted - 1)
+    for k in np.unique(steps):
+        assert np.all(c.residual[steps == k] == c.residual[steps == k][0])
+    assert len(np.unique(c.residual)) > 1
 
 
-def test_residual_computed_when_first_read(monkeypatch):
-    calls = []
+def test_curve_calls_the_right_hand_side_nfev_times(monkeypatch, tmp_path):
+    # `hqn curve` evaluates the right-hand side only in the kernel: the
+    # residual column costs no call
+    calls, curves = [], []
+    rhs_of, integrate = hqn.integrator.case_rhs, hqn.integrator.integrate_profile
 
-    def counted(*args):
-        calls.append(1)
-        return residual_column(*args)
+    def counting_rhs(case, h=0.0):
+        rhs = rhs_of(case, h)
 
-    monkeypatch.setattr(hqn.integrator, "residual_column", counted)
-    case = ReducedCase(ELLIPTIC, 2, 1)
-    c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-10)
-    assert calls == []
-    assert c.residual is c.residual and len(calls) == 1
-    np.testing.assert_array_equal(
-        c.residual, residual_column(case, 0.0, c.uniform_s, c.uniform_states))
+        def counted(*y):
+            calls.append(1)
+            return rhs(*y)
+        return counted
+
+    def kept(*args, **kwargs):
+        curves.append(integrate(*args, **kwargs))
+        return curves[-1]
+
+    monkeypatch.setattr(hqn.integrator, "case_rhs", counting_rhs)
+    monkeypatch.setattr(hqn.cli, "integrate_profile", kept)
+    for case, extra in (("elliptic", ["--m", "1"]), ("special-parabolic", ["--smax", "50"])):
+        calls.clear()
+        assert hqn.cli.main(["curve", "--case", case, "--n", "2", *extra,
+                             "--a", "1", "--tol", "1e-11",
+                             "--out", str(tmp_path / "c.csv")]) == 0
+        assert len(calls) == curves[-1].nfev > 0
 
 
 def test_residual_of_a_curve_ending_at_its_start():
     # at h = 1e30 the parabolic curve stops at its first step, at its start:
-    # every sample has the same s, and the central difference is undefined
+    # every sample has the same s and reads that step's estimate, without
+    # a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         c = integrate_profile(ReducedCase(PARABOLIC, 2, 1), 1.0, h=1e30)
         assert np.all(c.uniform_s == c.uniform_s[0])
-        np.testing.assert_array_equal(c.residual, np.zeros(801))
+        assert np.all(np.isfinite(c.residual)) and np.all(c.residual >= 0.0)
+        assert np.all(c.residual == c.residual[0])
 
 
 def _residual_per_sample(case, s, states):
@@ -664,6 +686,17 @@ def test_kernel_counts(case, s_max, a_range):
     # f(y0) and the initial-step probe, 12 stages per attempt, 3 more per
     # accepted step for the dense output
     assert c1.nfev == 2 + 12 * (c1.accepted + c1.rejected) + 3 * c1.accepted
+
+
+@pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
+def test_residual_falls_with_tol(case, s_max, a_range):
+    # the residual column tracks tol: a thousandfold tighter tol lowers its
+    # maximum at least a hundredfold
+    loose, tight = (integrate_profile(case, a_range[1] / 2.0, s_max=s_max, tol=tol)
+                    for tol in (1e-8, 1e-11))
+    assert np.max(tight.residual) * 100.0 <= np.max(loose.residual)
+    for c in (loose, tight):
+        assert np.all(np.isfinite(c.residual)) and np.all(c.residual >= 0.0)
 
 
 def test_huge_h_spends_the_step_budget():

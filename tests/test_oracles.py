@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import hqn.oracles
 from hqn.charts import (
     BALL,
     HORO,
@@ -19,7 +20,7 @@ from hqn.charts import (
 )
 from hqn.cli import main
 from hqn.errors import NotInteriorError, ShapeError, SingularPointError
-from hqn.integrator import integrate_profile, residual_column
+from hqn.integrator import integrate_profile
 from hqn.isometries import (
     Isometry,
     act,
@@ -56,6 +57,7 @@ from hqn.reduction import (
     SPECIAL_PARABOLIC,
     ReducedCase,
 )
+from residual_reference import residual_column
 
 ALL_CASES = [
     ReducedCase(ELLIPTIC, 2, 1),
@@ -515,13 +517,6 @@ BENCH_CASES = [
     ReducedCase(SPECIAL_PARABOLIC, 3),
 ]
 BENCH_IDS = [f"{c.kind}-n{c.n}-m{c.m}" for c in BENCH_CASES]
-# `hqn oracle --oracle curvature --n 2` as computed by the scalar
-# Quaternion implementation the array core replaced.
-PINNED_CURVATURE = {
-    "bisector mean curvature": 4.0781024521713395e-11,
-    "fan mean curvature": 3.06491791830047e-11,
-    "horosphere mean curvature error": 2.9293616421455226e-09,
-}
 
 
 @pytest.mark.parametrize("case", BENCH_CASES, ids=BENCH_IDS)
@@ -624,12 +619,29 @@ def test_killing_pins_are_the_volume_oracle(n, capsys):
 
 
 def test_curvature_oracle_pinned(capsys):
-    assert main(["oracle", "--oracle", "curvature", "--n", "2"]) == 0
+    # `hqn oracle --oracle curvature` draws the points of the full report:
+    # its three rows are that report's bisector, fan and horosphere pins
+    names = {"bisector mean curvature", "fan mean curvature",
+             "horosphere mean curvature error"}
+    for n in (2, 3, 4):
+        assert main(["oracle", "--oracle", "curvature", "--n", str(n)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(c["name"], c["value"].hex()) for c in report["checks"]] == [
+            pin for pin in ORACLE_VALUES[n] if pin[0] in names]
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0 + 1e-6])
+def test_oracle_bounds_catch_a_wrong_christoffel_term(factor, monkeypatch, capsys):
+    # the Christoffel term off by a factor moves the horosphere's curvature
+    # by ~5 (factor - 1): 2.5 halved, 5e-6 at 1 + 1e-6, which the curvature
+    # bounds (1e-12 for the exact surfaces) must refuse
+    contraction = hqn.oracles._christoffel_contraction
+    monkeypatch.setattr(hqn.oracles, "_christoffel_contraction",
+                        lambda dg, u: factor * contraction(dg, u))
+    assert main(["oracle", "--n", "2"]) == 1
     report = json.loads(capsys.readouterr().out)
-    got = {c["name"]: c["value"] for c in report["checks"]}
-    assert set(got) == set(PINNED_CURVATURE)
-    for name, value in PINNED_CURVATURE.items():
-        assert got[name] == pytest.approx(value, abs=1e-8)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["horosphere mean curvature error"]
 
 
 def cases_at(n):
