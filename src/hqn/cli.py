@@ -59,7 +59,7 @@ from .loci import (
     fan_at_origin_residual,
     fan_residual,
 )
-from .oracles import ambient_mean_curvature, killing_ratio_spread
+from .oracles import ambient_mean_curvature, killing_ratio_spread, uncubed_bracket_spread
 from .reduction import (
     ALL_KINDS,
     LOXODROMIC,
@@ -454,6 +454,12 @@ def _cmd_oracle(args) -> int:
             checks.append(_check(
                 f"killing ratio spread {case.kind} m={case.m}",
                 killing_ratio_spread(case, n_points=args.points), 1e-5))
+        # the functional with its bracket un-cubed must fail by far: spread
+        # > 0.1, reported as 0.1 / spread so that pass is value <= bound (one
+        # point has spread 0 and tells nothing apart)
+        spread = uncubed_bracket_spread(args.n, args.points)
+        checks.append(_check("un-cubed bracket control 0.1/spread",
+                             0.1 / spread if spread else np.inf, 1.0))
     if args.oracle in ("curvature", "all"):
         n, rng = args.n, np.random.default_rng(404)
         worst_b = worst_f = worst_h = 0.0
@@ -620,9 +626,11 @@ VERBS = {
 }
 
 
+@functools.cache
 def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The parser of every verb, or of the one verb named: that verb's
-    arguments parse the same, and the other verbs' subparsers go unbuilt."""
+    arguments parse the same, and the other verbs' subparsers go unbuilt.
+    Each is built once per process; parsing leaves it as it was."""
     ap = argparse.ArgumentParser(prog="hqn")
     # a one-verb tree still names every verb in its usage line
     sub = ap.add_subparsers(dest="command", required=True,

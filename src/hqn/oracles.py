@@ -18,6 +18,7 @@ from .charts import (
     BALL,
     HORO,
     ChartPoint,
+    _ball_pairing,
     ball_metric_matrix,
     convert,
     coords_array,
@@ -26,7 +27,7 @@ from .charts import (
     point_from_array,
 )
 from .errors import DegenerateOrbitError, ShapeError, SingularPointError
-from .quaternion import CONJ, hamilton, left_mult_matrix
+from .quaternion import CONJ, left_mult_matrix, qnorm2, right_mult_matrix
 from .reduction import (
     ELLIPTIC,
     LOXODROMIC,
@@ -156,18 +157,20 @@ def _killing_vectors(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
     (P, n+1, 4) stack, as (P, k, 4n): x_l = Y_l Y_{n+1}^{-1} along
     Y = exp(tG) X gives v_l = (GX)_l - x_l (GX)_{n+1}.
 
-    Every GX is one product of the flat lifts with the real matrix of
-    X -> (GX for each G). A generator's row has at most two nonzero
-    entries, each a unit quaternion times 1 or 1/2, so each component of
-    GX is one rounding of at most two exact products, in any order."""
+    Per lift, (GX)_a = sum_b R(X_b) G_ab for every G is one
+    (k(n+1), 4(n+1)) @ (4(n+1), 4) product with the stacked transposed
+    right_mult_matrix(X), and x_l (GX)_{n+1} one (4n, 4) @ (4, k) product
+    with left_mult_matrix(x): a stack runs the same products per lift, so
+    it gives each lift's bits."""
     k, size = basis.shape[:2]
-    M = left_mult_matrix(basis).transpose(2, 4, 0, 1, 3).reshape(4 * size, -1)
-    GX = (X.reshape(X.shape[:-2] + (-1,)) @ M).reshape(X.shape[:-2] + (k, size, 4))
-    v = GX[..., :-1, :] - hamilton(X[..., None, :-1, :], GX[..., -1:, :])
-    return v.reshape(v.shape[:-2] + (-1,))
+    lead = X.shape[:-2]
+    RT = np.swapaxes(right_mult_matrix(X), -1, -2).reshape(lead + (4 * size, 4))
+    GX = (basis.reshape(k * size, 4 * size) @ RT).reshape(lead + (k, size, 4))
+    xw = (left_mult_matrix(X[..., :-1, :]).reshape(lead + (4 * size - 4, 4))
+          @ np.swapaxes(GX[..., -1, :], -1, -2))
+    return GX[..., :-1, :].reshape(lead + (k, -1)) - np.swapaxes(xw, -1, -2)
 
 
-@functools.cache
 def _complement(case: ReducedCase) -> np.ndarray:
     """(orbit_dim, k) orthonormal weights: the fixed combinations of the
     case's Killing fields that span the orbit at the reference point."""
@@ -178,9 +181,17 @@ def _complement(case: ReducedCase) -> np.ndarray:
     dim = 4 * case.n - 2
     if S[dim - 1] / S[0] < 1e-6:
         raise DegenerateOrbitError("generator basis is rank deficient")
-    weights = U[:, :dim].T
-    weights.flags.writeable = False
-    return weights
+    return U[:, :dim].T
+
+
+@functools.cache
+def _orbit_basis(case: ReducedCase) -> np.ndarray:
+    """The read-only (orbit_dim, n+1, n+1, 4) algebra elements
+    _complement(case) @ generator_basis(case), whose Killing fields are the
+    complement's combinations of the case's: G -> v is linear."""
+    basis = np.tensordot(_complement(case), generator_basis(case), 1)
+    basis.flags.writeable = False
+    return basis
 
 
 def _reference_coords(case: ReducedCase) -> tuple[float, float]:
@@ -194,13 +205,18 @@ def killing_volume(case: ReducedCase, p: ChartPoint):
     determinant of a fixed linear combination of induced Killing fields,
     per point.
 
-    The determinant is the same in every chart, so it is taken in the ball.
+    The determinant is the same in every chart, so it is taken in the
+    ball: with its metric 4 (s I + M^T M) / s^2, s = 1 - |x|^2 and M the
+    pairing dx -> (dx, x), the fields' rows R have the Gram
+    4 (s R R^T + (R M^T)(R M^T)^T) / s^2.
     """
     X = lift(p)
-    rows = _complement(case) @ _killing_vectors(generator_basis(case), X)
-    x = X[..., :-1, :]
-    gram = (rows @ ball_metric_matrix(x.reshape(x.shape[:-2] + (-1,)), case.n)
-            @ np.swapaxes(rows, -1, -2))
+    rows = _killing_vectors(_orbit_basis(case), X)
+    x = X[..., :-1, :].reshape(X.shape[:-2] + (-1,))
+    s = (1.0 - qnorm2(x))[..., None, None]
+    RM = rows @ np.swapaxes(_ball_pairing(x, case.n), -1, -2)
+    gram = 4.0 * (s * (rows @ np.swapaxes(rows, -1, -2))
+                  + RM @ np.swapaxes(RM, -1, -2)) / s ** 2
     det = np.linalg.det(gram)
     if (det <= 0.0).any():
         raise DegenerateOrbitError("orbit through p is degenerate")
@@ -214,6 +230,24 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
 
     The points are drawn as (c1, c2) pairs, and every step runs once on
     their stack."""
+    return _ratio_spread(case, volume_functional, n_points, seed)
+
+
+def uncubed_bracket_spread(n: int, n_points: int = 50, seed: int = 0) -> float:
+    """The control of killing_ratio_spread: the special-loxodromic spread
+    at the same points against V / bracket^2, whose bracket
+    cosh^2 r + sinh^2 r cos^2 theta is not cubed. The oracle tells the two
+    apart only if this spread is large."""
+    def uncubed(case, point):
+        r, theta = point
+        bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
+        return volume_functional(case, point) / bracket ** 2
+
+    return _ratio_spread(ReducedCase(SPECIAL_LOXODROMIC, n), uncubed, n_points, seed)
+
+
+def _ratio_spread(case: ReducedCase, functional: Callable, n_points: int,
+                  seed: int) -> float:
     rng = np.random.default_rng(seed)
     if case.kind in POLAR_KINDS:
         lo, hi = (0.2, 0.2), (0.9, 1.2)
@@ -221,7 +255,7 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
         lo, hi = (0.4, 0.3), (2.0, 1.5)
     c1, c2 = rng.uniform(lo, hi, size=(n_points, 2)).T
     p = section_point(case, c1, c2)
-    ratios = killing_volume(case, p) / volume_functional(case, orbit_project(case, p))
+    ratios = killing_volume(case, p) / functional(case, orbit_project(case, p))
     return float((ratios.max() - ratios.min()) / np.mean(ratios))
 
 

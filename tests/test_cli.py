@@ -893,3 +893,33 @@ def test_one_verb_parser_keeps_the_full_usage_line(capsys):
     usage = "usage: hqn [-h] {curve,family,verify,oracle,boundary,convert,integral} ..."
     assert text.splitlines()[0] == usage
     assert _build_parser().format_usage().strip() == usage
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # each verb's parser is built once per process; a call's flags are not
+    # the next call's defaults, and a usage error after a good call reads
+    # as it does first
+    assert _build_parser("curve") is _build_parser("curve")
+    assert _build_parser() is _build_parser()
+    seen = []
+
+    def recorded(case, a, **kwargs):
+        seen.append(kwargs["h"])
+        return hqn.integrator.integrate_profile(case, a, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_profile", recorded)
+    argv = ["curve", "--case", "elliptic", "--n", "2", "--m", "1", "--a", "1",
+            "--tol", "1e-6", "--out", str(tmp_path / "c.csv")]
+    assert main(argv + ["--h", "1"]) == 0
+    assert main(argv) == 0
+    assert seen == [1.0, 0.0]
+    monkeypatch.undo()
+    first = _exit_and_output(capsys, ["verify", "--n", "1"])
+    assert main(["verify", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert _exit_and_output(capsys, ["verify", "--n", "1"]) == first
+    assert first[0] == 2
+    code, text = _exit_and_output(capsys, ["-h"])
+    assert code == 0
+    for verb in cli.VERBS:
+        assert verb in text

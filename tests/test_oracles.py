@@ -33,9 +33,11 @@ from hqn.loci import canonical_bisector_residual, fan_at_origin_residual
 from hqn.oracles import (
     CURVATURE_STEP,
     _christoffel_contraction,
+    _complement,
     _grad_hess_weights,
     _richardson_grad_hess,
     _killing_vectors,
+    _orbit_basis,
     _stencil_offsets,
     _reference_coords,
     ambient_mean_curvature,
@@ -84,15 +86,26 @@ def test_killing_ratio_constant(case):
     assert spread < 1e-12
 
 
-def test_cube_exponent_is_decisive():
+CONTROL = "un-cubed bracket control 0.1/spread"
+
+
+def test_cube_exponent_is_decisive(capsys):
     # dropping the cube on the bracket cosh^2 r + sinh^2 r cos^2 theta
-    # breaks the ratio by double digits
-    case = ReducedCase(SPECIAL_LOXODROMIC, 2)
-    r, theta = np.random.default_rng(3).uniform((0.2, 0.2), (0.9, 1.2), (20, 2)).T
-    bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
-    ratios = killing_volume(case, section_point(case, r, theta)) / (
-        volume_functional(case, (r, theta)) / bracket ** 2)
-    assert (ratios.max() - ratios.min()) / ratios.mean() > 0.1
+    # breaks the ratio by double digits; the volume report's control row
+    # reads 0.1 / spread over its 20 points (seed 0)
+    for n in (2, 3, 4):
+        assert main(["oracle", "--oracle", "volume", "--n", str(n)]) == 0
+        control = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                       if c["name"] == CONTROL)
+        case = ReducedCase(SPECIAL_LOXODROMIC, n)
+        r, theta = np.random.default_rng(0).uniform((0.2, 0.2), (0.9, 1.2), (20, 2)).T
+        bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
+        ratios = killing_volume(case, section_point(case, r, theta)) / (
+            volume_functional(case, (r, theta)) / bracket ** 2)
+        spread = (ratios.max() - ratios.min()) / ratios.mean()
+        assert spread > 0.1
+        assert control["value"] == pytest.approx(0.1 / spread, rel=1e-12)
+        assert control["bound"] == 1.0 and control["pass"] is True
 
 
 def test_killing_volume_vanishes_at_stratum():
@@ -550,16 +563,18 @@ def test_exact_killing_fields(case):
 
 
 # Every check value of `hqn oracle --n 2`, `--n 3` and `--n 4`, as
-# float.hex. The Killing spreads are as computed before the stencils were
-# cached and the Killing fields were one product; the curvatures as
-# computed with the stencil's integer weight map and the closed-form
-# inverse and derivative of the metric.
+# float.hex. The Killing spreads and the un-cubed control are as computed
+# from the case's orbit basis (the complement folded into the generators)
+# with the Gram taken from the ball pairing; the curvatures as computed
+# with the stencil's integer weight map and the closed-form inverse and
+# derivative of the metric.
 ORACLE_VALUES = {
     2: [
-        ("killing ratio spread elliptic m=1", "0x1.cfffffffffffcp-49"),
-        ("killing ratio spread special-loxodromic m=None", "0x1.9000000000006p-49"),
-        ("killing ratio spread parabolic m=1", "0x1.13ffffffffff5p-47"),
-        ("killing ratio spread special-parabolic m=None", "0x1.03ffffffffffap-47"),
+        ("killing ratio spread elliptic m=1", "0x1.8fffffffffffep-49"),
+        ("killing ratio spread special-loxodromic m=None", "0x1.a000000000009p-49"),
+        ("killing ratio spread parabolic m=1", "0x1.a7ffffffffff4p-48"),
+        ("killing ratio spread special-parabolic m=None", "0x1.efffffffffffap-48"),
+        ("un-cubed bracket control 0.1/spread", "0x1.f78eb67887fb2p-5"),
         ("bisector mean curvature", "0x1.36839ef8592c3p-55"),
         ("fan mean curvature", "0x1.1a738253437fep-49"),
         ("horosphere mean curvature error", "0x1.0000000000000p-49"),
@@ -568,12 +583,13 @@ ORACLE_VALUES = {
     ],
     3: [
         ("killing ratio spread elliptic m=1", "0x1.6fffffffffffdp-48"),
-        ("killing ratio spread elliptic m=2", "0x1.6800000000004p-48"),
-        ("killing ratio spread loxodromic m=2", "0x1.3000000000008p-48"),
-        ("killing ratio spread special-loxodromic m=None", "0x1.0800000000002p-48"),
-        ("killing ratio spread parabolic m=1", "0x1.2bffffffffff9p-47"),
-        ("killing ratio spread parabolic m=2", "0x1.07ffffffffff5p-46"),
-        ("killing ratio spread special-parabolic m=None", "0x1.83ffffffffff7p-47"),
+        ("killing ratio spread elliptic m=2", "0x1.8800000000002p-48"),
+        ("killing ratio spread loxodromic m=2", "0x1.d00000000000dp-48"),
+        ("killing ratio spread special-loxodromic m=None", "0x1.3000000000001p-48"),
+        ("killing ratio spread parabolic m=1", "0x1.5bffffffffffcp-46"),
+        ("killing ratio spread parabolic m=2", "0x1.07ffffffffff9p-47"),
+        ("killing ratio spread special-parabolic m=None", "0x1.67ffffffffffap-47"),
+        ("un-cubed bracket control 0.1/spread", "0x1.f78eb67887fb0p-5"),
         ("bisector mean curvature", "0x1.481f3960ca886p-53"),
         ("fan mean curvature", "0x1.67b8dfcbc2d43p-45"),
         ("horosphere mean curvature error", "0x1.0000000000000p-49"),
@@ -581,16 +597,17 @@ ORACLE_VALUES = {
         ("bisector family t=0.7 mean curvature", "0x1.3c1a37e9a43e4p-34"),
     ],
     4: [
-        ("killing ratio spread elliptic m=1", "0x1.47ffffffffffap-47"),
-        ("killing ratio spread elliptic m=2", "0x1.37ffffffffffep-47"),
-        ("killing ratio spread elliptic m=3", "0x1.1800000000007p-47"),
-        ("killing ratio spread loxodromic m=2", "0x1.0800000000005p-47"),
-        ("killing ratio spread loxodromic m=3", "0x1.2800000000006p-47"),
-        ("killing ratio spread special-loxodromic m=None", "0x1.2bffffffffffcp-47"),
-        ("killing ratio spread parabolic m=1", "0x1.6fffffffffffdp-47"),
-        ("killing ratio spread parabolic m=2", "0x1.77ffffffffffap-47"),
-        ("killing ratio spread parabolic m=3", "0x1.39fffffffffefp-46"),
-        ("killing ratio spread special-parabolic m=None", "0x1.37ffffffffff7p-46"),
+        ("killing ratio spread elliptic m=1", "0x1.47ffffffffff8p-47"),
+        ("killing ratio spread elliptic m=2", "0x1.b800000000000p-48"),
+        ("killing ratio spread elliptic m=3", "0x1.880000000000cp-48"),
+        ("killing ratio spread loxodromic m=2", "0x1.0400000000006p-47"),
+        ("killing ratio spread loxodromic m=3", "0x1.3800000000009p-47"),
+        ("killing ratio spread special-loxodromic m=None", "0x1.03ffffffffffap-47"),
+        ("killing ratio spread parabolic m=1", "0x1.a7ffffffffffbp-46"),
+        ("killing ratio spread parabolic m=2", "0x1.0000000000002p-46"),
+        ("killing ratio spread parabolic m=3", "0x1.87ffffffffff4p-47"),
+        ("killing ratio spread special-parabolic m=None", "0x1.03ffffffffffap-46"),
+        ("un-cubed bracket control 0.1/spread", "0x1.f78eb67887fabp-5"),
         ("bisector mean curvature", "0x1.3d97f2904af27p-53"),
         ("fan mean curvature", "0x1.3d596c6fa421cp-44"),
         ("horosphere mean curvature error", "0x1.0000000000000p-49"),
@@ -615,7 +632,8 @@ def test_killing_pins_are_the_volume_oracle(n, capsys):
     assert main(["oracle", "--oracle", "volume", "--n", str(n)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [(c["name"], c["value"].hex()) for c in report["checks"]] == [
-        pin for pin in ORACLE_VALUES[n] if pin[0].startswith("killing ratio spread")]
+        pin for pin in ORACLE_VALUES[n]
+        if pin[0].startswith("killing ratio spread") or pin[0] == CONTROL]
 
 
 def test_curvature_oracle_pinned(capsys):
@@ -654,6 +672,51 @@ def cases_at(n):
 
 
 STACK_CASES = cases_at(2) + cases_at(3) + cases_at(4)
+REFERENCE_CASES = STACK_CASES + cases_at(8)
+
+
+def _reference_killing_volume(case, p):
+    # the full-basis path: every generator's Killing field, projected by
+    # the complement, with the Gram taken through the 4n x 4n ball metric
+    X = lift(p)
+    rows = _complement(case) @ _killing_vectors(generator_basis(case), X)
+    x = X[..., :-1, :].reshape(X.shape[:-2] + (-1,))
+    return rows, np.sqrt(np.linalg.det(
+        rows @ ball_metric_matrix(x, case.n) @ np.swapaxes(rows, -1, -2)))
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES,
+                         ids=[f"{c.kind}-n{c.n}-m{c.m}" for c in REFERENCE_CASES])
+def test_killing_volume_matches_the_full_basis_reference(case):
+    # the orbit basis gives the complement's combinations of the full
+    # basis's fields, and the pairing's Gram the metric's, to rounding
+    basis = _orbit_basis(case)
+    assert basis.shape == (4 * case.n - 2,) + generator_basis(case).shape[1:]
+    assert not basis.flags.writeable
+    rng = np.random.default_rng([case.n, case.m or 0, len(case.kind), 1])
+    lo, hi = ((0.2, 0.2), (0.9, 1.2)) if case.kind in POLAR_KINDS else ((0.4, 0.3), (2.0, 1.5))
+    c1, c2 = rng.uniform(lo, hi, (20, 2)).T
+    p = section_point(case, c1, c2)
+    rows, want = _reference_killing_volume(case, p)
+    fields = _killing_vectors(basis, lift(p))
+    assert np.max(np.abs(fields - rows)) <= 1e-13 * np.max(np.abs(rows))
+    assert np.max(np.abs(killing_volume(case, p) / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("mutant", ["no pairing term", "s = 1"])
+def test_volume_oracle_catches_a_wrong_ball_gram(mutant, monkeypatch, capsys):
+    # the Gram without its (R M^T)(R M^T)^T term, or with s = 1 - |x|^2 put
+    # to 1, breaks every Killing spread
+    if mutant == "no pairing term":
+        pairing = hqn.oracles._ball_pairing
+        monkeypatch.setattr(hqn.oracles, "_ball_pairing",
+                            lambda x, n: 0.0 * pairing(x, n))
+    else:
+        monkeypatch.setattr(hqn.oracles, "qnorm2", lambda x: np.zeros(x.shape[:-1]))
+    assert main(["oracle", "--oracle", "volume", "--n", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    spreads = [c for c in report["checks"] if c["name"].startswith("killing ratio spread")]
+    assert len(spreads) == 4 and not any(c["pass"] for c in spreads)
 
 
 @pytest.mark.parametrize("case", STACK_CASES,
