@@ -455,11 +455,10 @@ def _cmd_oracle(args) -> int:
                 f"killing ratio spread {case.kind} m={case.m}",
                 killing_ratio_spread(case, n_points=args.points), 1e-5))
         # the functional with its bracket un-cubed must fail by far: spread
-        # > 0.1, reported as 0.1 / spread so that pass is value <= bound (one
-        # point has spread 0 and tells nothing apart)
-        spread = uncubed_bracket_spread(args.n, args.points)
+        # > 0.1 at fixed points, whatever --points, reported as 0.1 / spread
+        # so that pass is value <= bound
         checks.append(_check("un-cubed bracket control 0.1/spread",
-                             0.1 / spread if spread else np.inf, 1.0))
+                             0.1 / uncubed_bracket_spread(args.n), 1.0))
     if args.oracle in ("curvature", "all"):
         n, rng = args.n, np.random.default_rng(404)
         worst_b = worst_f = worst_h = 0.0

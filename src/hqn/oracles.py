@@ -26,7 +26,7 @@ from .charts import (
     metric_jet,
     point_from_array,
 )
-from .errors import DegenerateOrbitError, ShapeError, SingularPointError
+from .errors import DegenerateOrbitError, NotInteriorError, ShapeError, SingularPointError
 from .quaternion import CONJ, left_mult_matrix, qnorm2, right_mult_matrix
 from .reduction import (
     ELLIPTIC,
@@ -214,6 +214,8 @@ def killing_volume(case: ReducedCase, p: ChartPoint):
     rows = _killing_vectors(_orbit_basis(case), X)
     x = X[..., :-1, :].reshape(X.shape[:-2] + (-1,))
     s = (1.0 - qnorm2(x))[..., None, None]
+    if (s <= 0.0).any():
+        raise NotInteriorError("ball metric needs |x| < 1")
     RM = rows @ np.swapaxes(_ball_pairing(x, case.n), -1, -2)
     gram = 4.0 * (s * (rows @ np.swapaxes(rows, -1, -2))
                   + RM @ np.swapaxes(RM, -1, -2)) / s ** 2
@@ -233,9 +235,9 @@ def killing_ratio_spread(case: ReducedCase, n_points: int = 50,
     return _ratio_spread(case, volume_functional, n_points, seed)
 
 
-def uncubed_bracket_spread(n: int, n_points: int = 50, seed: int = 0) -> float:
+def uncubed_bracket_spread(n: int) -> float:
     """The control of killing_ratio_spread: the special-loxodromic spread
-    at the same points against V / bracket^2, whose bracket
+    at 20 points (seed 0) against V / bracket^2, whose bracket
     cosh^2 r + sinh^2 r cos^2 theta is not cubed. The oracle tells the two
     apart only if this spread is large."""
     def uncubed(case, point):
@@ -243,7 +245,7 @@ def uncubed_bracket_spread(n: int, n_points: int = 50, seed: int = 0) -> float:
         bracket = np.cosh(r) ** 2 + (np.sinh(r) * np.cos(theta)) ** 2
         return volume_functional(case, point) / bracket ** 2
 
-    return _ratio_spread(ReducedCase(SPECIAL_LOXODROMIC, n), uncubed, n_points, seed)
+    return _ratio_spread(ReducedCase(SPECIAL_LOXODROMIC, n), uncubed, 20, 0)
 
 
 def _ratio_spread(case: ReducedCase, functional: Callable, n_points: int,

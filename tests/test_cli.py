@@ -495,6 +495,18 @@ def test_oracle_runs_at_n3(capsys):
     assert "killing ratio spread loxodromic m=2" in names
 
 
+def test_oracle_one_point_report_passes_as_strict_json(capsys):
+    # the un-cubed bracket control runs at its own 20 points, so one point
+    # leaves every row finite: no bare Infinity or NaN in the report
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    code, out = run(capsys, "oracle", "--points", "1")
+    assert code == 0
+    report = json.loads(out, parse_constant=refuse)
+    assert all(c["pass"] for c in report["checks"])
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(-2, 4), points=st.integers(-3, 3))
 def test_oracle_flags_never_traceback(n, points):

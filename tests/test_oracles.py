@@ -116,6 +116,19 @@ def test_killing_volume_vanishes_at_stratum():
     assert near < 1e-6 * bulk
 
 
+def test_killing_volume_needs_the_open_ball():
+    # a horospherical point at |omega| = 1e9 lifts to a ball point with
+    # |x|^2 rounded up to 1: the Gram's s = 1 - |x|^2 is not positive
+    case = ReducedCase(PARABOLIC, 2, 1)
+    far = horo_point((Quaternion(1e9),), 1.0, Quaternion())
+    with pytest.raises(NotInteriorError):
+        killing_volume(case, far)
+    stack = point_from_array(HORO, np.array([[0.3, 0, 0, 0, 1.0, 0, 0, 0],
+                                             [1e9, 0, 0, 0, 1.0, 0, 0, 0]]), 2)
+    with pytest.raises(NotInteriorError):
+        killing_volume(case, stack)
+
+
 def test_generator_counts():
     assert len(generator_basis(ReducedCase(SPECIAL_LOXODROMIC, 2))) == 6
     assert len(generator_basis(ReducedCase(PARABOLIC, 2, 1))) == 6
