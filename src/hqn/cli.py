@@ -295,9 +295,13 @@ def _emit_report(report: dict, out) -> int:
     return 0 if report["pass"] else 1
 
 
-def _check(name: str, value: float, bound: float) -> dict:
-    return {"name": name, "value": float(value), "bound": float(bound),
-            "pass": bool(value <= bound)}
+def _check(name: str, values, bound: float) -> dict:
+    """The row bounding values: its value is their largest magnitude, NaN if
+    any is NaN. A non-finite value fails and is written as a string, so the
+    report stays strict JSON."""
+    value = float(np.max(np.abs(values)))
+    return {"name": name, "value": value if np.isfinite(value) else str(value),
+            "bound": float(bound), "pass": value <= bound}
 
 
 # ---------------------------------------------------------------------------
@@ -311,53 +315,38 @@ def _scale_to_radius(x: np.ndarray, r) -> np.ndarray:
     return x * (r / np.maximum(np.sqrt(np.vecdot(x, x)), 1e-9))[..., None]
 
 
-def _random_ball(rng, n):
-    """The 4n reals of a random ball point."""
-    x = rng.uniform(-0.5, 0.5, 4 * n)
-    return _scale_to_radius(x, rng.uniform(0.1, 0.9))
-
-
 def _random_balls(rng, n, k):
-    """k random ball points as (k, 4n) reals: the draws of k calls of
-    _random_ball, in their order, scaled once on the stack. One block of
-    k rows of 4n + 1 uniforms, scaled as uniform scales them (low +
-    (high - low) u), gives those calls' bits and generator state."""
+    """k random ball points as (k, 4n) reals: each row 4n uniforms in
+    [-0.5, 0.5) scaled to a radius uniform in [0.1, 0.9). One block of k
+    rows of 4n + 1 uniforms, scaled as uniform scales them (low +
+    (high - low) u), gives the bits and generator state of k rounds of
+    uniform(-0.5, 0.5, 4n) and uniform(0.1, 0.9)."""
     u = rng.random((k, 4 * n + 1))
     return _scale_to_radius(-0.5 + 1.0 * u[:, :-1], 0.1 + 0.8 * u[:, -1])
 
 
 def _suite_charts(n: int):
     rng = np.random.default_rng(101)
-    x = _random_balls(rng, n, 100)
-    p = point_from_array(BALL, x[0::2], n)
-    p2 = point_from_array(BALL, x[1::2], n)
+    x = _random_balls(rng, n, 101)
+    p = point_from_array(BALL, x[:100:2], n)
+    p2 = point_from_array(BALL, x[1:100:2], n)
     q = convert(convert(convert(p, SIEGEL), HORO), BALL)
-    worst_rt = float(np.max(np.abs(coords_array(q) - coords_array(p))))
-    worst_sym = float(np.max(np.abs(dist(p, p2) - dist(p2, p))))
-    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, _random_ball(rng, n), n)))
-    return [_check("chart round trip", worst_rt, 1e-12),
-            _check("distance symmetry", worst_sym, 1e-12),
+    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, x[100], n)))
+    return [_check("chart round trip", coords_array(q) - coords_array(p), 1e-12),
+            _check("distance symmetry", dist(p, p2) - dist(p2, p), 1e-12),
             _check("metric positive definite", 0.0 if eig.min() > 0 else 1.0, 0.5)]
 
 
 def _isometry_draws(rng, n, k):
     """k Heisenberg pairs (xi, nu), transvection lengths t, rotation blocks
-    B in Sp(n-1), unit quaternions lam and ball points x, as stacks. The
-    loop keeps the draws of k rounds of xi, nu, t, random_sp(n - 1),
-    random_unit_quaternion and _random_ball in their seeded order; the
-    arithmetic on them runs once on the stacks."""
-    xi, nu, t = np.empty((k, n - 1, 4)), np.zeros((k, 4)), np.empty(k)
-    V, lam = np.empty((k, n - 1, n - 1, 4)), np.empty((k, 4))
-    x, r = np.empty((k, 4 * n)), np.empty(k)
-    for i in range(k):
-        xi[i] = rng.normal(0, 0.4, (n - 1, 4))
-        nu[i, 1:] = rng.normal(0, 0.4, 3)
-        t[i] = rng.normal(0, 0.5)
-        V[i] = rng.standard_normal((n - 1, n - 1, 4))
-        lam[i] = rng.standard_normal(4)
-        x[i] = rng.uniform(-0.5, 0.5, 4 * n)
-        r[i] = rng.uniform(0.1, 0.9)
-    return xi, nu, t, sp_from_normals(V), unit_quaternions(lam), _scale_to_radius(x, r)
+    B in Sp(n-1), unit quaternions lam and ball points x, as stacks, each
+    drawn as one block."""
+    xi = rng.normal(0, 0.4, (k, n - 1, 4))
+    nu = np.insert(rng.normal(0, 0.4, (k, 3)), 0, 0.0, axis=1)
+    t = rng.normal(0, 0.5, k)
+    B = sp_from_normals(rng.standard_normal((k, n - 1, n - 1, 4)))
+    lam = unit_quaternions(rng.standard_normal((k, 4)))
+    return xi, nu, t, B, lam, _random_balls(rng, n, k)
 
 
 def _suite_isometries(n: int):
@@ -370,12 +359,10 @@ def _suite_isometries(n: int):
             ("transvection", transvection_matrix(n, t), dict(t=t)),
             ("rotation", Isometry(big), dict(B=B, lam=lam))]
     p = convert(point_from_array(BALL, x, n), HORO)
-    worst_defect = max(float(np.max(sp_defect(g.A))) for _, g, _ in gens)
-    worst_closed = max(float(np.max(np.abs(coords_array(act(g, p))
-                                           - coords_array(act_horo_closed(kind, p, **params)))))
-                       for kind, g, params in gens)
-    return [_check("Sp(n,1) defect", worst_defect, 1e-12),
-            _check("matrix vs closed-form action", worst_closed, 1e-10)]
+    closed = [coords_array(act(g, p)) - coords_array(act_horo_closed(kind, p, **params))
+              for kind, g, params in gens]
+    return [_check("Sp(n,1) defect", [sp_defect(g.A) for _, g, _ in gens], 1e-12),
+            _check("matrix vs closed-form action", closed, 1e-10)]
 
 
 def _cases_for(n: int):
@@ -393,23 +380,20 @@ def _cases_for(n: int):
 def _suite_reduction(n: int):
     checks = []
     for case in _cases_for(n):
-        worst = 0.0
+        rates = []
         for sol in explicit_solutions(case):
             st = sol.state(1.0, 1.0)
             f = case_rhs(case, sol.h(1.0))(st.c1, st.c2, st.sigma)
-            frozen = abs(f[1]) if abs(np.sin(st.sigma)) < 1e-12 else abs(f[0])
-            worst = max(worst, abs(f[2]), frozen)
+            rates += [f[2], f[1] if abs(np.sin(st.sigma)) < 1e-12 else f[0]]
         checks.append(_check(f"stationary families {case.kind} m={case.m}",
-                             worst, 1e-12))
+                             rates, 1e-12))
     sl = ReducedCase(SPECIAL_LOXODROMIC, n)
     c = integrate_profile(sl, 0.0, s_max=8.0, tol=1e-13)
-    checks.append(_check("invariant line deviation",
-                         float(np.max(np.abs(c.uniform_states[:, 1] - np.pi / 2))),
+    checks.append(_check("invariant line deviation", c.uniform_states[:, 1] - np.pi / 2,
                          1e-12))
     sp = ReducedCase(SPECIAL_PARABOLIC, n)
     c = integrate_profile(sp, 1.0, s_max=50.0, tol=1e-12, c1_floor=0.3)
-    checks.append(_check("conserved quantity drift",
-                         float(np.max(np.abs(c.I1 - 1.0))), 1e-8))
+    checks.append(_check("conserved quantity drift", c.I1 - 1.0, 1e-8))
     return checks
 
 
@@ -447,6 +431,53 @@ def _cmd_verify(args) -> int:
     return _emit_report(_report(checks), args.out)
 
 
+def _horo_draw(rng, n):
+    """omega, beta and alpha of a random horospherical point, in that order."""
+    return rng.normal(0, 0.25, (n - 1, 4)), rng.normal(0, 0.2, 3), float(rng.uniform(0.4, 1.5))
+
+
+def _horo_point(omega, *alpha_beta):
+    """The horospherical point of omega's n - 1 rows and (alpha, beta)."""
+    return point_from_array(HORO, np.array([*omega.ravel(), *alpha_beta]), len(omega) + 1)
+
+
+def _curvature_table(n: int, points: int, general: bool) -> list:
+    """(name, residual, point, expected H, bound) rows of the curvature
+    oracle, one per surface and point: the bisector, fan and horosphere at
+    the draws of seed 404 and, if general, the general fan and bisector
+    family at those of seed 405."""
+    table = []
+    rng = np.random.default_rng(404)
+    for _ in range(points):
+        om, be, al = _horo_draw(rng, n)
+        # the bisector point has beta_3 = 0 and omega_{n-1,3} = 0, the fan
+        # point a real omega_{n-1} and beta_3 = 0
+        on_bisector, on_fan = om.copy(), om.copy()
+        on_bisector[-1, 3] = 0.0
+        on_fan[-1, 1:] = 0.0
+        # exact surfaces leave rounding: <= 1.1e-14 up to n = 12 (<= 1.4e-13 the fan)
+        table += [("bisector mean curvature", canonical_bisector_residual,
+                   _horo_point(on_bisector, al, *be[:2], 0.0), 0.0, 1e-12),
+                  ("fan mean curvature", fan_at_origin_residual,
+                   _horo_point(on_fan, al, *be[:2], 0.0), 0.0, 1e-12),
+                  ("horosphere mean curvature error", lambda q: convert(q, HORO).alpha - 1.0,
+                   _horo_point(om, 1.0, *be), 2 * n + 1, 1e-12)]
+    rng, t = np.random.default_rng(405), 0.7
+    for _ in range(points if general else 0):
+        om, be, al = _horo_draw(rng, n)
+        normal = rng.normal(size=4 * (n - 1))
+        # the fan with a random normal through the point, and the member t of
+        # the bisector family through the point with beta_3 moved to
+        # 2 t omega_{n-1,3}; the residual stencil's rounding: <= 1.1e-8 up to n = 12
+        fan = functools.partial(fan_residual, normal=normal,
+                                offset=float(np.vecdot(om.ravel(), normal)))
+        table += [("general fan mean curvature", fan, _horo_point(om, al, *be), 0.0, 1e-7),
+                  (f"bisector family t={t} mean curvature",
+                   functools.partial(bisector_family_residual, t=t),
+                   _horo_point(om, al, *be[:2], 2.0 * t * om[-1, 3]), 0.0, 1e-7)]
+    return table
+
+
 def _cmd_oracle(args) -> int:
     checks = []
     if args.oracle in ("volume", "all"):
@@ -460,54 +491,12 @@ def _cmd_oracle(args) -> int:
         checks.append(_check("un-cubed bracket control 0.1/spread",
                              0.1 / uncubed_bracket_spread(args.n), 1.0))
     if args.oracle in ("curvature", "all"):
-        n, rng = args.n, np.random.default_rng(404)
-        worst_b = worst_f = worst_h = 0.0
-        for _ in range(args.points):
-            om = rng.normal(0, 0.25, (n - 1, 4))
-            be = rng.normal(0, 0.2, 3)
-            al = float(rng.uniform(0.4, 1.5))
-            # horo rows (omega, (alpha, beta)) of one point per surface: the
-            # bisector point has beta_3 = 0 and omega_{n-1,3} = 0, the fan
-            # point a real omega_{n-1} and beta_3 = 0
-            on_bisector = om.copy()
-            on_bisector[-1, 3] = 0.0
-            pb = point_from_array(HORO, np.array([*on_bisector.ravel(), al, *be[:2], 0.0]), n)
-            worst_b = max(worst_b, abs(ambient_mean_curvature(
-                canonical_bisector_residual, pb)))
-            on_fan = om.copy()
-            on_fan[-1, 1:] = 0.0
-            pf = point_from_array(HORO, np.array([*on_fan.ravel(), al, *be[:2], 0.0]), n)
-            worst_f = max(worst_f, abs(ambient_mean_curvature(
-                fan_at_origin_residual, pf)))
-            ph = point_from_array(HORO, np.array([*om.ravel(), 1.0, *be]), n)
-            worst_h = max(worst_h, abs(ambient_mean_curvature(
-                lambda q: convert(q, HORO).alpha - 1.0, ph) - (2 * n + 1)))
-        # exact surfaces leave rounding: <= 1.1e-14 up to n = 12 (<= 1.4e-13 the fan)
-        checks.append(_check("bisector mean curvature", worst_b, 1e-12))
-        checks.append(_check("fan mean curvature", worst_f, 1e-12))
-        checks.append(_check("horosphere mean curvature error", worst_h, 1e-12))
-    if args.oracle == "all":
-        n, rng, t = args.n, np.random.default_rng(405), 0.7
-        worst_f = worst_b = 0.0
-        for _ in range(args.points):
-            om = rng.normal(0, 0.25, (n - 1, 4))
-            be = rng.normal(0, 0.2, 3)
-            al = float(rng.uniform(0.4, 1.5))
-            normal = rng.normal(size=4 * (n - 1))
-            # the fan with a random normal through the point, and the member
-            # t of the bisector family through the point with beta_3 moved
-            # to 2 t omega_{n-1,3}
-            p = point_from_array(HORO, np.array([*om.ravel(), al, *be]), n)
-            offset = float(np.vecdot(om.ravel(), normal))
-            worst_f = max(worst_f, abs(ambient_mean_curvature(
-                lambda q: fan_residual(q, normal, offset), p)))
-            pt = point_from_array(HORO, np.array([*om.ravel(), al, *be[:2],
-                                                  2.0 * t * om[-1, 3]]), n)
-            worst_b = max(worst_b, abs(ambient_mean_curvature(
-                lambda q: bisector_family_residual(q, t), pt)))
-        # the residual stencil's rounding: <= 1.1e-8 up to n = 12
-        checks.append(_check("general fan mean curvature", worst_f, 1e-7))
-        checks.append(_check(f"bisector family t={t} mean curvature", worst_b, 1e-7))
+        errors = {}
+        for name, residual, p, expected, bound in _curvature_table(
+                args.n, args.points, args.oracle == "all"):
+            errors.setdefault((name, bound), []).append(
+                ambient_mean_curvature(residual, p) - expected)
+        checks += [_check(name, e, bound) for (name, bound), e in errors.items()]
     return _emit_report(_report(checks), args.out)
 
 
@@ -626,21 +615,17 @@ VERBS = {
 
 
 @functools.cache
-def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of the one verb named: that verb's
-    arguments parse the same, and the other verbs' subparsers go unbuilt.
-    Each is built once per process; parsing leaves it as it was."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process; parsing leaves it
+    as it was."""
     ap = argparse.ArgumentParser(prog="hqn")
-    # a one-verb tree still names every verb in its usage line
-    sub = ap.add_subparsers(dest="command", required=True,
-                            metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, (add_flags, func) in VERBS.items():
-        if verb in (None, name):
-            # flags are spelled in full: "--h" is not "--help", "--a" not "--a-grid"
-            p = sub.add_parser(name, allow_abbrev=False)
-            p._negative_number_matcher = NEGATIVE_NUMBER
-            add_flags(p)
-            p.set_defaults(func=func)
+        # flags are spelled in full: "--h" is not "--help", "--a" not "--a-grid"
+        p = sub.add_parser(name, allow_abbrev=False)
+        p._negative_number_matcher = NEGATIVE_NUMBER
+        add_flags(p)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -683,9 +668,7 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # no verb, -h or an unknown verb: the full tree lists the verbs
-    parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _check_flags(args)

@@ -462,11 +462,10 @@ def foliation_certificate(case: ReducedCase, curves: Sequence,
             s_hi = 0.999 * min(ca.uniform_s[-1], cb.uniform_s[-1])
             s_common = np.linspace(max(ca.uniform_s[0], cb.uniform_s[0]),
                                    s_hi, 200)
-            dev = 0.0
-            for col, scale in ((0, r * r), (1, r)):
-                va = np.interp(s_common, ca.uniform_s, ca.uniform_states[:, col])
-                vb = np.interp(s_common, cb.uniform_s, cb.uniform_states[:, col])
-                dev = max(dev, float(np.max(np.abs(vb - scale * va))))
+            va, vb = (np.array([np.interp(s_common, c.uniform_s, c.uniform_states[:, col])
+                                for col in (0, 1)]) for c in (ca, cb))
+            # one max over both columns: a NaN in either fails the check
+            dev = float(np.max(np.abs(vb - [[r * r], [r]] * va)))
             checks.append({"name": f"dilation a={ca.a} vs a={cb.a}",
                            "value": dev, "bound": tol, "pass": dev < tol})
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -40,8 +40,6 @@ from hqn.isometries import (
     act_horo_closed,
     heisenberg_matrix,
     qmat_identity,
-    random_sp,
-    random_unit_quaternion,
     sp_defect,
     transvection_matrix,
 )
@@ -255,49 +253,45 @@ def test_verify_all_passes_at_every_n(capsys, n):
     assert len(drift) == 1 and drift[0] <= 1e-10
 
 
+def _random_ball(rng, n):
+    """One ball point as the suites drew it before their draws were stacked."""
+    x = rng.uniform(-0.5, 0.5, 4 * n)
+    return cli._scale_to_radius(x, rng.uniform(0.1, 0.9))
+
+
 def _per_draw_suite_charts(n):
     # the charts suite as it ran before it was stacked: one point at a time
     rng = np.random.default_rng(101)
-    worst_rt = 0.0
-    worst_sym = 0.0
+    rt, sym = [], []
     for _ in range(50):
-        p = point_from_array(BALL, cli._random_ball(rng, n), n)
+        p = point_from_array(BALL, _random_ball(rng, n), n)
         q = convert(convert(convert(p, SIEGEL), HORO), BALL)
-        worst_rt = max(worst_rt,
-                       float(np.max(np.abs(coords_array(q) - coords_array(p)))))
-        p2 = point_from_array(BALL, cli._random_ball(rng, n), n)
-        worst_sym = max(worst_sym, abs(dist(p, p2) - dist(p2, p)))
-    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, cli._random_ball(rng, n), n)))
-    return [cli._check("chart round trip", worst_rt, 1e-12),
-            cli._check("distance symmetry", worst_sym, 1e-12),
+        rt.append(coords_array(q) - coords_array(p))
+        p2 = point_from_array(BALL, _random_ball(rng, n), n)
+        sym.append(dist(p, p2) - dist(p2, p))
+    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, _random_ball(rng, n), n)))
+    return [cli._check("chart round trip", rt, 1e-12),
+            cli._check("distance symmetry", sym, 1e-12),
             cli._check("metric positive definite", 0.0 if eig.min() > 0 else 1.0, 0.5)]
 
 
 def _per_draw_suite_isometries(n):
-    # the isometries suite as it ran before it was stacked: one draw at a time
-    rng = np.random.default_rng(202)
-    worst_defect = 0.0
-    worst_closed = 0.0
-    for _ in range(50):
-        xi = rng.normal(0, 0.4, (n - 1, 4))
-        nu = np.concatenate([[0.0], rng.normal(0, 0.4, 3)])
-        t = float(rng.normal(0, 0.5))
-        B = random_sp(n - 1, rng)
-        lam = random_unit_quaternion(rng)
+    # the isometries suite one draw at a time, on the rows of its block draws
+    defects, closed = [], []
+    for xi, nu, t, B, lam, x in zip(*cli._isometry_draws(np.random.default_rng(202), n, 50)):
+        t = float(t)
         big = qmat_identity(n + 1)
         big[:n - 1, :n - 1] = B
         big[n - 1, n - 1] = big[n, n] = lam
         gens = [("heisenberg", heisenberg_matrix(n, xi, nu), dict(xi=xi, nu=nu)),
                 ("transvection", transvection_matrix(n, t), dict(t=t)),
                 ("rotation", Isometry(big), dict(B=B, lam=lam))]
-        p = convert(point_from_array(BALL, cli._random_ball(rng, n), n), HORO)
+        p = convert(point_from_array(BALL, x, n), HORO)
         for kind, g, params in gens:
-            worst_defect = max(worst_defect, sp_defect(g.A))
-            a = coords_array(act(g, p))
-            b = coords_array(act_horo_closed(kind, p, **params))
-            worst_closed = max(worst_closed, float(np.max(np.abs(a - b))))
-    return [cli._check("Sp(n,1) defect", worst_defect, 1e-12),
-            cli._check("matrix vs closed-form action", worst_closed, 1e-10)]
+            defects.append(sp_defect(g.A))
+            closed.append(coords_array(act(g, p)) - coords_array(act_horo_closed(kind, p, **params)))
+    return [cli._check("Sp(n,1) defect", defects, 1e-12),
+            cli._check("matrix vs closed-form action", closed, 1e-10)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -327,38 +321,25 @@ def test_random_balls_are_the_uniform_loop(n, k):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_suite_draws_keep_the_per_draw_stream(n):
-    # the stacked draws are the per-draw loop's values, bit for bit, and
-    # leave the generator where that loop left it
+    # the charts suite's 101 stacked ball points, its metric point last, are
+    # the per-draw loop's values, bit for bit, and leave the generator where
+    # that loop left it
     rng, ref = np.random.default_rng(101), np.random.default_rng(101)
-    x = cli._random_balls(rng, n, 100)
-    assert x.tobytes() == np.array([cli._random_ball(ref, n) for _ in range(100)]).tobytes()
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-    rng, ref = np.random.default_rng(202), np.random.default_rng(202)
-    got = cli._isometry_draws(rng, n, 50)
-    want = [[] for _ in range(6)]
-    for _ in range(50):
-        nu = np.zeros(4)
-        draw = (ref.normal(0, 0.4, (n - 1, 4)), nu, ref.normal(0, 0.4, 3),
-                ref.normal(0, 0.5), random_sp(n - 1, ref),
-                random_unit_quaternion(ref), cli._random_ball(ref, n))
-        nu[1:] = draw[2]
-        for stack, value in zip(want, draw[:2] + draw[3:]):
-            stack.append(value)
-    for stack, values in zip(got, want):
-        assert stack.tobytes() == np.array(values).tobytes()
+    x = cli._random_balls(rng, n, 101)
+    assert x.tobytes() == np.array([_random_ball(ref, n) for _ in range(101)]).tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-# check values of the charts and isometries suites, as float.hex, from the
-# per-draw suites they were first computed by
+# check values of the charts and isometries suites, as float.hex: the charts
+# rows from the per-draw suite they were first computed by, the isometries
+# rows from the block draws
 SUITE_VALUES = {
     2: ["0x1.0000000000000p-52", "0x0.0p+0", "0x0.0p+0",
-        "0x1.c000000000000p-51", "0x1.4000000000000p-47"],
+        "0x1.8000000000000p-51", "0x1.0000000000000p-49"],
     3: ["0x1.8000000000000p-53", "0x0.0p+0", "0x0.0p+0",
-        "0x1.0000000000000p-49", "0x1.0c00000000000p-48"],
+        "0x1.1000000000000p-50", "0x1.4800000000000p-48"],
     4: ["0x1.8000000000000p-53", "0x0.0p+0", "0x0.0p+0",
-        "0x1.2000000000000p-49", "0x1.2000000000000p-46"],
+        "0x1.0000000000000p-49", "0x1.8000000000000p-48"],
 }
 
 
@@ -495,16 +476,86 @@ def test_oracle_runs_at_n3(capsys):
     assert "killing ratio spread loxodromic m=2" in names
 
 
-def test_oracle_one_point_report_passes_as_strict_json(capsys):
-    # the un-cubed bracket control runs at its own 20 points, so one point
-    # leaves every row finite: no bare Infinity or NaN in the report
+def _strict_json(text):
+    """The report, refusing the bare NaN and Infinity tokens JSON lacks."""
     def refuse(token):
         raise ValueError(f"not JSON: {token}")
 
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_oracle_one_point_report_passes_as_strict_json(capsys):
+    # the un-cubed bracket control runs at its own 20 points, so one point
+    # leaves every row finite: no bare Infinity or NaN in the report
     code, out = run(capsys, "oracle", "--points", "1")
     assert code == 0
-    report = json.loads(out, parse_constant=refuse)
+    report = _strict_json(out)
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_check_row_is_the_largest_magnitude():
+    assert cli._check("x", [1.0, -3.0, 2.0], 5) == {
+        "name": "x", "value": 3.0, "bound": 5.0, "pass": True}
+    assert cli._check("x", np.array([[0.5], [6.0]]), 5)["pass"] is False
+    for values, text in (([1.0, np.nan, 9.0], "nan"), ([-np.inf], "inf")):
+        assert cli._check("x", values, 5) == {
+            "name": "x", "value": text, "bound": 5.0, "pass": False}
+
+
+def _poison_call(monkeypatch, name, call, poison):
+    """Patch cli.<name> so that its call-th call returns poison(its result)."""
+    real, calls = getattr(cli, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return poison(out) if len(calls) == call else out
+
+    monkeypatch.setattr(cli, name, patched)
+
+
+def _failed_rows(capsys, *argv):
+    """The names of the failed rows of a report that must exit 1, each with
+    the value "nan", as strict JSON."""
+    code, out = run(capsys, *argv)
+    report = _strict_json(out)
+    assert code == 1 and report["pass"] is False
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert all(c["value"] == "nan" for c in failed)
+    return [c["name"] for c in failed]
+
+
+def test_nan_curvature_fails_its_row(monkeypatch, capsys):
+    # each point takes the bisector, fan and horosphere in turn: the 4th
+    # call is the bisector at the second point
+    _poison_call(monkeypatch, "ambient_mean_curvature", 4, lambda h: np.nan)
+    assert _failed_rows(capsys, "oracle", "--oracle", "curvature", "--n", "2") == [
+        "bisector mean curvature"]
+
+
+@pytest.mark.parametrize("call, row", [(63, "general fan mean curvature"),
+                                       (66, "bisector family t=0.7 mean curvature")])
+def test_nan_general_curvature_fails_its_row(monkeypatch, capsys, call, row):
+    # 20 points take 60 calls on the bisector, fan and horosphere; then each
+    # point takes the general fan and the bisector family in turn
+    _poison_call(monkeypatch, "ambient_mean_curvature", call, lambda h: np.nan)
+    assert _failed_rows(capsys, "oracle", "--n", "2") == [row]
+
+
+def test_nan_defect_fails_its_row(monkeypatch, capsys):
+    # the second generator's defects, the transvections', with one NaN
+    _poison_call(monkeypatch, "sp_defect", 2,
+                 lambda d: np.where(np.arange(d.size) == 7, np.nan, d))
+    assert _failed_rows(capsys, "verify", "--suite", "isometries", "--n", "2") == [
+        "Sp(n,1) defect"]
+
+
+def test_nan_rate_fails_its_row(monkeypatch, capsys):
+    # the first explicit solution's rates, of the first case, all NaN
+    _poison_call(monkeypatch, "case_rhs", 1, lambda rhs: lambda *state: (np.nan,) * 3)
+    case = cli._cases_for(2)[0]
+    assert _failed_rows(capsys, "verify", "--suite", "reduction", "--n", "2") == [
+        f"stationary families {case.kind} m={case.m}"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -871,23 +922,6 @@ def test_verb_help_names_its_flags(capsys, verb):
         assert flag in text
 
 
-VERB_ARGV = {
-    "curve": ["--case", "elliptic", "--n", "2", "--a", "1", "--out", "c.csv"],
-    "family": ["--case", "elliptic", "--n", "2", "--a-grid", "1,2", "--out-dir", "d"],
-    "verify": [],
-    "oracle": ["--points", "3"],
-    "boundary": ["--case", "parabolic", "--n", "2", "--m", "1", "--a", "-1e-05"],
-    "convert": ["--from", "ball", "--to", "horo", "--coords", "0,0,0,0"],
-    "integral": ["--n", "2"],
-}
-
-
-@pytest.mark.parametrize("verb", sorted(VERB_ARGV))
-def test_one_verb_parser_parses_like_the_full_tree(verb):
-    argv = [verb, *VERB_ARGV[verb]]
-    assert _build_parser(verb).parse_args(argv) == _build_parser().parse_args(argv)
-
-
 def test_no_verb_and_unknown_verb_are_usage_errors(capsys):
     code, text = _exit_and_output(capsys, [])
     assert code == 2 and "required: command" in text
@@ -899,7 +933,7 @@ def test_no_verb_and_unknown_verb_are_usage_errors(capsys):
 
 def test_one_verb_parser_keeps_the_full_usage_line(capsys):
     # a usage error found after parsing prints the top-level usage line,
-    # which names every verb, as the full tree's does
+    # which names every verb
     code, text = _exit_and_output(capsys, ["verify", "--n", "1"])
     assert code == 2
     usage = "usage: hqn [-h] {curve,family,verify,oracle,boundary,convert,integral} ..."
@@ -908,10 +942,9 @@ def test_one_verb_parser_keeps_the_full_usage_line(capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
-    # each verb's parser is built once per process; a call's flags are not
-    # the next call's defaults, and a usage error after a good call reads
-    # as it does first
-    assert _build_parser("curve") is _build_parser("curve")
+    # the parser is built once per process; a call's flags are not the next
+    # call's defaults, and a usage error after a good call reads as it does
+    # first
     assert _build_parser() is _build_parser()
     seen = []
 

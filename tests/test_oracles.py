@@ -774,3 +774,19 @@ def test_stacked_spread_matches_loop(case):
     for n_points, seed in ((20, 5), (50, 0), (1, 3)):
         got = killing_ratio_spread(case, n_points, seed)
         assert abs(got - _loop_spread(case, n_points, seed)) <= 1e-15
+
+
+@pytest.mark.parametrize("col", [0, 1])
+def test_foliation_certificate_fails_a_nan_state(col):
+    # a NaN in either column of one curve makes the dilation deviation NaN,
+    # which fails its check
+    case = ReducedCase(PARABOLIC, 2, 1)
+    fam = [integrate_profile(case, a, s_max=60.0, tol=1e-11, c1_floor=1e-7,
+                             n_samples=4001) for a in (0.5, 2.0)]
+    assert foliation_certificate(case, fam, [])["pass"]
+    # NaN on a stretch of samples wider than the certificate's grid step
+    fam[1].uniform_states[1000:1100, col] = np.nan
+    rep = foliation_certificate(case, fam, [])
+    [check] = rep["checks"]
+    assert np.isnan(check["value"])
+    assert check["pass"] is False and rep["pass"] is False
