@@ -92,24 +92,28 @@ def _inside(chart: str, rows: np.ndarray):
     Each test is one strict comparison, which NaN fails. Adding s - s to
     alpha (or Re zeta_n) makes non-finite rows fail it too: that is 0 for
     finite rows and NaN when their sum of squares s is not finite (a NaN or
-    infinite component, or a square that overflows). There inf - inf
-    warns, so _point silences numpy's "invalid" flag.
+    infinite component, or a square that overflows). The sums of squares
+    are norm2's, one np.vecdot of the flattened rows; a square may
+    overflow and inf - inf is invalid, so _point silences numpy's "over"
+    and "invalid" flags around the test.
     """
     if chart not in _OUTSIDE:
         raise ShapeError(f"unknown chart {chart!r}")
-    s = norm2(rows)
+    flat = rows.reshape(rows.shape[:-2] + (-1,))
+    s = np.vecdot(flat, flat)
     if chart == BALL:
         return s < 1.0 - INTERIOR_MARGIN
     lead = _re_last(rows) + (s - s)
     if chart == SIEGEL:
-        return 0.5 * norm2(rows[..., :-1, :]) < lead - 0.5 * INTERIOR_MARGIN
+        head = flat[..., :-4]
+        return 0.5 * np.vecdot(head, head) < lead - 0.5 * INTERIOR_MARGIN
     return lead > INTERIOR_MARGIN
 
 
 def _point(chart: str, rows: np.ndarray) -> ChartPoint:
     """Validate the interior (n, 4) or (k, n, 4) rows of a chart and freeze
     them into a ChartPoint."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         inside = _inside(chart, rows).all()
     if not inside:
         raise NotInteriorError(_OUTSIDE[chart])
@@ -322,8 +326,8 @@ def _pairing_tables(chart: str, n: int) -> tuple[np.ndarray, ...]:
     """Read-only tables of the pairing N = N0 + x @ F (entries 0, +-1, +-2,
     so N has the pairing's bits) the metric is quadratic in, the ball's M or
     the horo B = (L(omega), 0, I_3): N0, F as (d, d r), the (d, d, r) F_c^T
-    of F_c = dN/dx_c, and the diagonal projection P on the coordinates N
-    depends on (the ball's identity)."""
+    of F_c = dN/dx_c, the diagonal projection P on the coordinates N
+    depends on (the ball's identity) and its complement I - P."""
     d = 4 * n
     F = np.zeros((d, 4 if chart == BALL else 3, d))
     N0 = np.zeros(F.shape[1:])
@@ -332,8 +336,9 @@ def _pairing_tables(chart: str, n: int) -> tuple[np.ndarray, ...]:
     else:
         F[:d - 4, :, :d - 4] = 2.0 * _ball_pairing(np.eye(d - 4), n - 1)[:, 1:]
         N0[:, d - 3:] = np.eye(3)
-    tables = (N0, F.reshape(d, -1), np.ascontiguousarray(np.swapaxes(F, 1, 2)),
-              np.diag(F.any(axis=(1, 2)).astype(float)))
+    P = np.diag(F.any(axis=(1, 2)).astype(float))
+    tables = (N0, F.reshape(d, -1), np.ascontiguousarray(np.swapaxes(F, 1, 2)), P,
+              np.eye(d) - P)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -353,7 +358,7 @@ def metric_jet(chart: str, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     - 2 g / alpha, d_beta g = 0."""
     if chart not in (BALL, HORO):
         raise ShapeError(f"metric_jet takes a ball or horo chart, not {chart!r}")
-    N0, F, Ft, P = _pairing_tables(chart, n)
+    N0, F, Ft, P, Q = _pairing_tables(chart, n)
     N = N0 + (x @ F).reshape(N0.shape)
     FN = Ft @ N
     dNN = FN + np.swapaxes(FN, 1, 2)
@@ -373,7 +378,7 @@ def metric_jet(chart: str, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     K[m + 1:, :m] = -N[:, :m]
     dg = dNN / a2
     dg[m] = (4.0 / a2) * P - (2.0 / alpha) * g
-    return (0.25 * alpha) * (K @ K.T) + a2 * (np.eye(len(x)) - P), dg
+    return (0.25 * alpha) * (K @ K.T) + a2 * Q, dg
 
 
 def _siegel_to_horo_jacobian(p: ChartPoint) -> np.ndarray:

@@ -475,7 +475,13 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
         else:
             y0 = tuple(_taylor_start(case, a_run, TAYLOR_STEP).tolist())
 
-    def off_start():
+    def off_start(ev: Optional[_Event] = None):
+        # f raised at the start (ev None), or the start is at or past the
+        # level of ev: theta0 or rho0 on a stratum, or parabolic sigma0 past pi
+        if ev is not None and ev.index == 2:
+            return SingularBoundaryError(
+                f"a = {a!r} starts the curve at sigma0 = pi/2 + rate s0 = {y0[2]!r}, "
+                f"at or past its {ev.name} level {ev.level!r}; choose another a")
         start = ("theta0 = s0/(2 sinh |a|)" if case.kind in POLAR_KINDS
                  else "rho0 = sqrt(a) s0/2")
         return SingularBoundaryError(
@@ -488,7 +494,7 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     for ev in events:
         if not ev.sign * (y0[ev.index] - ev.level) > 0.0:
             if ev.name != "c1_floor":
-                raise off_start()
+                raise off_start(ev)
             c1 = a_run if log_alpha else y0[0]
             raise SingularBoundaryError(
                 f"a = {a!r} starts the curve at c1 = {c1!r}, not above its "

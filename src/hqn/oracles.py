@@ -19,6 +19,7 @@ from .charts import (
     HORO,
     ChartPoint,
     _ball_pairing,
+    _point,
     ball_metric_matrix,
     convert,
     coords_array,
@@ -393,11 +394,12 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
 
     The derivatives are taken in the chart p is given in, so a residual
     native to that chart converts nothing; a Siegel point is moved to the
-    ball. The stencil is built and checked as one stacked ChartPoint of k
-    points, and surface is called once on it; its values must broadcast to
-    (k,), or ShapeError is raised. The convention gives +(2n+1) for the
-    horosphere residual alpha - a with the normal pointing toward growing
-    alpha.
+    ball. The stencil is built as one fresh (k, d) array, checked and
+    frozen in place as one stacked ChartPoint of k points (charts._point,
+    with no second copy), and surface is called once on it; its values
+    must broadcast to (k,), or ShapeError is raised. The convention gives
+    +(2n+1) for the horosphere residual alpha - a with the normal pointing
+    toward growing alpha.
 
     The gradient and Hessian of f are one weighted sum of the sampled
     values over the cached rows of _grad_hess_weights: d + d^2 rows of 8
@@ -412,12 +414,14 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     x0 = coords_array(convert(p, chart))
     d = len(x0)
     stack = x0 + _stencil_offsets(d, CURVATURE_STEP)
-    f = np.asarray(surface(point_from_array(chart, stack, n)), dtype=float)
-    try:
-        f = np.broadcast_to(f, (len(stack),))
-    except ValueError:
-        raise ShapeError(f"surface gave shape {f.shape} on a stack of "
-                         f"{len(stack)} points") from None
+    k = len(stack)
+    f = np.asarray(surface(_point(chart, stack.reshape(k, n, 4))), dtype=float)
+    if f.shape != (k,):
+        try:
+            f = np.broadcast_to(f, (k,))
+        except ValueError:
+            raise ShapeError(f"surface gave shape {f.shape} on a stack of "
+                             f"{k} points") from None
     index, weights, scale = _grad_hess_weights(d, CURVATURE_STEP)
     grad_hess = scale * (weights * f[index]).sum(axis=1)
     grad, hess = grad_hess[:d], grad_hess[d:].reshape(d, d)
@@ -427,7 +431,7 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     if norm2 < 1e-16:
         raise SingularPointError("degenerate surface gradient")
     hess_cov = hess - _christoffel_contraction(dg, u)
-    proj = ginv - np.outer(u, u) / norm2
+    proj = ginv - u[:, None] * u / norm2
     return -float(np.vdot(proj, hess_cov)) / np.sqrt(norm2)
 
 

@@ -341,6 +341,24 @@ def test_start_past_an_event_level():
         integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 2), 0.5, c1_floor=0.5)
 
 
+def test_start_past_sigma_names_sigma(monkeypatch):
+    # a parabolic start with sigma0 past the sigma_event level pi names
+    # sigma0 and that level, not rho0, which is clear of its own level
+    taylor_start = hqn.integrator._taylor_start
+
+    def sigma_past_pi(case, a, s0):
+        y0 = taylor_start(case, a, s0)
+        y0[2] = 3.2
+        return y0
+
+    monkeypatch.setattr(hqn.integrator, "_taylor_start", sigma_past_pi)
+    with pytest.raises(SingularBoundaryError) as err:
+        integrate_profile(ReducedCase(PARABOLIC, 2, 1), 1.0)
+    assert str(err.value) == (
+        f"a = 1.0 starts the curve at sigma0 = pi/2 + rate s0 = 3.2, at or past "
+        f"its sigma_event level {np.pi!r}; choose another a")
+
+
 def test_residual_diagnostics():
     # the column is the step's error estimate: finite, not negative, of
     # the tolerance's order, and one value per step

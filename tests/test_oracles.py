@@ -276,6 +276,9 @@ def test_mean_curvature_call_count(n):
         [stack] = calls
         assert stack.rows.shape == (1 + 2 * (2 * d + 2 * d * (d - 1)), n, 4)    # 257 at n = 2
         assert stack.chart == chart
+        # the stencil is checked and frozen in place, so the surface cannot
+        # write to the rows it is given
+        assert not stack.rows.flags.writeable
 
 
 def _loop_grad_hess(f, x, step):
@@ -478,6 +481,17 @@ def test_mean_curvature_stencil_leaves_chart():
     p = horo_point((Quaternion(0.2),), 5e-4, Quaternion(0, 0.1, 0, 0))
     with pytest.raises(NotInteriorError):
         ambient_mean_curvature(canonical_bisector_residual, p)
+
+
+def test_mean_curvature_ball_stencil_leaves_chart():
+    # at |x| = 0.9995 the step-1e-3 stencil point x + h e_0 is outside the
+    # ball; a ball-native surface converts nothing, so the stencil's own
+    # check must refuse it
+    assert CURVATURE_STEP == 1e-3
+    p = point_from_array(BALL, np.r_[0.9995, np.zeros(7)], 2)
+    for surface in (canonical_bisector_residual, lambda q: q.rows[..., 0, 1]):
+        with pytest.raises(NotInteriorError):
+            ambient_mean_curvature(surface, p)
 
 
 def test_mean_curvature_degenerate_gradient():
