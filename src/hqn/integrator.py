@@ -6,12 +6,14 @@ adaptive integrator takes over. The integrator is a DOP853 loop on
 Python floats for the three-component state, with SciPy's step control
 and event semantics; events (domain exit, sigma reaching pi, a floor on
 c1) are located on the step's interpolant. One attempt of a step is
-straight-line code generated from the tableau on first use.
+straight-line code generated per case on first use, from the tableau and
+the case's right-hand side (reduction.rhs_lines) written in.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,16 +30,20 @@ from .errors import (
 )
 from .reduction import (
     ELLIPTIC,
+    LOG_ALPHA,
     LOXODROMIC,
     PARABOLIC,
     POLAR_KINDS,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
+    TAN_HALF,
     PhaseState,
     ReducedCase,
     boundary_sigma_rate,
     case_rhs,
+    compile_function,
     first_integral_values,
+    rhs_lines,
     volume_functional,
 )
 
@@ -200,31 +206,38 @@ def _brentq(g: Callable[[float], float], xa: float, xb: float) -> float:
     return xcur
 
 
-def _step_source() -> str:
-    """The source of _step, one DOP853 attempt written out from the tableau.
+def _step_source(case: ReducedCase, coords: Optional[str] = None) -> str:
+    """The source of _step, one DOP853 attempt for the case's right-hand side
+    (in coords, as case_rhs takes them), written out from the tableau with
+    the statements of rhs_lines at each of its 15 evaluations.
 
-    _step(f, y0, y1, y2, k0_0, k0_1, k0_2, h, h_abs, rtol, atol) tries the
-    step h from the state y with slope k0 = f(y) and returns (error_norm,
-    (y_new, f_new, coef) or None, calls). An accepted attempt (error_norm
-    < 1.0) returns the end state, its slope and the 24 terms of _Run.coef;
-    calls is 15. A rejected one returns None, with calls 12; when f raises
-    ValueError or OverflowError, error_norm is NaN and calls counts the
-    calls made, the failed one included. Stage j's slope is kj_0, kj_1,
-    kj_2 (k12 is f_new), and every sum over a tableau row is the flat
-    left-associative 0.0 + w * kj_c + ... in column order: the IEEE
-    operations of a loop over the rows, in its order, so the bits are
-    the loop's.
+    _step(y0, y1, y2, k0_0, k0_1, k0_2, dt, dt_abs, rtol, atol, h) tries the
+    step dt from the state y with slope k0 = f(y), f the right-hand side at
+    mean curvature h, and returns (error_norm, (y_new, f_new, coef) or None,
+    calls). An accepted attempt (error_norm < 1.0) returns the end state,
+    its slope and the 24 terms of _Run.coef; calls is 15. A rejected one
+    returns None, with calls 12; when an evaluation raises ValueError or
+    OverflowError, error_norm is NaN and calls counts the evaluations made,
+    the failed one included. Stage j's slope is kj_0, kj_1, kj_2 (k12 is
+    f_new), and every sum over a tableau row is the flat left-associative
+    0.0 + w * kj_c + ... in column order: the IEEE operations of a loop over
+    the rows calling f, in its order, so the bits are the loop's.
     """
+    args, rhs, value = rhs_lines(case, coords)
+
     def dot(row, c):
         return "(0.0 + " + " + ".join(f"{w!r} * k{j}_{c}" for j, w in row) + ")"
 
+    def evaluate(j, state):
+        return ([f"calls = {j}"] + [f"{a} = {x}" for a, x in zip(args, state)] + rhs
+                + [f"k{j}_0, k{j}_1, k{j}_2 = {', '.join(value)}"])
+
     def stage(j):
-        args = ", ".join(f"y{c} + {dot(A[j], c)} * h" for c in range(3))
-        return [f"calls = {j}", f"k{j}_0, k{j}_1, k{j}_2 = f({args})"]
+        return evaluate(j, [f"y{c} + {dot(A[j], c)} * dt" for c in range(3)])
 
     body = [line for j in range(1, N_STAGES) for line in stage(j)]
-    body += [f"n{c} = y{c} + h * {dot(B, c)}" for c in range(3)]
-    body += [f"calls = {N_STAGES}", f"k{N_STAGES}_0, k{N_STAGES}_1, k{N_STAGES}_2 = f(n0, n1, n2)"]
+    body += [f"n{c} = y{c} + dt * {dot(B, c)}" for c in range(3)]
+    body += evaluate(N_STAGES, ["n0", "n1", "n2"])
     for c in range(3):
         body += [f"u, v = abs(y{c}), abs(n{c})",
                  f"s{c} = atol + (v if v > u else u) * rtol",   # max(u, v)
@@ -233,57 +246,58 @@ def _step_source() -> str:
     body += ["err5 = p0 * p0 + p1 * p1 + p2 * p2",
              "err3 = q0 * q0 + q1 * q1 + q2 * q2",
              "error_norm = 0.0 if err5 == 0.0 and err3 == 0.0 else "
-             "h_abs * err5 / sqrt((err5 + 0.01 * err3) * 3.0)",
+             "dt_abs * err5 / sqrt((err5 + 0.01 * err3) * 3.0)",
              "if not error_norm < 1.0:",
              f"    return error_norm, None, {N_STAGES}"]
     body += [line for j in range(N_STAGES + 1, len(A)) for line in stage(j)]
     body += [f"a{c} = n{c} - y{c}" for c in range(3)]
     coef = ([f"y{c}" for c in range(3)] + [f"a{c}" for c in range(3)]
-            + [f"h * k0_{c} - a{c}" for c in range(3)]
-            + [f"2.0 * a{c} - h * (k{N_STAGES}_{c} + k0_{c})" for c in range(3)]
-            + [f"h * {dot(row, c)}" for row in D for c in range(3)])
+            + [f"dt * k0_{c} - a{c}" for c in range(3)]
+            + [f"2.0 * a{c} - dt * (k{N_STAGES}_{c} + k0_{c})" for c in range(3)]
+            + [f"dt * {dot(row, c)}" for row in D for c in range(3)])
     body.append("coef = " + ", ".join(coef))
     return "\n".join(
-        ["def _step(f, y0, y1, y2, k0_0, k0_1, k0_2, h, h_abs, rtol, atol):",
+        ["def _step(y0, y1, y2, k0_0, k0_1, k0_2, dt, dt_abs, rtol, atol, h):",
          "    try:"]
         + ["        " + line for line in body]
         + ["    except (ValueError, OverflowError):",
-           "        return nan, None, calls",
+           "        return float('nan'), None, calls",
            f"    return error_norm, ((n0, n1, n2), (k{N_STAGES}_0, k{N_STAGES}_1, "
            f"k{N_STAGES}_2), coef), {N_STAGES + 3}", ""])
 
 
 @functools.cache
-def _make_step():
-    """_step, compiled from _step_source on first use."""
-    namespace = {"sqrt": math.sqrt, "nan": math.nan}
-    exec(compile(_step_source(), "<dop853 step>", "exec"), namespace)
-    return namespace["_step"]
+def _make_step(case: ReducedCase, coords: Optional[str] = None):
+    """The case's _step, compiled from _step_source on first use."""
+    return compile_function(_step_source(case, coords), "_step",
+                            f"<dop853 step, {case.kind}>")
 
 
-def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
-            t_bound: float, rtol: float, atol: float,
+def _dop853(case: ReducedCase, coords: Optional[str], h: float, t0: float,
+            y0: State, t_bound: float, rtol: float, atol: float,
             events: list[_Event]) -> _Run:
-    """Integrate the autonomous system y' = f(y) from (t0, y0) towards
-    t_bound with scipy's DOP853: its initial step, error norm, step
-    factors and step-size underflow, and its event rule (a sign change
-    of g between step ends, g <= 0 <= g_new or g >= 0 >= g_new). A step
-    is rejected with factor MIN_FACTOR, where scipy would propagate the
-    error, when f raises ValueError or OverflowError at one of its stages,
-    its end or the three stages of its dense output: the state left the
-    orbit space (DomainError, SingularBoundaryError, a math domain error)
-    or the float range. Only f(y0) and the initial-step probe raise out
-    of the run. Every event is terminal: the run
-    ends at the earliest root, located on the step's interpolant, with y
-    there from the interpolant. A run that tries more than MAX_STEPS
-    steps raises StepSizeUnderflow.
+    """Integrate the autonomous system y' = f(y), f = case_rhs(case, h,
+    coords), from (t0, y0) towards t_bound with scipy's DOP853: its initial
+    step, error norm, step factors and step-size underflow, and its event
+    rule (a sign change of g between step ends, g <= 0 <= g_new or
+    g >= 0 >= g_new). A step is rejected with factor MIN_FACTOR, where
+    scipy would propagate the error, when f raises ValueError or
+    OverflowError at one of its stages, its end or the three stages of its
+    dense output: the state left the orbit space (DomainError,
+    SingularBoundaryError, a math domain error) or the float range. Only
+    f(y0) and the initial-step probe raise out of the run. Every event is
+    terminal: the run ends at the earliest root, located on the step's
+    interpolant, with y there from the interpolant. A run that tries more
+    than MAX_STEPS steps raises StepSizeUnderflow.
     """
-    step = _make_step()
+    f, step = case_rhs(case, h, coords), _make_step(case, coords)
     run = _Run([t0], [y0], [], [], [])
+    t_append, y_append, h_append = run.t.append, run.y.append, run.h.append
+    coef_append, err_append = run.coef.append, run.err.append
     t, y = t0, y0
     fy = f(*y)
     h_abs = _initial_step(f, y, fy, t_bound - t0, rtol, atol)
-    run.nfev = 2
+    nfev, accepted, rejected_steps = 2, 0, 0
     g = [ev.sign * (y[ev.index] - ev.level) for ev in events]
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -293,14 +307,14 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
             if not h_abs >= min_step:
                 raise StepSizeUnderflow(
                     f"required step size is less than spacing between numbers at s = {t!r}")
-            if run.accepted + run.rejected >= MAX_STEPS:
+            if accepted + rejected_steps >= MAX_STEPS:
                 raise StepSizeUnderflow(
                     f"step budget of {MAX_STEPS} steps spent at s = {t!r}")
             t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = abs(h)
-            error_norm, new, calls = step(f, *y, *fy, h, h_abs, rtol, atol)
-            run.nfev += calls
+            dt = t_new - t
+            h_abs = abs(dt)
+            error_norm, new, calls = step(*y, *fy, dt, h_abs, rtol, atol, h)
+            nfev += calls
             if error_norm < 1.0:
                 factor = (MAX_FACTOR if error_norm == 0.0 else
                           min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
@@ -311,42 +325,45 @@ def _dop853(f: Callable[[float, float, float], State], t0: float, y0: State,
             # a NaN norm, from f raising, gives MIN_FACTOR
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-            run.rejected += 1
-        run.accepted += 1
+            rejected_steps += 1
+        accepted += 1
         y_new, f_new, coef = new
-        run.h.append(h)
-        run.coef.append(coef)
-        run.err.append(error_norm)
+        h_append(dt)
+        coef_append(coef)
+        err_append(error_norm)
 
         g_new = [ev.sign * (y_new[ev.index] - ev.level) for ev in events]
         hit = None
         for ev, g_old, g_end in zip(events, g, g_new):
             if g_old <= 0.0 <= g_end or g_old >= 0.0 >= g_end:
                 terms = coef[ev.index::3]
-                root = _brentq(lambda s, ev=ev, t=t, h=h, terms=terms: ev.sign * (
-                    _interpolate(terms, (s - t) / h) - ev.level), t, t_new)
+                root = _brentq(lambda s, ev=ev, t=t, dt=dt, terms=terms: ev.sign * (
+                    _interpolate(terms, (s - t) / dt) - ev.level), t, t_new)
                 if hit is None or root < hit[0]:
                     hit = (root, ev.name)
         if hit is not None:
             root, run.event = hit
-            x = (root - t) / h
-            run.t.append(root)
-            run.y.append(tuple(_interpolate(coef[i::3], x) for i in range(3)))
-            return run
-        run.t.append(t_new)
-        run.y.append(y_new)
+            x = (root - t) / dt
+            t_append(root)
+            y_append(tuple(_interpolate(coef[i::3], x) for i in range(3)))
+            break
+        t_append(t_new)
+        y_append(y_new)
         if t_new >= t_bound:
-            return run
+            break
         t, y, fy, g = t_new, y_new, f_new, g_new
+    run.nfev, run.accepted, run.rejected = nfev, accepted, rejected_steps
+    return run
 
 
 def _dense(run: _Run, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The run's dense output at the points s, as (len(s), 3) rows, and
     the index of the step that gives each point; a point on a node takes
     the earlier step's interpolant."""
-    t = np.array(run.t)
-    seg = np.clip(np.searchsorted(t, s, side="left") - 1, 0, len(run.coef) - 1)
-    coef = np.array(run.coef).reshape(-1, 8, 3)[seg]
+    t, steps = np.array(run.t), len(run.coef)
+    seg = np.clip(np.searchsorted(t, s, side="left") - 1, 0, steps - 1)
+    coef = np.fromiter(itertools.chain.from_iterable(run.coef), float,
+                       24 * steps).reshape(-1, 8, 3)[seg]
     x = ((s - t[seg]) / np.array(run.h)[seg])[:, None]
     return _interpolate(np.moveaxis(coef, 1, 0), x), seg
 
@@ -444,7 +461,6 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     if case.kind == PARABOLIC and c1_floor is None:
         c1_floor = 1e-8
 
-    rhs = case_rhs(case, h)
     # Special parabolic curves run in (ln alpha, rho, sigma): alpha decays
     # toward the boundary, and no Runge-Kutta stage can then step to alpha <= 0.
     # At h = 0 they run in (ln alpha, rho, w), w = ln tan(sigma/2): there
@@ -452,28 +468,13 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     # error of pi tol in sigma would be one of pi tol / sin(sigma) in I1.
     log_alpha = case.kind == SPECIAL_PARABOLIC
     tan_half = log_alpha and h == 0.0
+    coords = TAN_HALF if tan_half else LOG_ALPHA if log_alpha else None
     if log_alpha:
         y0 = (math.log(a_run), 0.0, 0.0 if tan_half else 0.5 * math.pi)
-        exp, atan2, sin = math.exp, math.atan2, math.sin
-
-        def f_sigma(log_a, rho, sigma):
-            alpha = exp(log_a)
-            dc1, dc2, dsig = rhs(alpha, rho, sigma)
-            return dc1 / alpha, dc2, dsig
-
-        def f_w(log_a, rho, w):
-            # sigma = 2 atan(e^w); w only grows from 0, so e^{-w} cannot overflow
-            sigma = 2.0 * atan2(1.0, exp(-w))
-            dlog_a, dc2, dsig = f_sigma(log_a, rho, sigma)
-            return dlog_a, dc2, dsig / sin(sigma)
-
-        f = f_w if tan_half else f_sigma
+    elif case.kind == SPECIAL_LOXODROMIC and a_run == 0.0:
+        y0 = (0.5 * TAYLOR_STEP, 0.5 * math.pi, 0.0)
     else:
-        f = rhs
-        if case.kind == SPECIAL_LOXODROMIC and a_run == 0.0:
-            y0 = (0.5 * TAYLOR_STEP, 0.5 * math.pi, 0.0)
-        else:
-            y0 = tuple(_taylor_start(case, a_run, TAYLOR_STEP).tolist())
+        y0 = tuple(_taylor_start(case, a_run, TAYLOR_STEP).tolist())
 
     def off_start(ev: Optional[_Event] = None):
         # f raised at the start (ev None), or the start is at or past the
@@ -501,7 +502,8 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
                 f"floor {c1_floor!r}; choose another a")
     rtol, atol = max(tol, 100.0 * EPS), tol
     try:
-        run = _dop853(f, s_start, y0, s_max, rtol=rtol, atol=atol, events=events)
+        run = _dop853(case, coords, h, s_start, y0, s_max, rtol=rtol, atol=atol,
+                      events=events)
     except SingularBoundaryError:
         # a stage that raises is a rejected step, so this is f at the
         # start or the initial-step probe next to it
@@ -530,20 +532,23 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
 
     c1, c2, sigma = uniform_states.T
     # far out (r past ~80 at n = 2) V and I1 overflow to inf or NaN
+    I2 = np.full(n_samples, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         V = volume_functional(case, (c1, c2))
-        vals = first_integral_values(case, PhaseState(c1, c2, sigma))
-        I1 = vals["I1"]
-        if tan_half:
+        if case.kind in POLAR_KINDS:
+            # first_integral_values' I1 = V cos(sigma), from the V at hand
+            I1 = V * np.cos(sigma)
+        elif tan_half:
             # I1 = alpha^{-2n-1} sin(sigma) with sin(sigma) = 1/cosh(w), from the
             # integrated (ln alpha, w): near pi, sigma has rounded away what w keeps
             log_cosh_w = abs_w + np.log1p(np.exp(-2.0 * abs_w)) - math.log(2.0)
             I1 = np.exp(-(2 * case.n + 1) * log_a - log_cosh_w)
+        else:
+            vals = first_integral_values(case, PhaseState(c1, c2, sigma))
+            I1, I2 = vals["I1"], vals.get("I2", I2)
     return ProfileCurve(case=case, a=a, h=h, s=s_nodes, states=states,
                         uniform_s=uniform_s, uniform_states=uniform_states,
-                        V=V, I1=I1,
-                        I2=vals.get("I2", np.full(n_samples, np.nan)),
-                        residual=residual,
+                        V=V, I1=I1, I2=I2, residual=residual,
                         termination=run.event or "smax", nfev=run.nfev,
                         accepted=run.accepted, rejected=run.rejected)
 

@@ -14,10 +14,10 @@ import numpy as np
 from .charts import (
     HORO,
     ChartPoint,
+    _point,
     ball_from_lift,
     convert,
     lift,
-    point_from_array,
 )
 from .errors import DomainError, NotPolarError, NotSymplecticError, ShapeError
 from .quaternion import (
@@ -268,7 +268,7 @@ def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
                                      lam_inv)[..., 1:]
     else:
         raise ValueError(f"unknown closed-form kind {kind!r}")
-    return point_from_array(HORO, rows.reshape(lead + (-1,)), n)
+    return _point(HORO, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def inversion_horo(p: ChartPoint) -> ChartPoint:
     denom[0] += norm2(q.omega)
     rows = np.vstack([hamilton(q.omega, qarray_inverse(denom)),
                       q.rows[-1] * CONJ / qnorm2(denom)])
-    return convert(point_from_array(HORO, rows.ravel(), q.n), p.chart)
+    return convert(_point(HORO, rows), p.chart)
 
 
 def inversion_at_hyperplane(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -313,14 +313,18 @@ def sp_from_normals(V: np.ndarray) -> np.ndarray:
     """Gram-Schmidt over the quaternions: the element of Sp(n) whose column c
     comes from the (n, 4) rows V[c], of an (n, n, 4) array V; one element per
     (n, n, 4) array of a (..., n, n, 4) stack, each with the bits it has alone."""
-    V = np.asarray(V, dtype=float)
-    A = np.zeros(V.shape)
-    for c in range(V.shape[-3]):
-        v = V[..., c, :, :]
-        for j in range(c):
-            u = A[..., :, j, :]
-            v = v - hamilton(u, herm_definite(u, v)[..., None, :])    # subtract u (u, v)
-        A[..., :, c, :] = v * (1.0 / np.sqrt(np.sum(v * v, axis=(-2, -1))))[..., None, None]
+    W = np.array(V, dtype=float)       # W[..., c, :, :]: column c, orthogonalized so far
+    A = np.empty(W.shape)
+    n = W.shape[-3]
+    for c in range(n):
+        v = W[..., c, :, :]
+        u = v * (1.0 / np.sqrt(np.sum(v * v, axis=(-2, -1))))[..., None, None]
+        A[..., :, c, :] = u
+        if c + 1 < n:
+            # right-looking modified Gram-Schmidt: subtract u (u, w) from each
+            # later column w, in the order and with the bits of a loop over them
+            u, later = u[..., None, :, :], W[..., c + 1:, :, :]
+            later -= hamilton(u, herm_definite(u, later)[..., None, :])
     return A
 
 

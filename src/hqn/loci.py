@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import HORO, ChartPoint, convert, dist, point_from_array
+from .charts import HORO, ChartPoint, _point, convert, dist
 from .errors import DegenerateLocusError, ShapeError
 from .quaternion import norm2
 
@@ -34,7 +34,7 @@ def spine_projection(p: ChartPoint) -> ChartPoint:
     rows = np.zeros_like(q.rows)
     rows[-1] = q.rows[-1]
     rows[-1, 0] += norm2(q.omega)
-    return point_from_array(HORO, rows.ravel(), q.n)
+    return _point(HORO, rows)
 
 
 def fan_residual(p: ChartPoint, normal, offset: float = 0.0):

@@ -25,7 +25,6 @@ from .charts import (
     coords_array,
     lift,
     metric_jet,
-    point_from_array,
 )
 from .errors import DegenerateOrbitError, NotInteriorError, ShapeError, SingularPointError
 from .quaternion import CONJ, left_mult_matrix, qnorm2, right_mult_matrix
@@ -145,7 +144,7 @@ def section_point(case: ReducedCase, c1, c2) -> ChartPoint:
         chart = HORO
         rows[..., n - m - 1 if case.kind == PARABOLIC else n - 2, 0] = c2
         rows[..., n - 1, 0] = c1           # alpha
-    return point_from_array(chart, rows.reshape(rows.shape[:-2] + (-1,)), n)
+    return _point(chart, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ and two parabolic actions in horospherical coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -192,79 +193,128 @@ def volume_functional(case: ReducedCase, point):
 # reduced ODE right-hand sides
 
 
-# the guards of both polar right-hand sides
+# the guards of the right-hand sides
 NOT_POLAR = "polar radius must be positive"
 ON_POLAR_STRATUM = "state on a singular stratum; use boundary_sigma_rate"
+NOT_ALPHA = "alpha must be positive"
+ON_RHO_STRATUM = "rho = 0 is singular; use boundary_sigma_rate"
+
+# The coordinates a special parabolic curve is integrated in, besides
+# (alpha, rho, sigma): (ln alpha, rho, sigma), and (ln alpha, rho, w) with
+# w = ln tan(sigma/2) (see integrator.integrate_profile).
+LOG_ALPHA = "log-alpha"
+TAN_HALF = "tan-half"
+
+# The globals of the code compiled from rhs_lines: every name its lines
+# and the integrator's DOP853 steps call.
+RHS_GLOBALS = {"cos": math.cos, "sin": math.sin, "tan": math.tan,
+               "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+               "sqrt": math.sqrt, "exp": math.exp, "atan2": math.atan2,
+               "DomainError": DomainError,
+               "SingularBoundaryError": SingularBoundaryError}
 
 
-def case_rhs(case: ReducedCase, h: float = 0.0) -> Callable[[float, float, float],
-                                                             tuple[float, float, float]]:
-    """The reduced right-hand side of the case at mean curvature h, as a
-    float function (c1, c2, sigma) -> (dc1, dc2, dsigma).
+def _sum(*terms) -> str:
+    """The source of a sum of (coefficient, divisor) terms, without the terms
+    whose coefficient is 0. Such a term adds +0.0, and the rest of the sum
+    here is B or D >= 3 over a finite tan or tanh, never -0.0, so leaving
+    it out keeps the sum's bits."""
+    return " + ".join(f"{float(k)!r} / {den}" for k, den in terms if k)
 
-    The case's constants are bound once. It raises DomainError outside
-    the orbit space and SingularBoundaryError on a singular stratum.
+
+def rhs_lines(case: ReducedCase, coords: Optional[str] = None
+              ) -> tuple[tuple[str, str, str], list[str], tuple[str, str, str]]:
+    """The reduced right-hand side of the case as source, the one text that
+    case_rhs and the integrator's DOP853 steps are compiled from.
+
+    Returns the names of the three state components it reads, the
+    statements that run on them (with the mean curvature h bound, and the
+    names of RHS_GLOBALS), and the three derivative expressions. The state
+    is (c1, c2, sigma); coords LOG_ALPHA or TAN_HALF give a special
+    parabolic case in (ln alpha, rho, sigma) or (ln alpha, rho, w). The
+    statements raise DomainError outside the orbit space and
+    SingularBoundaryError on a singular stratum.
     """
     n, m = case.n, case.m
-    cos, sin, sinh, sqrt = math.cos, math.sin, math.sinh, math.sqrt
-    # the polar cases: dsigma = P cos(sigma) / sinh(r) - Q sin(sigma) + h, with
-    # P = (1/2) d(ln V)/d theta and Q = (1/2)(d(ln V)/dr + coth r)
-    if case.kind in (ELLIPTIC, LOXODROMIC):
-        A, B, C, D = case.exponents
-        half_c, half_a1 = 0.5 * C, 0.5 * (A + 1)
-        tan, tanh, top = math.tan, math.tanh, 0.5 * math.pi
-
-        def rhs(c1, c2, sigma):
-            if c1 <= 0.0:
-                raise DomainError(NOT_POLAR)
-            if not (0.0 < c2 < top):
-                raise SingularBoundaryError(ON_POLAR_STRATUM)
-            P = half_c / tan(c2) + D / tan(2.0 * c2)
-            Q = half_a1 / tanh(c1) + B / tanh(2.0 * c1)
-            cs, sn, sh = cos(sigma), sin(sigma), sinh(c1)
-            return 0.5 * cs, 0.5 * sn / sh, P * cs / sh - Q * sn + h
-
-        return rhs
-    if case.kind == SPECIAL_LOXODROMIC:
-        kp, kq = 4 * n - 5, 4 * n - 4
-        cosh, tan, tanh, top = math.cosh, math.tan, math.tanh, math.pi
-
-        def rhs(c1, c2, sigma):
-            if c1 <= 0.0:
-                raise DomainError(NOT_POLAR)
-            if not (0.0 < c2 < top):
-                raise SingularBoundaryError(ON_POLAR_STRATUM)
-            sh, ch, ct = sinh(c1), cosh(c1), cos(c2)
-            sc = sh * ct
-            bracket = ch * ch + sc * sc
-            P = 0.5 * (kp / tan(c2) - 3.0 * (sh * sh) * sin(2.0 * c2) / bracket)
-            Q = 0.5 * (kq / tanh(c1) + 3.0 * sinh(2.0 * c1) * (1.0 + ct * ct) / bracket)
-            cs, sn = cos(sigma), sin(sigma)
-            return 0.5 * cs, 0.5 * sn / sh, P * cs / sh - Q * sn + h
-
-        return rhs
-    k_sin = 2 * n + 1
+    if coords is not None and (case.kind != SPECIAL_PARABOLIC
+                               or coords not in (LOG_ALPHA, TAN_HALF)):
+        raise ShapeError(f"no {coords!r} coordinates for the {case.kind} case")
+    alpha_guard = ["if c1 <= 0.0:", f"    raise DomainError({NOT_ALPHA!r})"]
+    if case.kind in POLAR_KINDS:
+        top = np.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * np.pi
+        lines = ["if c1 <= 0.0:", f"    raise DomainError({NOT_POLAR!r})",
+                 f"if not (0.0 < c2 < {top!r}):",
+                 f"    raise SingularBoundaryError({ON_POLAR_STRATUM!r})"]
+        # dsigma = P cos(sigma) / sinh(r) - Q sin(sigma) + h, with
+        # P = (1/2) d(ln V)/d theta and Q = (1/2)(d(ln V)/dr + coth r)
+        if case.kind == SPECIAL_LOXODROMIC:
+            lines += ["sh, ch, ct = sinh(c1), cosh(c1), cos(c2)",
+                      "sc = sh * ct",
+                      "bracket = ch * ch + sc * sc",
+                      f"P = 0.5 * ({float(4 * n - 5)!r} / tan(c2) "
+                      "- 3.0 * (sh * sh) * sin(2.0 * c2) / bracket)",
+                      f"Q = 0.5 * ({float(4 * n - 4)!r} / tanh(c1) "
+                      "+ 3.0 * sinh(2.0 * c1) * (1.0 + ct * ct) / bracket)",
+                      "cs, sn = cos(sigma), sin(sigma)"]
+        else:
+            A, B, C, D = case.exponents
+            lines += [f"P = {_sum((0.5 * C, 'tan(c2)'), (D, 'tan(2.0 * c2)'))}",
+                      f"Q = {_sum((0.5 * (A + 1), 'tanh(c1)'), (B, 'tanh(2.0 * c1)'))}",
+                      "cs, sn, sh = cos(sigma), sin(sigma), sinh(c1)"]
+        return (("c1", "c2", "sigma"), lines,
+                ("0.5 * cs", "0.5 * sn / sh", "P * cs / sh - Q * sn + h"))
+    k_sin = float(2 * n + 1)
     if case.kind == PARABOLIC:
-        k_rho = 2 * n - 2 * m - 0.5
+        return (("c1", "c2", "sigma"),
+                alpha_guard + ["if c2 <= 0.0:",
+                               f"    raise SingularBoundaryError({ON_RHO_STRATUM!r})",
+                               "root, cs, sn = sqrt(c1), cos(sigma), sin(sigma)"],
+                ("c1 * cs", "0.5 * root * sn",
+                 f"{float(2 * n - 2 * m) - 0.5!r} * root / c2 * cs + {k_sin!r} * sn + h"))
+    dsigma = f"{k_sin!r} * sn + h"
+    lines = alpha_guard + ["sn = sin(sigma)"]
+    if coords is None:
+        return (("c1", "c2", "sigma"), lines,
+                ("c1 * cos(sigma)", "0.5 * sqrt(c1) * sn", dsigma))
+    # d(ln alpha) = dalpha / alpha
+    lines = ["c1 = exp(log_a)"] + lines
+    value = ("c1 * cos(sigma) / c1", "0.5 * sqrt(c1) * sn")
+    if coords == LOG_ALPHA:
+        return ("log_a", "c2", "sigma"), lines, value + (dsigma,)
+    # sigma = 2 atan(e^w), and dw = dsigma / sin(sigma); w only grows from 0,
+    # so e^{-w} cannot overflow
+    return (("log_a", "c2", "w"), ["sigma = 2.0 * atan2(1.0, exp(-w))"] + lines,
+            value + (f"({dsigma}) / sn",))
 
-        def rhs(c1, c2, sigma):
-            if c1 <= 0.0:
-                raise DomainError("alpha must be positive")
-            if c2 <= 0.0:
-                raise SingularBoundaryError(
-                    "rho = 0 is singular; use boundary_sigma_rate")
-            root, cs, sn = sqrt(c1), cos(sigma), sin(sigma)
-            return c1 * cs, 0.5 * root * sn, k_rho * root / c2 * cs + k_sin * sn + h
 
-        return rhs
+def compile_function(source: str, name: str, filename: str) -> Callable:
+    """The function name that source defines, with RHS_GLOBALS as its globals."""
+    defined = {}
+    exec(compile(source, filename, "exec"), RHS_GLOBALS, defined)
+    return defined[name]
 
-    def rhs(c1, c2, sigma):
-        if c1 <= 0.0:
-            raise DomainError("alpha must be positive")
-        sn = sin(sigma)
-        return c1 * cos(sigma), 0.5 * sqrt(c1) * sn, k_sin * sn + h
 
-    return rhs
+@functools.cache
+def _rhs_binder(case: ReducedCase, coords: Optional[str]) -> Callable:
+    """h -> the case's right-hand side at mean curvature h, compiled from
+    rhs_lines on first use."""
+    args, lines, value = rhs_lines(case, coords)
+    source = "\n".join(["def bind(h):", f"    def rhs({', '.join(args)}):"]
+                       + ["        " + line for line in lines]
+                       + [f"        return {', '.join(value)}", "    return rhs", ""])
+    return compile_function(source, "bind", f"<{case.kind} right-hand side>")
+
+
+def case_rhs(case: ReducedCase, h: float = 0.0, coords: Optional[str] = None
+             ) -> Callable[[float, float, float], tuple[float, float, float]]:
+    """The reduced right-hand side of the case at mean curvature h, as a
+    float function (c1, c2, sigma) -> (dc1, dc2, dsigma), compiled from
+    rhs_lines; coords gives a special parabolic case in other coordinates.
+
+    It raises DomainError outside the orbit space and
+    SingularBoundaryError on a singular stratum.
+    """
+    return _rhs_binder(case, coords)(h)
 
 
 def boundary_sigma_rate(case: ReducedCase, a: float) -> float:

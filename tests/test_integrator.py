@@ -30,6 +30,9 @@ from hqn.reduction import (
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
     PhaseState,
+    LOG_ALPHA,
+    RHS_GLOBALS,
+    TAN_HALF,
     ReducedCase,
     case_rhs,
 )
@@ -373,30 +376,41 @@ def test_residual_diagnostics():
     assert len(np.unique(c.residual)) > 1
 
 
-def test_curve_calls_the_right_hand_side_nfev_times(monkeypatch, tmp_path):
-    # `hqn curve` evaluates the right-hand side only in the kernel: the
-    # residual column costs no call
-    calls, curves = [], []
-    rhs_of, integrate = hqn.integrator.case_rhs, hqn.integrator.integrate_profile
+def _count_evaluations(monkeypatch, name):
+    """Count the right-hand-side evaluations of every compiled right-hand side
+    and DOP853 step through their globals: the calls of RHS_GLOBALS[name],
+    which rhs_lines calls once per evaluation past its guards, plus the
+    guards that raise."""
+    calls = []
 
-    def counting_rhs(case, h=0.0):
-        rhs = rhs_of(case, h)
-
-        def counted(*y):
+    def counted(fn):
+        def call(*args):
             calls.append(1)
-            return rhs(*y)
-        return counted
+            return fn(*args)
+        return call
+
+    for key in (name, "DomainError", "SingularBoundaryError"):
+        monkeypatch.setitem(RHS_GLOBALS, key, counted(RHS_GLOBALS[key]))
+    return calls
+
+
+def test_curve_calls_the_right_hand_side_nfev_times(monkeypatch, tmp_path):
+    # `hqn curve` evaluates the right-hand side only in the kernel, and nfev
+    # counts every evaluation the generated steps and f make: the residual
+    # column costs none. These cases call sin once per evaluation.
+    calls, curves = _count_evaluations(monkeypatch, "sin"), []
+    integrate = hqn.integrator.integrate_profile
 
     def kept(*args, **kwargs):
         curves.append(integrate(*args, **kwargs))
         return curves[-1]
 
-    monkeypatch.setattr(hqn.integrator, "case_rhs", counting_rhs)
     monkeypatch.setattr(hqn.cli, "integrate_profile", kept)
-    for case, extra in (("elliptic", ["--m", "1"]), ("special-parabolic", ["--smax", "50"])):
+    for flags in ("elliptic --n 2 --m 1", "loxodromic --n 3 --m 2",
+                  "parabolic --n 2 --m 1 --smax 60", "special-parabolic --n 2 --smax 50",
+                  "special-parabolic --n 2 --smax 50 --h 0.3"):
         calls.clear()
-        assert hqn.cli.main(["curve", "--case", case, "--n", "2", *extra,
-                             "--a", "1", "--tol", "1e-11",
+        assert hqn.cli.main(["curve", "--case", *flags.split(), "--a", "1", "--tol", "1e-11",
                              "--out", str(tmp_path / "c.csv")]) == 0
         assert len(calls) == curves[-1].nfev > 0
 
@@ -477,7 +491,7 @@ def test_tableau_is_scipys():
             == [j for j, _ in dop853.E3])
 
 
-def _loop_attempt(f, y, fy, h, h_abs, rtol, atol):
+def _loop_attempt(f, y, fy, dt, dt_abs, rtol, atol):
     """One DOP853 attempt as loops over the tableau's rows: the reference
     the generated step must match bit for bit. It returns what _step does,
     with the calls counted as the loop's kernel counted them: 12 for an
@@ -493,7 +507,7 @@ def _loop_attempt(f, y, fy, h, h_abs, rtol, atol):
                 d0 += a * k[0]
                 d1 += a * k[1]
                 d2 += a * k[2]
-            K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+            K.append(f(y0_ + d0 * dt, y1_ + d1 * dt, y2_ + d2 * dt))
         b0 = b1 = b2 = p0 = p1 = p2 = q0 = q1 = q2 = 0.0
         for (j, b), (_, e5), (_, e3) in zip(B, E5, E3):
             k0, k1, k2 = K[j]
@@ -506,7 +520,7 @@ def _loop_attempt(f, y, fy, h, h_abs, rtol, atol):
             q0 += e3 * k0
             q1 += e3 * k1
             q2 += e3 * k2
-        y_new = (y0_ + h * b0, y1_ + h * b1, y2_ + h * b2)
+        y_new = (y0_ + dt * b0, y1_ + dt * b1, y2_ + dt * b2)
         f_new = f(*y_new)
         s0 = atol + max(abs(y0_), abs(y_new[0])) * rtol
         s1 = atol + max(abs(y1_), abs(y_new[1])) * rtol
@@ -518,7 +532,7 @@ def _loop_attempt(f, y, fy, h, h_abs, rtol, atol):
         if err5 == 0.0 and err3 == 0.0:
             error_norm = 0.0
         else:
-            error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 3.0)
+            error_norm = dt_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 3.0)
         if not error_norm < 1.0:
             return error_norm, None, N_STAGES
         K.append(f_new)
@@ -529,16 +543,16 @@ def _loop_attempt(f, y, fy, h, h_abs, rtol, atol):
                 d0 += a * k[0]
                 d1 += a * k[1]
                 d2 += a * k[2]
-            K.append(f(y0_ + d0 * h, y1_ + d1 * h, y2_ + d2 * h))
+            K.append(f(y0_ + d0 * dt, y1_ + d1 * dt, y2_ + d2 * dt))
     except (ValueError, OverflowError):
         return math.nan, None, len(K)
     coef = [y0_, y1_, y2_]
     for i in range(3):
         coef.append(y_new[i] - y[i])
     for i in range(3):
-        coef.append(h * fy[i] - coef[3 + i])
+        coef.append(dt * fy[i] - coef[3 + i])
     for i in range(3):
-        coef.append(2.0 * coef[3 + i] - h * (f_new[i] + fy[i]))
+        coef.append(2.0 * coef[3 + i] - dt * (f_new[i] + fy[i]))
     for row in D:
         d0 = d1 = d2 = 0.0
         for j, dd in row:
@@ -546,7 +560,7 @@ def _loop_attempt(f, y, fy, h, h_abs, rtol, atol):
             d0 += dd * k[0]
             d1 += dd * k[1]
             d2 += dd * k[2]
-        coef += (h * d0, h * d1, h * d2)
+        coef += (dt * d0, dt * d1, dt * d2)
     return error_norm, (y_new, f_new, coef), N_STAGES + 3
 
 
@@ -559,63 +573,140 @@ def _hex(x):
     return x
 
 
-def _attempt(f, y, h, tol):
-    """(the generated step's result, the loop's) for one attempt of h from y."""
+def _in_coords(rhs, coords):
+    """A special parabolic right-hand side in coords, composed from rhs in
+    (alpha, rho, sigma) as the integrator composed it before rhs_lines
+    wrote the change of coordinates in: the reference for that change."""
+    if coords is None:
+        return rhs
+
+    def f_sigma(log_a, rho, sigma):
+        alpha = math.exp(log_a)
+        dc1, dc2, dsig = rhs(alpha, rho, sigma)
+        return dc1 / alpha, dc2, dsig
+
+    def f_w(log_a, rho, w):
+        sigma = 2.0 * math.atan2(1.0, math.exp(-w))
+        dlog_a, dc2, dsig = f_sigma(log_a, rho, sigma)
+        return dlog_a, dc2, dsig / math.sin(sigma)
+
+    return f_sigma if coords == LOG_ALPHA else f_w
+
+
+def _attempt(case, coords, h, y, dt, tol):
+    """(the generated step's result, the loop's over case_rhs) for one
+    attempt of dt from y at mean curvature h; the two right-hand sides
+    agree at y to the bit."""
+    f = _in_coords(case_rhs(case, h), coords)
     fy = f(*y)
-    args = (abs(h), max(tol, 100.0 * EPS), tol)
-    return (hqn.integrator._make_step()(f, *y, *fy, h, *args),
-            _loop_attempt(f, y, fy, h, *args))
+    assert _hex(case_rhs(case, h, coords)(*y)) == _hex(fy)
+    args = (dt, abs(dt), max(tol, 100.0 * EPS), tol)
+    return (hqn.integrator._make_step(case, coords)(*y, *fy, *args, h),
+            _loop_attempt(f, y, fy, *args))
+
+
+# the cases of each kind the generated steps are checked in: every term that
+# rhs_lines can leave out (C = 0 at elliptic n = 2m and loxodromic n = m + 1,
+# A + 1 = 0 at loxodromic n = 2m - 1) is left out of one and kept in another
+STEP_CASES = {
+    ELLIPTIC: [ReducedCase(ELLIPTIC, 2, 1), ReducedCase(ELLIPTIC, 3, 1),
+               ReducedCase(ELLIPTIC, 3, 2)],
+    LOXODROMIC: [ReducedCase(LOXODROMIC, 3, 2), ReducedCase(LOXODROMIC, 4, 2),
+                 ReducedCase(LOXODROMIC, 5, 3)],
+    SPECIAL_LOXODROMIC: [ReducedCase(SPECIAL_LOXODROMIC, 2),
+                         ReducedCase(SPECIAL_LOXODROMIC, 3)],
+    PARABOLIC: [ReducedCase(PARABOLIC, 2, 1), ReducedCase(PARABOLIC, 3, 1),
+                ReducedCase(PARABOLIC, 3, 2)],
+    SPECIAL_PARABOLIC: [ReducedCase(SPECIAL_PARABOLIC, 2),
+                        ReducedCase(SPECIAL_PARABOLIC, 3)],
+}
 
 
 @pytest.mark.parametrize("case,s_max,a_range", BENCH_CASES, ids=BENCH_IDS)
 def test_generated_step_is_the_loop(case, s_max, a_range):
-    # seeded nodes of bench curves, with steps from a quarter to 32 times
-    # the curve's own: accepted and rejected attempts, and stages that raise
+    # seeded nodes of curves at h = 0, 0.3 and -1, with steps from a quarter
+    # to 32 times the curve's own: accepted and rejected attempts, and
+    # attempts whose evaluations raise. Special
+    # parabolic steps run in (ln alpha, rho, w) at h = 0 and in (ln alpha,
+    # rho, sigma) otherwise; the special loxodromic a < 0 is a mirrored curve.
     rng = np.random.default_rng(23)
-    f, lo, hi = case_rhs(case), *a_range
-    accepted = set()
-    for a in lo + (hi - lo) * rng.random(3):
-        for tol in (1e-6, 1e-11):
-            c = integrate_profile(case, float(a), s_max=s_max, tol=tol, n_samples=5)
-            for k in rng.integers(0, len(c.s) - 1, 10):
-                h = float(c.s[k + 1] - c.s[k]) * 2.0 ** rng.uniform(-2.0, 5.0)
-                got, want = _attempt(f, tuple(c.states[k].tolist()), h, tol)
-                assert _hex(got) == _hex(want)
-                assert len(got[1][2]) == 24 if got[1] else got[2] <= 12
-                accepted.add(got[1] is not None)
-    assert accepted == {True, False}
+    lo, hi = a_range
+    outcomes = set()
+    for other in STEP_CASES[case.kind]:
+        for h in (0.0, 0.3, -1.0):
+            coords = None
+            if case.kind == SPECIAL_PARABOLIC:
+                coords = TAN_HALF if h == 0.0 else LOG_ALPHA
+            for a in (lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo)):
+                for tol in (1e-6, 1e-11):
+                    c = integrate_profile(other, a, s_max=s_max, tol=tol, h=h, n_samples=5)
+                    for k in rng.integers(0, len(c.s) - 1, 6):
+                        y = c.states[k].tolist()
+                        if coords is not None:
+                            y[0] = math.log(y[0])
+                        if coords == TAN_HALF:
+                            y[2] = math.log(math.tan(0.5 * y[2]))
+                        dt = float(c.s[k + 1] - c.s[k]) * 2.0 ** rng.uniform(-2.0, 5.0)
+                        got, want = _attempt(other, coords, h, tuple(y), dt, tol)
+                        assert _hex(got) == _hex(want)
+                        assert len(got[1][2]) == 24 if got[1] else got[2] <= 12
+                        outcomes.add("raised" if math.isnan(got[0]) else
+                                     "accepted" if got[1] else "rejected")
+    assert outcomes == {"accepted", "rejected", "raised"}
 
 
-def test_generated_step_counts_the_calls_of_a_raising_stage():
-    # a stage that raises at call i (the stages, then the end, then the
-    # three dense-output stages) gives a NaN norm and i calls
-    rhs = case_rhs(ReducedCase(ELLIPTIC, 2, 1))
-    y, h = (1.0, 0.5, 1.0), 0.01
-    got, want = _attempt(rhs, y, h, 1e-10)
-    assert got[0] < 1.0 and got[2] == want[2] == N_STAGES + 3
+def test_generated_step_counts_the_calls_of_a_raising_stage(monkeypatch):
+    # an evaluation that raises at call i (the stages, then the end, then the
+    # three dense-output stages) gives a NaN norm and i calls, in every kind
+    # and coordinates; each right-hand side calls `name` once per evaluation
+    for case, coords, y, name in (
+            (ReducedCase(ELLIPTIC, 2, 1), None, (1.0, 0.5, 1.0), "sinh"),
+            (ReducedCase(LOXODROMIC, 3, 2), None, (1.0, 0.5, 1.0), "sinh"),
+            (ReducedCase(SPECIAL_LOXODROMIC, 2), None, (1.0, 2.0, 1.0), "tan"),
+            (ReducedCase(PARABOLIC, 2, 1), None, (1.0, 0.5, 1.0), "sin"),
+            (ReducedCase(SPECIAL_PARABOLIC, 2), LOG_ALPHA, (0.0, 0.5, 1.0), "sin"),
+            (ReducedCase(SPECIAL_PARABOLIC, 2), TAN_HALF, (0.0, 0.5, 1.0), "sin")):
+        dt = 0.01
+        got, want = _attempt(case, coords, 0.0, y, dt, 1e-10)
+        assert got[0] < 1.0 and got[2] == want[2] == N_STAGES + 3
+        f = _in_coords(case_rhs(case), coords)
+        fy, args = f(*y), (dt, dt, 1e-10, 1e-10)
 
-    def failing(at):
-        calls = []
+        def failing(at, real=RHS_GLOBALS[name]):
+            calls = []
 
-        def f(*state):
-            calls.append(1)
-            if len(calls) == at:
-                raise (OverflowError if at % 2 else DomainError)("stage")
-            return rhs(*state)
-        return f
+            def fn(*x):
+                calls.append(1)
+                if len(calls) == at:
+                    raise (OverflowError if at % 2 else DomainError)("stage")
+                return real(*x)
+            monkeypatch.setitem(RHS_GLOBALS, name, fn)
 
-    fy, args = rhs(*y), (h, h, 1e-10, 1e-10)
-    for at in range(1, N_STAGES + 4):
-        got = hqn.integrator._make_step()(failing(at), *y, *fy, *args)
-        want = _loop_attempt(failing(at), y, fy, *args)
-        assert _hex(got) == _hex(want) == ("nan", None, at)
+        for at in range(1, N_STAGES + 4):
+            failing(at)
+            got = hqn.integrator._make_step(case, coords)(*y, *fy, *args, 0.0)
+            failing(at)
+            want = _loop_attempt(f, y, fy, *args)
+            assert _hex(got) == _hex(want) == ("nan", None, at)
+        monkeypatch.undo()
 
 
 def test_generated_step_rejects_a_nan_error_norm():
-    # the stages overflow to inf, and the error sums to inf - inf
-    f = lambda c1, c2, sigma: (1e308, -1e308, 1e308)
-    got, want = _attempt(f, (1.0, 1.0, 1.0), 1.0, 1e-10)
+    # at h = 1e300 every sigma slope rounds to 1e300 and no evaluation
+    # raises; over a step of 1e-300 the error sums overflow to inf, and the
+    # norm is inf / inf
+    case, h, y, returned = ReducedCase(ELLIPTIC, 2, 1), 1e300, (1.0, 0.5, 1.0), []
+    rhs = case_rhs(case, h)
+    fy = rhs(*y)
+
+    def f(*state):
+        returned.append(rhs(*state))
+        return returned[-1]
+
+    got = hqn.integrator._make_step(case)(*y, *fy, 1e-300, 1e-300, 1e-10, 1e-10, h)
+    want = _loop_attempt(f, y, fy, 1e-300, 1e-300, 1e-10, 1e-10)
     assert math.isnan(got[0]) and got[1:] == (None, N_STAGES)
+    assert len(returned) == N_STAGES
     assert _hex(got) == _hex(want)
 
 

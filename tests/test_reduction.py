@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hqn.charts import (
 from hqn.errors import (
     DomainError,
     NoSingularStratumError,
+    ShapeError,
     SingularBoundaryError,
 )
 from hqn.isometries import Isometry, act, sp_defect
@@ -22,12 +25,15 @@ from hqn.quaternion import QI, Quaternion
 from hqn.reduction import (
     ALL_KINDS,
     ELLIPTIC,
+    LOG_ALPHA,
     LOXODROMIC,
     NOT_POLAR,
     ON_POLAR_STRATUM,
     PARABOLIC,
+    POLAR_KINDS,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
+    TAN_HALF,
     PhaseState,
     ReducedCase,
     boundary_sigma_rate,
@@ -247,6 +253,71 @@ def test_ode_rhs_singular_strata():
         case_rhs(ReducedCase(PARABOLIC, 2, 1))(1.0, 0.0, 0.5)
     # theta = pi/2 is interior for the special loxodromic case
     case_rhs(ReducedCase(SPECIAL_LOXODROMIC, 2))(1.0, np.pi / 2, 0.5)
+
+
+def _closed_form_rhs(case, h):
+    """The right-hand side as closed-form float arithmetic, every term kept
+    (a zero coefficient included), inside the orbit space: the reference
+    the compiled, term-folding case_rhs must match to the bit."""
+    n, m = case.n, case.m
+    cos, sin, sinh, cosh, tan, tanh, sqrt = (math.cos, math.sin, math.sinh, math.cosh,
+                                             math.tan, math.tanh, math.sqrt)
+    if case.kind in (ELLIPTIC, LOXODROMIC):
+        A, B, C, D = case.exponents
+
+        def rhs(r, th, sg):
+            P = 0.5 * C / tan(th) + D / tan(2.0 * th)
+            Q = 0.5 * (A + 1) / tanh(r) + B / tanh(2.0 * r)
+            return (0.5 * cos(sg), 0.5 * sin(sg) / sinh(r),
+                    P * cos(sg) / sinh(r) - Q * sin(sg) + h)
+    elif case.kind == SPECIAL_LOXODROMIC:
+        def rhs(r, th, sg):
+            sh, ch, ct = sinh(r), cosh(r), cos(th)
+            bracket = ch * ch + (sh * ct) * (sh * ct)
+            P = 0.5 * ((4 * n - 5) / tan(th) - 3.0 * (sh * sh) * sin(2.0 * th) / bracket)
+            Q = 0.5 * ((4 * n - 4) / tanh(r) + 3.0 * sinh(2.0 * r) * (1.0 + ct * ct) / bracket)
+            return 0.5 * cos(sg), 0.5 * sin(sg) / sh, P * cos(sg) / sh - Q * sin(sg) + h
+    elif case.kind == PARABOLIC:
+        def rhs(al, rho, sg):
+            return (al * cos(sg), 0.5 * sqrt(al) * sin(sg),
+                    (2 * n - 2 * m - 0.5) * sqrt(al) / rho * cos(sg) + (2 * n + 1) * sin(sg) + h)
+    else:
+        def rhs(al, rho, sg):
+            return al * cos(sg), 0.5 * sqrt(al) * sin(sg), (2 * n + 1) * sin(sg) + h
+    return rhs
+
+
+@pytest.mark.parametrize("case", CASES + [
+    ReducedCase(ELLIPTIC, 3, 1), ReducedCase(ELLIPTIC, 4, 2), ReducedCase(LOXODROMIC, 4, 2),
+    ReducedCase(LOXODROMIC, 4, 3), ReducedCase(LOXODROMIC, 5, 3)], ids=str)
+def test_case_rhs_is_the_closed_form_to_the_bit(case):
+    # the compiled lines leave out the terms whose coefficient is 0 (C at
+    # elliptic n = 2m and loxodromic n = m + 1, A + 1 at loxodromic n = 2m - 1)
+    # and keep every bit, over 2000 seeded interior states and four h
+    rng = np.random.default_rng(32)
+    top = np.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * np.pi
+    c1 = np.exp(rng.uniform(-12.0, 4.0, 2000))
+    c2 = (rng.uniform(0.0, top, 2000) if case.kind in POLAR_KINDS
+          else np.exp(rng.uniform(-8.0, 3.0, 2000)))
+    sigma = rng.uniform(-4.0, 7.0, 2000)
+    for h in (0.0, -0.0, 0.3, -5.0):
+        got, want = case_rhs(case, h), _closed_form_rhs(case, h)
+        for state in zip(c1.tolist(), c2.tolist(), sigma.tolist()):
+            if state[1] == 0.0:
+                continue
+            assert [v.hex() for v in got(*state)] == [v.hex() for v in want(*state)], state
+
+
+def test_case_rhs_other_coordinates_are_special_parabolic():
+    # ln alpha, and w = ln tan(sigma/2), are coordinates of the special
+    # parabolic case only
+    for coords in (LOG_ALPHA, TAN_HALF):
+        for case in CASES:
+            if case.kind != SPECIAL_PARABOLIC:
+                with pytest.raises(ShapeError):
+                    case_rhs(case, 0.0, coords)
+    with pytest.raises(ShapeError):
+        case_rhs(ReducedCase(SPECIAL_PARABOLIC, 2), 0.0, "sigma")
 
 
 @pytest.mark.parametrize("kind,top", [(ELLIPTIC, np.pi / 2), (SPECIAL_LOXODROMIC, np.pi)])
