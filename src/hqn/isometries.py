@@ -322,7 +322,7 @@ def sp_from_normals(V: np.ndarray) -> np.ndarray:
         A[..., :, c, :] = u
         if c + 1 < n:
             # right-looking modified Gram-Schmidt: subtract u (u, w) from each
-            # later column w, in the order and with the bits of a loop over them
+            # later column w, in the order of a loop over them
             u, later = u[..., None, :, :], W[..., c + 1:, :, :]
             later -= hamilton(u, herm_definite(u, later)[..., None, :])
     return A

@@ -205,8 +205,8 @@ ON_RHO_STRATUM = "rho = 0 is singular; use boundary_sigma_rate"
 LOG_ALPHA = "log-alpha"
 TAN_HALF = "tan-half"
 
-# The globals of the code compiled from rhs_lines: every name its lines
-# and the integrator's DOP853 steps call.
+# The globals of the code compiled from rhs_lines: every name other than a
+# builtin that its lines and the integrator's DOP853 steps call.
 RHS_GLOBALS = {"cos": math.cos, "sin": math.sin, "tan": math.tan,
                "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
                "sqrt": math.sqrt, "exp": math.exp, "atan2": math.atan2,
