@@ -11,8 +11,7 @@ A ChartPoint holds one point as (n, 4) rows or a stack of k points as
 stack gives per point exactly what each point gives alone.
 
 Tangent vectors are raw coordinate increments in the real coordinates of
-each chart (length 4n); chart changes of tangents use central finite
-differences of the conversion maps.
+each chart (length 4n); the metric is given in the ball and horo charts.
 """
 
 from __future__ import annotations
@@ -245,7 +244,7 @@ def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
 
 
 # ---------------------------------------------------------------------------
-# distance and Busemann function
+# distance
 
 
 def dist(p: ChartPoint, q: ChartPoint):
@@ -257,27 +256,18 @@ def dist(p: ChartPoint, q: ChartPoint):
     return 2.0 * np.arccosh(np.maximum(num / den, 1.0))
 
 
-def busemann(p: ChartPoint):
-    """Busemann function of the axis through 0 and infinity: -ln(alpha)."""
-    return -np.log(convert(p, HORO).alpha)
-
-
 # ---------------------------------------------------------------------------
 # Riemannian metric
 
 
 def metric_matrix(p: ChartPoint) -> np.ndarray:
-    """Metric as a (4n)x(4n) real symmetric matrix in p's chart."""
-    n = p.n
+    """Metric as a (4n)x(4n) real symmetric matrix in p's chart, the ball
+    or horo chart."""
     if p.chart == BALL:
-        return ball_metric_matrix(coords_array(p), n)
+        return ball_metric_matrix(coords_array(p), p.n)
     if p.chart == HORO:
-        return horo_metric_matrix(coords_array(p), n)
-    # Siegel metric via the closed-form pushforward to horo coordinates:
-    # omega = zeta', alpha = 2 Re(zeta_n) - |zeta'|^2, beta = 2 Im(zeta_n)
-    gh = horo_metric_matrix(coords_array(convert(p, HORO)), n)
-    J = _siegel_to_horo_jacobian(p)
-    return J.T @ gh @ J
+        return horo_metric_matrix(coords_array(p), p.n)
+    raise ShapeError(f"metric_matrix takes a ball or horo point, not a {p.chart!r} one")
 
 
 def ball_metric_matrix(x: np.ndarray, n: int) -> np.ndarray:
@@ -379,28 +369,3 @@ def metric_jet(chart: str, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     dg = dNN / a2
     dg[m] = (4.0 / a2) * P - (2.0 / alpha) * g
     return (0.25 * alpha) * (K @ K.T) + a2 * Q, dg
-
-
-def _siegel_to_horo_jacobian(p: ChartPoint) -> np.ndarray:
-    n = p.n
-    J = np.zeros((4 * n, 4 * n))
-    m = 4 * (n - 1)
-    J[:m, :m] = np.eye(m)                      # domega = dzeta'
-    # dalpha = 2 d Re(zeta_n) - 2 Re((dzeta', zeta'))
-    J[m, :m] = -2.0 * coords_array(p)[:m]
-    J[m, m] = 2.0                              # from 2 Re(dzeta_n)
-    J[m + 1:, m + 1:] = 2.0 * np.eye(3)        # dbeta = 2 Im(dzeta_n)
-    return J
-
-
-def push_tangent(p: ChartPoint, u: np.ndarray, chart: str) -> tuple[ChartPoint, np.ndarray]:
-    """Transport a tangent to another chart by central finite differences."""
-    q = convert(p, chart)
-    if chart == p.chart:
-        return q, np.asarray(u, dtype=float)
-    c = coords_array(p)
-    h = 1e-6 * (1.0 + float(np.linalg.norm(c)))
-    u = np.asarray(u, dtype=float)
-    fwd = coords_array(convert(point_from_array(p.chart, c + h * u, p.n), chart))
-    bwd = coords_array(convert(point_from_array(p.chart, c - h * u, p.n), chart))
-    return q, (fwd - bwd) / (2.0 * h)

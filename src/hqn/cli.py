@@ -62,12 +62,12 @@ from .loci import (
 from .oracles import ambient_mean_curvature, killing_ratio_spread, uncubed_bracket_spread
 from .reduction import (
     ALL_KINDS,
-    LOXODROMIC,
     PARABOLIC,
     SPECIAL_LOXODROMIC,
     SPECIAL_PARABOLIC,
     ReducedCase,
     case_rhs,
+    cases_at,
     explicit_solutions,
 )
 
@@ -365,21 +365,9 @@ def _suite_isometries(n: int):
             _check("matrix vs closed-form action", closed, 1e-10)]
 
 
-def _cases_for(n: int):
-    cases = []
-    for kind in ALL_KINDS:
-        if kind in (SPECIAL_LOXODROMIC, SPECIAL_PARABOLIC):
-            cases.append(ReducedCase(kind, n))
-        elif kind == LOXODROMIC:
-            cases.extend(ReducedCase(kind, n, m) for m in range(2, n))
-        else:
-            cases.extend(ReducedCase(kind, n, m) for m in range(1, n))
-    return cases
-
-
 def _suite_reduction(n: int):
     checks = []
-    for case in _cases_for(n):
+    for case in cases_at(n):
         rates = []
         for sol in explicit_solutions(case):
             st = sol.state(1.0, 1.0)
@@ -481,7 +469,7 @@ def _curvature_table(n: int, points: int, general: bool) -> list:
 def _cmd_oracle(args) -> int:
     checks = []
     if args.oracle in ("volume", "all"):
-        for case in _cases_for(args.n):
+        for case in cases_at(args.n):
             checks.append(_check(
                 f"killing ratio spread {case.kind} m={case.m}",
                 killing_ratio_spread(case, n_points=args.points), 1e-5))

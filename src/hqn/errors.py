@@ -13,12 +13,8 @@ class NotSymplecticError(ValueError):
     """Matrix does not satisfy the quaternionic Lorentz-unitarity identity."""
 
 
-class NotPolarError(ValueError):
-    """Hyperplane vector is not of positive signature."""
-
-
 class DegenerateLocusError(ValueError):
-    """Locus parameters are degenerate (e.g. coincident bisector points)."""
+    """Locus parameters are degenerate (e.g. a zero fan normal)."""
 
 
 class DomainError(ValueError):

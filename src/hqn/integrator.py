@@ -387,10 +387,9 @@ def _taylor_start(case: ReducedCase, a: float, s0: float) -> np.ndarray:
 
 def _events(case: ReducedCase, c1_floor: Optional[float]) -> list[_Event]:
     events = []
-    if case.kind in (ELLIPTIC, LOXODROMIC, SPECIAL_LOXODROMIC):
-        top = np.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * np.pi
+    if case.kind in POLAR_KINDS:
         events += [_Event("domain_exit", 1, 1e-12),
-                   _Event("domain_exit", 1, top - 1e-12, -1.0)]
+                   _Event("domain_exit", 1, case.theta_max - 1e-12, -1.0)]
     if case.kind == PARABOLIC:
         events += [_Event("sigma_event", 2, np.pi, -1.0),
                    _Event("domain_exit", 1, 1e-14)]
@@ -458,8 +457,11 @@ def integrate_profile(case: ReducedCase, a: float, s_max: float = 20.0,
     s_start = check_start(case, a, s_max, tol, h, n_samples)
     mirror = case.kind == SPECIAL_LOXODROMIC and a < 0.0
     a_run = -a if mirror else a
-    if case.kind == PARABOLIC and c1_floor is None:
-        c1_floor = 1e-8
+    if c1_floor is None:
+        # special parabolic curves run in ln(alpha), and past ln(alpha) ~ -745
+        # exp gives alpha = 0, where the right-hand side refuses every stage:
+        # they stop at the least normal float
+        c1_floor = {PARABOLIC: 1e-8, SPECIAL_PARABOLIC: sys.float_info.min}.get(case.kind)
 
     # Special parabolic curves run in (ln alpha, rho, sigma): alpha decays
     # toward the boundary, and no Runge-Kutta stage can then step to alpha <= 0.

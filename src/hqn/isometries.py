@@ -1,4 +1,4 @@
-"""Sp(n,1) matrices, Iwasawa subgroup actions, and inversions.
+"""Sp(n,1) matrices and the Iwasawa subgroup actions.
 
 Quaternionic matrices are stored as float arrays of shape (rows, cols, 4).
 Matrix products go through the real 4x-size representation (each entry
@@ -19,16 +19,14 @@ from .charts import (
     convert,
     lift,
 )
-from .errors import DomainError, NotPolarError, NotSymplecticError, ShapeError
+from .errors import DomainError, NotSymplecticError, ShapeError
 from .quaternion import (
     CONJ,
     IMAG,
     UNIT,
     hamilton,
     herm_definite,
-    herm_lorentz,
     left_mult_matrix,
-    lorentz_sign,
     norm2,
     qarray_inverse,
     qnorm2,
@@ -120,17 +118,8 @@ class Isometry:
         if not np.all(sp_defect(A) <= SP_TOL):
             raise NotSymplecticError("matrix violates the Sp(n,1) identity")
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[-3] - 1
-
     def compose(self, other: "Isometry") -> "Isometry":
         return _member(qmat_mul(self.A, other.A))
-
-    def inverse(self) -> "Isometry":
-        # A^{-1} = I_{n,1} A* I_{n,1} for members of Sp(n,1)
-        J = lorentz_signature(self.A.shape[-3])
-        return _member(qmat_mul(qmat_mul(J, qmat_conj_T(self.A)), J))
 
 
 def _member(A: np.ndarray) -> Isometry:
@@ -153,13 +142,6 @@ def _heisenberg_pair(n: int, xi, nu) -> tuple[np.ndarray, np.ndarray]:
     if np.any(nu[..., 0] != 0.0):
         raise NotSymplecticError("nu must be purely imaginary")
     return xi, nu
-
-
-def heis_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(xi1, nu1)(xi2, nu2) = (xi1 + xi2, nu1 + nu2 + 2 Im(xi1, xi2)) on
-    (xi, nu) pairs of (n-1, 4) and (4,) rows."""
-    (xi1, nu1), (xi2, nu2) = a, b
-    return xi1 + xi2, nu1 + nu2 + 2.0 * herm_definite(xi1, xi2) * IMAG
 
 
 def _identities(m: int, lead: tuple) -> np.ndarray:
@@ -269,29 +251,6 @@ def act_horo_closed(kind: str, p: ChartPoint, **params) -> ChartPoint:
     else:
         raise ValueError(f"unknown closed-form kind {kind!r}")
     return _point(HORO, rows)
-
-
-# ---------------------------------------------------------------------------
-# inversions
-
-
-def inversion_horo(p: ChartPoint) -> ChartPoint:
-    """The involutive inversion fixing {|omega|^2 + alpha = 1, beta = 0}."""
-    q = convert(p, HORO)
-    denom = q.rows[-1].copy()              # alpha + |omega|^2 + beta
-    denom[0] += norm2(q.omega)
-    rows = np.vstack([hamilton(q.omega, qarray_inverse(denom)),
-                      q.rows[-1] * CONJ / qnorm2(denom)])
-    return convert(_point(HORO, rows), p.chart)
-
-
-def inversion_at_hyperplane(lam: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X -> X - 2 lam <lam, X> / <lam, lam> on (n+1, 4) rows, for a positive
-    vector lam."""
-    if lorentz_sign(lam) != 1:
-        raise NotPolarError("hyperplane vector must be positive")
-    factor = (2.0 / herm_lorentz(lam, lam)[0]) * herm_lorentz(lam, X)
-    return X - hamilton(lam, factor)
 
 
 # ---------------------------------------------------------------------------

@@ -11,30 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import HORO, ChartPoint, _point, convert, dist
+from .charts import HORO, ChartPoint, convert
 from .errors import DegenerateLocusError, ShapeError
 from .quaternion import norm2
-
-
-def bisector_residual(p: ChartPoint, p1: ChartPoint, p2: ChartPoint):
-    """d(p, p1) - d(p, p2); zero exactly on the bisector of p1 and p2."""
-    if dist(p1, p2) == 0.0:
-        raise DegenerateLocusError("bisector of equal points is undefined")
-    return dist(p, p1) - dist(p, p2)
 
 
 def canonical_bisector_residual(p: ChartPoint):
     """Re(k beta) in horospherical coordinates, i.e. -beta_3."""
     return -convert(p, HORO).beta[..., 2]
-
-
-def spine_projection(p: ChartPoint) -> ChartPoint:
-    """Orthogonal projection to the spine: (omega, alpha, beta) -> (0, alpha + |omega|^2, beta)."""
-    q = convert(p, HORO)
-    rows = np.zeros_like(q.rows)
-    rows[-1] = q.rows[-1]
-    rows[-1, 0] += norm2(q.omega)
-    return _point(HORO, rows)
 
 
 def fan_residual(p: ChartPoint, normal, offset: float = 0.0):
@@ -53,17 +37,6 @@ def fan_residual(p: ChartPoint, normal, offset: float = 0.0):
     if normal.shape != w.shape[-1:]:
         raise ShapeError("fan normal does not match Q^{n-1}")
     return np.vecdot(w, normal) - offset
-
-
-def fan_normal(n: int, component: int) -> np.ndarray:
-    """Functional selecting one real component of omega_{n-1}.
-
-    component 0 gives Re(omega_{n-1}); component 3 with a sign flip
-    gives Re(k omega_{n-1}).
-    """
-    v = np.zeros(4 * (n - 1))
-    v[4 * (n - 2) + component] = 1.0
-    return v
 
 
 def bisector_family_residual(p: ChartPoint, t: float):

@@ -58,13 +58,15 @@ class ReducedCase:
             raise ShapeError(f"unknown case kind {self.kind!r}")
         if self.n < 2:
             raise DomainError("need n >= 2")
-        if self.kind in (SPECIAL_LOXODROMIC, SPECIAL_PARABOLIC):
-            if self.m is not None:
-                raise DomainError("special cases take no m")
-            return
-        lo = 2 if self.kind == LOXODROMIC else 1
-        if self.m is None or not (lo <= self.m <= self.n - 1):
-            raise DomainError(f"{self.kind} case needs an m with {lo} <= m <= n-1")
+        ms = m_range(self.kind, self.n)
+        if self.m not in ms:
+            raise DomainError("special cases take no m" if ms == (None,) else
+                              f"{self.kind} case needs an m with {ms.start} <= m <= n-1")
+
+    @property
+    def theta_max(self) -> float:
+        """The polar cases' upper end of theta: pi/2, or pi special loxodromic."""
+        return math.pi if self.kind == SPECIAL_LOXODROMIC else 0.5 * math.pi
 
     @property
     def exponents(self) -> tuple[int, int, int, int]:
@@ -75,6 +77,19 @@ class ReducedCase:
         if self.kind == LOXODROMIC:
             return (4 * n - 8 * m + 3, 4 * m - 1, 4 * n - 4 * m - 4, 3)
         raise ShapeError("exponents defined for elliptic/loxodromic only")
+
+
+def m_range(kind: str, n: int):
+    """The m a case of the kind takes at n: 2 <= m <= n-1 loxodromic,
+    1 <= m <= n-1 elliptic and parabolic, and (None,) in the special cases."""
+    if kind in (SPECIAL_LOXODROMIC, SPECIAL_PARABOLIC):
+        return (None,)
+    return range(2 if kind == LOXODROMIC else 1, n)
+
+
+def cases_at(n: int) -> list[ReducedCase]:
+    """Every case at n: ALL_KINDS in order, each with its m ascending."""
+    return [ReducedCase(kind, n, m) for kind in ALL_KINDS for m in m_range(kind, n)]
 
 
 @dataclass(frozen=True)
@@ -241,9 +256,8 @@ def rhs_lines(case: ReducedCase, coords: Optional[str] = None
         raise ShapeError(f"no {coords!r} coordinates for the {case.kind} case")
     alpha_guard = ["if c1 <= 0.0:", f"    raise DomainError({NOT_ALPHA!r})"]
     if case.kind in POLAR_KINDS:
-        top = np.pi if case.kind == SPECIAL_LOXODROMIC else 0.5 * np.pi
         lines = ["if c1 <= 0.0:", f"    raise DomainError({NOT_POLAR!r})",
-                 f"if not (0.0 < c2 < {top!r}):",
+                 f"if not (0.0 < c2 < {case.theta_max!r}):",
                  f"    raise SingularBoundaryError({ON_POLAR_STRATUM!r})"]
         # dsigma = P cos(sigma) / sinh(r) - Q sin(sigma) + h, with
         # P = (1/2) d(ln V)/d theta and Q = (1/2)(d(ln V)/dr + coth r)

@@ -32,7 +32,6 @@ from hqn.isometries import (
 from hqn.loci import (
     canonical_bisector_residual,
     fan_at_origin_residual,
-    fan_normal,
     fan_residual,
 )
 from hqn.oracles import (
@@ -259,7 +258,7 @@ def test_criterion_9_fan_lines():
             worst_stat = max(worst_stat, abs(f[1]), abs(f[2]))
     rng = np.random.default_rng(99)
     worst_inv = 0.0
-    normal = fan_normal(2, 0)
+    normal = np.array([1.0, 0.0, 0.0, 0.0])     # Re(omega_1)
     for _ in range(50):
         R = float(rng.uniform(0.1, 0.8))
         om = Quaternion(R, *rng.normal(0, 0.3, 3))

@@ -553,7 +553,7 @@ def test_nan_defect_fails_its_row(monkeypatch, capsys):
 def test_nan_rate_fails_its_row(monkeypatch, capsys):
     # the first explicit solution's rates, of the first case, all NaN
     _poison_call(monkeypatch, "case_rhs", 1, lambda rhs: lambda *state: (np.nan,) * 3)
-    case = cli._cases_for(2)[0]
+    case = cli.cases_at(2)[0]
     assert _failed_rows(capsys, "verify", "--suite", "reduction", "--n", "2") == [
         f"stationary families {case.kind} m={case.m}"]
 

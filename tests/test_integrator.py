@@ -344,6 +344,24 @@ def test_start_past_an_event_level():
         integrate_profile(ReducedCase(SPECIAL_PARABOLIC, 2), 0.5, c1_floor=0.5)
 
 
+@pytest.mark.parametrize("h", [0.0, 0.5])
+def test_special_parabolic_stops_at_least_normal_alpha(h):
+    # in ln(alpha), exp(ln alpha) is 0 past ln(alpha) ~ -745 and every
+    # stage is refused there; by default the curve stops at the least
+    # normal float before that, at s ~ 709 for a = 1
+    case = ReducedCase(SPECIAL_PARABOLIC, 2)
+    c = integrate_profile(case, 1.0, s_max=800.0, h=h)
+    assert c.termination == "c1_floor" and c.s[-1] < 800.0
+    assert c.states[-1, 0] == pytest.approx(sys.float_info.min, rel=1e-12)
+    if h == 0.0:
+        # the minimal curve's limit is R(2) (for a CMC curve it is not)
+        R = elliptic_integral_R(2)
+        assert abs(abs(limit_endpoint(c).c2) - R) <= 1e-6 * R
+    with pytest.raises(SingularBoundaryError, match=r"^a = 5e-324 starts the curve at "
+                       r"c1 = 5e-324, not above its floor 2.2250738585072014e-308; "):
+        integrate_profile(case, 5e-324, h=h)
+
+
 def test_start_past_sigma_names_sigma(monkeypatch):
     # a parabolic start with sigma0 past the sigma_event level pi names
     # sigma0 and that level, not rho0, which is clear of its own level

@@ -38,6 +38,7 @@ from hqn.reduction import (
     ReducedCase,
     boundary_sigma_rate,
     case_rhs,
+    cases_at,
     explicit_solutions,
     first_integral_values,
     orbit_project,
@@ -86,7 +87,15 @@ def test_case_validation():
     for kind in (ELLIPTIC, LOXODROMIC, PARABOLIC):
         with pytest.raises(DomainError):
             ReducedCase(kind, 3)
+    # m is a whole number in its range
+    with pytest.raises(DomainError):
+        ReducedCase(ELLIPTIC, 3, 1.5)
     assert len(ALL_KINDS) == 5
+    # cases_at gives each valid case once, in ALL_KINDS order
+    assert [(c.kind, c.m) for c in cases_at(4)] == [
+        (ELLIPTIC, 1), (ELLIPTIC, 2), (ELLIPTIC, 3), (LOXODROMIC, 2), (LOXODROMIC, 3),
+        (SPECIAL_LOXODROMIC, None), (PARABOLIC, 1), (PARABOLIC, 2), (PARABOLIC, 3),
+        (SPECIAL_PARABOLIC, None)]
 
 
 def test_exponent_identities():
