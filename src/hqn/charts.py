@@ -234,13 +234,13 @@ def coords_array(p: ChartPoint) -> np.ndarray:
     return p.rows.reshape(p.rows.shape[:-2] + (-1,))
 
 
-def point_from_array(chart: str, arr: np.ndarray, n: int) -> ChartPoint:
-    """The point of 4n reals, or one ChartPoint holding the k points of a
-    (k, 4n) array, checked in one pass. Its rows are one frozen copy."""
+def point_from_array(chart: str, arr: np.ndarray) -> ChartPoint:
+    """The point of 4n reals, n >= 1, or one ChartPoint holding the k points
+    of a (k, 4n) array, checked in one pass. Its rows are one frozen copy."""
     arr = np.array(arr, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 4 * n:
-        raise ShapeError(f"expected {4 * n} reals or rows of them, got shape {arr.shape}")
-    return _point(chart, arr.reshape(arr.shape[:-1] + (n, 4)))
+    if arr.ndim not in (1, 2) or arr.shape[-1] % 4 or not arr.shape[-1]:
+        raise ShapeError(f"expected 4n reals or rows of them, got shape {arr.shape}")
+    return _point(chart, arr.reshape(arr.shape[:-1] + (-1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +264,13 @@ def metric_matrix(p: ChartPoint) -> np.ndarray:
     """Metric as a (4n)x(4n) real symmetric matrix in p's chart, the ball
     or horo chart."""
     if p.chart == BALL:
-        return ball_metric_matrix(coords_array(p), p.n)
+        return ball_metric_matrix(coords_array(p))
     if p.chart == HORO:
-        return horo_metric_matrix(coords_array(p), p.n)
+        return horo_metric_matrix(coords_array(p))
     raise ShapeError(f"metric_matrix takes a ball or horo point, not a {p.chart!r} one")
 
 
-def ball_metric_matrix(x: np.ndarray, n: int) -> np.ndarray:
+def ball_metric_matrix(x: np.ndarray) -> np.ndarray:
     """ds^2 = 4[(1-|x|^2)|dx|^2 + |(dx,x)|^2] / (1-|x|^2)^2.
 
     x of shape (..., 4n) gives a stack of (4n)x(4n) matrices.
@@ -279,36 +279,38 @@ def ball_metric_matrix(x: np.ndarray, n: int) -> np.ndarray:
     r2 = np.sum(x * x, axis=-1)
     if np.any(r2 >= 1.0):
         raise NotInteriorError("ball metric needs |x| < 1")
-    M = _ball_pairing(x, n)
+    M = _ball_pairing(x)
     s = (1.0 - r2)[..., None, None]
-    return 4.0 * (s * np.eye(4 * n) + np.swapaxes(M, -1, -2) @ M) / s ** 2
+    return 4.0 * (s * np.eye(x.shape[-1]) + np.swapaxes(M, -1, -2) @ M) / s ** 2
 
 
-def horo_metric_matrix(c: np.ndarray, n: int) -> np.ndarray:
+def horo_metric_matrix(c: np.ndarray) -> np.ndarray:
     """ds^2 = [dalpha^2 + |dbeta - 2 Im(omega, domega)|^2 + 4 alpha |domega|^2] / alpha^2.
 
     c of shape (..., 4n) gives a stack of (4n)x(4n) matrices.
     """
     c = np.asarray(c, dtype=float)
-    lead = c.shape[:-1]
-    m = 4 * (n - 1)
+    lead, d = c.shape[:-1], c.shape[-1]
+    m = d - 4
     alpha = c[..., m, None]
     # B(u) = u_beta + 2 Im((u_omega, omega)) as a linear map to R^3;
     # note Im((omega, u)) = -Im((u, omega)) for the quaternionic pairing
-    B = np.zeros(lead + (3, 4 * n))
+    B = np.zeros(lead + (3, d))
     B[..., m + 1:] = np.eye(3)
-    B[..., :m] = 2.0 * _ball_pairing(c[..., :m], n - 1)[..., 1:, :]
+    B[..., :m] = 2.0 * _ball_pairing(c[..., :m])[..., 1:, :]
     g = np.swapaxes(B, -1, -2) @ B
     g[..., m, m] += 1.0
     g[..., np.arange(m), np.arange(m)] += 4.0 * alpha
     return g / (alpha * alpha)[..., None]
 
 
-def _ball_pairing(x: np.ndarray, n: int) -> np.ndarray:
-    """The (..., 4, 4n) matrix M of dx -> (dx, x) = sum_l conj(dx_l) x_l:
-    4x4 blocks R(x_l) C, linear in x."""
-    blocks = right_mult_matrix(x.reshape(x.shape[:-1] + (n, 4))) * CONJ
-    return np.swapaxes(blocks, -3, -2).reshape(x.shape[:-1] + (4, 4 * n))
+def _ball_pairing(x: np.ndarray) -> np.ndarray:
+    """The (..., 4, 4n) matrix M of dx -> (dx, x) = sum_l conj(dx_l) x_l
+    at (..., 4n) reals x: 4x4 blocks R(x_l) C, linear in x."""
+    if x.shape[-1] % 4:
+        raise ShapeError(f"expected 4n reals, got shape {x.shape}")
+    blocks = right_mult_matrix(x.reshape(x.shape[:-1] + (-1, 4))) * CONJ
+    return np.swapaxes(blocks, -3, -2).reshape(x.shape[:-1] + (4, x.shape[-1]))
 
 
 @functools.cache
@@ -322,9 +324,9 @@ def _pairing_tables(chart: str, n: int) -> tuple[np.ndarray, ...]:
     F = np.zeros((d, 4 if chart == BALL else 3, d))
     N0 = np.zeros(F.shape[1:])
     if chart == BALL:
-        F[:] = _ball_pairing(np.eye(d), n)
+        F[:] = _ball_pairing(np.eye(d))
     else:
-        F[:d - 4, :, :d - 4] = 2.0 * _ball_pairing(np.eye(d - 4), n - 1)[:, 1:]
+        F[:d - 4, :, :d - 4] = 2.0 * _ball_pairing(np.eye(d - 4))[:, 1:]
         N0[:, d - 3:] = np.eye(3)
     P = np.diag(F.any(axis=(1, 2)).astype(float))
     tables = (N0, F.reshape(d, -1), np.ascontiguousarray(np.swapaxes(F, 1, 2)), P,
@@ -334,7 +336,7 @@ def _pairing_tables(chart: str, n: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def metric_jet(chart: str, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def metric_jet(chart: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The inverse and the (d, d, d) derivative dg[c] = d_c g of the ball
     or horo metric matrix at the d = 4n reals x, in closed form, with
     d_c (N^T N) = F_c^T N + N^T F_c.
@@ -346,9 +348,9 @@ def metric_jet(chart: str, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     diag(I_m / (4 alpha), 1, I_3) J^-T, J^-1 the identity less L there;
     d_omega g = d_omega (B^T B) / alpha^2, d_alpha g = 4 P / alpha^2
     - 2 g / alpha, d_beta g = 0."""
-    if chart not in (BALL, HORO):
-        raise ShapeError(f"metric_jet takes a ball or horo chart, not {chart!r}")
-    N0, F, Ft, P, Q = _pairing_tables(chart, n)
+    if chart not in (BALL, HORO) or len(x) % 4:
+        raise ShapeError(f"metric_jet takes 4n ball or horo reals, not {chart!r} {x.shape}")
+    N0, F, Ft, P, Q = _pairing_tables(chart, len(x) // 4)
     N = N0 + (x @ F).reshape(N0.shape)
     FN = Ft @ N
     dNN = FN + np.swapaxes(FN, 1, 2)

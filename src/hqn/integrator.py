@@ -592,7 +592,6 @@ class EndpointLimit:
     c1: float
     c2: float
     converged: bool
-    tag: str
 
 
 def limit_endpoint(curve: ProfileCurve) -> EndpointLimit:
@@ -601,14 +600,17 @@ def limit_endpoint(curve: ProfileCurve) -> EndpointLimit:
     Parabolic curves stopped at a small alpha floor get a tail
     correction for rho from the tangent-slope sandwich; special
     parabolic curves add the exact tail, an incomplete beta function of
-    the conserved quantity. Elliptic and loxodromic curves have no finite
-    limit and the final sample is returned unconverged.
+    the conserved quantity. Both tails are h = 0 asymptotics: a curve
+    with h != 0 raises ExtrapolationError. Elliptic and loxodromic curves
+    have no finite limit and the final sample is returned unconverged.
     """
     case = curve.case
     n, m = case.n, case.m
     fin = curve.final_state()
     if case.kind in (ELLIPTIC, LOXODROMIC, SPECIAL_LOXODROMIC):
-        return EndpointLimit(fin.c1, fin.c2, False, "NotConverged")
+        return EndpointLimit(fin.c1, fin.c2, False)
+    if curve.h != 0:
+        raise ExtrapolationError(f"the {case.kind} tail is that of h = 0, not h = {curve.h!r}")
     if case.kind == PARABOLIC:
         if curve.termination not in ("sigma_event", "c1_floor") or fin.c1 > 1e-6:
             raise ExtrapolationError("curve tail has not reached small alpha")
@@ -616,7 +618,7 @@ def limit_endpoint(curve: ProfileCurve) -> EndpointLimit:
         hi = (4 * n - 4 * m) / (4 * n + 2)
         c = 0.5 * (lo + hi)
         rho_lim = float(np.sqrt(fin.c2 ** 2 + c * fin.c1))
-        return EndpointLimit(0.0, rho_lim, True, "extrapolated")
+        return EndpointLimit(0.0, rho_lim, True)
     # special parabolic: I = alpha^{-2n-1} sin(sigma) is conserved, so the rest
     # of the curve adds (1/2) int_0^alpha I t^{2n+1/2} / sqrt(1 - (I t^{2n+1})^2) dt
     # to |rho|. By x = (I t^{2n+1})^2 that is, with x = sin^2(sigma) here,
@@ -633,4 +635,4 @@ def limit_endpoint(curve: ProfileCurve) -> EndpointLimit:
         S = (_beta_half(p) - abs(cos) * _beta_series(cos * cos, 0.5, 1.0 - p)) / x ** p
     tail = math.sqrt(fin.c1) * sin * S / (2 * (4 * n + 2))
     sign = 1.0 if fin.c2 >= 0 else -1.0
-    return EndpointLimit(0.0, float(fin.c2 + sign * tail), True, "extrapolated")
+    return EndpointLimit(0.0, float(fin.c2 + sign * tail), True)

@@ -136,7 +136,8 @@ def _heisenberg_pair(n: int, xi, nu) -> tuple[np.ndarray, np.ndarray]:
     xi, nu = np.asarray(xi, dtype=float), np.asarray(nu, dtype=float)
     if (xi.shape[-2:] != (n - 1, 4) or nu.shape[-1:] != (4,)
             or xi.shape[:-2] != nu.shape[:-1] or nu.ndim > 2):
-        raise ShapeError(f"xi must be {n - 1} rows and nu one row of 4, stacked alike")
+        raise ShapeError(f"xi must be {n - 1} rows and nu one row of 4, stacked alike, "
+                         f"got shapes {xi.shape} and {nu.shape}")
     if not np.all(np.isfinite(norm2(xi) + qnorm2(nu))):
         raise DomainError("xi and nu must be finite, with a finite sum of squares")
     if np.any(nu[..., 0] != 0.0):
@@ -149,10 +150,11 @@ def _identities(m: int, lead: tuple) -> np.ndarray:
     return np.broadcast_to(qmat_identity(m), lead + (m, m, 4)).copy()
 
 
-def heisenberg_matrix(n: int, xi, nu) -> Isometry:
+def heisenberg_matrix(xi, nu) -> Isometry:
     """Heisenberg translation h(xi, nu) as an Sp(n,1) matrix, for xi of
     (n-1, 4) rows and nu a purely imaginary (4,) row; a stack of k matrices
     for (k, n-1, 4) and (k, 4) stacks."""
+    n = np.shape(xi)[-2] + 1 if np.ndim(xi) > 1 else 1
     xi, nu = _heisenberg_pair(n, xi, nu)
     half = 0.5 * nu
     half[..., 0] += 0.5 * np.sum((xi * xi).reshape(nu.shape[:-1] + (-1,)), axis=-1)
@@ -185,10 +187,11 @@ def transvection_matrix(n: int, t) -> Isometry:
     return _member(A)
 
 
-def rotation_matrix(n: int, B: np.ndarray, lam: np.ndarray) -> Isometry:
+def rotation_matrix(B: np.ndarray, lam: np.ndarray) -> Isometry:
     """diag(B, lam) with B in Sp(n), lam a unit quaternion (4,) row."""
+    n = B.shape[0]
     if B.shape[:2] != (n, n):
-        raise ShapeError(f"rotation block must be {n}x{n}")
+        raise ShapeError(f"rotation block must be square, got shape {B.shape}")
     # B* B = I and |lam| = 1 to 1e-12 imply the Sp(n,1) identity to SP_TOL
     if not float(np.max(np.abs(qmat_mul(qmat_conj_T(B), B) - qmat_identity(n)))) <= 1e-12:
         raise NotSymplecticError("rotation block is not in Sp(n)")

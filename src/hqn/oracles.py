@@ -73,7 +73,7 @@ def _sp_generators(size: int, offset: int, total: int, lorentz: bool = False):
 
 
 def _heis_generator(n: int, slot: int, q: np.ndarray) -> np.ndarray:
-    """Generator of t -> heisenberg_matrix(n, t q e_slot, 0)."""
+    """Generator of t -> heisenberg_matrix(t q e_slot, 0)."""
     G = np.zeros((n + 1, n + 1, 4))
     G[slot, n - 1] = -q
     G[slot, n] = q
@@ -82,7 +82,7 @@ def _heis_generator(n: int, slot: int, q: np.ndarray) -> np.ndarray:
 
 
 def _nu_generator(n: int, q: np.ndarray) -> np.ndarray:
-    """Generator of t -> heisenberg_matrix(n, 0, t q), q purely imaginary."""
+    """Generator of t -> heisenberg_matrix(0, t q), q purely imaginary."""
     G = np.zeros((n + 1, n + 1, 4))
     G[n - 1, n - 1] = G[n, n - 1] = -0.5 * q
     G[n - 1, n] = G[n, n] = 0.5 * q
@@ -176,7 +176,7 @@ def _complement(case: ReducedCase) -> np.ndarray:
     case's Killing fields that span the orbit at the reference point."""
     X = lift(section_point(case, *_reference_coords(case)))
     K = _killing_vectors(generator_basis(case), X)
-    M = K @ np.linalg.cholesky(ball_metric_matrix(X[:-1].ravel(), case.n))
+    M = K @ np.linalg.cholesky(ball_metric_matrix(X[:-1].ravel()))
     U, S, _ = np.linalg.svd(M, full_matrices=False)
     dim = 4 * case.n - 2
     if S[dim - 1] / S[0] < 1e-6:
@@ -216,7 +216,7 @@ def killing_volume(case: ReducedCase, p: ChartPoint):
     s = (1.0 - qnorm2(x))[..., None, None]
     if (s <= 0.0).any():
         raise NotInteriorError("ball metric needs |x| < 1")
-    RM = rows @ np.swapaxes(_ball_pairing(x, case.n), -1, -2)
+    RM = rows @ np.swapaxes(_ball_pairing(x), -1, -2)
     gram = 4.0 * (s * (rows @ np.swapaxes(rows, -1, -2))
                   + RM @ np.swapaxes(RM, -1, -2)) / s ** 2
     det = np.linalg.det(gram)
@@ -288,25 +288,24 @@ def _frozen(rows: list) -> np.ndarray:
 
 
 @functools.cache
-def _stencil_offsets(dim: int, step: float) -> np.ndarray:
+def _stencil_offsets(dim: int) -> np.ndarray:
     """The read-only (1 + 2 (2 dim + 2 dim (dim - 1)), dim) offsets of the
-    Richardson stencil: 0, then per step h = step / 2 and step, the 2 dim
-    axis offsets +-h e_a and the 2 dim (dim - 1) offsets
-    (+-h e_a) +- h e_b, a < b."""
+    Richardson stencil: 0, then per step h = step / 2 and step, with step
+    = CURVATURE_STEP, the 2 dim axis offsets +-h e_a and the 2 dim (dim - 1)
+    offsets (+-h e_a) +- h e_b, a < b."""
     a, b = _upper_pairs(dim)
     rows = [np.full((1, dim), -0.0)]
-    for h in (step / 2.0, step):
+    for h in (CURVATURE_STEP / 2.0, CURVATURE_STEP):
         P = h * np.eye(dim)
         M = -P
         rows += [P, M, P[a] + P[b], P[a] - P[b], M[a] + P[b], M[a] - P[b]]
     return _frozen(rows)
 
 
-def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
-                          x: np.ndarray, step: float):
-    """Richardson-extrapolated central differences at steps step and
-    step / 2, from one call of values on the (k, d) stack of points
-    x + _stencil_offsets(d, step): x, then per step the 2d axis points
+def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray], x: np.ndarray):
+    """Richardson-extrapolated central differences at steps CURVATURE_STEP
+    and CURVATURE_STEP / 2, from one call of values on the (k, d) stack
+    x + _stencil_offsets(d): x, then per step the 2d axis points
     x +- h e_a (shared by the gradient and the Hessian diagonal) and the
     2d(d-1) points (x +- h e_a) +- h e_b, a < b. Both steps' differences
     are taken in one pass over a leading axis of 2. ambient_mean_curvature
@@ -315,10 +314,10 @@ def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
     """
     dim = len(x)
     a, b = _upper_pairs(dim)
-    f = values(x + _stencil_offsets(dim, step))
+    f = values(x + _stencil_offsets(dim))
     f0 = f[0]
     fh = f[1:].reshape(2, -1)
-    h = np.array([[step / 2.0], [step]])
+    h = np.array([[CURVATURE_STEP / 2.0], [CURVATURE_STEP]])
     fp, fm = fh[:, :2 * dim].reshape(2, 2, dim).swapaxes(0, 1)
     fpp, fpm, fmp, fmm = fh[:, 2 * dim:].reshape(2, 4, -1).swapaxes(0, 1)
     g = (fp - fm) / (2.0 * h)
@@ -329,17 +328,17 @@ def _richardson_grad_hess(values: Callable[[np.ndarray], np.ndarray],
 
 
 @functools.cache
-def _grad_hess_weights(dim: int, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grad_hess_weights(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The linear map from the k values f of the stencil x +
-    _stencil_offsets(dim, step) to the gradient and the flattened Hessian
+    _stencil_offsets(dim) to the gradient and the flattened Hessian
     of _richardson_grad_hess, row by row: read-only (dim + dim^2, 8)
     stencil indices and integer weights, zero-padded, and a read-only
     scale per row, so that the derivatives are
     scale * (weights * f[index]).sum(axis=1).
 
-    With p, m the points x +- h e_a and pp, pm, mp, mm the points
-    (x +- h e_a) +- h e_b at h = step / 2, and P, M, PP, PM, MP, MM the
-    same at h = step, the rows are
+    With step = CURVATURE_STEP, p, m the points x +- h e_a and pp, pm, mp,
+    mm the points (x +- h e_a) +- h e_b at h = step / 2, and P, M, PP, PM,
+    MP, MM the same at h = step, the rows are
       gradient a:   (8 p - 8 m - P + M) / (6 step),
       Hessian aa:   (16 p + 16 m - 30 f(x) - P - M) / (3 step^2),
       Hessian ab:   (16 (pp - pm - mp + mm) - (PP - PM - MP + MM)) / (12 step^2).
@@ -368,9 +367,9 @@ def _grad_hess_weights(dim: int, step: float) -> tuple[np.ndarray, np.ndarray, n
     for rows in (dim + dim * a + b, dim + dim * b + a):
         index[rows] = np.stack([pp, pm, mp, mm, PP, PM, MP, MM], axis=1)
         weights[rows] = (16.0, -16.0, -16.0, 16.0, -1.0, 1.0, 1.0, -1.0)
-    scale = np.concatenate([np.full(dim, 1.0 / (6.0 * step)),
-                            np.where(np.eye(dim, dtype=bool), 1.0 / (3.0 * step ** 2),
-                                     1.0 / (12.0 * step ** 2)).ravel()])
+    scale = np.concatenate([np.full(dim, 1.0 / (6.0 * CURVATURE_STEP)),
+                            np.where(np.eye(dim, dtype=bool), 1.0 / (3.0 * CURVATURE_STEP ** 2),
+                                     1.0 / (12.0 * CURVATURE_STEP ** 2)).ravel()])
     for table in (index, weights, scale):
         table.flags.writeable = False
     return index, weights, scale
@@ -412,7 +411,7 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
     chart = HORO if p.chart == HORO else BALL
     x0 = coords_array(convert(p, chart))
     d = len(x0)
-    stack = x0 + _stencil_offsets(d, CURVATURE_STEP)
+    stack = x0 + _stencil_offsets(d)
     k = len(stack)
     f = np.asarray(surface(_point(chart, stack.reshape(k, n, 4))), dtype=float)
     if f.shape != (k,):
@@ -421,10 +420,10 @@ def ambient_mean_curvature(surface: Callable[[ChartPoint], np.ndarray],
         except ValueError:
             raise ShapeError(f"surface gave shape {f.shape} on a stack of "
                              f"{k} points") from None
-    index, weights, scale = _grad_hess_weights(d, CURVATURE_STEP)
+    index, weights, scale = _grad_hess_weights(d)
     grad_hess = scale * (weights * f[index]).sum(axis=1)
     grad, hess = grad_hess[:d], grad_hess[d:].reshape(d, d)
-    ginv, dg = metric_jet(chart, x0, n)
+    ginv, dg = metric_jet(chart, x0)
     u = ginv @ grad
     norm2 = float(grad @ u)
     if norm2 < 1e-16:

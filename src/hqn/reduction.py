@@ -392,7 +392,7 @@ def random_symmetry(case: ReducedCase, rng: np.random.Generator) -> Isometry:
         big = qmat_identity(n)
         big[:m, :m] = random_sp(m, rng)
         big[m:, m:] = random_sp(n - m, rng)
-        return rotation_matrix(n, big, UNIT)
+        return rotation_matrix(big, UNIT)
     if case.kind == LOXODROMIC:
         # k a k': Sp(m-1,1), on the last m coordinates, is K A K with
         # K = Sp(m-1) x Sp(1) and A the transvections
@@ -400,30 +400,30 @@ def random_symmetry(case: ReducedCase, rng: np.random.Generator) -> Isometry:
             big = qmat_identity(n)
             big[:n - m, :n - m] = random_sp(n - m, rng)
             big[n - m + 1:, n - m + 1:] = random_sp(m - 1, rng)
-            return rotation_matrix(n, big, random_unit_quaternion(rng))
+            return rotation_matrix(big, random_unit_quaternion(rng))
 
         g = k_part().compose(transvection_matrix(n, float(rng.uniform(-1, 1))))
         return g.compose(k_part())
     if case.kind == SPECIAL_LOXODROMIC:
         nu = np.array([0.0, rng.standard_normal(), rng.standard_normal(), 0.0])
-        g = heisenberg_matrix(n, np.zeros((n - 1, 4)), nu)
+        g = heisenberg_matrix(np.zeros((n - 1, 4)), nu)
         g = g.compose(transvection_matrix(n, float(rng.uniform(-1, 1))))
         big = qmat_identity(n)
         big[:n - 1, :n - 1] = random_sp(n - 1, rng)
-        return g.compose(rotation_matrix(n, big, UNIT))
+        return g.compose(rotation_matrix(big, UNIT))
     xi, nu = np.zeros((n - 1, 4)), np.zeros(4)
     if case.kind == PARABOLIC:
         xi[n - m:] = rng.standard_normal((m - 1, 4))
         nu[1:] = rng.standard_normal(3)
-        g = heisenberg_matrix(n, xi, nu)
+        g = heisenberg_matrix(xi, nu)
         big = qmat_identity(n)
         big[:n - m, :n - m] = random_sp(n - m, rng)
-        return g.compose(rotation_matrix(n, big, UNIT))
+        return g.compose(rotation_matrix(big, UNIT))
     # special parabolic: Heisenberg translations with Re(xi_{n-1}) = 0
     xi[:n - 2] = rng.standard_normal((n - 2, 4))
     xi[-1, 1:] = rng.standard_normal(3)
     nu[1:] = rng.standard_normal(3)
-    return heisenberg_matrix(n, xi, nu)
+    return heisenberg_matrix(xi, nu)
 
 
 # ---------------------------------------------------------------------------

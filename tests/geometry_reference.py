@@ -25,7 +25,7 @@ def inversion_horo(p: ChartPoint) -> ChartPoint:
     denom[0] += norm2(q.omega)
     rows = np.vstack([hamilton(q.omega, qarray_inverse(denom)),
                       q.rows[-1] * CONJ / qnorm2(denom)])
-    return convert(point_from_array(HORO, rows.ravel(), q.n), p.chart)
+    return convert(point_from_array(HORO, rows.ravel()), p.chart)
 
 
 def heis_mul(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -45,6 +45,6 @@ def push_tangent(p: ChartPoint, u: np.ndarray, chart: str) -> tuple[ChartPoint, 
     c = coords_array(p)
     h = 1e-6 * (1.0 + float(np.linalg.norm(c)))
     u = np.asarray(u, dtype=float)
-    fwd = coords_array(convert(point_from_array(p.chart, c + h * u, p.n), chart))
-    bwd = coords_array(convert(point_from_array(p.chart, c - h * u, p.n), chart))
+    fwd = coords_array(convert(point_from_array(p.chart, c + h * u), chart))
+    bwd = coords_array(convert(point_from_array(p.chart, c - h * u), chart))
     return q, (fwd - bwd) / (2.0 * h)

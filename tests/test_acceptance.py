@@ -78,7 +78,7 @@ def _verdict(num, ok, detail):
 def _random_ball(rng, n, rmax=0.8):
     v = rng.standard_normal(4 * n)
     v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
-    return point_from_array(BALL, v, n)
+    return point_from_array(BALL, v)
 
 
 def test_criterion_1_group_and_charts():
@@ -94,7 +94,7 @@ def test_criterion_1_group_and_charts():
             big = qmat_identity(n + 1)
             big[:n - 1, :n - 1] = B
             big[n - 1, n - 1] = big[n, n] = lam
-            trio = [("heisenberg", heisenberg_matrix(n, xi, nu),
+            trio = [("heisenberg", heisenberg_matrix(xi, nu),
                      dict(xi=xi, nu=nu)),
                     ("transvection", transvection_matrix(n, t), dict(t=t)),
                     ("rotation", Isometry(big), dict(B=B, lam=lam))]

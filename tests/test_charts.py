@@ -33,7 +33,7 @@ def isclose(a, b, tol=1e-12) -> bool:
 def random_ball_point(rng, n=2, rmax=0.8):
     v = rng.standard_normal(4 * n)
     v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
-    return point_from_array(BALL, v, n)
+    return point_from_array(BALL, v)
 
 
 def test_ball_from_lift():
@@ -208,16 +208,16 @@ def test_non_finite_rows_are_not_interior(chart, bad, slot):
     # (omega, alpha or Re zeta_n, beta) fails the interior test, for a
     # single point and for one row of a stack, without a numpy warning
     arr = np.array(INSIDE)
-    point_from_array(chart, arr, 2)
+    point_from_array(chart, arr)
     arr[slot] = bad
     stack = np.array([INSIDE] * 3)
     stack[1, slot] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotInteriorError):
-            point_from_array(chart, arr, 2)
+            point_from_array(chart, arr)
         with pytest.raises(NotInteriorError):
-            point_from_array(chart, stack, 2)
+            point_from_array(chart, stack)
 
 
 @pytest.mark.parametrize("chart", [BALL, SIEGEL, HORO])
@@ -226,10 +226,10 @@ def test_stack_points_match_single_points(chart):
     # point_from_array of the same row, and pass or fail with it
     rng = np.random.default_rng(5)
     arr = np.array(INSIDE) + rng.uniform(-0.05, 0.05, (6, 8))
-    stack = point_from_array(chart, arr, 2)
+    stack = point_from_array(chart, arr)
     assert len(stack.rows) == 6
     for i, row in enumerate(arr):
-        q = point_from_array(chart, row, 2)
+        q = point_from_array(chart, row)
         assert stack.chart == q.chart == chart
         assert np.array_equal(stack.rows[i], q.rows)
         assert not stack.rows[i].flags.writeable and not stack.rows[i].flags.owndata
@@ -241,19 +241,20 @@ def test_stack_points_match_single_points(chart):
     outside = {BALL: [0.9, 0.9, 0, 0, 0, 0, 0, 0], SIEGEL: [1.0, 0, 0, 0, 0.2, 0, 0, 0],
                HORO: [0.1, 0, 0, 0, 0.0, 0, 0, 0]}[chart]
     with pytest.raises(NotInteriorError):
-        point_from_array(chart, np.array(outside), 2)
+        point_from_array(chart, np.array(outside))
     with pytest.raises(NotInteriorError):
-        point_from_array(chart, np.vstack([arr, outside]), 2)
-    with pytest.raises(ShapeError):
-        point_from_array(chart, arr[:, :4], 2)
-    with pytest.raises(ShapeError):
-        point_from_array(chart, arr.ravel(), 2)
+        point_from_array(chart, np.vstack([arr, outside]))
+    # n is read off the width, which must be a positive multiple of 4
+    assert point_from_array(chart, arr[:, :4]).rows.shape == (6, 1, 4)
+    for bad in (arr[:, :6], arr[0, :7], arr[:, :0], arr[None]):
+        with pytest.raises(ShapeError):
+            point_from_array(chart, bad)
 
 
 def test_rows_are_read_only():
     # a ChartPoint's (n, 4) rows are frozen, and no constructor aliases its input
     arr = np.zeros(8)
-    points = [ball_point([0, 0.5]), point_from_array(BALL, arr, 2),
+    points = [ball_point([0, 0.5]), point_from_array(BALL, arr),
               horo_point([Quaternion(0.1, 0.2)], 0.7, QK)]
     points += [convert(points[0], c) for c in (SIEGEL, HORO)]
     for p in points:
@@ -280,18 +281,18 @@ def ball_stack(rng, n, k=7, rmax=0.8):
 @pytest.mark.parametrize("src", [BALL, SIEGEL, HORO])
 def test_convert_stack_equals_points(n, src):
     # a stacked conversion gives, bit for bit, what each point gives alone
-    stack = convert(point_from_array(BALL, ball_stack(np.random.default_rng(n), n), n), src)
+    stack = convert(point_from_array(BALL, ball_stack(np.random.default_rng(n), n)), src)
     assert stack.chart == src and stack.rows.shape == (7, n, 4)
     for dst in (BALL, SIEGEL, HORO):
         got = convert(stack, dst)
         assert got.chart == dst and not got.rows.flags.writeable
         for i, rows in enumerate(stack.rows):
-            want = convert(point_from_array(src, rows.ravel(), n), dst)
+            want = convert(point_from_array(src, rows.ravel()), dst)
             assert np.array_equal(got.rows[i], want.rows)
     assert np.array_equal(lift(stack)[:, :-1], convert(stack, BALL).rows)
     assert np.array_equal(coords_array(stack), stack.rows.reshape(7, -1))
     horo = convert(stack, HORO)
-    alphas = [convert(point_from_array(src, r.ravel(), n), HORO).alpha for r in stack.rows]
+    alphas = [convert(point_from_array(src, r.ravel()), HORO).alpha for r in stack.rows]
     assert isinstance(horo.alpha, np.ndarray) and np.array_equal(horo.alpha, alphas)
 
 
@@ -300,11 +301,11 @@ def test_dist_stack_equals_points(n):
     rng = np.random.default_rng(10 + n)
     arr, other = ball_stack(rng, n), ball_stack(rng, n)
     for chart in (BALL, HORO):
-        stack = convert(point_from_array(BALL, arr, n), chart)
-        others = point_from_array(BALL, other, n)
+        stack = convert(point_from_array(BALL, arr), chart)
+        others = point_from_array(BALL, other)
         q = random_ball_point(rng, n)
-        points = [point_from_array(chart, r.ravel(), n) for r in stack.rows]
-        pairs = [point_from_array(BALL, r, n) for r in other]
+        points = [point_from_array(chart, r.ravel()) for r in stack.rows]
+        pairs = [point_from_array(BALL, r) for r in other]
         assert np.array_equal(dist(stack, q), [dist(p, q) for p in points])
         assert np.array_equal(dist(q, stack), [dist(q, p) for p in points])
         assert np.array_equal(dist(stack, others),

@@ -264,12 +264,12 @@ def _per_draw_suite_charts(n):
     rng = np.random.default_rng(101)
     rt, sym = [], []
     for _ in range(50):
-        p = point_from_array(BALL, _random_ball(rng, n), n)
+        p = point_from_array(BALL, _random_ball(rng, n))
         q = convert(convert(convert(p, SIEGEL), HORO), BALL)
         rt.append(coords_array(q) - coords_array(p))
-        p2 = point_from_array(BALL, _random_ball(rng, n), n)
+        p2 = point_from_array(BALL, _random_ball(rng, n))
         sym.append(dist(p, p2) - dist(p2, p))
-    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, _random_ball(rng, n), n)))
+    eig = np.linalg.eigvalsh(metric_matrix(point_from_array(BALL, _random_ball(rng, n))))
     return [cli._check("chart round trip", rt, 1e-12),
             cli._check("distance symmetry", sym, 1e-12),
             cli._check("metric positive definite", 0.0 if eig.min() > 0 else 1.0, 0.5)]
@@ -283,10 +283,10 @@ def _per_draw_suite_isometries(n):
         big = qmat_identity(n + 1)
         big[:n - 1, :n - 1] = B
         big[n - 1, n - 1] = big[n, n] = lam
-        gens = [("heisenberg", heisenberg_matrix(n, xi, nu), dict(xi=xi, nu=nu)),
+        gens = [("heisenberg", heisenberg_matrix(xi, nu), dict(xi=xi, nu=nu)),
                 ("transvection", transvection_matrix(n, t), dict(t=t)),
                 ("rotation", Isometry(big), dict(B=B, lam=lam))]
-        p = convert(point_from_array(BALL, x, n), HORO)
+        p = convert(point_from_array(BALL, x), HORO)
         for kind, g, params in gens:
             defects.append(sp_defect(g.A))
             closed.append(coords_array(act(g, p)) - coords_array(act_horo_closed(kind, p, **params)))

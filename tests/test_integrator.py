@@ -187,8 +187,8 @@ def test_elliptic_family_disjoint():
     assert d > 1e-3
 
 
-def test_family_grid_order_and_threads():
-    # families run serially, in grid order, and repeat exactly
+def test_family_grid_curves_repeat_exactly():
+    # the curves of an a grid keep the grid's order and repeat bit for bit
     case = ReducedCase(ELLIPTIC, 2, 1)
     grid = [0.4, 0.9, 1.3]
     first, second = ([integrate_profile(case, a, s_max=3.0, tol=1e-9) for a in grid]
@@ -230,8 +230,8 @@ def test_elliptic_integral_R_matches_mpmath():
 def _ending_at(n, alpha, sigma, rho=0.0):
     """A special parabolic curve, as limit_endpoint reads it, whose last
     sample is (alpha, rho, sigma)."""
-    return SimpleNamespace(case=ReducedCase(SPECIAL_PARABOLIC, n), termination="smax",
-                           final_state=lambda: PhaseState(alpha, rho, sigma))
+    return SimpleNamespace(case=ReducedCase(SPECIAL_PARABOLIC, n), h=0.0,
+                           termination="smax", final_state=lambda: PhaseState(alpha, rho, sigma))
 
 
 def test_special_parabolic_tail_is_the_incomplete_beta():
@@ -300,7 +300,18 @@ def test_limit_endpoint_elliptic_unconverged():
     case = ReducedCase(ELLIPTIC, 2, 1)
     c = integrate_profile(case, 1.0, s_max=5.0, tol=1e-9)
     lim = limit_endpoint(c)
-    assert not lim.converged and lim.tag == "NotConverged"
+    fin = c.final_state()
+    assert not lim.converged and (lim.c1, lim.c2) == (fin.c1, fin.c2)
+
+
+def test_limit_endpoint_refuses_h_nonzero():
+    # both tails are h = 0 asymptotics: at h = 0.5 the special-parabolic
+    # tail read rho 0.10005 off a curve that runs on to rho 0.04999
+    for case, kw in ((ReducedCase(SPECIAL_PARABOLIC, 2), dict(s_max=800.0, c1_floor=0.3)),
+                     (ReducedCase(PARABOLIC, 2, 1), dict(s_max=100.0))):
+        curve = integrate_profile(case, 1.0, h=0.5, **kw)
+        with pytest.raises(ExtrapolationError, match="h = 0.5"):
+            limit_endpoint(curve)
 
 
 def test_invalid_start():

@@ -38,7 +38,6 @@ from hqn.isometries import (
 )
 from hqn.quaternion import (
     QI,
-    QK,
     UNIT,
     Quaternion,
     components,
@@ -52,7 +51,7 @@ from geometry_reference import heis_mul, inversion_horo
 def random_ball_point(rng, n=2, rmax=0.8):
     v = rng.standard_normal(4 * n)
     v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
-    return point_from_array(BALL, v, n)
+    return point_from_array(BALL, v)
 
 
 def random_heis(rng, n=2):
@@ -66,9 +65,9 @@ def test_membership_identity():
     for n in (2, 3):
         for _ in range(10):
             xi, nu = random_heis(rng, n)
-            assert sp_defect(heisenberg_matrix(n, xi, nu).A) < 1e-12
+            assert sp_defect(heisenberg_matrix(xi, nu).A) < 1e-12
             assert sp_defect(transvection_matrix(n, rng.uniform(-2, 2)).A) < 1e-12
-            g = rotation_matrix(n, random_sp(n, rng), random_unit_quaternion(rng))
+            g = rotation_matrix(random_sp(n, rng), random_unit_quaternion(rng))
             assert sp_defect(g.A) < 1e-12
 
 
@@ -76,7 +75,7 @@ def test_compose_and_inverse():
     rng = np.random.default_rng(1)
     n = 2
     xi, nu = random_heis(rng, n)
-    g = heisenberg_matrix(n, xi, nu).compose(transvection_matrix(n, 0.7))
+    g = heisenberg_matrix(xi, nu).compose(transvection_matrix(n, 0.7))
     # A^{-1} = I_{n,1} A* I_{n,1} for members of Sp(n,1)
     J = lorentz_signature(n + 1)
     prod = g.compose(Isometry(qmat_mul(qmat_mul(J, qmat_conj_T(g.A)), J)))
@@ -90,14 +89,14 @@ def test_nan_matrix_is_not_symplectic():
     with pytest.raises(NotSymplecticError):
         Isometry(np.full((3, 3, 4), np.nan))
     with pytest.raises(NotSymplecticError):
-        rotation_matrix(2, np.full((2, 2, 4), np.nan), UNIT)
+        rotation_matrix(np.full((2, 2, 4), np.nan), UNIT)
 
 
 @pytest.mark.parametrize("t", [8.0, -8.0, 10.0, -10.0])
 def test_large_transvection_matches_closed_form(t):
     # the matrix's rounding grows like cosh(t)^2 eps, past any absolute
     # defect bound, yet its action stays accurate
-    p = point_from_array(HORO, np.array([0.3, -0.1, 0.2, 0.05, 0.7, 0.1, -0.2, 0.3]), 2)
+    p = point_from_array(HORO, np.array([0.3, -0.1, 0.2, 0.05, 0.7, 0.1, -0.2, 0.3]))
     got = coords_array(act(transvection_matrix(2, t), p))
     want = coords_array(act_horo_closed("transvection", p, t=t))
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
@@ -116,11 +115,11 @@ def test_transvection_needs_finite_cosh(t):
 def test_heisenberg_pair_needs_finite_entries(bad, where):
     xi, nu = np.zeros((1, 4)), np.zeros(4)
     (xi[0] if where == "xi" else nu)[1] = bad
-    p = point_from_array(HORO, np.array([0.3, -0.1, 0.2, 0.05, 0.7, 0.1, -0.2, 0.3]), 2)
+    p = point_from_array(HORO, np.array([0.3, -0.1, 0.2, 0.05, 0.7, 0.1, -0.2, 0.3]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            heisenberg_matrix(2, xi, nu)
+            heisenberg_matrix(xi, nu)
         with pytest.raises(DomainError):
             act_horo_closed("heisenberg", p, xi=xi, nu=nu)
 
@@ -136,8 +135,8 @@ def test_membership_checked_only_at_raw_matrices(monkeypatch):
     rng = np.random.default_rng(3)
     n = 2
     xi, nu = random_heis(rng, n)
-    g = heisenberg_matrix(n, xi, nu).compose(transvection_matrix(n, 0.4))
-    g = g.compose(rotation_matrix(n, random_sp(n, rng), random_unit_quaternion(rng)))
+    g = heisenberg_matrix(xi, nu).compose(transvection_matrix(n, 0.4))
+    g = g.compose(rotation_matrix(random_sp(n, rng), random_unit_quaternion(rng)))
     g.compose(g)
     assert len(calls) == 0
     Isometry(g.A)
@@ -154,7 +153,7 @@ def test_matrix_vs_closed_form():
         if kind == "heisenberg":
             xi, nu = random_heis(rng, n)
             params = {"xi": xi, "nu": nu}
-            g = heisenberg_matrix(n, xi, nu)
+            g = heisenberg_matrix(xi, nu)
         elif kind == "transvection":
             params = {"t": float(rng.uniform(-1.5, 1.5))}
             g = transvection_matrix(n, params["t"])
@@ -166,7 +165,7 @@ def test_matrix_vs_closed_form():
             big = qmat_identity(n)
             big[:n - 1, :n - 1] = B
             big[n - 1, n - 1] = lam
-            g = rotation_matrix(n, big, lam)
+            g = rotation_matrix(big, lam)
         q1 = act(g, p)
         q2 = act_horo_closed(kind, p, **params)
         np.testing.assert_allclose(coords_array(q1), coords_array(q2), atol=1e-10)
@@ -179,8 +178,8 @@ def test_heisenberg_group_law():
         a = random_heis(rng, n)
         b = random_heis(rng, n)
         ab = heis_mul(a, b)
-        m1 = heisenberg_matrix(n, *a).compose(heisenberg_matrix(n, *b))
-        m2 = heisenberg_matrix(n, *ab)
+        m1 = heisenberg_matrix(*a).compose(heisenberg_matrix(*b))
+        m2 = heisenberg_matrix(*ab)
         np.testing.assert_allclose(m1.A, m2.A, atol=1e-13)
         # inverse: a a^{-1} = identity, with a^{-1} = (-xi, -nu)
         xi, nu = heis_mul(a, (-a[0], -a[1]))
@@ -200,9 +199,9 @@ def test_distance_invariance():
     for _ in range(30):
         p, q = random_ball_point(rng, n), random_ball_point(rng, n)
         xi, nu = random_heis(rng, n)
-        g = (heisenberg_matrix(n, xi, nu)
+        g = (heisenberg_matrix(xi, nu)
              .compose(transvection_matrix(n, rng.uniform(-1, 1)))
-             .compose(rotation_matrix(n, random_sp(n, rng),
+             .compose(rotation_matrix(random_sp(n, rng),
                                       random_unit_quaternion(rng))))
         assert dist(act(g, p), act(g, q)) == pytest.approx(dist(p, q), abs=1e-9)
 
@@ -242,13 +241,36 @@ def test_inversion_horo():
 
 def test_rotation_validation():
     with pytest.raises(NotSymplecticError):
-        rotation_matrix(2, 2.0 * qmat_identity(2), UNIT)
+        rotation_matrix(2.0 * qmat_identity(2), UNIT)
     with pytest.raises(NotSymplecticError):
-        rotation_matrix(2, qmat_identity(2), 2.0 * UNIT)
+        rotation_matrix(qmat_identity(2), 2.0 * UNIT)
     with pytest.raises(ShapeError):
-        heisenberg_matrix(2, components([QI, QK]), QI.as_array())
+        rotation_matrix(qmat_identity(2)[:, :1], UNIT)
+    for xi in (np.zeros((1, 3)), np.zeros(4)):      # not rows of 4
+        with pytest.raises(ShapeError):
+            heisenberg_matrix(xi, QI.as_array())
     with pytest.raises(NotSymplecticError):
-        heisenberg_matrix(2, components([QI]), UNIT)
+        heisenberg_matrix(components([QI]), UNIT)
+
+
+def test_inputs_sized_for_another_n_are_refused():
+    # xi and a rotation block fix the n of their own matrices, so the
+    # closed-form action holds each to the point's n (a block on Q^{n-1}),
+    # and qmat_vec holds the vector to the matrix
+    rng = np.random.default_rng(9)
+    p = convert(random_ball_point(rng, 3), HORO)
+    xi, nu = random_heis(rng, 2)
+    B, lam = random_sp(1, rng), random_unit_quaternion(rng)
+    assert heisenberg_matrix(xi, nu).A.shape == (3, 3, 4)
+    assert rotation_matrix(B, lam).A.shape == (2, 2, 4)
+    with pytest.raises(ShapeError):
+        act_horo_closed("heisenberg", p, xi=xi, nu=nu)
+    with pytest.raises(ShapeError):
+        act_horo_closed("rotation", p, B=B, lam=lam)
+    with pytest.raises(ShapeError):
+        act_horo_closed("rotation", p, B=random_sp(3, rng), lam=lam)
+    with pytest.raises(ShapeError):
+        qmat_vec(qmat_identity(4), np.zeros((3, 4)))
 
 
 def test_qmat_vec_right_module():
@@ -297,11 +319,11 @@ def test_subgroup_products_stay_symplectic(n, kinds, params, seed):
     g = Isometry(qmat_identity(n + 1))
     for kind in kinds:
         if kind == "heisenberg":
-            f = heisenberg_matrix(n, xi, nu)
+            f = heisenberg_matrix(xi, nu)
         elif kind == "transvection":
             f = transvection_matrix(n, params[7])
         else:
-            f = rotation_matrix(n, random_sp(n, rng), random_unit_quaternion(rng))
+            f = rotation_matrix(random_sp(n, rng), random_unit_quaternion(rng))
         g = g.compose(f)
         assert sp_defect(g.A) <= 1e-12
 
@@ -315,7 +337,7 @@ def test_heisenberg_action_matches_scalar_sums(n, data):
     omega = data.draw(arrays(float, (n - 1, 4), elements=finite))
     last = np.array([data.draw(st.floats(0.1, 3.0)),
                      *data.draw(st.lists(finite, min_size=3, max_size=3))])
-    p = point_from_array(HORO, np.vstack([omega, last]).ravel(), n)
+    p = point_from_array(HORO, np.vstack([omega, last]).ravel())
     q = act_horo_closed("heisenberg", p, xi=xi, nu=nu)
     cross = sum((Quaternion(*x).conj() * Quaternion(*w) for x, w in zip(xi, omega)),
                 Quaternion())
@@ -360,7 +382,7 @@ def _stacked_draws(n, k, seed):
 def _generator(kind, n, params, big, i=...):
     """The stacked generator of kind, or, for an index i, its element i."""
     if kind == "heisenberg":
-        return heisenberg_matrix(n, params["xi"][i], params["nu"][i])
+        return heisenberg_matrix(params["xi"][i], params["nu"][i])
     if kind == "transvection":
         return transvection_matrix(n, params["t"][i])
     return Isometry(big[i])
@@ -392,7 +414,7 @@ def test_matrix_stack_matches_elements(n):
 def test_isometry_stack_matches_elements(n):
     k = 7
     heis, trans, rot, big, x = _stacked_draws(n, k, 50 + n)
-    p = convert(point_from_array(BALL, x, n), HORO)
+    p = convert(point_from_array(BALL, x), HORO)
     for kind, params in zip(KINDS, (heis, trans, rot)):
         g, g0 = _generator(kind, n, params, big), _generator(kind, n, params, big, 0)
         assert g.A.shape == (k, n + 1, n + 1, 4)
@@ -404,7 +426,7 @@ def test_isometry_stack_matches_elements(n):
         moved_one = coords_array(act(g0, p))
         closed_one = coords_array(act_horo_closed(kind, p, **one))
         for i in range(k):
-            pi = convert(point_from_array(BALL, x[i], n), HORO)
+            pi = convert(point_from_array(BALL, x[i]), HORO)
             gi = _generator(kind, n, params, big, i)
             each = {name: v[i] for name, v in params.items()}
             assert _bits(g.A[i]) == _bits(gi.A)
@@ -431,24 +453,24 @@ def test_isometry_stack_checks_every_matrix():
 def test_stacked_parameters_checked_per_element():
     n = 3
     heis, trans, rot, big, x = _stacked_draws(n, 4, 61)
-    p = convert(point_from_array(BALL, x, n), HORO)
+    p = convert(point_from_array(BALL, x), HORO)
     xi, nu = heis["xi"].copy(), heis["nu"].copy()
     xi[2, 1, 3] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            heisenberg_matrix(n, xi, nu)
+            heisenberg_matrix(xi, nu)
         with pytest.raises(DomainError):
             act_horo_closed("heisenberg", p, xi=xi, nu=nu)
         with pytest.raises(DomainError):
             transvection_matrix(n, np.array([0.1, 0.2, 1e3, 0.3]))
     nu[1, 0] = 0.5
     with pytest.raises(NotSymplecticError):
-        heisenberg_matrix(n, heis["xi"], nu)
+        heisenberg_matrix(heis["xi"], nu)
     with pytest.raises(ShapeError):
-        heisenberg_matrix(n, heis["xi"], heis["nu"][:3])
+        heisenberg_matrix(heis["xi"], heis["nu"][:3])
     with pytest.raises(ShapeError):
-        heisenberg_matrix(n, heis["xi"][None], heis["nu"][None])
+        heisenberg_matrix(heis["xi"][None], heis["nu"][None])
     with pytest.raises(ShapeError):
         transvection_matrix(n, np.zeros((2, 2)))
     # parameters stacked unlike the points
@@ -462,7 +484,7 @@ def test_act_on_mismatched_stacks_is_shape_error():
     n = 2
     heis, trans, rot, big, x = _stacked_draws(n, 4, 62)
     g = transvection_matrix(n, trans["t"][:3])
-    p = point_from_array(BALL, x, n)
+    p = point_from_array(BALL, x)
     with pytest.raises(ShapeError):
         act(g, p)
     with pytest.raises(ShapeError):

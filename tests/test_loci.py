@@ -27,7 +27,7 @@ from geometry_reference import bisector_residual, inversion_horo
 def random_ball_point(rng, n=2, rmax=0.8):
     v = rng.standard_normal(4 * n)
     v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
-    return point_from_array(BALL, v, n)
+    return point_from_array(BALL, v)
 
 
 CANON_P1 = ball_point([0, 0.5 * QK])
@@ -50,12 +50,12 @@ def test_bisector_canonical_grid():
         v *= rng.uniform(0.05, 0.8) / np.linalg.norm(v)
         on = v.copy()
         on[7] = 0.0
-        p_on = point_from_array(BALL, on, 2)
+        p_on = point_from_array(BALL, on)
         assert abs(bisector_residual(p_on, CANON_P1, CANON_P2)) < 1e-12
         off = v.copy()
         off[7] = rng.uniform(0.05, 0.3) * rng.choice([-1, 1])
         if np.linalg.norm(off) < 1.0:
-            p_off = point_from_array(BALL, off, 2)
+            p_off = point_from_array(BALL, off)
             assert abs(bisector_residual(p_off, CANON_P1, CANON_P2)) > 1e-6
 
 
@@ -143,8 +143,8 @@ def test_fan_at_origin_gradient():
         for i in range(8):
             e = np.zeros(8)
             e[i] = h
-            g[i] = (fan_at_origin_residual(point_from_array(HORO, c + e, 2))
-                    - fan_at_origin_residual(point_from_array(HORO, c - e, 2))) / (2 * h)
+            g[i] = (fan_at_origin_residual(point_from_array(HORO, c + e))
+                    - fan_at_origin_residual(point_from_array(HORO, c - e))) / (2 * h)
         assert np.linalg.norm(g) > 1e-8
 
 
@@ -170,8 +170,8 @@ def test_residuals_stack_equals_points(n, chart):
     rng = np.random.default_rng([n, len(chart)])
     v = rng.standard_normal((7, 4 * n))
     v *= rng.uniform(0.05, 0.8, (7, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
-    stack = convert(point_from_array(BALL, v, n), chart)
-    points = [point_from_array(chart, r.ravel(), n) for r in stack.rows]
+    stack = convert(point_from_array(BALL, v), chart)
+    points = [point_from_array(chart, r.ravel()) for r in stack.rows]
     p1, p2 = random_ball_point(rng, n), random_ball_point(rng, n)
     normal = rng.standard_normal(4 * (n - 1))
     re_last = np.eye(4 * (n - 1))[4 * (n - 2)]       # Re(omega_{n-1})

@@ -124,7 +124,7 @@ def test_killing_volume_needs_the_open_ball():
     with pytest.raises(NotInteriorError):
         killing_volume(case, far)
     stack = point_from_array(HORO, np.array([[0.3, 0, 0, 0, 1.0, 0, 0, 0],
-                                             [1e9, 0, 0, 0, 1.0, 0, 0, 0]]), 2)
+                                             [1e9, 0, 0, 0, 1.0, 0, 0, 0]]))
     with pytest.raises(NotInteriorError):
         killing_volume(case, stack)
 
@@ -160,9 +160,9 @@ def test_mean_curvature_geodesic_sphere(n, r):
     # principal curvatures coth(r/2)/2 (multiplicity 4n-4) and coth r
     # (multiplicity 3), Berndt, J. reine angew. Math. 419 (1991); the
     # outward normal gives the negative sign
-    o = point_from_array(BALL, np.zeros(4 * n), n)
+    o = point_from_array(BALL, np.zeros(4 * n))
     u = np.random.default_rng(n).normal(size=4 * n)
-    p = point_from_array(BALL, np.tanh(r / 2.0) * u / np.linalg.norm(u), n)
+    p = point_from_array(BALL, np.tanh(r / 2.0) * u / np.linalg.norm(u))
     want = -((2 * n - 2) / np.tanh(r / 2.0) + 3.0 / np.tanh(r))
     for q in (p, convert(p, HORO)):
         got = ambient_mean_curvature(lambda x: dist(x, o) - r, q)
@@ -199,10 +199,10 @@ def test_horo_metric_stack(n):
     rng = np.random.default_rng(n)
     c = rng.normal(0.0, 0.5, (2, 5, 4 * n))
     c[..., 4 * n - 4] = rng.uniform(0.1, 2.0, (2, 5))
-    stack = horo_metric_matrix(c, n)
+    stack = horo_metric_matrix(c)
     assert stack.shape == (2, 5, 4 * n, 4 * n)
     for idx in np.ndindex(2, 5):
-        assert np.array_equal(stack[idx], horo_metric_matrix(c[idx], n))
+        assert np.array_equal(stack[idx], horo_metric_matrix(c[idx]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -211,10 +211,10 @@ def test_ball_metric_stack(n):
     x = rng.normal(0.0, 0.5, (2, 5, 4 * n))
     x *= rng.uniform(0.0, 0.95, (2, 5, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
     x[0, 0, ::3] = -0.0
-    stack = ball_metric_matrix(x, n)
+    stack = ball_metric_matrix(x)
     assert stack.shape == (2, 5, 4 * n, 4 * n)
     for idx in np.ndindex(2, 5):
-        assert np.array_equal(stack[idx], ball_metric_matrix(x[idx], n))
+        assert np.array_equal(stack[idx], ball_metric_matrix(x[idx]))
 
 
 def _same_bits(a, b):
@@ -246,10 +246,10 @@ def _signed_zero_point(dim, h, rng):
 def test_stencil_offsets_give_the_loop_stencil(dim):
     # x + the cached table has the bits of the loop-built stencil, signed
     # zeros included, and the table is read-only
-    table = _stencil_offsets(dim, CURVATURE_STEP)
+    table = _stencil_offsets(dim)
     assert table.shape == (1 + 4 * dim + 4 * dim * (dim - 1), dim)
     assert not table.flags.writeable
-    assert _stencil_offsets(dim, CURVATURE_STEP) is table
+    assert _stencil_offsets(dim) is table
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
     rng = np.random.default_rng(dim)
@@ -316,7 +316,7 @@ def _horo_surface_point(n, kind, rng):
         omega[-1, 1:] = 0.0
         beta[2] = 0.0
     alpha = rng.uniform(0.5, 1.5)
-    p = point_from_array(HORO, np.concatenate([omega.ravel(), [alpha], beta]), n)
+    p = point_from_array(HORO, np.concatenate([omega.ravel(), [alpha], beta]))
     surface = {"bisector": canonical_bisector_residual,
                "fan": fan_at_origin_residual,
                "horosphere": lambda q, a=alpha: convert(q, HORO).alpha - a}[kind]
@@ -333,16 +333,16 @@ def test_stacked_stencil_matches_loop(n, chart, kind):
         surface, p = _horo_surface_point(n, kind, rng)
         x = coords_array(convert(p, chart))
         want = _loop_grad_hess(
-            lambda arr: float(surface(point_from_array(chart, arr, n))), x, CURVATURE_STEP)
+            lambda arr: float(surface(point_from_array(chart, arr))), x, CURVATURE_STEP)
         got = _richardson_grad_hess(
-            lambda stack: surface(point_from_array(chart, stack, n)), x, CURVATURE_STEP)
+            lambda stack: surface(point_from_array(chart, stack)), x)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _weight_map(dim):
     # the map of _grad_hess_weights applied to stencil values, and the
     # rounding bound of its 8-term rows, 4 * 8 eps (|scale weights| @ |f|)
-    index, weights, scale = _grad_hess_weights(dim, CURVATURE_STEP)
+    index, weights, scale = _grad_hess_weights(dim)
 
     def apply(f):
         bound = 32.0 * np.finfo(float).eps * scale * (np.abs(weights) * np.abs(f[index])).sum(axis=1)
@@ -355,17 +355,17 @@ def test_grad_hess_weights_are_the_differences_on_unit_vectors(dim):
     # the map's matrix, scaled, has the bits of _richardson_grad_hess on
     # the k unit vectors, one call per column; the cached tables are
     # read-only
-    index, weights, scale = _grad_hess_weights(dim, CURVATURE_STEP)
-    assert _grad_hess_weights(dim, CURVATURE_STEP)[0] is index
+    index, weights, scale = _grad_hess_weights(dim)
+    assert _grad_hess_weights(dim)[0] is index
     assert index.shape == weights.shape == (dim + dim * dim, 8) == scale.shape + (8,)
     for table in (index, weights, scale):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1
-    k = len(_stencil_offsets(dim, CURVATURE_STEP))
+    k = len(_stencil_offsets(dim))
     want = np.empty((dim + dim * dim, k))
     for j, unit in enumerate(np.eye(k)):
-        grad, hess = _richardson_grad_hess(lambda stack: unit, np.zeros(dim), CURVATURE_STEP)
+        grad, hess = _richardson_grad_hess(lambda stack: unit, np.zeros(dim))
         want[:, j] = np.concatenate([grad, hess.ravel()])
     matrix = np.zeros((dim + dim * dim, k))
     np.add.at(matrix, (np.arange(len(index))[:, None], index), weights)
@@ -383,10 +383,10 @@ def test_grad_hess_weights_match_differences(n, chart, kind):
     for _ in range(3):
         surface, p = _horo_surface_point(n, kind, rng)
         x = coords_array(convert(p, chart))
-        k = len(_stencil_offsets(4 * n, CURVATURE_STEP))
+        k = len(_stencil_offsets(4 * n))
         f = np.broadcast_to(surface(point_from_array(
-            chart, x + _stencil_offsets(4 * n, CURVATURE_STEP), n)), (k,))
-        g, H = _richardson_grad_hess(lambda stack: f, x, CURVATURE_STEP)
+            chart, x + _stencil_offsets(4 * n))), (k,))
+        g, H = _richardson_grad_hess(lambda stack: f, x)
         got, bound = apply(f)
         assert np.all(np.abs(got - np.concatenate([g, H.ravel()])) <= bound)
 
@@ -398,7 +398,7 @@ def test_grad_hess_weights_are_exact_on_quadratics(dim):
     # offsets themselves
     rng = np.random.default_rng(dim)
     apply = _weight_map(dim)
-    pts = _stencil_offsets(dim, CURVATURE_STEP)
+    pts = _stencil_offsets(dim)
     for _ in range(5):
         c, b = rng.normal(), rng.normal(size=dim)
         Q = rng.normal(size=(dim, dim))
@@ -419,12 +419,12 @@ def _metric_points(chart, n, rng):
     return x * (np.array([[0.95], [0.3], [0.7]]) / np.linalg.norm(x, axis=1, keepdims=True))
 
 
-def _richardson_metric_derivative(metric, x, n, h):
+def _richardson_metric_derivative(metric, x, h):
     # the reference: Richardson-extrapolated central differences of the
     # metric matrix at steps h and h / 2, one coordinate at a time
     def central(step):
         E = step * np.eye(len(x))
-        return np.array([(metric(x + e, n) - metric(x - e, n)) / (2.0 * step) for e in E])
+        return np.array([(metric(x + e) - metric(x - e)) / (2.0 * step) for e in E])
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
@@ -434,21 +434,23 @@ def test_metric_jet_matches_references(n, chart):
     # the closed-form inverse is the inverse of the metric matrix, and the
     # closed-form derivative is its Richardson difference, whose truncation
     # and rounding leave up to 2.7e-10 relative; the tables are cached and
-    # read-only, and a Siegel chart is refused
+    # read-only, and a Siegel chart or a width off 4n is refused
     metric = horo_metric_matrix if chart == HORO else ball_metric_matrix
     tables = _pairing_tables(chart, n)
     assert _pairing_tables(chart, n) is tables
     assert not any(table.flags.writeable for table in tables)
-    with pytest.raises(ShapeError):
-        metric_jet("siegel", np.zeros(4 * n), n)
     d = 4 * n
+    for call in (lambda: metric_jet("siegel", np.zeros(d)), lambda: metric(np.full(d + 2, 0.1)),
+                 lambda: metric_jet(chart, np.full(d + 2, 0.1))):
+        with pytest.raises(ShapeError):
+            call()
     for x in _metric_points(chart, n, np.random.default_rng([n, len(chart)])):
-        ginv, dg = metric_jet(chart, x, n)
-        g = metric(x, n)
+        ginv, dg = metric_jet(chart, x)
+        g = metric(x)
         assert np.max(np.abs(ginv @ g - np.eye(d))) <= 5e-14
         assert np.max(np.abs(ginv - np.linalg.inv(g))) <= 5e-14 * np.max(np.abs(ginv))
         scale = x[d - 4] if chart == HORO else 1.0 - x @ x
-        want = _richardson_metric_derivative(metric, x, n, 1e-5 * scale)
+        want = _richardson_metric_derivative(metric, x, 1e-5 * scale)
         assert np.max(np.abs(dg - want)) <= 2e-9 * np.max(np.abs(dg))
 
 
@@ -468,7 +470,7 @@ def test_christoffel_contraction_matches_einsum(n, chart):
     d = 4 * n
     for i in range(20):
         _, p = _horo_surface_point(n, ["bisector", "fan", "horosphere"][i % 3], rng)
-        ginv, dg = metric_jet(chart, coords_array(convert(p, chart)), n)
+        ginv, dg = metric_jet(chart, coords_array(convert(p, chart)))
         grad = rng.normal(size=d)
         want = np.einsum("cab,c->ab", _einsum_christoffel(dg, ginv), grad)
         got = _christoffel_contraction(dg, ginv @ grad)
@@ -488,7 +490,7 @@ def test_mean_curvature_ball_stencil_leaves_chart():
     # ball; a ball-native surface converts nothing, so the stencil's own
     # check must refuse it
     assert CURVATURE_STEP == 1e-3
-    p = point_from_array(BALL, np.r_[0.9995, np.zeros(7)], 2)
+    p = point_from_array(BALL, np.r_[0.9995, np.zeros(7)])
     for surface in (canonical_bisector_residual, lambda q: q.rows[..., 0, 1]):
         with pytest.raises(NotInteriorError):
             ambient_mean_curvature(surface, p)
@@ -664,15 +666,14 @@ def test_killing_pins_are_the_volume_oracle(n, capsys):
 
 
 def test_curvature_oracle_pinned(capsys):
-    # `hqn oracle --oracle curvature` draws the points of the full report:
-    # its three rows are that report's bisector, fan and horosphere pins
-    names = {"bisector mean curvature", "fan mean curvature",
-             "horosphere mean curvature error"}
+    # `hqn oracle --oracle curvature` runs every curvature row of the full
+    # report on the same points: its five rows are that report's bisector,
+    # fan, horosphere, general fan and bisector family pins
     for n in (2, 3, 4):
         assert main(["oracle", "--oracle", "curvature", "--n", str(n)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert [(c["name"], c["value"].hex()) for c in report["checks"]] == [
-            pin for pin in ORACLE_VALUES[n] if pin[0] in names]
+            pin for pin in ORACLE_VALUES[n] if "curvature" in pin[0]]
 
 
 @pytest.mark.parametrize("factor", [0.5, 1.0 + 1e-6])
@@ -709,7 +710,7 @@ def _reference_killing_volume(case, p):
     rows = _complement(case) @ _killing_vectors(generator_basis(case), X)
     x = X[..., :-1, :].reshape(X.shape[:-2] + (-1,))
     return rows, np.sqrt(np.linalg.det(
-        rows @ ball_metric_matrix(x, case.n) @ np.swapaxes(rows, -1, -2)))
+        rows @ ball_metric_matrix(x) @ np.swapaxes(rows, -1, -2)))
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES,
@@ -737,7 +738,7 @@ def test_volume_oracle_catches_a_wrong_ball_gram(mutant, monkeypatch, capsys):
     if mutant == "no pairing term":
         pairing = hqn.oracles._ball_pairing
         monkeypatch.setattr(hqn.oracles, "_ball_pairing",
-                            lambda x, n: 0.0 * pairing(x, n))
+                            lambda x: 0.0 * pairing(x))
     else:
         monkeypatch.setattr(hqn.oracles, "qnorm2", lambda x: np.zeros(x.shape[:-1]))
     assert main(["oracle", "--oracle", "volume", "--n", "2"]) == 1
@@ -760,7 +761,7 @@ def test_killing_volume_stack_equals_points(case):
     assert np.array_equal(killing_volume(case, stack), want)
     other = convert(stack, HORO if stack.chart == BALL else BALL)
     assert np.array_equal(killing_volume(case, other), [
-        killing_volume(case, point_from_array(other.chart, r.ravel(), case.n))
+        killing_volume(case, point_from_array(other.chart, r.ravel()))
         for r in other.rows])
 
 

@@ -63,7 +63,7 @@ CASES = [
 def random_ball_point(rng, n=2, rmax=0.8):
     v = rng.standard_normal(4 * n)
     v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
-    return point_from_array(BALL, v, n)
+    return point_from_array(BALL, v)
 
 
 def random_interior_state(case, rng):
@@ -557,9 +557,9 @@ def test_orbit_project_stack_equals_points(case):
     v = rng.standard_normal((9, 4 * n))
     v *= rng.uniform(0.05, 0.8, (9, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
     for chart in (BALL, HORO):
-        stack = convert(point_from_array(BALL, v, n), chart)
+        stack = convert(point_from_array(BALL, v), chart)
         got = orbit_project(case, stack)
-        want = [orbit_project(case, point_from_array(chart, r.ravel(), n))
+        want = [orbit_project(case, point_from_array(chart, r.ravel()))
                 for r in stack.rows]
         assert all(isinstance(c, float) and np.ndim(c) == 0
                    and not isinstance(c, np.ndarray) for pair in want for c in pair)
